@@ -5,7 +5,9 @@
  * grid and emits a schema-checked BENCH_churn.json series. Each point
  * reports the churn rate actually sustained (TEE create/destroy
  * cycles per simulated second), p50/p99 per-burst check latency,
- * cold-switch latency percentiles, and the blocking-window histogram.
+ * cold-switch latency percentiles, the blocking-window histogram, and
+ * the cycles the simulator actually ticked (executed_cycles: the rest
+ * were idle cycles fast-forward skipped).
  *
  * Before emitting, the headline configuration is re-run on the
  * sharded parallel engine with 4 worker threads and the result
@@ -40,7 +42,8 @@ emitPoint(std::FILE *f, const Point &p, bool last)
     std::fprintf(f,
                  "    {\"tenants\": %u, \"devices\": %u, "
                  "\"arrival_mean\": %.1f, \"cold_fraction\": %.2f,\n"
-                 "     \"cycles\": %llu, \"churn_per_sim_s\": %.1f,\n"
+                 "     \"cycles\": %llu, \"executed_cycles\": %llu, "
+                 "\"churn_per_sim_s\": %.1f,\n"
                  "     \"check_p50\": %.1f, \"check_p99\": %.1f, "
                  "\"check_mean\": %.2f,\n"
                  "     \"cold_switch_p50\": %.1f, "
@@ -57,6 +60,7 @@ emitPoint(std::FILE *f, const Point &p, bool last)
                  "     \"block_window_hist\": [",
                  p.tenants, p.devices, p.arrival_mean, p.cold_fraction,
                  static_cast<unsigned long long>(p.r.cycles),
+                 static_cast<unsigned long long>(p.r.executed_cycles),
                  p.r.churn_per_sim_s, p.r.check_p50, p.r.check_p99,
                  p.r.check_mean, p.r.cold_switch_p50,
                  p.r.cold_switch_p99,

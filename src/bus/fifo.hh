@@ -213,11 +213,18 @@ class Fifo : public FifoBase
      * thread owns it mid-epoch); commitEpoch() re-wakes the consumer
      * when it hands items over.
      */
+    bool settled() const { return ready_.empty() && !inTransit(); }
+
+    /**
+     * True iff items are still on their way to the readable side
+     * (staged or maturing), so the consumer's clock() has work left.
+     * Under epoch commit the staging buffer is not read, as in
+     * settled().
+     */
     bool
-    settled() const
+    inTransit() const
     {
-        return ready_.empty() && in_flight_.empty() &&
-               (epoch_commit_ || staged_.empty());
+        return !in_flight_.empty() || (!epoch_commit_ && !staged_.empty());
     }
 
     /** Item at the head (consumer-visible). */

@@ -20,6 +20,7 @@
 #define IOPMP_BLOCK_HH
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "sim/types.hh"
@@ -62,14 +63,33 @@ class SidBlockBitmap
 
     unsigned numSids() const { return num_sids_; }
 
+    /**
+     * Install @p hook, called after every mutating call (block,
+     * unblock, blockAll, unblockAll, setWord). The owning SIopmp wakes
+     * checker nodes parked on a blocked beat through it, so direct
+     * callers (CPU node, firmware, workloads) need no wake of their
+     * own.
+     */
+    void setChangeHook(std::function<void()> hook)
+    {
+        on_change_ = std::move(hook);
+    }
+
   private:
     bool valid(Sid sid) const { return sid < num_sids_; }
+
+    void changed()
+    {
+        if (on_change_)
+            on_change_();
+    }
 
     /** Valid-bit mask for word @p k (partial in the last word). */
     std::uint64_t wordMask(unsigned k) const;
 
     std::vector<std::uint64_t> words_;
     unsigned num_sids_;
+    std::function<void()> on_change_;
 };
 
 } // namespace iopmp

@@ -52,6 +52,12 @@ CheckerNode::CheckerNode(std::string name, bus::Link *up, bus::Link *down,
     // construction order (deterministic JSON output), never from
     // inside a concurrent tick phase.
     syncLogic();
+    unit_->addStallWaiter(this);
+}
+
+CheckerNode::~CheckerNode()
+{
+    unit_->removeStallWaiter(this);
 }
 
 void
@@ -75,12 +81,18 @@ CheckerNode::syncLogic()
 bool
 CheckerNode::quiescent(Cycle) const
 {
-    // Stalled beats (SID miss, per-SID block, backpressure) keep the
-    // request pipe non-empty, so the node keeps polling through every
-    // stall — only a genuinely empty checker goes to sleep.
-    return up_->a.settled() && down_->d.settled() &&
-           (err_ == nullptr || err_->d.settled()) && req_pipe_.empty() &&
-           resp_pipe_.empty();
+    // Ordered so a busy node exits on its first test: a beat in the
+    // request pipe that is not parked on a SID miss or block bit (in
+    // flight, or held by backpressure) keeps the node polling.
+    if (stall_ == Stall::None && !req_pipe_.empty())
+        return false;
+    if (!resp_pipe_.empty() || !down_->d.settled() ||
+        (err_ != nullptr && !err_->d.settled()))
+        return false;
+    // Empty, or the head is parked: SIopmp wakes the node on any
+    // change that can decide its stall. Either way the uplink must
+    // not be able to feed the pipe, or accept/clock would do work.
+    return up_->a.settled() || (!req_pipe_.canPush() && !up_->a.inTransit());
 }
 
 Cycle
@@ -205,6 +217,7 @@ CheckerNode::traceResolved(const bus::Beat &beat, Cycle now,
 void
 CheckerNode::dispatchRequests(Cycle now)
 {
+    stall_ = Stall::None;
     if (!req_pipe_.ready(now))
         return;
     bus::Beat beat = req_pipe_.front();
@@ -230,7 +243,8 @@ CheckerNode::dispatchRequests(Cycle now)
     const Perm perm = beat.requiredPerm();
 
     // SID-missing handling: while the monitor mounts the device, poll
-    // without re-raising the interrupt.
+    // without re-raising the interrupt. The poll has no side effect,
+    // so a parked node just re-runs it when SIopmp wakes it.
     if (pending_miss_ && *pending_miss_ == beat.device) {
         if (unit_->resolveSid(beat.device)) {
             pending_miss_.reset();
@@ -244,6 +258,7 @@ CheckerNode::dispatchRequests(Cycle now)
             pending_miss_.reset();
             ++stats_.scalar("sid_miss_rearms");
         } else {
+            stall_ = Stall::SidMiss;
             return; // still cold and unmounted; stall
         }
     }
@@ -254,6 +269,7 @@ CheckerNode::dispatchRequests(Cycle now)
 
     switch (auth.status) {
       case AuthStatus::SidMiss:
+        stall_ = Stall::SidMiss;
         pending_miss_ = beat.device;
         pending_miss_epoch_ = unit_->configEpoch();
         ++stats_.scalar("sid_miss_stalls");
@@ -270,6 +286,8 @@ CheckerNode::dispatchRequests(Cycle now)
         return; // stall until mounted
 
       case AuthStatus::Blocked:
+        stall_ = Stall::Blocked;
+        blocked_poll_ = now;
         ++stats_.scalar("block_stalls");
         // Edge: open the §4.1 blocking window on the first stalled
         // cycle; traceResolved() closes it when the head resolves.
@@ -388,6 +406,16 @@ CheckerNode::forwardResponses(Cycle now)
 void
 CheckerNode::evaluate(Cycle now)
 {
+    // Back from a block-bit park: the tick-every-cycle loop would have
+    // re-polled the blocked head on each skipped cycle, each poll
+    // counting one check and one blocked stall and re-touching the
+    // CAM use bit. Credit the counts; the touch is idempotent, since
+    // clearing the use bit would have woken the node.
+    if (stall_ == Stall::Blocked && now > blocked_poll_ + 1) {
+        const std::uint64_t polls = now - blocked_poll_ - 1;
+        stats_.scalar("block_stalls") += static_cast<double>(polls);
+        unit_->creditBlockedPolls(polls);
+    }
     acceptRequests(now);
     dispatchRequests(now);
     forwardResponses(now);

@@ -17,6 +17,14 @@
  * limiting throughput — one beat still enters per cycle. The block-
  * state monitor (bus::BusMonitor) is updated at burst start/end so the
  * firmware's per-SID blocking can wait for pipeline drain.
+ *
+ * Stalls: a head beat stalled on a SID miss or a block bit parks the
+ * node (quiescent()) once its response path is idle and its uplink
+ * cannot feed it. The node is an SIopmp stall waiter, so every CAM,
+ * block-bitmap, eSID or config-epoch change wakes it to re-poll. The
+ * first evaluate after a block-bit park credits the polls it skipped
+ * (see evaluate()), so stats match the tick-every-cycle loop.
+ * Backpressure stalls keep polling.
  */
 
 #ifndef IOPMP_CHECKER_NODE_HH
@@ -43,12 +51,15 @@ class CheckerNode : public Tickable
      * @param down     link toward the xbar/memory
      * @param err      link toward the error node (BusError policy);
      *                 may be null under PacketMasking
-     * @param unit     the sIOPMP functional state and checker logic
+     * @param unit     the sIOPMP functional state and checker logic;
+     *                 must outlive the node (it holds the node as a
+     *                 stall waiter)
      * @param monitor  block-state consistency monitor (may be null)
      */
     CheckerNode(std::string name, bus::Link *up, bus::Link *down,
                 bus::Link *err, SIopmp *unit, bus::BusMonitor *monitor,
                 ViolationPolicy policy);
+    ~CheckerNode() override;
 
     void evaluate(Cycle now) override;
     void advance(Cycle now) override;
@@ -157,6 +168,15 @@ class CheckerNode : public Tickable
     //! Open blocking window (§4.1): cycle the head-of-line beat first
     //! stalled on its SID block bit; closed when the head resolves.
     std::optional<Cycle> block_window_start_;
+
+    //! Why the head beat did not leave in the last dispatch: a SID
+    //! miss or block-bit stall lets the node park (see quiescent()).
+    enum class Stall : std::uint8_t { None, SidMiss, Blocked };
+    Stall stall_ = Stall::None;
+    //! Cycle of the last block-bit poll. While stall_ is Blocked it
+    //! was the last evaluate(), so a gap before the next one is the
+    //! run of polls the node skipped while parked.
+    Cycle blocked_poll_ = 0;
 
     stats::Group stats_;
 };

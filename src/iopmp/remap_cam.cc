@@ -58,6 +58,7 @@ DeviceId2SidCam::set(Sid sid, DeviceId device)
     if (rows_[sid].valid)
         previous = rows_[sid].device;
     rows_[sid] = Row{true, true, device};
+    changed();
     return previous;
 }
 
@@ -67,6 +68,7 @@ DeviceId2SidCam::invalidate(DeviceId device)
     for (auto &row : rows_) {
         if (row.valid && row.device == device) {
             row = Row{};
+            changed();
             return true;
         }
     }
@@ -80,6 +82,7 @@ DeviceId2SidCam::invalidateSid(Sid sid)
     if (!rows_[sid].valid)
         return false;
     rows_[sid] = Row{};
+    changed();
     return true;
 }
 
@@ -102,6 +105,7 @@ DeviceId2SidCam::insertLru(DeviceId device, std::optional<DeviceId> *evicted)
     for (unsigned sid = 0; sid < rows_.size(); ++sid) {
         if (!rows_[sid].valid) {
             rows_[sid] = Row{true, false, device};
+            changed();
             return sid;
         }
     }
@@ -119,6 +123,7 @@ DeviceId2SidCam::insertLru(DeviceId device, std::optional<DeviceId> *evicted)
         if (evicted)
             *evicted = row.device;
         row = Row{true, false, device};
+        changed(); // covers the use bits the sweep cleared too
         return sid;
     }
     panic("clock algorithm failed to find a victim");
@@ -146,6 +151,7 @@ DeviceId2SidCam::reset()
     for (auto &row : rows_)
         row = Row{};
     hand_ = 0;
+    changed();
 }
 
 } // namespace iopmp

@@ -12,6 +12,7 @@
 #define IOPMP_REMAP_CAM_HH
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <vector>
 
@@ -74,7 +75,27 @@ class DeviceId2SidCam
 
     void reset();
 
+    /**
+     * Install @p hook, called after every call that can change a
+     * device's SID or clear a use bit (set, invalidate, invalidateSid,
+     * insertLru, reset) — not after lookup()/touch(), which only set
+     * use bits. The owning SIopmp wakes checker nodes parked on a
+     * SID miss or a block bit through it: a mapping change decides
+     * their stall, and a cleared use bit is one their next poll would
+     * set again.
+     */
+    void setChangeHook(std::function<void()> hook)
+    {
+        on_change_ = std::move(hook);
+    }
+
   private:
+    void changed()
+    {
+        if (on_change_)
+            on_change_();
+    }
+
     struct Row {
         bool valid = false;
         bool use = false; //!< clock-algorithm reference bit
@@ -83,6 +104,7 @@ class DeviceId2SidCam
 
     std::vector<Row> rows_;
     unsigned hand_ = 0; //!< clock hand for the LRU sweep
+    std::function<void()> on_change_;
 };
 
 } // namespace iopmp

@@ -5,9 +5,12 @@
 
 #include "iopmp/siopmp.hh"
 
+#include <algorithm>
+
 #include "iopmp/accel.hh"
 #include "sim/exec_context.hh"
 #include "sim/logging.hh"
+#include "sim/tickable.hh"
 
 namespace siopmp {
 namespace iopmp {
@@ -48,6 +51,8 @@ SIopmp::SIopmp(IopmpConfig cfg, CheckerKind kind, unsigned stages)
     st_allows_ = &stats_.scalar("allows");
     st_denies_ = &stats_.scalar("denies");
     st_write_rejects_ = &stats_.scalar("mmio_write_rejects");
+    cam_.setChangeHook([this] { wakeStallWaiters(); });
+    blocks_.setChangeHook([this] { wakeStallWaiters(); });
 }
 
 void
@@ -56,12 +61,44 @@ SIopmp::setChecker(CheckerKind kind, unsigned stages)
     const AccelMode mode = checker_->accelMode();
     checker_ = makeChecker(kind, stages, entries_, mdcfg_);
     checker_->setAccelMode(mode);
+    wakeStallWaiters();
 }
 
 void
 SIopmp::setAccelMode(AccelMode mode)
 {
     checker_->setAccelMode(mode);
+    wakeStallWaiters();
+}
+
+void
+SIopmp::addStallWaiter(Tickable *node)
+{
+    stall_waiters_.push_back(node);
+}
+
+void
+SIopmp::removeStallWaiter(Tickable *node)
+{
+    stall_waiters_.erase(
+        std::remove(stall_waiters_.begin(), stall_waiters_.end(), node),
+        stall_waiters_.end());
+}
+
+void
+SIopmp::wakeStallWaiters()
+{
+    // Active waiters are woken too: the wake keeps one that evaluated
+    // earlier this cycle (and saw the old state) from parking on it.
+    for (Tickable *node : stall_waiters_)
+        node->wake();
+}
+
+void
+SIopmp::creditBlockedPolls(std::uint64_t polls)
+{
+    *st_checks_ += static_cast<double>(polls);
+    *st_blocked_ += static_cast<double>(polls);
 }
 
 std::optional<Sid>

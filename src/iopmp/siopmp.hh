@@ -21,6 +21,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <vector>
 
 #include "iopmp/block.hh"
 #include "iopmp/checker.hh"
@@ -32,6 +33,9 @@
 #include "sim/types.hh"
 
 namespace siopmp {
+
+class Tickable;
+
 namespace iopmp {
 
 /** Data-path outcome for one access. */
@@ -92,6 +96,10 @@ class SIopmp : public mem::MmioDevice
     using IrqHandler = std::function<void(const Irq &)>;
 
     SIopmp(IopmpConfig cfg, CheckerKind kind, unsigned stages);
+
+    // The CAM and block-bitmap change hooks capture this object.
+    SIopmp(const SIopmp &) = delete;
+    SIopmp &operator=(const SIopmp &) = delete;
 
     // ---- data path -----------------------------------------------------
 
@@ -154,10 +162,11 @@ class SIopmp : public mem::MmioDevice
      * Monotone configuration epoch: bumped by every MMIO path that can
      * change an authorization outcome (entry commit, SRC2MD, MDCFG,
      * CAM remap, block-bitmap word, eSID register) and by cold-device
-     * mount/unmount. Used for trace attribution of cache flushes; the
-     * accelerator's own staleness detection reads the finer-grained
-     * EntryTable/MdCfgTable generations directly, which also cover
-     * direct (non-MMIO) table mutations.
+     * mount/unmount. A CheckerNode stalled on a SID miss re-arms when
+     * it moves without resolving the SID; every bump also wakes the
+     * stall waiters. The accelerator's own staleness detection reads
+     * the finer-grained EntryTable/MdCfgTable generations directly,
+     * which also cover direct (non-MMIO) table mutations.
      */
     std::uint64_t configEpoch() const { return config_epoch_; }
 
@@ -175,6 +184,27 @@ class SIopmp : public mem::MmioDevice
     std::uint64_t rejectedWrites() const { return write_rejects_; }
 
     void setIrqHandler(IrqHandler handler) { irq_ = std::move(handler); }
+
+    // ---- stall waiters -------------------------------------------------
+
+    /**
+     * Register @p node as a stall waiter: a component that may park on
+     * a beat stalled on a SID miss or a block bit (CheckerNode). Every
+     * change that can decide such a stall wakes all waiters: each
+     * config-epoch bump, setChecker/setAccelMode, and every CAM and
+     * block-bitmap mutation — through hooks in those structures, so
+     * direct callers are covered too. A waiter unregisters before it
+     * is destroyed.
+     */
+    void addStallWaiter(Tickable *node);
+    void removeStallWaiter(Tickable *node);
+
+    /**
+     * Count @p polls block-bit polls a parked waiter skipped: the
+     * "checks" and "blocked_stalls" increments authorize() would have
+     * made, had the waiter re-polled its blocked beat every cycle.
+     */
+    void creditBlockedPolls(std::uint64_t polls);
 
     stats::Group &statsGroup() { return stats_; }
 
@@ -194,7 +224,14 @@ class SIopmp : public mem::MmioDevice
     void rejectWrite(Addr offset);
 
     /** Advance the configuration epoch after a mutating config path. */
-    void bumpEpoch() { ++config_epoch_; }
+    void
+    bumpEpoch()
+    {
+        ++config_epoch_;
+        wakeStallWaiters();
+    }
+
+    void wakeStallWaiters();
 
     IopmpConfig cfg_;
     EntryTable entries_;
@@ -206,6 +243,7 @@ class SIopmp : public mem::MmioDevice
     std::optional<DeviceId> esid_;
     std::optional<ViolationRecord> violation_;
     IrqHandler irq_;
+    std::vector<Tickable *> stall_waiters_;
     stats::Group stats_;
     //! Hot-path counters, resolved once in the ctor: scalar() does a
     //! map lookup and its first call inserts — neither belongs on the

@@ -8,17 +8,23 @@
  * Quiescence protocol (fast-forward scheduling): a component may opt in
  * by overriding quiescent(). Returning true is a promise that both
  * evaluate() and advance() are exact no-ops at the given cycle AND will
- * stay no-ops until the component is woken. The simulator then drops
- * the component from the hot active set and stops ticking it; when all
- * components are quiescent it fast-forwards time to the next pending
- * event. A quiescent component is re-armed by:
+ * stay no-ops until the component is woken — or, for a poll whose only
+ * effect is counting, that the component credits the skipped polls on
+ * its first evaluate after the wake (a CheckerNode parked on a block
+ * bit). The simulator then drops the component from the hot active
+ * set and stops ticking it; when all components are quiescent it
+ * fast-forwards time to the next pending event. A quiescent component
+ * is re-armed by:
  *
  *  - a push into any bus::Fifo bound to it via Fifo::bindWake()
  *    (the consumer-side channels it clocks in advance());
  *  - a timed EventQueue::scheduleWake() the component armed itself
- *    (e.g. a memory controller waiting out an access latency);
+ *    (e.g. a memory controller waiting out an access latency, a CPU
+ *    waiting out its interrupt handler);
  *  - an explicit wake() from external code that hands it new work
- *    (e.g. DmaEngine::start(), Nic::injectRxPacket()).
+ *    (e.g. DmaEngine::start(), Nic::injectRxPacket()) or changes the
+ *    state it is stalled on (SIopmp waking its stall waiters on CAM,
+ *    block-bitmap, eSID and config changes).
  *
  * Missing a wake deadlocks or — worse — silently diverges from the
  * naive tick-everything loop, so every path that can turn a no-op

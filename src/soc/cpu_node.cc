@@ -43,12 +43,11 @@ CpuNode::~CpuNode()
 }
 
 bool
-CpuNode::quiescent(Cycle) const
+CpuNode::quiescent(Cycle now) const
 {
-    // A pending interrupt keeps the CPU hot even while busy_until_
-    // holds it inside the previous handler — it must poll until the
-    // handler retires and the next interrupt can be serviced.
-    return !monitor_->irqController().pending();
+    // Idle, or inside the previous handler: serviceNow() armed a timed
+    // wake at busy_until_, when a pending interrupt is serviced.
+    return !monitor_->irqController().pending() || busy_until_ > now;
 }
 
 void
@@ -82,6 +81,8 @@ CpuNode::serviceNow(Cycle now)
     const Cycle cost = monitor_->serviceInterrupts(now);
     ++serviced_;
     busy_until_ = now + cost;
+    if (busy_until_ > now)
+        sim_->events().scheduleWake(busy_until_, this);
 
     // Model handler latency: the cold path stays blocked until the
     // handler retires. Hot SIDs are untouched (per-SID blocking).

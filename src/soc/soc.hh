@@ -132,6 +132,10 @@ class Soc
     /** Link a device plugs into for master port @p i. */
     bus::Link *masterLink(unsigned i);
 
+    /** Checker node @p i: one per master port, or the single node of
+     * the centralized topology. */
+    iopmp::CheckerNode &checkerNode(unsigned i) { return *checkers_.at(i); }
+
     /** Register a device (or any component) with the simulator. Lands
      * in the control domain; prefer addDevice() for DMA masters. */
     void add(Tickable *component) { sim_.add(component); }

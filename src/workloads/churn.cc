@@ -325,6 +325,7 @@ runChurn(const ChurnConfig &cfg)
     }
 
     result.cycles = sim.now();
+    result.executed_cycles = result.cycles - sim.idleCyclesSkipped();
     for (const PortState &port : ports) {
         result.bursts_completed += port.latencies.size();
         result.denied_bursts += port.denied;

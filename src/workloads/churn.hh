@@ -79,6 +79,10 @@ struct ChurnResult {
     std::uint64_t block_windows = 0;
     std::uint64_t invariant_violations = 0; //!< post-destroy residue
     Cycle cycles = 0;
+    //! Cycles the simulator actually ticked: cycles minus the idle
+    //! cycles fast-forward skipped (equals cycles on the naive loop).
+    //! A host-cost measure, so it stays out of the fingerprint.
+    Cycle executed_cycles = 0;
     double churn_per_sim_s = 0.0; //!< destroys per simulated second
 
     double check_p50 = 0.0;  //!< per-burst latency percentiles

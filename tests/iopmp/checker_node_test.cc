@@ -3,10 +3,17 @@
  * Focused tests for the bus-facing CheckerNode: SID-missing stalls
  * with edge-triggered interrupts, per-SID block stalls, block-state
  * monitor bookkeeping and divert-latch behaviour for denied write
- * bursts.
+ * bursts — and the wake sources of a node parked on a SID-miss or
+ * block-bit stall, each checked against the tick-every-cycle loop.
  */
 
 #include <gtest/gtest.h>
+
+#include <functional>
+#include <optional>
+#include <sstream>
+#include <string>
+#include <vector>
 
 #include "devices/dma_engine.hh"
 #include "fw/monitor.hh"
@@ -182,6 +189,359 @@ TEST_F(CheckerNodeTest, LiveViolationInterruptReachesMonitor)
     EXPECT_GE(cpu.interruptsServiced(), 1u);
     // Record acknowledged: cleared for the next violation.
     EXPECT_FALSE(soc.iopmp().violationRecord().has_value());
+}
+
+// ---- wake sources of a parked checker ---------------------------------
+
+constexpr DeviceId kHot = 1;
+constexpr DeviceId kGhost = 999;
+constexpr Addr kHotBase = 0x8000'0000;
+constexpr Addr kGhostBase = 0x8100'0000;
+
+/** Registered after the checkers: runs @p fn from its evaluate() at
+ * cycle @p at, i.e. after the checkers' slots in that cycle. */
+struct LateMutator : Tickable {
+    LateMutator() : Tickable("late") {}
+    void
+    evaluate(Cycle now) override
+    {
+        if (now == at && fn)
+            fn();
+    }
+    void advance(Cycle) override {}
+
+    Cycle at = kNever;
+    std::function<void()> fn;
+};
+
+/**
+ * A 4-SID SoC (3 CAM rows + the cold SID) with device kHot bound to
+ * SID 0 on port 0 and an unbound device kGhost on port 1, whose rules
+ * already sit in MD 1 (reached by SID 1 and the cold SID). No CPU: the
+ * only things that change the state a stall waits on are the events a
+ * scenario schedules. Probes record what both loops must agree on,
+ * plus whether the node was parked.
+ */
+struct ParkRig {
+    explicit ParkRig(bool fast_forward)
+        : soc(config()),
+          hot("hot", kHot, soc.masterLink(0)),
+          ghost("ghost", kGhost, soc.masterLink(1))
+    {
+        soc.addDevice(&hot, 0);
+        soc.addDevice(&ghost, 1);
+        soc.add(&late);
+        soc.sim().setFastForward(fast_forward);
+        SIopmp &unit = soc.iopmp();
+        unit.cam().set(0, kHot);
+        unit.src2md().associate(0, 0);
+        unit.src2md().associate(1, 1);
+        unit.src2md().associate(unit.coldSid(), 1);
+        unit.mdcfg().setTop(0, 8);
+        for (MdIndex md = 1; md < unit.config().num_mds; ++md)
+            unit.mdcfg().setTop(md, 16);
+        unit.entryTable().set(
+            0, Entry::range(kHotBase, 0x0100'0000, Perm::ReadWrite));
+        unit.entryTable().set(
+            8, Entry::range(kGhostBase, 0x0100'0000, Perm::ReadWrite));
+        unit.setIrqHandler([this](const Irq &irq) {
+            sid_miss_irqs += irq.kind == IrqKind::SidMissing;
+        });
+    }
+
+    static soc::SocConfig
+    config()
+    {
+        soc::SocConfig c;
+        c.num_masters = 2;
+        c.iopmp.num_sids = 4;
+        c.iopmp.num_mds = 4;
+        c.iopmp.num_entries = 16;
+        c.checker_kind = CheckerKind::PipelineTree;
+        c.checker_stages = 2;
+        return c;
+    }
+
+    /** Start a job of @p bytes on @p engine; 4 outstanding reads fill
+     * the 3-deep request pipe and leave a beat waiting upstream. */
+    void
+    start(dev::DmaEngine &engine, dev::DmaKind kind, Addr base,
+          std::uint64_t bytes)
+    {
+        dev::DmaJob job;
+        job.kind = kind;
+        job.src = job.dst = base;
+        job.bytes = bytes;
+        job.max_outstanding = 4;
+        engine.start(job, soc.sim().now());
+    }
+
+    /** Run @p fn at the start of cycle @p when. */
+    void
+    at(Cycle when, std::function<void()> fn)
+    {
+        soc.sim().events().schedule(when, std::move(fn));
+    }
+
+    /** At cycle @p when, record whether port @p port's node is parked
+     * and what the loops must agree on: uplink occupancy and the CAM
+     * use bits. */
+    void
+    probe(Cycle when, unsigned port)
+    {
+        at(when, [this, port] {
+            parked.push_back(!soc.checkerNode(port).active());
+            std::ostringstream os;
+            os << soc.masterLink(port)->a.occupancy();
+            for (Sid sid = 0; sid < soc.iopmp().cam().numRows(); ++sid)
+                os << ' ' << soc.iopmp().cam().useBit(sid);
+            snapshots.push_back(os.str());
+        });
+    }
+
+    std::string
+    stats()
+    {
+        std::ostringstream os;
+        stats::TextStatsWriter writer(os);
+        soc.accept(writer);
+        hot.statsGroup().accept(writer);
+        ghost.statsGroup().accept(writer);
+        return os.str();
+    }
+
+    soc::Soc soc;
+    dev::DmaEngine hot;
+    dev::DmaEngine ghost;
+    LateMutator late;
+    unsigned sid_miss_irqs = 0;
+    std::vector<bool> parked;
+    std::vector<std::string> snapshots;
+};
+
+struct ParkOutcome {
+    Cycle finished = 0;
+    std::uint64_t bursts = 0;
+    unsigned sid_miss_irqs = 0;
+    std::string stats;
+    std::vector<bool> parked;
+    std::vector<std::string> snapshots;
+};
+
+ParkOutcome
+runParked(bool fast_forward, const std::function<void(ParkRig &)> &script)
+{
+    ParkRig rig(fast_forward);
+    script(rig);
+    rig.soc.sim().runUntil(
+        [&] { return rig.hot.done() && rig.ghost.done(); }, 100'000);
+    ParkOutcome out;
+    out.finished = rig.soc.sim().now();
+    out.bursts = rig.hot.burstsCompleted() + rig.ghost.burstsCompleted();
+    out.sid_miss_irqs = rig.sid_miss_irqs;
+    out.stats = rig.stats();
+    out.parked = rig.parked;
+    out.snapshots = rig.snapshots;
+    return out;
+}
+
+/** Run @p script with fast-forward on and off: the jobs finish, both
+ * loops agree on everything observable, and under fast-forward every
+ * probe found the node parked. Returns the fast-forward outcome. */
+ParkOutcome
+expectParkedMatchesNaive(const std::function<void(ParkRig &)> &script)
+{
+    const ParkOutcome ff = runParked(true, script);
+    const ParkOutcome naive = runParked(false, script);
+    EXPECT_GT(ff.bursts, 0u);
+    EXPECT_EQ(ff.finished, naive.finished);
+    EXPECT_EQ(ff.bursts, naive.bursts);
+    EXPECT_EQ(ff.sid_miss_irqs, naive.sid_miss_irqs);
+    EXPECT_EQ(ff.stats, naive.stats);
+    EXPECT_EQ(ff.snapshots, naive.snapshots);
+    EXPECT_FALSE(ff.parked.empty());
+    for (std::size_t i = 0; i < ff.parked.size(); ++i)
+        EXPECT_TRUE(ff.parked[i]) << "probe " << i;
+    return ff;
+}
+
+TEST(CheckerNodeWake, DirectUnblockFromEvent)
+{
+    expectParkedMatchesNaive([](ParkRig &rig) {
+        rig.soc.iopmp().blockBitmap().block(0);
+        rig.start(rig.hot, dev::DmaKind::Read, kHotBase, 512);
+        rig.probe(300, 0);
+        rig.at(600, [&rig] { rig.soc.iopmp().blockBitmap().unblock(0); });
+    });
+}
+
+/**
+ * A change made after the node's evaluate slot must wake it even while
+ * it is still active: the node saw the old state this cycle and would
+ * otherwise park on it for good.
+ */
+TEST(CheckerNodeWake, ChangeAfterEvaluateSlotWakesActiveNode)
+{
+    expectParkedMatchesNaive([](ParkRig &rig) {
+        rig.soc.iopmp().blockBitmap().block(0);
+        rig.start(rig.hot, dev::DmaKind::Read, kHotBase, 512);
+        rig.probe(300, 0);
+        // Wake without resolving the stall: the node re-polls at 600
+        // and 601 (the wake's grace cycle) and would retire at 601.
+        rig.at(600, [&rig] { rig.soc.iopmp().blockBitmap().block(2); });
+        rig.late.at = 601;
+        rig.late.fn = [&rig] { rig.soc.iopmp().blockBitmap().unblock(0); };
+    });
+}
+
+TEST(CheckerNodeWake, MmioBlockWordWrite)
+{
+    expectParkedMatchesNaive([](ParkRig &rig) {
+        const Addr word = soc::kIopmpMmioBase + regmap::kBlockBitmap;
+        rig.soc.mmio().write(word, 1);
+        rig.start(rig.hot, dev::DmaKind::Write, kHotBase, 512);
+        rig.probe(300, 0);
+        rig.at(600, [&rig, word] { rig.soc.mmio().write(word, 0); });
+    });
+}
+
+TEST(CheckerNodeWake, EsidMount)
+{
+    expectParkedMatchesNaive([](ParkRig &rig) {
+        rig.start(rig.ghost, dev::DmaKind::Read, kGhostBase, 256);
+        rig.probe(300, 1);
+        rig.at(600, [&rig] { rig.soc.iopmp().setMountedCold(kGhost); });
+    });
+}
+
+TEST(CheckerNodeWake, CamSet)
+{
+    expectParkedMatchesNaive([](ParkRig &rig) {
+        rig.start(rig.ghost, dev::DmaKind::Read, kGhostBase, 256);
+        rig.probe(300, 1);
+        rig.at(600, [&rig] { rig.soc.iopmp().cam().set(1, kGhost); });
+    });
+}
+
+TEST(CheckerNodeWake, CamInsertLru)
+{
+    expectParkedMatchesNaive([](ParkRig &rig) {
+        rig.start(rig.ghost, dev::DmaKind::Read, kGhostBase, 256);
+        rig.probe(300, 1);
+        rig.at(600, [&rig] {
+            EXPECT_EQ(rig.soc.iopmp().cam().insertLru(kGhost, nullptr), 1u);
+        });
+    });
+}
+
+/**
+ * The tick-every-cycle loop re-sets a blocked head's CAM use bit on
+ * every poll; a parked node does not. A clock sweep that clears that
+ * bit must wake the node so its next poll sets it again on the same
+ * cycle — otherwise a later sweep would evict the wrong row.
+ */
+TEST(CheckerNodeWake, ClockSweepClearingParkedUseBit)
+{
+    const ParkOutcome ff = expectParkedMatchesNaive([](ParkRig &rig) {
+        DeviceId2SidCam &cam = rig.soc.iopmp().cam();
+        cam.insertLru(2, nullptr); // rows 1 and 2, use bits clear
+        cam.insertLru(3, nullptr);
+        rig.soc.iopmp().blockBitmap().block(0);
+        rig.start(rig.hot, dev::DmaKind::Read, kHotBase, 512);
+        rig.probe(300, 0);
+        rig.at(500, [&rig] {
+            std::optional<DeviceId> evicted;
+            // The sweep clears row 0's use bit, then evicts row 1.
+            rig.soc.iopmp().cam().insertLru(4, &evicted);
+            ASSERT_TRUE(evicted.has_value());
+            EXPECT_EQ(*evicted, 2u);
+        });
+        rig.probe(700, 0); // re-parked, use bit set again
+        rig.at(900, [&rig] { rig.soc.iopmp().blockBitmap().unblock(0); });
+    });
+    ASSERT_EQ(ff.snapshots.size(), 2u);
+    EXPECT_EQ(ff.snapshots[1].substr(ff.snapshots[1].find(' ')), " 1 0 0");
+}
+
+TEST(CheckerNodeWake, SetCheckerDuringStall)
+{
+    expectParkedMatchesNaive([](ParkRig &rig) {
+        rig.soc.iopmp().blockBitmap().block(0);
+        rig.start(rig.hot, dev::DmaKind::Read, kHotBase, 512);
+        rig.probe(300, 0);
+        // A deeper pipeline makes room in the request pipe: the node
+        // must wake and pull the waiting beat off the uplink.
+        rig.at(500, [&rig] {
+            rig.soc.iopmp().setChecker(CheckerKind::PipelineTree, 4);
+        });
+        rig.probe(700, 0);
+        rig.at(900, [&rig] { rig.soc.iopmp().blockBitmap().unblock(0); });
+    });
+}
+
+TEST(CheckerNodeWake, ConfigEpochRearmsPendingSidMiss)
+{
+    const ParkOutcome ff = expectParkedMatchesNaive([](ParkRig &rig) {
+        rig.start(rig.ghost, dev::DmaKind::Read, kGhostBase, 256);
+        rig.probe(300, 1);
+        // An unrelated config write moves the epoch without resolving
+        // the ghost: the stalled beat re-authorizes and re-raises.
+        rig.at(400, [&rig] {
+            rig.soc.mmio().write(
+                soc::kIopmpMmioBase + regmap::kSrc2MdBase + 2 * 8, 0);
+        });
+        rig.probe(700, 1);
+        rig.at(800, [&rig] { rig.soc.iopmp().setMountedCold(kGhost); });
+    });
+    EXPECT_EQ(ff.sid_miss_irqs, 2u);
+}
+
+/**
+ * An interrupt that arrives while the CPU is still inside the previous
+ * handler leaves it parked (no polling through busy_until_); the timed
+ * wake services it exactly at busy_until_, as the naive loop does.
+ */
+TEST(CpuNodeWake, PendingInterruptServicedAtBusyUntil)
+{
+    struct Run {
+        Cycle first_done = 0;
+        Cycle second_serviced = 0;
+        bool parked_while_pending = false;
+    };
+    const auto run = [](bool fast_forward) {
+        soc::Soc soc(ParkRig::config());
+        ExtendedTable ext(&soc.memory(), {0x7000'0000, 0x1000});
+        fw::SecureMonitor monitor(&soc.iopmp(), &soc.mmio(),
+                                  soc::kIopmpMmioBase, &ext,
+                                  &soc.monitor());
+        soc::CpuNode cpu("cpu0", &monitor, &soc.iopmp(), &soc.sim());
+        soc.add(&cpu);
+        Simulator &sim = soc.sim();
+        sim.setFastForward(fast_forward);
+        const Irq irq{IrqKind::Violation, kHot, kHotBase, Perm::Read};
+
+        Run r;
+        sim.events().schedule(10, [&] { monitor.irqController().raise(irq); });
+        sim.runUntil([&] { return cpu.interruptsServiced() == 1; }, 1'000);
+        r.first_done = cpu.busyUntil();
+        EXPECT_GT(r.first_done, sim.now() + 5);
+        sim.events().schedule(sim.now() + 2, [&] {
+            monitor.irqController().raise(irq);
+        });
+        sim.events().schedule(sim.now() + 4, [&] {
+            r.parked_while_pending = !cpu.active() &&
+                                     monitor.irqController().pending();
+        });
+        sim.runUntil([&] { return cpu.interruptsServiced() == 2; }, 1'000);
+        r.second_serviced = sim.now() - 1;
+        return r;
+    };
+    const Run ff = run(true);
+    const Run naive = run(false);
+    EXPECT_TRUE(ff.parked_while_pending);
+    EXPECT_EQ(ff.second_serviced, ff.first_done);
+    EXPECT_EQ(naive.second_serviced, naive.first_done);
+    EXPECT_EQ(ff.first_done, naive.first_done);
 }
 
 } // namespace

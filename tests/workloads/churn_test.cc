@@ -10,6 +10,11 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
+
+#include "sim/simulator.hh"
+#include "sim/stats.hh"
 #include "workloads/churn.hh"
 
 namespace siopmp {
@@ -75,6 +80,24 @@ TEST(Churn, DeterministicPerSeed)
     EXPECT_NE(a.fingerprint, c.fingerprint);
 }
 
+/** Run @p cfg and return the text dump of every stats group it left
+ * behind (the Soc's groups retire with it, so retention is on). */
+std::string
+statsOf(const ChurnConfig &cfg, ChurnResult *result)
+{
+    stats::Registry &registry = stats::Registry::global();
+    const bool retain = registry.retainRetired();
+    registry.clearRetired();
+    registry.setRetainRetired(true);
+    *result = runChurn(cfg);
+    std::ostringstream os;
+    stats::TextStatsWriter writer(os);
+    registry.accept(writer);
+    registry.clearRetired();
+    registry.setRetainRetired(retain);
+    return os.str();
+}
+
 /**
  * Regression: the control loop runs between sim.step() calls, so the
  * quiescence fast-forward scheduler must hand control back at exactly
@@ -82,16 +105,30 @@ TEST(Churn, DeterministicPerSeed)
  * here: arrival pins scheduled *at* the arrival cycle made the idle
  * skip return one cycle late, and a retired port with a backlogged
  * tenant slept until the next event instead of re-activating at the
- * retire cycle.
+ * retire cycle. The whole stats dump must match too: the fingerprint
+ * does not cover the check and block-stall counters that checker
+ * nodes credit after parking on a stall.
  */
 TEST(Churn, BitIdenticalWithoutFastForward)
 {
-    const ChurnResult ff = runChurn(smallConfig());
+    ChurnResult ff;
+    const std::string ff_stats = statsOf(smallConfig(), &ff);
     ChurnConfig naive = smallConfig();
     naive.fast_forward = false;
-    const ChurnResult slow = runChurn(naive);
+    ChurnResult slow;
+    const std::string slow_stats = statsOf(naive, &slow);
     EXPECT_EQ(ff.fingerprint, slow.fingerprint);
     EXPECT_EQ(ff.cycles, slow.cycles);
+    EXPECT_NE(ff_stats.find("checker0.block_stalls"), std::string::npos);
+    EXPECT_EQ(ff_stats, slow_stats);
+
+    // Stalled checkers and a busy CPU park instead of polling, so
+    // fast-forward skips most of the run (unless the environment
+    // turned it off for the whole process).
+    EXPECT_EQ(slow.executed_cycles, slow.cycles);
+    if (Simulator::defaultFastForward()) {
+        EXPECT_LE(ff.executed_cycles, ff.cycles * 4 / 10);
+    }
 }
 
 TEST(Churn, BitIdenticalUnderParallelEngine)

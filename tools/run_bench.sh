@@ -2,7 +2,8 @@
 # Smoke harness for the benchmarks: configure, build, run the tier-1
 # test suite, run sim_core_micro, checker_micro and churn_fleet with
 # small budgets, validate the BENCH_sim_core.json / BENCH_checker.json
-# / BENCH_churn.json schemas, and validate the Chrome trace-event
+# / BENCH_churn.json schemas, diff a churn run's output and stats JSON
+# with fast-forward on and off, and validate the Chrome trace-event
 # schema of a traced dma_attack_demo run.
 #
 # Usage: tools/run_bench.sh [build-dir] [iters] [mode]
@@ -296,6 +297,7 @@ for key in \
     '"bit_identical_threads"' \
     '"series"' \
     '"churn_per_sim_s"' \
+    '"executed_cycles"' \
     '"check_p50"' \
     '"check_p99"' \
     '"cold_switch_p99"' \
@@ -322,6 +324,7 @@ for p in series:
     # Acceptance: device population >= 4x (CAM rows + eSID slot) = 16.
     assert p["devices"] >= 16, p
     assert p["cycles"] > 0 and p["churn_per_sim_s"] > 0, p
+    assert 0 < p["executed_cycles"] <= p["cycles"], p
     assert p["check_p99"] >= p["check_p50"] > 0, p
     assert p["invariant_violations"] == 0, p
     assert int(p["fingerprint"], 16) != 0, p
@@ -341,9 +344,27 @@ EOF
     echo "churn json schema OK (grep-only: python3 unavailable)"
 }
 
+SCRATCH="$(mktemp -d /tmp/siopmp_bench.XXXXXX)"
+trap 'rm -rf "$SCRATCH"' EXIT
+
+echo "== churn fast-forward differential (stats JSON) =="
+# Parked checker stalls and the CPU's timed wake must not change a
+# single result: the result line and the full stats dump must be
+# byte-identical to the tick-every-cycle loop's.
+"$BUILD_DIR/tools/siopmp-cli" churn --tenants 2000 \
+    --stats-json "$SCRATCH/ff_on.json" > "$SCRATCH/ff_on.txt"
+SIOPMP_NO_FAST_FORWARD=1 "$BUILD_DIR/tools/siopmp-cli" churn \
+    --tenants 2000 --stats-json "$SCRATCH/ff_off.json" \
+    > "$SCRATCH/ff_off.txt"
+cmp "$SCRATCH/ff_on.txt" "$SCRATCH/ff_off.txt" &&
+    cmp "$SCRATCH/ff_on.json" "$SCRATCH/ff_off.json" || {
+    echo "churn differential FAILED: fast-forward changed the output" >&2
+    exit 1
+}
+echo "churn differential OK: $(cut -c1-60 "$SCRATCH/ff_on.txt")..."
+
 echo "== trace schema check (dma_attack_demo --trace) =="
-TRACE_JSON="$(mktemp /tmp/siopmp_trace.XXXXXX.json)"
-trap 'rm -f "$TRACE_JSON"' EXIT
+TRACE_JSON="$SCRATCH/trace.json"
 "$BUILD_DIR/examples/dma_attack_demo" "$TRACE_JSON" > /dev/null
 
 python3 - "$TRACE_JSON" <<'EOF' 2>/dev/null || {

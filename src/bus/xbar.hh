@@ -54,6 +54,8 @@ class Xbar : public Tickable
     bool burst_locked_ = false;
     Cycle now_ = 0; //!< latched in evaluate() for trace timestamps
     stats::Group stats_;
+    stats::LazyScalar a_beats_{stats_, "a_beats"};
+    stats::LazyScalar d_beats_{stats_, "d_beats"};
 };
 
 } // namespace bus

@@ -29,7 +29,7 @@ DmaMaster::tryIssueGet(Addr addr, unsigned beats)
         return false;
     last_get_txn_ = allocTxn();
     link_->a.push(bus::makeGet(addr, beats, device_, last_get_txn_));
-    ++stats_.scalar("gets_issued");
+    ++gets_issued_;
     return true;
 }
 
@@ -42,7 +42,7 @@ DmaMaster::tryIssuePutBeat(Addr addr, unsigned idx, unsigned beats,
         return false;
     link_->a.push(
         bus::makePut(addr, idx, beats, data, device_, txn, strobe));
-    ++stats_.scalar("put_beats_issued");
+    ++put_beats_issued_;
     return true;
 }
 
@@ -51,14 +51,14 @@ DmaMaster::accountResponse(const bus::Beat &beat)
 {
     if (beat.denied) {
         ++denied_;
-        ++stats_.scalar("denied");
+        ++denied_responses_;
         return;
     }
     if (beat.opcode == bus::Opcode::AccessAckData) {
         bytes_ += bus::kBeatBytes;
-        ++stats_.scalar("read_beats");
+        ++read_beats_;
     } else if (beat.opcode == bus::Opcode::AccessAck) {
-        ++stats_.scalar("write_acks");
+        ++write_acks_;
     }
 }
 

@@ -58,6 +58,13 @@ class DmaMaster : public Tickable
     std::uint64_t bytes_ = 0;
     std::uint64_t denied_ = 0;
     stats::Group stats_;
+
+  private:
+    stats::LazyScalar gets_issued_{stats_, "gets_issued"};
+    stats::LazyScalar put_beats_issued_{stats_, "put_beats_issued"};
+    stats::LazyScalar read_beats_{stats_, "read_beats"};
+    stats::LazyScalar write_acks_{stats_, "write_acks"};
+    stats::LazyScalar denied_responses_{stats_, "denied"};
 };
 
 } // namespace dev

@@ -122,6 +122,21 @@ class CheckAccel final : public TableListener
 
     AccelMode mode() const { return mode_; }
 
+    /**
+     * Account a check() that repeats the previous one verbatim with no
+     * table mutation since (a CheckerNode re-polling a held Allow, see
+     * SIopmp::creditHeldAllow): it would hit the line the previous
+     * check left, so count one cache hit when the cache is on, and
+     * move the last-seen cycle to @p now as check() does.
+     */
+    void
+    creditRepeat(Cycle now)
+    {
+        last_seen_now_ = now;
+        if (mode_ == AccelMode::PlansAndCache)
+            ++*hits_;
+    }
+
     /** Switch between Plans and PlansAndCache (Off is modelled by
      * destroying the instance — see CheckerLogic::setAccelMode).
      * Compiled plans survive; cache lines revalidate via their salts. */

@@ -52,6 +52,7 @@ CheckerNode::CheckerNode(std::string name, bus::Link *up, bus::Link *down,
     // construction order (deterministic JSON output), never from
     // inside a concurrent tick phase.
     syncLogic();
+    version_ = unit_->stateVersion();
     unit_->addStallWaiter(this);
 }
 
@@ -114,11 +115,15 @@ CheckerNode::responseDelay() const
 void
 CheckerNode::acceptRequests(Cycle now)
 {
-    // Reconfigure lazily in case the checker or policy was swapped
-    // between experiments.
-    req_pipe_.configure(requestDelay());
-    resp_pipe_.configure(responseDelay());
-    syncLogic();
+    // Any change that can alter a verdict moves the version: drop the
+    // held verdict, and resync in case the checker was swapped (the
+    // policy's response delay is set by setPolicy).
+    if (unit_->stateVersion() != version_) {
+        version_ = unit_->stateVersion();
+        held_.reset();
+        req_pipe_.configure(requestDelay());
+        syncLogic();
+    }
 
     if (up_->a.empty() || !req_pipe_.canPush())
         return;
@@ -256,23 +261,30 @@ CheckerNode::dispatchRequests(Cycle now)
             // authorize again, re-raising SidMiss — otherwise two cold
             // devices trading the slot stall each other forever.
             pending_miss_.reset();
-            ++stats_.scalar("sid_miss_rearms");
+            ++sid_miss_rearms_;
         } else {
             stall_ = Stall::SidMiss;
             return; // still cold and unmounted; stall
         }
     }
 
-    const AuthResult auth =
-        unit_->authorize(beat.device, beat.addr, len, perm, now,
-                         logic_.get());
+    // A held verdict is this head beat's, and acceptRequests() dropped
+    // it if the version moved since: re-polling would repeat it.
+    AuthResult auth;
+    if (held_) {
+        auth = *held_;
+        unit_->creditHeldAllow(beat.device, now, *logic_);
+    } else {
+        auth = unit_->authorize(beat.device, beat.addr, len, perm, now,
+                                logic_.get());
+    }
 
     switch (auth.status) {
       case AuthStatus::SidMiss:
         stall_ = Stall::SidMiss;
         pending_miss_ = beat.device;
         pending_miss_epoch_ = unit_->configEpoch();
-        ++stats_.scalar("sid_miss_stalls");
+        ++sid_miss_stalls_;
         if (trace::on()) {
             trace::Event ev;
             ev.when = now;
@@ -288,7 +300,7 @@ CheckerNode::dispatchRequests(Cycle now)
       case AuthStatus::Blocked:
         stall_ = Stall::Blocked;
         blocked_poll_ = now;
-        ++stats_.scalar("block_stalls");
+        ++block_stalls_;
         // Edge: open the §4.1 blocking window on the first stalled
         // cycle; traceResolved() closes it when the head resolves.
         if (!block_window_start_) {
@@ -309,7 +321,7 @@ CheckerNode::dispatchRequests(Cycle now)
         return; // per-SID block: stall (head of this device's stream)
 
       case AuthStatus::Deny:
-        ++stats_.scalar("violations");
+        ++violations_;
         if (policy_ == ViolationPolicy::BusError) {
             if (!err_->a.canPush())
                 return;
@@ -345,15 +357,18 @@ CheckerNode::dispatchRequests(Cycle now)
         return;
 
       case AuthStatus::Allow:
-        if (!down_->a.canPush())
+        if (!down_->a.canPush()) {
+            held_ = auth;
             return;
+        }
+        held_.reset();
         if (policy_ == ViolationPolicy::PacketMasking &&
             beat.opcode == bus::Opcode::Get) {
             sid2addr_.record(beat.route, beat.txn,
                              {beat.device, beat.addr, /*violated=*/false});
         }
         down_->a.push(beat);
-        ++stats_.scalar("beats_forwarded");
+        ++beats_forwarded_;
         req_pipe_.pop();
         if (block_window_start_ || trace::on())
             traceResolved(beat, now, "allow", auth.entry);
@@ -391,7 +406,7 @@ CheckerNode::forwardResponses(Cycle now)
             if (info->violated) {
                 beat.data = 0; // read clear
                 beat.masked = true;
-                ++stats_.scalar("read_clears");
+                ++read_clears_;
             }
             if (beat.last)
                 sid2addr_.release(beat.route, beat.txn);
@@ -413,7 +428,7 @@ CheckerNode::evaluate(Cycle now)
     // clearing the use bit would have woken the node.
     if (stall_ == Stall::Blocked && now > blocked_poll_ + 1) {
         const std::uint64_t polls = now - blocked_poll_ - 1;
-        stats_.scalar("block_stalls") += static_cast<double>(polls);
+        block_stalls_ += static_cast<double>(polls);
         unit_->creditBlockedPolls(polls);
     }
     acceptRequests(now);

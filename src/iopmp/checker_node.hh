@@ -20,11 +20,20 @@
  *
  * Stalls: a head beat stalled on a SID miss or a block bit parks the
  * node (quiescent()) once its response path is idle and its uplink
- * cannot feed it. The node is an SIopmp stall waiter, so every CAM,
- * block-bitmap, eSID or config-epoch change wakes it to re-poll. The
- * first evaluate after a block-bit park credits the polls it skipped
- * (see evaluate()), so stats match the tick-every-cycle loop.
- * Backpressure stalls keep polling.
+ * cannot feed it. The node is an SIopmp stall waiter, so every move of
+ * the unit's state version wakes it to re-poll. The first evaluate
+ * after a block-bit park credits the polls it skipped (see
+ * evaluate()), so stats match the tick-every-cycle loop.
+ *
+ * Held verdicts: a head beat held by backpressure (allowed, downlink
+ * full) still polls every cycle, but reuses its held Allow instead of
+ * re-running authorize() while SIopmp::stateVersion() stands still,
+ * crediting the counters the call would have made
+ * (SIopmp::creditHeldAllow). The version moves on every change that
+ * can alter a verdict: config-epoch bumps (eSID and every MMIO path),
+ * setChecker/setAccelMode, entry and MDCFG table mutations, and CAM,
+ * SRC2MD and block-bitmap mutations, direct calls included. The same
+ * version gates the resync of the pipes and the checker replica.
  */
 
 #ifndef IOPMP_CHECKER_NODE_HH
@@ -66,7 +75,12 @@ class CheckerNode : public Tickable
     bool quiescent(Cycle now) const override;
 
     ViolationPolicy policy() const { return policy_; }
-    void setPolicy(ViolationPolicy policy) { policy_ = policy; }
+    void
+    setPolicy(ViolationPolicy policy)
+    {
+        policy_ = policy;
+        resp_pipe_.configure(responseDelay());
+    }
 
     stats::Group &statsGroup() { return stats_; }
 
@@ -122,7 +136,9 @@ class CheckerNode : public Tickable
      * node checks through its own replica — verdicts are bit-identical
      * by construction (pure function of the shared tables) while the
      * replica's mutable scratch/cache state stays domain-private, so
-     * checker nodes in different tick domains never contend.
+     * checker nodes in different tick domains never contend. Runs
+     * when the unit's state version moved (acceptRequests), which
+     * setChecker/setAccelMode do.
      */
     void syncLogic();
 
@@ -169,6 +185,13 @@ class CheckerNode : public Tickable
     //! stalled on its SID block bit; closed when the head resolves.
     std::optional<Cycle> block_window_start_;
 
+    //! SIopmp::stateVersion() at the last resync. The held verdict
+    //! dates from no earlier, so it stands while the version does.
+    std::uint64_t version_ = 0;
+    //! Allow verdict of a head beat the downlink could not take; its
+    //! polls reuse it until the beat leaves or the version moves.
+    std::optional<AuthResult> held_;
+
     //! Why the head beat did not leave in the last dispatch: a SID
     //! miss or block-bit stall lets the node park (see quiescent()).
     enum class Stall : std::uint8_t { None, SidMiss, Blocked };
@@ -179,6 +202,12 @@ class CheckerNode : public Tickable
     Cycle blocked_poll_ = 0;
 
     stats::Group stats_;
+    stats::LazyScalar beats_forwarded_{stats_, "beats_forwarded"};
+    stats::LazyScalar block_stalls_{stats_, "block_stalls"};
+    stats::LazyScalar sid_miss_stalls_{stats_, "sid_miss_stalls"};
+    stats::LazyScalar violations_{stats_, "violations"};
+    stats::LazyScalar read_clears_{stats_, "read_clears"};
+    stats::LazyScalar sid_miss_rearms_{stats_, "sid_miss_rearms"};
 };
 
 } // namespace iopmp

@@ -51,8 +51,11 @@ SIopmp::SIopmp(IopmpConfig cfg, CheckerKind kind, unsigned stages)
     st_allows_ = &stats_.scalar("allows");
     st_denies_ = &stats_.scalar("denies");
     st_write_rejects_ = &stats_.scalar("mmio_write_rejects");
-    cam_.setChangeHook([this] { wakeStallWaiters(); });
-    blocks_.setChangeHook([this] { wakeStallWaiters(); });
+    cam_.setChangeHook([this] { stateChanged(); });
+    src2md_.setChangeHook([this] { stateChanged(); });
+    blocks_.setChangeHook([this] { stateChanged(); });
+    entries_.addListener(this);
+    mdcfg_.addListener(this);
 }
 
 void
@@ -61,14 +64,14 @@ SIopmp::setChecker(CheckerKind kind, unsigned stages)
     const AccelMode mode = checker_->accelMode();
     checker_ = makeChecker(kind, stages, entries_, mdcfg_);
     checker_->setAccelMode(mode);
-    wakeStallWaiters();
+    stateChanged();
 }
 
 void
 SIopmp::setAccelMode(AccelMode mode)
 {
     checker_->setAccelMode(mode);
-    wakeStallWaiters();
+    stateChanged();
 }
 
 void
@@ -86,8 +89,9 @@ SIopmp::removeStallWaiter(Tickable *node)
 }
 
 void
-SIopmp::wakeStallWaiters()
+SIopmp::stateChanged()
 {
+    ++state_version_;
     // Active waiters are woken too: the wake keeps one that evaluated
     // earlier this cycle (and saw the old state) from parking on it.
     for (Tickable *node : stall_waiters_)
@@ -99,6 +103,21 @@ SIopmp::creditBlockedPolls(std::uint64_t polls)
 {
     *st_checks_ += static_cast<double>(polls);
     *st_blocked_ += static_cast<double>(polls);
+}
+
+void
+SIopmp::creditHeldAllow(DeviceId device, Cycle now,
+                        const CheckerLogic &logic)
+{
+    ++*st_checks_;
+    ++*st_allows_;
+    // authorize() defers its CAM touch from a concurrent tick phase;
+    // defer the (idempotent) touch too, so the deferred-op count
+    // matches.
+    if (simctx::inParallelPhase())
+        simctx::deferShared([this, device] { cam_.touch(device); });
+    if (CheckAccel *accel = logic.accel())
+        accel->creditRepeat(now);
 }
 
 std::optional<Sid>

@@ -90,14 +90,15 @@ inline constexpr Addr kEntryStride = 32;     //!< base,size,cfg,pad
 inline constexpr Addr kWindowSize = 0x20000;
 } // namespace regmap
 
-class SIopmp : public mem::MmioDevice
+class SIopmp : public mem::MmioDevice, private TableListener
 {
   public:
     using IrqHandler = std::function<void(const Irq &)>;
 
     SIopmp(IopmpConfig cfg, CheckerKind kind, unsigned stages);
 
-    // The CAM and block-bitmap change hooks capture this object.
+    // The table listener and the CAM, SRC2MD and block-bitmap change
+    // hooks capture this object.
     SIopmp(const SIopmp &) = delete;
     SIopmp &operator=(const SIopmp &) = delete;
 
@@ -163,12 +164,22 @@ class SIopmp : public mem::MmioDevice
      * change an authorization outcome (entry commit, SRC2MD, MDCFG,
      * CAM remap, block-bitmap word, eSID register) and by cold-device
      * mount/unmount. A CheckerNode stalled on a SID miss re-arms when
-     * it moves without resolving the SID; every bump also wakes the
-     * stall waiters. The accelerator's own staleness detection reads
-     * the finer-grained EntryTable/MdCfgTable generations directly,
-     * which also cover direct (non-MMIO) table mutations.
+     * it moves without resolving the SID. Every bump also moves
+     * stateVersion().
      */
     std::uint64_t configEpoch() const { return config_epoch_; }
+
+    /**
+     * Monotone state version: moves on every change that can alter
+     * any authorize() outcome, whether made through MMIO or by a
+     * direct call — each config-epoch bump, setChecker/setAccelMode,
+     * the entry and MDCFG tables (as their TableListener), and every
+     * CAM, SRC2MD and block-bitmap mutation (through change hooks in
+     * those structures). Each move also wakes the stall waiters. A
+     * CheckerNode holds an allowed head beat's verdict while the
+     * version stands still (creditHeldAllow).
+     */
+    std::uint64_t stateVersion() const { return state_version_; }
 
     /** Latched violation record, if an unread one exists. */
     std::optional<ViolationRecord> violationRecord() const;
@@ -190,11 +201,9 @@ class SIopmp : public mem::MmioDevice
     /**
      * Register @p node as a stall waiter: a component that may park on
      * a beat stalled on a SID miss or a block bit (CheckerNode). Every
-     * change that can decide such a stall wakes all waiters: each
-     * config-epoch bump, setChecker/setAccelMode, and every CAM and
-     * block-bitmap mutation — through hooks in those structures, so
-     * direct callers are covered too. A waiter unregisters before it
-     * is destroyed.
+     * stateVersion() move wakes all waiters, so every change that can
+     * decide such a stall does. A waiter unregisters before it is
+     * destroyed.
      */
     void addStallWaiter(Tickable *node);
     void removeStallWaiter(Tickable *node);
@@ -205,6 +214,17 @@ class SIopmp : public mem::MmioDevice
      * made, had the waiter re-polled its blocked beat every cycle.
      */
     void creditBlockedPolls(std::uint64_t polls);
+
+    /**
+     * Count a poll that repeats an authorize() of @p device through
+     * @p logic which returned Allow, with stateVersion() unmoved since:
+     * the counter updates the call would make again — "checks" and
+     * "allows", and one verdict-cache hit when @p logic's cache is on.
+     * The CAM use bit needs no touch: every path that clears it moves
+     * the version.
+     */
+    void creditHeldAllow(DeviceId device, Cycle now,
+                         const CheckerLogic &logic);
 
     stats::Group &statsGroup() { return stats_; }
 
@@ -228,10 +248,21 @@ class SIopmp : public mem::MmioDevice
     bumpEpoch()
     {
         ++config_epoch_;
-        wakeStallWaiters();
+        stateChanged();
     }
 
-    void wakeStallWaiters();
+    /** Move the state version and wake the stall waiters. */
+    void stateChanged();
+
+    // ---- TableListener (entry and MDCFG tables) ------------------------
+
+    void onEntriesChanged(unsigned, unsigned) override { stateChanged(); }
+    void
+    onMdWindowsChanged(std::uint64_t, unsigned, unsigned) override
+    {
+        stateChanged();
+    }
+    void onTableReset() override { stateChanged(); }
 
     IopmpConfig cfg_;
     EntryTable entries_;
@@ -257,6 +288,7 @@ class SIopmp : public mem::MmioDevice
     stats::Scalar *st_write_rejects_;
     std::uint64_t write_rejects_ = 0;
     std::uint64_t config_epoch_ = 0;
+    std::uint64_t state_version_ = 0;
 
     // MMIO staging for entry writes (base/size latched, cfg commits).
     struct EntryStage {

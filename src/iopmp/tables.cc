@@ -138,6 +138,7 @@ Src2MdTable::associate(Sid sid, MdIndex md)
     if (!validSid(sid) || md >= num_mds_ || rows_[sid].lock)
         return false;
     rows_[sid].md_bitmap |= std::uint64_t{1} << md;
+    changed();
     return true;
 }
 
@@ -147,6 +148,7 @@ Src2MdTable::deassociate(Sid sid, MdIndex md)
     if (!validSid(sid) || md >= num_mds_ || rows_[sid].lock)
         return false;
     rows_[sid].md_bitmap &= ~(std::uint64_t{1} << md);
+    changed();
     return true;
 }
 
@@ -161,6 +163,7 @@ Src2MdTable::setBitmap(Sid sid, std::uint64_t bitmap)
     if (bitmap & ~valid_mask)
         return false;
     rows_[sid].md_bitmap = bitmap;
+    changed();
     return true;
 }
 
@@ -198,6 +201,7 @@ Src2MdTable::resetAll()
 {
     for (auto &row : rows_)
         row = Row{};
+    changed();
 }
 
 MdCfgTable::MdCfgTable(unsigned num_mds, unsigned num_entries)

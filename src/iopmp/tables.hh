@@ -13,13 +13,15 @@
  * TableListener registrations and report *which* entries / memory
  * domains every successful mutation touched — the dirty-set contract
  * consumers with derived state (compiled match plans, verdict caches)
- * build incremental invalidation on.
+ * build incremental invalidation on. Src2MdTable reports every bitmap
+ * change through a single change hook (its owning SIopmp's).
  */
 
 #ifndef IOPMP_TABLES_HH
 #define IOPMP_TABLES_HH
 
 #include <cstdint>
+#include <functional>
 #include <mutex>
 #include <vector>
 
@@ -171,6 +173,17 @@ class Src2MdTable
 
     void resetAll();
 
+    /**
+     * Install @p hook, called after every successful bitmap change
+     * (associate, deassociate, setBitmap, resetAll) — not after lock(),
+     * which never changes a verdict. The owning SIopmp moves its state
+     * version through it, so direct callers are covered too.
+     */
+    void setChangeHook(std::function<void()> hook)
+    {
+        on_change_ = std::move(hook);
+    }
+
   private:
     struct Row {
         std::uint64_t md_bitmap = 0;
@@ -179,8 +192,15 @@ class Src2MdTable
 
     bool validSid(Sid sid) const { return sid < rows_.size(); }
 
+    void changed()
+    {
+        if (on_change_)
+            on_change_();
+    }
+
     std::vector<Row> rows_;
     unsigned num_mds_;
+    std::function<void()> on_change_;
 };
 
 /**

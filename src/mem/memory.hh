@@ -114,6 +114,10 @@ class MemoryNode : public Tickable
     std::deque<PendingAck> acks_;
     Cycle next_read_start_ = 0; //!< initiation-interval gate
     stats::Group stats_;
+    stats::LazyScalar read_bursts_{stats_, "read_bursts"};
+    stats::LazyScalar read_beats_{stats_, "read_beats"};
+    stats::LazyScalar write_beats_{stats_, "write_beats"};
+    stats::LazyScalar write_bursts_{stats_, "write_bursts"};
 };
 
 } // namespace mem

@@ -237,6 +237,39 @@ class Group
 };
 
 /**
+ * A named scalar of a group, registered on first use. Per-event call
+ * sites hold one instead of calling Group::scalar(name) per event: the
+ * first increment registers the stat, so a dump still lists only the
+ * stats that were counted, in first-count order, and later increments
+ * skip the name lookup. (Binding in the owner's constructor would list
+ * never-counted stats and reorder the group.)
+ */
+class LazyScalar
+{
+  public:
+    LazyScalar(Group &group, const char *stat_name)
+        : group_(group), name_(stat_name)
+    {
+    }
+
+    LazyScalar &operator++() { ++get(); return *this; }
+    LazyScalar &operator+=(double v) { get() += v; return *this; }
+
+  private:
+    Scalar &
+    get()
+    {
+        if (scalar_ == nullptr)
+            scalar_ = &group_.scalar(name_);
+        return *scalar_;
+    }
+
+    Group &group_;
+    const char *name_;
+    Scalar *scalar_ = nullptr;
+};
+
+/**
  * Process-wide registry of live stat groups, in construction order.
  * With retention enabled (setRetainRetired), a destructing group
  * leaves a final-value snapshot behind, so a consumer like the CLI's

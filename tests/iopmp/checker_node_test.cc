@@ -3,12 +3,15 @@
  * Focused tests for the bus-facing CheckerNode: SID-missing stalls
  * with edge-triggered interrupts, per-SID block stalls, block-state
  * monitor bookkeeping and divert-latch behaviour for denied write
- * bursts — and the wake sources of a node parked on a SID-miss or
- * block-bit stall, each checked against the tick-every-cycle loop.
+ * bursts; the wake sources of a node parked on a SID-miss or
+ * block-bit stall, each checked against the tick-every-cycle loop; and
+ * each source of SIopmp state-version moves, which must void the held
+ * verdict of a head beat waiting on backpressure.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 #include <optional>
 #include <sstream>
@@ -17,6 +20,7 @@
 
 #include "devices/dma_engine.hh"
 #include "fw/monitor.hh"
+#include "sim/trace.hh"
 #include "soc/cpu_node.hh"
 #include "soc/soc.hh"
 
@@ -494,6 +498,353 @@ TEST(CheckerNodeWake, ConfigEpochRearmsPendingSidMiss)
         rig.at(800, [&rig] { rig.soc.iopmp().setMountedCold(kGhost); });
     });
     EXPECT_EQ(ff.sid_miss_irqs, 2u);
+}
+
+// ---- held verdicts under backpressure --------------------------------
+
+constexpr DeviceId kHog = 2;
+constexpr Addr kHogBase = 0x8200'0000;
+
+/** Scalar (or average's mean) @p stat of the newest live stats group
+ * named @p group; 0 when either is missing. Registers nothing. */
+double
+liveStat(const std::string &group, const std::string &stat)
+{
+    struct Reader : stats::StatsVisitor {
+        explicit Reader(const std::string &name) : want(name) {}
+        void
+        visitScalar(const stats::Group &, const std::string &name,
+                    const stats::Scalar &s) override
+        {
+            if (name == want)
+                value = s.value();
+        }
+        void
+        visitAverage(const stats::Group &, const std::string &name,
+                     const stats::Average &a) override
+        {
+            if (name == want)
+                value = a.mean();
+        }
+        void visitDistribution(const stats::Group &, const std::string &,
+                               const stats::Distribution &) override {}
+        void visitHistogram(const stats::Group &, const std::string &,
+                            const stats::Histogram &) override {}
+
+        const std::string &want;
+        double value = 0;
+    };
+    const auto &live = stats::Registry::global().liveGroups();
+    for (auto it = live.rbegin(); it != live.rend(); ++it) {
+        if ((*it)->name() == group) {
+            Reader reader(stat);
+            (*it)->accept(reader);
+            return reader.value;
+        }
+    }
+    return 0;
+}
+
+/**
+ * Backpressure on ParkRig's 4-SID SoC: device kHot (SID 0, MD 0) reads
+ * on port 0 while device kHog (SID 1, MD 1) streams write bursts on
+ * port 1. The xbar keeps a write burst's beats together, so checker
+ * 0's allowed head beat waits behind them on a full downlink and
+ * re-polls every cycle with its verdict held. holdHead() steps to such
+ * a cycle; each test then changes one piece of state between cycles
+ * and checks that the very next poll sees the change.
+ */
+struct HoldRig {
+    /** @p cold: reach kHot through the eSID register, not a CAM row. */
+    explicit HoldRig(bool cold = false)
+        : soc(ParkRig::config()),
+          hot("hot", kHot, soc.masterLink(0)),
+          hog("hog", kHog, soc.masterLink(1))
+    {
+        soc.addDevice(&hot, 0);
+        soc.addDevice(&hog, 1);
+        SIopmp &unit = soc.iopmp();
+        unit.setAccelMode(AccelMode::PlansAndCache);
+        if (cold) {
+            unit.setMountedCold(kHot);
+            unit.src2md().associate(unit.coldSid(), 0);
+        } else {
+            unit.cam().set(0, kHot);
+            unit.src2md().associate(0, 0);
+        }
+        unit.cam().set(1, kHog);
+        unit.src2md().associate(1, 1);
+        unit.mdcfg().setTop(0, 8);
+        for (MdIndex md = 1; md < unit.config().num_mds; ++md)
+            unit.mdcfg().setTop(md, 16);
+        unit.entryTable().set(
+            0, Entry::range(kHotBase, 0x0100'0000, Perm::ReadWrite));
+        unit.entryTable().set(
+            8, Entry::range(kHogBase, 0x0100'0000, Perm::ReadWrite));
+        unit.setIrqHandler([this](const Irq &irq) {
+            if (irq.device == kHot)
+                ++(irq.kind == IrqKind::SidMissing ? sid_miss_irqs
+                                                   : violation_irqs);
+        });
+    }
+
+    /** Start both streams, then step until checker 0 holds a beat. */
+    void
+    holdHead()
+    {
+        start(hog, dev::DmaKind::Write, kHogBase);
+        start(hot, dev::DmaKind::Read, kHotBase);
+        stepUntilHeld();
+    }
+
+    /** Step until checker 0 has re-polled an allowed head beat it could
+     * not forward on two cycles in a row. Every burst has its own
+     * address, so its first check misses the verdict cache: a hit is a
+     * re-poll of the same beat. */
+    void
+    stepUntilHeld()
+    {
+        double hits = 0;
+        unsigned held_polls = 0;
+        while (held_polls < 2 && soc.sim().now() < 10'000) {
+            poll();
+            const double now_hits = accelStat("check_cache_hits");
+            held_polls = now_hits == hits + 1 ? held_polls + 1 : 0;
+            hits = now_hits;
+        }
+        ASSERT_EQ(held_polls, 2u);
+        ASSERT_EQ(sid_miss_irqs + violation_irqs, 0u);
+    }
+
+    void
+    start(dev::DmaEngine &engine, dev::DmaKind kind, Addr base)
+    {
+        dev::DmaJob job;
+        job.kind = kind;
+        job.src = job.dst = base;
+        job.bytes = 16 * 1024;
+        job.max_outstanding = 8;
+        engine.start(job, soc.sim().now());
+    }
+
+    /** Run one cycle: one poll of checker 0's head beat. */
+    void poll() { soc.sim().run(1); }
+
+    double nodeStat(const char *stat) { return liveStat("checker0", stat); }
+    double
+    accelStat(const char *stat)
+    {
+        return liveStat("checker0.accel", stat);
+    }
+
+    /** The next poll denies the held beat: under BusError it goes to
+     * the error node, and the violation interrupt fires. */
+    void
+    expectDeniedOnNextPoll()
+    {
+        poll();
+        EXPECT_EQ(nodeStat("violations"), 1.0);
+        EXPECT_EQ(violation_irqs, 1u);
+    }
+
+    /** The next poll finds kHot unmapped and raises SID-missing. */
+    void
+    expectSidMissOnNextPoll()
+    {
+        poll();
+        EXPECT_EQ(nodeStat("sid_miss_stalls"), 1.0);
+        EXPECT_EQ(sid_miss_irqs, 1u);
+    }
+
+    soc::Soc soc;
+    dev::DmaEngine hot;
+    dev::DmaEngine hog;
+    unsigned sid_miss_irqs = 0;  //!< kHot's only
+    unsigned violation_irqs = 0; //!< kHot's only
+};
+
+TEST(CheckerNodeHold, EntryClearDeniesHeldBeat)
+{
+    HoldRig rig;
+    rig.holdHead();
+    ASSERT_TRUE(rig.soc.iopmp().entryTable().clear(0));
+    rig.expectDeniedOnNextPoll();
+}
+
+TEST(CheckerNodeHold, MmioEntryRevokeDeniesHeldBeat)
+{
+    HoldRig rig;
+    rig.holdHead();
+    // A cfg write with mode OFF commits a disabled entry 0.
+    rig.soc.mmio().write(soc::kIopmpMmioBase + regmap::kEntryBase + 16, 0);
+    rig.expectDeniedOnNextPoll();
+}
+
+TEST(CheckerNodeHold, EntryTableResetDeniesHeldBeat)
+{
+    HoldRig rig;
+    rig.holdHead();
+    rig.soc.iopmp().entryTable().resetAll();
+    rig.expectDeniedOnNextPoll();
+}
+
+TEST(CheckerNodeHold, MdcfgTopMoveDeniesHeldBeat)
+{
+    HoldRig rig;
+    rig.holdHead();
+    // MD 0's window closes; entry 0 falls to MD 1, which SID 0 lacks.
+    ASSERT_TRUE(rig.soc.iopmp().mdcfg().setTop(0, 0));
+    rig.expectDeniedOnNextPoll();
+}
+
+TEST(CheckerNodeHold, Src2MdDeassociateDeniesHeldBeat)
+{
+    HoldRig rig;
+    rig.holdHead();
+    ASSERT_TRUE(rig.soc.iopmp().src2md().deassociate(0, 0));
+    rig.expectDeniedOnNextPoll();
+}
+
+TEST(CheckerNodeHold, Src2MdSetBitmapDeniesHeldBeat)
+{
+    HoldRig rig;
+    rig.holdHead();
+    // MD 1 holds only the hog's window.
+    ASSERT_TRUE(rig.soc.iopmp().src2md().setBitmap(0, 0b10));
+    rig.expectDeniedOnNextPoll();
+}
+
+TEST(CheckerNodeHold, Src2MdAssociateDeniesHeldBeat)
+{
+    HoldRig rig;
+    // SID 0 reaches kHot's window through entry 9 (MD 1); MD 0's entry
+    // 0 now covers it with no permission.
+    SIopmp &unit = rig.soc.iopmp();
+    unit.entryTable().set(0, Entry::range(kHotBase, 0x0100'0000, Perm::None));
+    unit.entryTable().set(
+        9, Entry::range(kHotBase, 0x0100'0000, Perm::ReadWrite));
+    unit.src2md().setBitmap(0, 0b10);
+    rig.holdHead();
+    // Associating MD 0 puts the higher-priority entry 0 in front.
+    ASSERT_TRUE(unit.src2md().associate(0, 0));
+    rig.expectDeniedOnNextPoll();
+}
+
+TEST(CheckerNodeHold, Src2MdResetDeniesHeldBeat)
+{
+    HoldRig rig;
+    rig.holdHead();
+    rig.soc.iopmp().src2md().resetAll();
+    rig.expectDeniedOnNextPoll();
+}
+
+TEST(CheckerNodeHold, CamInvalidateRaisesSidMissing)
+{
+    HoldRig rig;
+    rig.holdHead();
+    ASSERT_TRUE(rig.soc.iopmp().cam().invalidate(kHot));
+    rig.expectSidMissOnNextPoll();
+}
+
+TEST(CheckerNodeHold, CamSetRaisesSidMissing)
+{
+    HoldRig rig;
+    rig.holdHead();
+    rig.soc.iopmp().cam().set(0, 7); // row 0 rebound to another device
+    rig.expectSidMissOnNextPoll();
+}
+
+TEST(CheckerNodeHold, CamInsertLruRaisesSidMissing)
+{
+    HoldRig rig;
+    rig.soc.iopmp().cam().set(2, 3); // every row valid, use bits set
+    rig.holdHead();
+    // The clock sweep clears rows 0-2 and evicts row 0 on its second
+    // pass.
+    std::optional<DeviceId> evicted;
+    EXPECT_EQ(rig.soc.iopmp().cam().insertLru(4, &evicted), 0u);
+    ASSERT_EQ(evicted, std::optional<DeviceId>(kHot));
+    rig.expectSidMissOnNextPoll();
+}
+
+TEST(CheckerNodeHold, EsidUnmountRaisesSidMissing)
+{
+    HoldRig rig(/*cold=*/true);
+    rig.holdHead();
+    rig.soc.iopmp().setMountedCold(std::nullopt);
+    rig.expectSidMissOnNextPoll();
+}
+
+TEST(CheckerNodeHold, BlockBitOpensWindowThatCycle)
+{
+    HoldRig rig;
+    rig.holdHead();
+    rig.soc.iopmp().blockBitmap().block(0);
+    rig.poll();
+    const Cycle blocked_at = rig.soc.sim().now() - 1;
+    EXPECT_EQ(rig.nodeStat("block_stalls"), 1.0);
+
+    // The window opened on that poll: it closes when the beat leaves.
+    rig.soc.iopmp().blockBitmap().unblock(0);
+    const double forwarded = rig.nodeStat("beats_forwarded");
+    while (rig.nodeStat("beats_forwarded") == forwarded &&
+           rig.soc.sim().now() < blocked_at + 1'000)
+        rig.poll();
+    const Cycle left_at = rig.soc.sim().now() - 1;
+    EXPECT_EQ(liveStat("busmon", "block_windows"), 1.0);
+    EXPECT_EQ(liveStat("busmon", "block_window_mean"),
+              static_cast<double>(left_at - blocked_at));
+}
+
+TEST(CheckerNodeHold, SetCheckerRechecksThroughNewReplica)
+{
+    HoldRig rig;
+    rig.holdHead();
+    rig.soc.iopmp().setChecker(CheckerKind::PipelineTree, 4);
+    rig.poll();
+    // The node rebuilt its replica and checked the beat through it:
+    // one miss in the new, empty verdict cache, not a held hit.
+    EXPECT_EQ(rig.accelStat("check_cache_hits"), 0.0);
+    EXPECT_EQ(rig.accelStat("check_cache_misses"), 1.0);
+    EXPECT_EQ(rig.accelStat("plan_compiles"), 1.0);
+}
+
+TEST(CheckerNodeHold, SetAccelModeStopsCacheHits)
+{
+    HoldRig rig;
+    rig.holdHead();
+    const double hits = rig.accelStat("check_cache_hits");
+    const double checks = liveStat("siopmp", "checks");
+    rig.soc.iopmp().setAccelMode(AccelMode::Plans);
+    rig.poll();
+    rig.poll();
+    // Without the cache no poll counts a hit, held or not.
+    EXPECT_EQ(rig.accelStat("check_cache_hits"), hits);
+    EXPECT_GE(liveStat("siopmp", "checks"), checks + 2);
+}
+
+/**
+ * An accelerator stamps its invalidation trace instants with the cycle
+ * of its last check, and a held poll counts as one.
+ */
+TEST(CheckerNodeHold, HeldPollStampsInvalidationInstants)
+{
+    HoldRig rig;
+    // Memory's read interval alone backs checker 0 up; checker 1 and
+    // the unit's own checker never check.
+    rig.start(rig.hot, dev::DmaKind::Read, kHotBase);
+    rig.stepUntilHeld();
+    trace::RingBufferSink ring(16);
+    trace::tracer().setSink(&ring);
+    rig.soc.iopmp().entryTable().set(15, Entry::off()); // in MD 1
+    trace::tracer().setSink(nullptr);
+    std::vector<Cycle> stamps;
+    for (const trace::Event &ev : ring.events()) {
+        if (std::string(ev.name) == "partial_flush")
+            stamps.push_back(ev.when);
+    }
+    std::sort(stamps.begin(), stamps.end());
+    EXPECT_EQ(stamps, (std::vector<Cycle>{0, 0, rig.soc.sim().now() - 1}));
 }
 
 /**

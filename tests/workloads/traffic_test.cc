@@ -77,6 +77,35 @@ TEST(Fig11Shape, MaskingStreamsFullClearedBursts)
     EXPECT_EQ(normal, violating);
 }
 
+TEST(Fig11Table, MatchesExperimentsExactly)
+{
+    // The twelve cells of the EXPERIMENTS.md Fig 11 table: the model is
+    // mechanistic, so every cell is pinned to the cycle.
+    struct Row {
+        const char *name;
+        unsigned stages;
+        ViolationPolicy policy;
+        Cycle read, write, read_viol, write_viol;
+    };
+    const Row rows[] = {
+        {"Nopipe-BusError", 1, ViolationPolicy::BusError,
+         1535, 1087, 319, 767},
+        {"2pipe-BusError", 2, ViolationPolicy::BusError,
+         1599, 1151, 383, 831},
+        {"2pipe-Masking", 2, ViolationPolicy::PacketMasking,
+         1663, 1215, 1663, 1215},
+    };
+    for (const Row &row : rows) {
+        SCOPED_TRACE(row.name);
+        EXPECT_EQ(latency(row.stages, row.policy, false), row.read);
+        EXPECT_EQ(latency(row.stages, row.policy, true), row.write);
+        EXPECT_EQ(latency(row.stages, row.policy, false, true),
+                  row.read_viol);
+        EXPECT_EQ(latency(row.stages, row.policy, true, true),
+                  row.write_viol);
+    }
+}
+
 double
 bandwidth(BandwidthScenario scenario, unsigned stages,
           ViolationPolicy policy = ViolationPolicy::BusError)

@@ -9,11 +9,6 @@
  * the cycles the simulator actually ticked (executed_cycles: the rest
  * were idle cycles fast-forward skipped).
  *
- * Before emitting, the headline configuration is re-run on the
- * sharded parallel engine with 4 worker threads and the result
- * fingerprints are compared: the benchmark exits nonzero unless the
- * runs are bit-identical (the --threads {0,4} acceptance gate).
- *
  * Usage: churn_fleet [out.json]   (default BENCH_churn.json)
  */
 
@@ -155,32 +150,6 @@ main(int argc, char **argv)
         return 1;
     }
 
-    // Bit-identity gate: headline config on the parallel engine with
-    // 4 workers must reproduce the sequential fingerprint exactly.
-    wl::ChurnConfig par;
-    par.tenants = grid[0].tenants;
-    par.devices = grid[0].devices;
-    par.arrival_mean = grid[0].arrival_mean;
-    par.sim_threads = 4;
-    std::printf("churn_fleet: bit-identity check (--threads 4) ...\n");
-    const wl::ChurnResult thr = wl::runChurn(par);
-    const bool identical =
-        thr.fingerprint == points[0].r.fingerprint &&
-        thr.cycles == points[0].r.cycles;
-    if (!identical) {
-        std::fprintf(stderr,
-                     "churn_fleet: FAILED — parallel run diverged "
-                     "(fp %016llx vs %016llx, cycles %llu vs %llu)\n",
-                     static_cast<unsigned long long>(thr.fingerprint),
-                     static_cast<unsigned long long>(
-                         points[0].r.fingerprint),
-                     static_cast<unsigned long long>(thr.cycles),
-                     static_cast<unsigned long long>(
-                         points[0].r.cycles));
-        return 1;
-    }
-    std::printf("  bit-identical at threads {0, 4}\n");
-
     std::FILE *f = std::fopen(out.c_str(), "w");
     if (!f) {
         std::fprintf(stderr, "churn_fleet: cannot write %s\n",
@@ -189,7 +158,6 @@ main(int argc, char **argv)
     }
     std::fprintf(f, "{\n  \"benchmark\": \"churn_fleet\",\n"
                     "  \"ports\": 4,\n"
-                    "  \"bit_identical_threads\": [0, 4],\n"
                     "  \"series\": [\n");
     for (std::size_t i = 0; i < points.size(); ++i)
         emitPoint(f, points[i], i + 1 == points.size());

@@ -18,27 +18,6 @@
  * are asserted equal — a built-in differential check. Results go to
  * BENCH_sim_core.json (path overridable via argv).
  *
- * A third section measures the sharded parallel engine: a 16-device
- * saturated topology (one DMA engine per master port, each port its
- * own tick domain) swept over worker thread counts {1, 2, 4, 8}. The
- * sequential loop is the baseline; every sweep point must reproduce
- * its cycle count and statistics dump byte-for-byte (the engine's
- * bit-identity contract), and the emitted "thread_scaling" series
- * records s/Mcycle + speedup per thread count. Meaningful speedups
- * need real cores — run_bench.sh only gates on the series when the
- * host has >= 4 (the "host_cores" field).
- *
- * A fourth section sweeps the multi-cycle epoch lookahead: the same
- * 16-device workload on a topology whose boundary links carry a
- * 4-cycle register latency, at threads {1, 4} x requested epoch
- * {1, 2, 4}. Every point is asserted bit-identical to the sequential
- * loop; the emitted "epoch_scaling" series records barriers per
- * simulated cycle (3 at epoch 1 — start/mid/end — dropping to 2 per
- * N-cycle epoch at N >= 2) and throughput. run_bench.sh gates the
- * barrier reduction at epoch 2 unconditionally (it is a counting
- * argument, not a timing one) and the 4-thread epoch-4 throughput
- * gain only on hosts with >= 4 cores.
- *
  * Usage: sim_core_micro [iters] [out.json]
  *   iters scales the workload length (default 40; run_bench.sh uses a
  *   small value for the smoke test).
@@ -48,14 +27,9 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <memory>
-#include <sstream>
 #include <string>
-#include <thread>
-#include <vector>
 
 #include "devices/dma_engine.hh"
-#include "sim/domain.hh"
 #include "sim/logging.hh"
 #include "soc/soc.hh"
 
@@ -176,185 +150,6 @@ runSaturated(bool fast_forward, unsigned iters)
     return m;
 }
 
-// ---------------------------------------------------------------------------
-// Thread-scaling sweep (parallel engine).
-// ---------------------------------------------------------------------------
-
-constexpr unsigned kScalingDevices = 16;
-
-struct ScalingPoint {
-    unsigned threads = 0; //!< 0 = sequential reference loop
-    double host_seconds = 0;
-    Cycle simulated = 0;
-    std::string stats;
-
-    double
-    secondsPerMegacycle() const
-    {
-        return simulated == 0
-                   ? 0.0
-                   : host_seconds / (static_cast<double>(simulated) / 1e6);
-    }
-};
-
-/**
- * Saturated 16-device run: every master port hosts a DMA engine with a
- * deep outstanding queue, each in its own tick domain, all hammering
- * the fabric every cycle. Nothing is quiescent, so the measurement is
- * pure per-cycle throughput — the shape the parallel engine targets.
- */
-ScalingPoint
-runScaling(unsigned threads, unsigned iters)
-{
-    soc::SocConfig cfg;
-    cfg.num_masters = kScalingDevices;
-    cfg.checker_kind = iopmp::CheckerKind::PipelineTree;
-    cfg.checker_stages = 2;
-    soc::Soc soc(cfg);
-    soc.setThreads(threads);
-
-    std::vector<std::unique_ptr<dev::DmaEngine>> engines;
-    for (unsigned i = 0; i < kScalingDevices; ++i) {
-        engines.push_back(std::make_unique<dev::DmaEngine>(
-            "dma" + std::to_string(i), static_cast<DeviceId>(i + 1),
-            soc.masterLink(i)));
-        soc.addDevice(engines.back().get(), i);
-    }
-
-    auto &unit = soc.iopmp();
-    for (MdIndex md = 0; md < unit.config().num_mds; ++md)
-        unit.mdcfg().setTop(md, std::min(64u, (md + 1) * 4));
-    for (Sid sid = 0; sid < kScalingDevices; ++sid) {
-        unit.cam().set(sid, sid + 1);
-        unit.src2md().associate(sid, sid);
-        unit.entryTable().set(
-            sid * 4, iopmp::Entry::range(kDmaRegion + sid * kRegionSize,
-                                         kRegionSize, Perm::ReadWrite));
-    }
-
-    const Cycle budget = static_cast<Cycle>(iters) * 10'000;
-    const auto t0 = std::chrono::steady_clock::now();
-    while (soc.sim().now() < budget) {
-        for (unsigned i = 0; i < kScalingDevices; ++i) {
-            if (engines[i]->done())
-                engines[i]->start(burstJob(i, 64 * 1024, 8),
-                                  soc.sim().now());
-        }
-        soc.sim().run(1'000);
-    }
-    const auto t1 = std::chrono::steady_clock::now();
-
-    ScalingPoint p;
-    p.threads = threads;
-    p.host_seconds = std::chrono::duration<double>(t1 - t0).count();
-    p.simulated = soc.sim().now();
-    std::ostringstream os;
-    stats::TextStatsWriter writer(os);
-    soc.accept(writer);
-    p.stats = os.str();
-    return p;
-}
-
-// ---------------------------------------------------------------------------
-// Epoch-scaling sweep (multi-cycle lookahead).
-// ---------------------------------------------------------------------------
-
-constexpr Cycle kEpochBoundaryLatency = 4;
-
-struct EpochPoint {
-    unsigned threads = 0; //!< 0 = sequential reference loop
-    Cycle epoch = 0;
-    double host_seconds = 0;
-    Cycle simulated = 0;
-    std::uint64_t barriers = 0; //!< scheduler barrier_syncs
-    std::uint64_t epochs = 0;
-    std::string stats;
-
-    double
-    secondsPerMegacycle() const
-    {
-        return simulated == 0
-                   ? 0.0
-                   : host_seconds / (static_cast<double>(simulated) / 1e6);
-    }
-
-    double
-    barriersPerCycle() const
-    {
-        return simulated == 0
-                   ? 0.0
-                   : static_cast<double>(barriers) /
-                         static_cast<double>(simulated);
-    }
-};
-
-/**
- * The thread-scaling topology with registered boundary links of
- * latency 4, so the scheduler may batch up to four cycles between
- * barrier pairs. Sweeping the requested epoch at a fixed thread count
- * isolates the synchronization cost: simulated work is identical at
- * every point (bit-identity asserted against the sequential loop),
- * only barriers-per-simulated-cycle changes.
- */
-EpochPoint
-runEpochScaling(unsigned threads, Cycle epoch, unsigned iters)
-{
-    soc::SocConfig cfg;
-    cfg.num_masters = kScalingDevices;
-    cfg.checker_kind = iopmp::CheckerKind::PipelineTree;
-    cfg.checker_stages = 2;
-    cfg.boundary_latency = kEpochBoundaryLatency;
-    soc::Soc soc(cfg);
-    soc.setThreads(threads);
-    soc.sim().setEpoch(epoch);
-
-    std::vector<std::unique_ptr<dev::DmaEngine>> engines;
-    for (unsigned i = 0; i < kScalingDevices; ++i) {
-        engines.push_back(std::make_unique<dev::DmaEngine>(
-            "dma" + std::to_string(i), static_cast<DeviceId>(i + 1),
-            soc.masterLink(i)));
-        soc.addDevice(engines.back().get(), i);
-    }
-
-    auto &unit = soc.iopmp();
-    for (MdIndex md = 0; md < unit.config().num_mds; ++md)
-        unit.mdcfg().setTop(md, std::min(64u, (md + 1) * 4));
-    for (Sid sid = 0; sid < kScalingDevices; ++sid) {
-        unit.cam().set(sid, sid + 1);
-        unit.src2md().associate(sid, sid);
-        unit.entryTable().set(
-            sid * 4, iopmp::Entry::range(kDmaRegion + sid * kRegionSize,
-                                         kRegionSize, Perm::ReadWrite));
-    }
-
-    const Cycle budget = static_cast<Cycle>(iters) * 10'000;
-    const auto t0 = std::chrono::steady_clock::now();
-    while (soc.sim().now() < budget) {
-        for (unsigned i = 0; i < kScalingDevices; ++i) {
-            if (engines[i]->done())
-                engines[i]->start(burstJob(i, 64 * 1024, 8),
-                                  soc.sim().now());
-        }
-        soc.sim().run(1'000);
-    }
-    const auto t1 = std::chrono::steady_clock::now();
-
-    EpochPoint p;
-    p.threads = threads;
-    p.epoch = epoch;
-    p.host_seconds = std::chrono::duration<double>(t1 - t0).count();
-    p.simulated = soc.sim().now();
-    if (DomainScheduler *sched = soc.sim().scheduler()) {
-        p.barriers = sched->barrierSyncs();
-        p.epochs = sched->epochsRun();
-    }
-    std::ostringstream os;
-    stats::TextStatsWriter writer(os);
-    soc.accept(writer);
-    p.stats = os.str();
-    return p;
-}
-
 void
 emitWorkload(std::FILE *f, const char *name, const Measurement &ff,
              const Measurement &naive, bool last)
@@ -414,51 +209,6 @@ main(int argc, char **argv)
                 sat_ff.secondsPerMegacycle(),
                 static_cast<unsigned long long>(sat_ff.skipped));
 
-    // Thread-scaling sweep: sequential baseline, then the parallel
-    // engine at 1/2/4/8 workers on the same 16-device workload. Every
-    // point must reproduce the baseline bit-for-bit.
-    const ScalingPoint scaling_seq = runScaling(0, iters);
-    std::vector<ScalingPoint> scaling;
-    for (unsigned threads : {1u, 2u, 4u, 8u}) {
-        scaling.push_back(runScaling(threads, iters));
-        SIOPMP_ASSERT(scaling.back().simulated == scaling_seq.simulated,
-                      "thread-scaling cycle counts diverged from the "
-                      "sequential baseline");
-        SIOPMP_ASSERT(scaling.back().stats == scaling_seq.stats,
-                      "thread-scaling statistics diverged from the "
-                      "sequential baseline");
-        std::printf("scaling(t=%u): %.3f s/Mcycle (%.2fx vs sequential)\n",
-                    threads, scaling.back().secondsPerMegacycle(),
-                    scaling.back().host_seconds > 0
-                        ? scaling_seq.host_seconds /
-                              scaling.back().host_seconds
-                        : 0.0);
-    }
-
-    // Epoch-scaling sweep: sequential baseline on the latency-4
-    // topology, then threads {1, 4} x requested epoch {1, 2, 4}.
-    // Every point must reproduce the baseline bit-for-bit; the series
-    // records how multi-cycle lookahead trades barriers for batching.
-    const EpochPoint epoch_seq = runEpochScaling(0, 0, iters);
-    std::vector<EpochPoint> epoch_sweep;
-    for (unsigned threads : {1u, 4u}) {
-        for (Cycle epoch : {Cycle{1}, Cycle{2}, Cycle{4}}) {
-            epoch_sweep.push_back(runEpochScaling(threads, epoch, iters));
-            const EpochPoint &p = epoch_sweep.back();
-            SIOPMP_ASSERT(p.simulated == epoch_seq.simulated,
-                          "epoch-scaling cycle counts diverged from the "
-                          "sequential baseline");
-            SIOPMP_ASSERT(p.stats == epoch_seq.stats,
-                          "epoch-scaling statistics diverged from the "
-                          "sequential baseline");
-            std::printf("epoch(t=%u,n=%llu): %.3f s/Mcycle, "
-                        "%.3f barriers/cycle\n",
-                        p.threads,
-                        static_cast<unsigned long long>(p.epoch),
-                        p.secondsPerMegacycle(), p.barriersPerCycle());
-        }
-    }
-
     std::FILE *f = std::fopen(out_path.c_str(), "w");
     if (f == nullptr) {
         std::fprintf(stderr, "cannot open %s\n", out_path.c_str());
@@ -467,64 +217,8 @@ main(int argc, char **argv)
     std::fprintf(f, "{\n  \"benchmark\": \"sim_core_micro\",\n"
                     "  \"iters\": %u,\n", iters);
     emitWorkload(f, "idle_heavy", idle_ff, idle_naive, false);
-    emitWorkload(f, "saturated", sat_ff, sat_naive, false);
-    std::fprintf(f,
-                 "  \"thread_scaling\": {\n"
-                 "    \"num_devices\": %u,\n"
-                 "    \"simulated_cycles\": %llu,\n"
-                 "    \"host_cores\": %u,\n"
-                 "    \"sequential_s_per_mcycle\": %.9f,\n"
-                 "    \"series\": [\n",
-                 kScalingDevices,
-                 static_cast<unsigned long long>(scaling_seq.simulated),
-                 std::thread::hardware_concurrency(),
-                 scaling_seq.secondsPerMegacycle());
-    for (std::size_t i = 0; i < scaling.size(); ++i) {
-        const ScalingPoint &p = scaling[i];
-        const double speedup = p.host_seconds > 0
-                                   ? scaling_seq.host_seconds /
-                                         p.host_seconds
-                                   : 0.0;
-        std::fprintf(f,
-                     "      {\"threads\": %u, \"s_per_mcycle\": %.9f, "
-                     "\"speedup\": %.3f}%s\n",
-                     p.threads, p.secondsPerMegacycle(), speedup,
-                     i + 1 == scaling.size() ? "" : ",");
-    }
-    std::fprintf(f, "    ]\n  },\n");
-    std::fprintf(f,
-                 "  \"epoch_scaling\": {\n"
-                 "    \"num_devices\": %u,\n"
-                 "    \"boundary_latency\": %llu,\n"
-                 "    \"simulated_cycles\": %llu,\n"
-                 "    \"host_cores\": %u,\n"
-                 "    \"sequential_s_per_mcycle\": %.9f,\n"
-                 "    \"series\": [\n",
-                 kScalingDevices,
-                 static_cast<unsigned long long>(kEpochBoundaryLatency),
-                 static_cast<unsigned long long>(epoch_seq.simulated),
-                 std::thread::hardware_concurrency(),
-                 epoch_seq.secondsPerMegacycle());
-    for (std::size_t i = 0; i < epoch_sweep.size(); ++i) {
-        const EpochPoint &p = epoch_sweep[i];
-        const double speedup = p.host_seconds > 0
-                                   ? epoch_seq.host_seconds /
-                                         p.host_seconds
-                                   : 0.0;
-        std::fprintf(f,
-                     "      {\"threads\": %u, \"epoch\": %llu, "
-                     "\"s_per_mcycle\": %.9f, \"speedup\": %.3f, "
-                     "\"barrier_syncs\": %llu, \"epochs\": %llu, "
-                     "\"barriers_per_cycle\": %.6f}%s\n",
-                     p.threads,
-                     static_cast<unsigned long long>(p.epoch),
-                     p.secondsPerMegacycle(), speedup,
-                     static_cast<unsigned long long>(p.barriers),
-                     static_cast<unsigned long long>(p.epochs),
-                     p.barriersPerCycle(),
-                     i + 1 == epoch_sweep.size() ? "" : ",");
-    }
-    std::fprintf(f, "    ]\n  }\n}\n");
+    emitWorkload(f, "saturated", sat_ff, sat_naive, true);
+    std::fprintf(f, "}\n");
     std::fclose(f);
     std::printf("wrote %s\n", out_path.c_str());
     return 0;

@@ -19,32 +19,11 @@ namespace siopmp {
 namespace bus {
 
 struct Link {
-    /**
-     * @param depth   per-channel fifo capacity.
-     * @param latency register stages per channel (see bus::Fifo). A
-     *        latency-L boundary sustains one beat per cycle only when
-     *        depth covers the credit round trip (2 * L), so deeper
-     *        boundaries should be built with Link(2 * L, L).
-     */
-    explicit Link(std::size_t depth = 2, Cycle latency = 1)
-        : a(depth, latency), d(depth, latency)
-    {
-    }
+    /** @param depth per-channel fifo capacity. */
+    explicit Link(std::size_t depth = 2) : a(depth), d(depth) {}
 
     Fifo<Beat> a; //!< requests: master -> slave
     Fifo<Beat> d; //!< responses: slave -> master
-
-    /** Annotate both channel endpoints for the component graph: the
-     * master produces 'a' and consumes 'd'; the slave the reverse.
-     * Does not bind wakes (components do that themselves). */
-    void
-    setEndpoints(Tickable *master, Tickable *slave)
-    {
-        a.setProducer(master);
-        a.setConsumer(slave);
-        d.setProducer(slave);
-        d.setConsumer(master);
-    }
 
     void
     reset()

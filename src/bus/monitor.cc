@@ -9,7 +9,7 @@ namespace siopmp {
 namespace bus {
 
 void
-BusMonitor::recordWindowNow(DeviceId device, Cycle cycles)
+BusMonitor::recordBlockWindow(DeviceId device, Cycle cycles)
 {
     ++block_windows_;
     ++stats_.scalar("block_windows");

@@ -20,7 +20,6 @@
 #include <map>
 
 #include "bus/packet.hh"
-#include "sim/exec_context.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
 
@@ -28,13 +27,8 @@ namespace siopmp {
 namespace bus {
 
 /**
- * The monitor is shared fabric-wide state: checker nodes in different
- * tick domains report into it. The mutating entry points therefore
- * self-defer to the scheduler's main section when called from a
- * concurrent tick phase (inParallelPhase() guards keep the sequential
- * hot path free of std::function construction); readers (quiesced,
- * inflight...) run from firmware/event context, which is already
- * sequential.
+ * Fabric-wide state: checker nodes report burst starts/ends and block
+ * windows into it; the firmware reads it (quiesced, inflight...).
  */
 class BusMonitor
 {
@@ -43,20 +37,20 @@ class BusMonitor
     void
     onRequestStart(DeviceId device)
     {
-        if (simctx::inParallelPhase() &&
-            simctx::deferShared([this, device] { startNow(device); }))
-            return;
-        startNow(device);
+        ++inflight_[device];
+        ++total_started_;
     }
 
     /** Record that the matching response burst fully returned. */
     void
     onResponseEnd(DeviceId device)
     {
-        if (simctx::inParallelPhase() &&
-            simctx::deferShared([this, device] { endNow(device); }))
-            return;
-        endNow(device);
+        auto it = inflight_.find(device);
+        if (it == inflight_.end() || it->second == 0)
+            return; // response for a pre-monitor transaction; ignore
+        if (--it->second == 0)
+            inflight_.erase(it);
+        ++total_completed_;
     }
 
     /** True iff no transaction from @p device is anywhere in flight. */
@@ -83,15 +77,7 @@ class BusMonitor
      * Record a completed blocking window: @p device's head request
      * stalled on its SID block bit for @p cycles before proceeding.
      */
-    void
-    recordBlockWindow(DeviceId device, Cycle cycles)
-    {
-        if (simctx::inParallelPhase() &&
-            simctx::deferShared(
-                [this, device, cycles] { recordWindowNow(device, cycles); }))
-            return;
-        recordWindowNow(device, cycles);
-    }
+    void recordBlockWindow(DeviceId device, Cycle cycles);
 
     /** Completed blocking windows observed so far. */
     std::uint64_t blockWindows() const { return block_windows_; }
@@ -108,26 +94,6 @@ class BusMonitor
     }
 
   private:
-    void
-    startNow(DeviceId device)
-    {
-        ++inflight_[device];
-        ++total_started_;
-    }
-
-    void
-    endNow(DeviceId device)
-    {
-        auto it = inflight_.find(device);
-        if (it == inflight_.end() || it->second == 0)
-            return; // response for a pre-monitor transaction; ignore
-        if (--it->second == 0)
-            inflight_.erase(it);
-        ++total_completed_;
-    }
-
-    void recordWindowNow(DeviceId device, Cycle cycles);
-
     std::map<DeviceId, std::uint64_t> inflight_;
     std::uint64_t total_started_ = 0;
     std::uint64_t total_completed_ = 0;

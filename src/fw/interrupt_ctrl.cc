@@ -5,8 +5,6 @@
 
 #include "fw/interrupt_ctrl.hh"
 
-#include "sim/event_queue.hh"
-#include "sim/exec_context.hh"
 #include "sim/tickable.hh"
 
 namespace siopmp {
@@ -22,30 +20,12 @@ InterruptController::setHandler(iopmp::IrqKind kind, Handler handler)
 }
 
 void
-InterruptController::setDeliveryLatency(Cycle latency, EventQueue *queue)
-{
-    delivery_latency_ = latency;
-    delivery_queue_ = queue;
-}
-
-void
-InterruptController::deliver(const iopmp::Irq &irq)
+InterruptController::raise(const iopmp::Irq &irq)
 {
     queue_.push_back(irq);
     ++raised_;
     if (wake_target_ != nullptr)
         wake_target_->wake();
-}
-
-void
-InterruptController::raise(const iopmp::Irq &irq)
-{
-    if (delivery_latency_ == 0 || delivery_queue_ == nullptr) {
-        deliver(irq);
-        return;
-    }
-    const Cycle at = simctx::currentCycle() + delivery_latency_;
-    delivery_queue_->schedule(at, [this, irq] { deliver(irq); });
 }
 
 Cycle

@@ -18,7 +18,6 @@
 
 namespace siopmp {
 
-class EventQueue;
 class Tickable;
 
 namespace fw {
@@ -37,24 +36,8 @@ class InterruptController
     /** Register the handler for one interrupt kind. */
     void setHandler(iopmp::IrqKind kind, Handler handler);
 
-    /** Hardware side: latch a pending interrupt. With a delivery
-     * latency configured (setDeliveryLatency), latching happens that
-     * many cycles after the raise — modelling the registered interrupt
-     * wire crossing the same boundary as the data links. */
+    /** Hardware side: latch a pending interrupt. */
     void raise(const iopmp::Irq &irq);
-
-    /**
-     * Model @p latency cycles between raise() and the interrupt
-     * becoming pending (0 = immediate, the default). Delivery is
-     * scheduled on @p queue at raise-cycle + latency; the raise cycle
-     * is read from simctx::currentCycle(). A nonzero latency is what
-     * lets the parallel engine run multi-cycle epochs across the
-     * checker/monitor boundary: a raise issued mid-epoch latches at an
-     * epoch boundary, where the scheduler clamps the next epoch to one
-     * cycle while an interrupt is pending (see Soc).
-     */
-    void setDeliveryLatency(Cycle latency, EventQueue *queue);
-    Cycle deliveryLatency() const { return delivery_latency_; }
 
     /**
      * Wire the component (typically the CpuNode) that polls pending();
@@ -74,11 +57,7 @@ class InterruptController
     Cycle trapCost() const { return trap_cost_; }
 
   private:
-    void deliver(const iopmp::Irq &irq);
-
     Cycle trap_cost_;
-    Cycle delivery_latency_ = 0;
-    EventQueue *delivery_queue_ = nullptr;
     Tickable *wake_target_ = nullptr;
     std::deque<iopmp::Irq> queue_;
     Handler violation_handler_;

@@ -101,8 +101,8 @@ bool parseAccelMode(const std::string &text, AccelMode *out);
 class CheckAccel final : public TableListener
 {
   public:
-    /** @p group_name names the stats group; per-CheckerNode replicas
-     * pass "<node>.accel" so concurrent instances stay distinct.
+    /** @p group_name names the stats group; each CheckerNode's
+     * checker passes "<node>.accel" so the nodes' stats stay distinct.
      * Registers as a mutation listener on both tables; @p mode must
      * not be Off (an owner models Off by not having a CheckAccel). */
     CheckAccel(const EntryTable &entries, const MdCfgTable &mdcfg,

@@ -121,8 +121,8 @@ class CheckerLogic
 
     /**
      * Name the accelerator's stats group (default "check_accel").
-     * Per-CheckerNode replicas set "<node>.accel" before enabling the
-     * accelerator so concurrent instances report separately.
+     * Each CheckerNode's checker sets "<node>.accel" before enabling
+     * the accelerator so the nodes report separately.
      */
     void setAccelStatsName(std::string name)
     {
@@ -171,9 +171,7 @@ class CheckerLogic
     //! Optional acceleration layer (plans + verdict cache). Mutable
     //! for the same reason as TreeChecker's scratch buffers: check()
     //! is logically const but the cache state evolves. Not
-    //! thread-safe across concurrent checks of one instance — under
-    //! the parallel engine each CheckerNode checks through its own
-    //! replica (CheckerNode::syncLogic).
+    //! thread-safe.
     mutable std::unique_ptr<CheckAccel> accel_;
     std::string accel_stats_name_ = "check_accel";
 };

@@ -48,9 +48,8 @@ CheckerNode::CheckerNode(std::string name, bus::Link *up, bus::Link *down,
     down_->d.bindWake(this);
     if (err_ != nullptr)
         err_->d.bindWake(this);
-    // Build the replica eagerly so its stats group registers in
-    // construction order (deterministic JSON output), never from
-    // inside a concurrent tick phase.
+    // Build the node's checker eagerly so its stats group registers
+    // in construction order (deterministic JSON output).
     syncLogic();
     version_ = unit_->stateVersion();
     unit_->addStallWaiter(this);
@@ -70,8 +69,8 @@ CheckerNode::syncLogic()
         logic_ = makeChecker(ref.kind(), ref.stages(), unit_->entryTable(),
                              unit_->mdcfg());
         // The factory-built accelerator carries the default stats
-        // group name; rebuild it under this node's name so concurrent
-        // replicas report separately.
+        // group name; rebuild it under this node's name so each node's
+        // checker reports separately.
         logic_->setAccelMode(AccelMode::Off);
         logic_->setAccelStatsName(name() + ".accel");
     }
@@ -273,7 +272,7 @@ CheckerNode::dispatchRequests(Cycle now)
     AuthResult auth;
     if (held_) {
         auth = *held_;
-        unit_->creditHeldAllow(beat.device, now, *logic_);
+        unit_->creditHeldAllow(now, *logic_);
     } else {
         auth = unit_->authorize(beat.device, beat.addr, len, perm, now,
                                 logic_.get());

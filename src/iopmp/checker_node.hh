@@ -33,7 +33,13 @@
  * can alter a verdict: config-epoch bumps (eSID and every MMIO path),
  * setChecker/setAccelMode, entry and MDCFG table mutations, and CAM,
  * SRC2MD and block-bitmap mutations, direct calls included. The same
- * version gates the resync of the pipes and the checker replica.
+ * version gates the resync of the pipes and of the node's checker.
+ *
+ * Checker instances: each node checks through its own CheckerLogic
+ * (one per master port), built from the unit's configured checker.
+ * Verdicts are bit-identical by construction — the check is a pure
+ * function of the shared tables — while the accelerator's plans,
+ * verdict cache and stats ("<node>.accel") are per node.
  */
 
 #ifndef IOPMP_CHECKER_NODE_HH
@@ -131,13 +137,9 @@ class CheckerNode : public Tickable
     void forwardResponses(Cycle now);
 
     /**
-     * Keep the node's private checker replica in sync with the unit's
-     * configured checker (kind, stages, accelerator enablement). Each
-     * node checks through its own replica — verdicts are bit-identical
-     * by construction (pure function of the shared tables) while the
-     * replica's mutable scratch/cache state stays domain-private, so
-     * checker nodes in different tick domains never contend. Runs
-     * when the unit's state version moved (acceptRequests), which
+     * Keep the node's checker in sync with the unit's configured
+     * checker (kind, stages, accelerator enablement). Runs when the
+     * unit's state version moved (acceptRequests), which
      * setChecker/setAccelMode do.
      */
     void syncLogic();
@@ -163,7 +165,7 @@ class CheckerNode : public Tickable
     bus::BusMonitor *monitor_;
     ViolationPolicy policy_;
 
-    //! Private replica of the unit's checker logic (see syncLogic).
+    //! The node's own instance of the unit's checker (see syncLogic).
     std::unique_ptr<CheckerLogic> logic_;
 
     DelayPipe req_pipe_;

@@ -130,7 +130,7 @@ ExtendedTable::find(DeviceId device, unsigned *loads) const
         addr += kWordsPerEntry * 8;
     }
 
-    total_loads_.fetch_add(nloads, std::memory_order_relaxed);
+    total_loads_ += nloads;
     if (loads)
         *loads = nloads;
     return record;

@@ -21,7 +21,6 @@
 #ifndef IOPMP_MOUNTABLE_HH
 #define IOPMP_MOUNTABLE_HH
 
-#include <atomic>
 #include <cstdint>
 #include <optional>
 #include <unordered_map>
@@ -77,15 +76,8 @@ class ExtendedTable
     unsigned maxEntriesPerRecord() const { return max_entries_; }
     const mem::Range &region() const { return region_; }
 
-    /** Total 64-bit loads served since construction. Loads from
-     * concurrent tick domains are counted atomically (the sum is
-     * order-independent, so totals stay bit-identical to a sequential
-     * run); reads are taken between cycles or after the run. */
-    std::uint64_t
-    totalLoads() const
-    {
-        return total_loads_.load(std::memory_order_relaxed);
-    }
+    /** Total 64-bit loads served since construction. */
+    std::uint64_t totalLoads() const { return total_loads_; }
 
   private:
     /** Serialized record layout (all fields 64-bit):
@@ -116,10 +108,8 @@ class ExtendedTable
     unsigned max_entries_;
     std::unordered_map<DeviceId, std::size_t> index_; //!< device -> slot
     std::vector<bool> slot_used_;
-    //! Bumped from const find(): callers in different tick domains
-    //! (checker-node replicas, firmware) may load concurrently, so the
-    //! counter must be atomic — same rationale as stats::Scalar.
-    mutable std::atomic<std::uint64_t> total_loads_{0};
+    //! Bumped from const find().
+    mutable std::uint64_t total_loads_ = 0;
 };
 
 } // namespace iopmp

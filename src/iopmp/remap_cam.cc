@@ -37,17 +37,6 @@ DeviceId2SidCam::peek(DeviceId device) const
     return std::nullopt;
 }
 
-void
-DeviceId2SidCam::touch(DeviceId device)
-{
-    for (auto &row : rows_) {
-        if (row.valid && row.device == device) {
-            row.use = true;
-            return;
-        }
-    }
-}
-
 std::optional<DeviceId>
 DeviceId2SidCam::set(Sid sid, DeviceId device)
 {

@@ -41,14 +41,6 @@ class DeviceId2SidCam
     /** Lookup without touching the use bit (diagnostics/tests). */
     std::optional<Sid> peek(DeviceId device) const;
 
-    /**
-     * Set the use bit of the row mapping @p device, if any — the LRU
-     * side effect of lookup() taken separately, so callers running in
-     * a concurrent tick phase can peek() immediately and defer the
-     * shared-state touch to the sequential main section.
-     */
-    void touch(DeviceId device);
-
     /** Explicit switching: bind @p device to row @p sid. Returns the
      * device previously mapped there, if any. */
     std::optional<DeviceId> set(Sid sid, DeviceId device);
@@ -78,8 +70,8 @@ class DeviceId2SidCam
     /**
      * Install @p hook, called after every call that can change a
      * device's SID or clear a use bit (set, invalidate, invalidateSid,
-     * insertLru, reset) — not after lookup()/touch(), which only set
-     * use bits. The owning SIopmp wakes checker nodes parked on a
+     * insertLru, reset) — not after lookup(), which only sets use
+     * bits. The owning SIopmp wakes checker nodes parked on a
      * SID miss or a block bit through it: a mapping change decides
      * their stall, and a cleared use bit is one their next poll would
      * set again.

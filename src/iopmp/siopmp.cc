@@ -8,7 +8,6 @@
 #include <algorithm>
 
 #include "iopmp/accel.hh"
-#include "sim/exec_context.hh"
 #include "sim/logging.hh"
 #include "sim/tickable.hh"
 
@@ -106,16 +105,10 @@ SIopmp::creditBlockedPolls(std::uint64_t polls)
 }
 
 void
-SIopmp::creditHeldAllow(DeviceId device, Cycle now,
-                        const CheckerLogic &logic)
+SIopmp::creditHeldAllow(Cycle now, const CheckerLogic &logic)
 {
     ++*st_checks_;
     ++*st_allows_;
-    // authorize() defers its CAM touch from a concurrent tick phase;
-    // defer the (idempotent) touch too, so the deferred-op count
-    // matches.
-    if (simctx::inParallelPhase())
-        simctx::deferShared([this, device] { cam_.touch(device); });
     if (CheckAccel *accel = logic.accel())
         accel->creditRepeat(now);
 }
@@ -150,34 +143,18 @@ AuthResult
 SIopmp::authorize(DeviceId device, Addr addr, Addr len, Perm perm,
                   Cycle now, const CheckerLogic *logic)
 {
-    // Inside a concurrent tick phase the verdict is computed
-    // immediately (the architectural tables are read-only across the
-    // phase — every writer defers to the main section) while the
-    // shared side effects are deferred so they land in sequential
-    // order. The legacy path below stays branch-cheap and identical.
-    const bool in_phase = simctx::inParallelPhase();
     ++*st_checks_;
 
     // Stage 1: device -> SID via the CAM (touches the use bit), then
     // the eSID register for the mounted cold device.
     Sid sid = kNoSid;
-    const std::optional<Sid> hot =
-        in_phase ? cam_.peek(device) : cam_.lookup(device);
-    if (hot) {
+    if (const std::optional<Sid> hot = cam_.lookup(device)) {
         sid = *hot;
-        if (in_phase)
-            simctx::deferShared([this, device] { cam_.touch(device); });
     } else if (esid_ && *esid_ == device) {
         sid = coldSid();
     } else {
         ++*st_sid_misses_;
-        if (in_phase) {
-            simctx::deferShared([this, device, addr, perm] {
-                raise(Irq{IrqKind::SidMissing, device, addr, perm});
-            });
-        } else {
-            raise(Irq{IrqKind::SidMissing, device, addr, perm});
-        }
+        raise(Irq{IrqKind::SidMissing, device, addr, perm});
         return {AuthStatus::SidMiss, kNoSid, -1};
     }
 
@@ -202,18 +179,9 @@ SIopmp::authorize(DeviceId device, Addr addr, Addr len, Perm perm,
     }
 
     ++*st_denies_;
-    if (in_phase) {
-        simctx::deferShared([this, device, addr, perm, now] {
-            if (!violation_)
-                violation_ = ViolationRecord{addr, device, perm, now};
-            raise(Irq{IrqKind::Violation, device, addr, perm});
-        });
-    } else {
-        if (!violation_) {
-            violation_ = ViolationRecord{addr, device, perm, now};
-        }
-        raise(Irq{IrqKind::Violation, device, addr, perm});
-    }
+    if (!violation_)
+        violation_ = ViolationRecord{addr, device, perm, now};
+    raise(Irq{IrqKind::Violation, device, addr, perm});
     return {AuthStatus::Deny, sid, result.entry};
 }
 
@@ -286,19 +254,6 @@ SIopmp::mmioRead(Addr offset)
 
 void
 SIopmp::mmioWrite(Addr offset, std::uint64_t value)
-{
-    // Config writes mutate tables that concurrent tick phases read;
-    // from a phase (e.g. a CPU node servicing firmware in its own
-    // domain) the write lands in the main section instead. Belt and
-    // braces: the CPU/firmware paths already defer wholesale.
-    if (simctx::deferShared(
-            [this, offset, value] { applyMmioWrite(offset, value); }))
-        return;
-    applyMmioWrite(offset, value);
-}
-
-void
-SIopmp::applyMmioWrite(Addr offset, std::uint64_t value)
 {
     using namespace regmap;
 

@@ -110,11 +110,8 @@ class SIopmp : public mem::MmioDevice, private TableListener
      * effect (SID-missing on unknown device, violation on deny).
      *
      * @p logic optionally substitutes the permission-check stage (a
-     * CheckerNode's private replica under the parallel engine; the
-     * verdict is bit-identical by construction). Inside a concurrent
-     * tick phase the shared side effects — CAM use-bit touch,
-     * violation latch, interrupt delivery — are deferred to the
-     * end-of-cycle main section; the returned verdict is unaffected.
+     * CheckerNode's own checker instance; the verdict is bit-identical
+     * by construction).
      */
     AuthResult authorize(DeviceId device, Addr addr, Addr len, Perm perm,
                          Cycle now = 0,
@@ -216,15 +213,13 @@ class SIopmp : public mem::MmioDevice, private TableListener
     void creditBlockedPolls(std::uint64_t polls);
 
     /**
-     * Count a poll that repeats an authorize() of @p device through
-     * @p logic which returned Allow, with stateVersion() unmoved since:
-     * the counter updates the call would make again — "checks" and
-     * "allows", and one verdict-cache hit when @p logic's cache is on.
-     * The CAM use bit needs no touch: every path that clears it moves
-     * the version.
+     * Count a poll that repeats an authorize() through @p logic which
+     * returned Allow, with stateVersion() unmoved since: the counter
+     * updates the call would make again — "checks" and "allows", and
+     * one verdict-cache hit when @p logic's cache is on. The CAM use
+     * bit needs no touch: every path that clears it moves the version.
      */
-    void creditHeldAllow(DeviceId device, Cycle now,
-                         const CheckerLogic &logic);
+    void creditHeldAllow(Cycle now, const CheckerLogic &logic);
 
     stats::Group &statsGroup() { return stats_; }
 
@@ -235,10 +230,6 @@ class SIopmp : public mem::MmioDevice, private TableListener
 
   private:
     void raise(const Irq &irq);
-
-    /** The real register-write logic behind mmioWrite (which defers
-     * here from concurrent tick phases). */
-    void applyMmioWrite(Addr offset, std::uint64_t value);
 
     /** Note one rejected MMIO config write at @p offset. */
     void rejectWrite(Addr offset);
@@ -278,8 +269,7 @@ class SIopmp : public mem::MmioDevice, private TableListener
     stats::Group stats_;
     //! Hot-path counters, resolved once in the ctor: scalar() does a
     //! map lookup and its first call inserts — neither belongs on the
-    //! per-check path, and lazy insertion would race under the
-    //! parallel engine.
+    //! per-check path.
     stats::Scalar *st_checks_;
     stats::Scalar *st_sid_misses_;
     stats::Scalar *st_blocked_;

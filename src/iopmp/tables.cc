@@ -15,19 +15,17 @@ namespace iopmp {
 namespace {
 
 void
-registerListener(std::mutex &mu, std::vector<TableListener *> &listeners,
+registerListener(std::vector<TableListener *> &listeners,
                  TableListener *listener)
 {
     SIOPMP_ASSERT(listener != nullptr, "null table listener");
-    std::lock_guard<std::mutex> guard(mu);
     listeners.push_back(listener);
 }
 
 void
-unregisterListener(std::mutex &mu, std::vector<TableListener *> &listeners,
+unregisterListener(std::vector<TableListener *> &listeners,
                    TableListener *listener)
 {
-    std::lock_guard<std::mutex> guard(mu);
     listeners.erase(
         std::remove(listeners.begin(), listeners.end(), listener),
         listeners.end());
@@ -54,19 +52,18 @@ EntryTable::EntryTable(unsigned num_entries) : entries_(num_entries) {}
 void
 EntryTable::addListener(TableListener *listener) const
 {
-    registerListener(listeners_mu_, listeners_, listener);
+    registerListener(listeners_, listener);
 }
 
 void
 EntryTable::removeListener(TableListener *listener) const
 {
-    unregisterListener(listeners_mu_, listeners_, listener);
+    unregisterListener(listeners_, listener);
 }
 
 void
 EntryTable::notifyChanged(unsigned lo, unsigned hi)
 {
-    std::lock_guard<std::mutex> guard(listeners_mu_);
     for (TableListener *listener : listeners_)
         listener->onEntriesChanged(lo, hi);
 }
@@ -74,7 +71,6 @@ EntryTable::notifyChanged(unsigned lo, unsigned hi)
 void
 EntryTable::notifyReset()
 {
-    std::lock_guard<std::mutex> guard(listeners_mu_);
     for (TableListener *listener : listeners_)
         listener->onTableReset();
 }
@@ -291,19 +287,18 @@ MdCfgTable::ownersOf(unsigned lo, unsigned hi) const
 void
 MdCfgTable::addListener(TableListener *listener) const
 {
-    registerListener(listeners_mu_, listeners_, listener);
+    registerListener(listeners_, listener);
 }
 
 void
 MdCfgTable::removeListener(TableListener *listener) const
 {
-    unregisterListener(listeners_mu_, listeners_, listener);
+    unregisterListener(listeners_, listener);
 }
 
 void
 MdCfgTable::notifyWindows(std::uint64_t md_mask, unsigned lo, unsigned hi)
 {
-    std::lock_guard<std::mutex> guard(listeners_mu_);
     for (TableListener *listener : listeners_)
         listener->onMdWindowsChanged(md_mask, lo, hi);
 }
@@ -311,7 +306,6 @@ MdCfgTable::notifyWindows(std::uint64_t md_mask, unsigned lo, unsigned hi)
 void
 MdCfgTable::notifyReset()
 {
-    std::lock_guard<std::mutex> guard(listeners_mu_);
     for (TableListener *listener : listeners_)
         listener->onTableReset();
 }

@@ -22,7 +22,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <mutex>
 #include <vector>
 
 #include "iopmp/entry.hh"
@@ -63,11 +62,6 @@ struct IopmpConfig {
  *  - every MMIO path and every direct call routes through the same
  *    table mutators, so listening is complete by construction;
  *  - a callback must not register or unregister listeners.
- *
- * Under the parallel engine, mutations (and therefore callbacks) only
- * happen in the single-threaded main section — never concurrently
- * with tick-phase reads — matching the existing deferral rules for
- * MMIO writes.
  */
 class TableListener
 {
@@ -109,8 +103,7 @@ class EntryTable
      * Register @p listener for mutation callbacks (see TableListener).
      * Const because observer membership is not logical table state —
      * read-only consumers (checkers, accelerators holding const refs)
-     * must be able to subscribe. Thread-safe: per-node checker
-     * replicas may be (re)built inside concurrent tick phases.
+     * must be able to subscribe.
      */
     void addListener(TableListener *listener) const;
     void removeListener(TableListener *listener) const;
@@ -142,7 +135,6 @@ class EntryTable
 
     std::vector<Entry> entries_;
     std::uint64_t writes_ = 0;
-    mutable std::mutex listeners_mu_;
     mutable std::vector<TableListener *> listeners_;
 };
 
@@ -240,7 +232,7 @@ class MdCfgTable
     std::uint64_t ownersOf(unsigned lo, unsigned hi) const;
 
     /** Register a mutation listener (see TableListener and
-     * EntryTable::addListener for the const/threading rationale). */
+     * EntryTable::addListener for the const rationale). */
     void addListener(TableListener *listener) const;
     void removeListener(TableListener *listener) const;
 
@@ -252,7 +244,6 @@ class MdCfgTable
 
     std::vector<unsigned> tops_;
     unsigned num_entries_;
-    mutable std::mutex listeners_mu_;
     mutable std::vector<TableListener *> listeners_;
 };
 

@@ -8,7 +8,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "sim/exec_context.hh"
 #include "sim/logging.hh"
 #include "sim/tickable.hh"
 
@@ -46,14 +45,6 @@ void
 EventQueue::schedule(Cycle when, Callback cb)
 {
     SIOPMP_ASSERT(when >= now_, "scheduling event in the past");
-    // From a concurrent tick phase: stage the insertion so same-cycle
-    // tie-break sequence numbers are assigned in the sequential order.
-    if (simctx::inParallelPhase()) {
-        [[maybe_unused]] const bool staged =
-            simctx::deferEvent(this, when, nullptr, std::move(cb));
-        SIOPMP_ASSERT(staged, "deferEvent failed inside a parallel phase");
-        return;
-    }
     push(Item{when, next_seq_++, nullptr, std::move(cb)});
 }
 
@@ -68,8 +59,6 @@ EventQueue::scheduleWake(Cycle when, Tickable *target)
 {
     SIOPMP_ASSERT(when >= now_, "scheduling wake in the past");
     SIOPMP_ASSERT(target != nullptr, "null wake target");
-    if (simctx::deferEvent(this, when, target, nullptr))
-        return;
     push(Item{when, next_seq_++, target, nullptr});
 }
 

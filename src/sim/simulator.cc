@@ -7,21 +7,12 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <unordered_map>
 
-#include "bus/fifo.hh"
-#include "sim/domain.hh"
-#include "sim/exec_context.hh"
 #include "sim/logging.hh"
 
 namespace siopmp {
 
-Simulator::Simulator()
-    : fast_forward_(defaultFastForward()), requested_epoch_(defaultEpoch())
-{
-}
-
-Simulator::~Simulator() = default;
+Simulator::Simulator() : fast_forward_(defaultFastForward()) {}
 
 void
 Tickable::wakeSlow()
@@ -39,112 +30,6 @@ Simulator::defaultFastForward()
     return on;
 }
 
-bool
-Simulator::parallelAllowed()
-{
-    static const bool on = [] {
-        const char *env = std::getenv("SIOPMP_NO_PARALLEL");
-        return env == nullptr || env[0] == '\0' || env[0] == '0';
-    }();
-    return on;
-}
-
-Cycle
-Simulator::defaultEpoch()
-{
-    static const Cycle epoch = [] {
-        const char *env = std::getenv("SIOPMP_EPOCH");
-        if (env == nullptr || env[0] == '\0')
-            return Cycle{0};
-        return static_cast<Cycle>(std::strtoull(env, nullptr, 10));
-    }();
-    return epoch;
-}
-
-void
-Simulator::setEpoch(Cycle n)
-{
-    requested_epoch_ = n;
-    if (scheduler_)
-        scheduler_->setRequestedEpoch(n);
-}
-
-Cycle
-Simulator::epochCap()
-{
-    return scheduler_ ? scheduler_->epochCap() : Cycle{1};
-}
-
-void
-Simulator::setEpochLimit(std::function<Cycle(Cycle)> limit)
-{
-    epoch_limit_ = std::move(limit);
-}
-
-unsigned
-Simulator::autoPartition()
-{
-    // Union-find over registration indices; components joined by an
-    // attributed latency-1 channel collapse into one domain.
-    std::unordered_map<const Tickable *, std::size_t> index;
-    index.reserve(components_.size());
-    for (std::size_t i = 0; i < components_.size(); ++i)
-        index.emplace(components_[i], i);
-
-    std::vector<std::size_t> parent(components_.size());
-    for (std::size_t i = 0; i < parent.size(); ++i)
-        parent[i] = i;
-    const auto find = [&parent](std::size_t i) {
-        while (parent[i] != i) {
-            parent[i] = parent[parent[i]];
-            i = parent[i];
-        }
-        return i;
-    };
-
-    std::vector<bool> attached(components_.size(), false);
-    Simulator *self = this;
-    bus::FifoBase::forEach([&](bus::FifoBase *f) {
-        Tickable *p = f->producer();
-        Tickable *c = f->consumer();
-        if (p == nullptr || c == nullptr || p->simulator() != self ||
-            c->simulator() != self)
-            return;
-        const std::size_t pi = index.at(p);
-        const std::size_t ci = index.at(c);
-        attached[pi] = true;
-        attached[ci] = true;
-        if (f->latency() == 1)
-            parent[find(pi)] = find(ci);
-    });
-
-    // Components on no attributed channel stay in domain 0 (their
-    // sharing pattern is unknown — the conservative default); each
-    // remaining connectivity component gets its own domain, numbered
-    // in registration order for determinism.
-    std::unordered_map<std::size_t, unsigned> root_domain;
-    unsigned next_domain = 1;
-    bool any_unattached = false;
-    for (std::size_t i = 0; i < components_.size(); ++i) {
-        unsigned domain = 0;
-        if (attached[i]) {
-            const std::size_t root = find(i);
-            auto it = root_domain.find(root);
-            if (it == root_domain.end()) {
-                SIOPMP_ASSERT(next_domain < kMaxDomains,
-                              "auto-partition exceeded kMaxDomains");
-                it = root_domain.emplace(root, next_domain++).first;
-            }
-            domain = it->second;
-        } else {
-            any_unattached = true;
-        }
-        setDomain(components_[i], domain);
-    }
-    return static_cast<unsigned>(root_domain.size()) +
-           (any_unattached ? 1u : 0u);
-}
-
 void
 Simulator::add(Tickable *component)
 {
@@ -155,41 +40,7 @@ Simulator::add(Tickable *component)
     component->sim_ = this;
     component->active_ = true;
     component->wake_cycle_ = now_;
-    component->order_ = next_order_++;
     ++num_active_;
-    if (scheduler_)
-        scheduler_->markDirty();
-}
-
-void
-Simulator::setDomain(Tickable *component, unsigned domain)
-{
-    SIOPMP_ASSERT(component != nullptr, "null component");
-    SIOPMP_ASSERT(domain < kMaxDomains, "domain index out of range");
-    component->domain_ = domain;
-    if (scheduler_)
-        scheduler_->markDirty();
-}
-
-void
-Simulator::setThreads(unsigned n)
-{
-    if (n == threads_)
-        return;
-    scheduler_.reset();
-    threads_ = 0;
-    if (n == 0 || !parallelAllowed())
-        return;
-    threads_ = n;
-    scheduler_ = std::make_unique<DomainScheduler>(*this, n);
-    scheduler_->setRequestedEpoch(requested_epoch_);
-}
-
-void
-Simulator::setDomainRngSeed(std::uint64_t seed)
-{
-    if (scheduler_)
-        scheduler_->setRngSeed(seed);
 }
 
 void
@@ -198,8 +49,6 @@ Simulator::removeNow(Tickable *component)
     auto it = std::remove(components_.begin(), components_.end(), component);
     if (it == components_.end())
         return;
-    if (scheduler_)
-        scheduler_->onRemove(component);
     components_.erase(it, components_.end());
     if (component->active_)
         --num_active_;
@@ -210,12 +59,7 @@ Simulator::removeNow(Tickable *component)
 void
 Simulator::remove(Tickable *component)
 {
-    // From a concurrent phase: land the removal in the main section,
-    // ordered with every other shared side effect of this cycle.
-    if (simctx::deferShared([this, component] { removeNow(component); }))
-        return;
-    // Mid-tick on the sequential loops (or in the parallel main
-    // section): defer to the end of the cycle — removing inline would
+    // Mid-tick: defer to the end of the cycle — removing inline would
     // invalidate the iterators of the loop that called us.
     if (ticking_) {
         pending_removes_.push_back(component);
@@ -229,10 +73,6 @@ Simulator::wake(Tickable *component)
 {
     if (component->sim_ != this)
         return;
-    if (scheduler_) {
-        scheduler_->wake(component);
-        return;
-    }
     component->wake_cycle_ = now_;
     if (!component->active_) {
         component->active_ = true;
@@ -241,33 +81,9 @@ Simulator::wake(Tickable *component)
 }
 
 void
-Simulator::tickOnce(Cycle limit)
+Simulator::tickOnce()
 {
     events_.runUntil(now_);
-    simctx::setCurrentCycle(now_);
-    if (scheduler_) {
-        // Effective epoch length: the derived topology cap, the
-        // caller's run target, the epoch-limit hook and the next
-        // pending event (no event may fire mid-epoch) all clamp it.
-        Cycle n = std::min(scheduler_->epochCap(), std::max<Cycle>(1, limit));
-        if (n > 1 && epoch_limit_)
-            n = std::max<Cycle>(1, std::min(n, epoch_limit_(now_)));
-        if (n > 1) {
-            const Cycle next = events_.nextEventCycle();
-            if (next != kNever && next - now_ < n)
-                n = std::max<Cycle>(1, next - now_);
-        }
-        ticking_ = true;
-        scheduler_->runEpoch(now_, n);
-        ticking_ = false;
-        if (!pending_removes_.empty()) {
-            for (auto *c : pending_removes_)
-                removeNow(c);
-            pending_removes_.clear();
-        }
-        now_ += n;
-        return;
-    }
     ticking_ = true;
     if (!fast_forward_) {
         // Naive reference loop: tick everything, never retire.
@@ -315,7 +131,7 @@ Simulator::step()
             now_ = next;
         }
     }
-    tickOnce(1);
+    tickOnce();
 }
 
 void
@@ -338,7 +154,7 @@ Simulator::run(Cycle n)
                 break;
             }
         }
-        tickOnce(target - now_);
+        tickOnce();
     }
 }
 
@@ -367,9 +183,7 @@ Simulator::runUntil(const std::function<bool()> &done, Cycle max_cycles)
                 continue; // re-check done(), then hit the bound above
             }
         }
-        // Single-cycle epochs only: @p done must be re-checked at
-        // every cycle boundary, so no lookahead here.
-        tickOnce(1);
+        tickOnce();
     }
     return now_ - start;
 }
@@ -384,10 +198,7 @@ Simulator::resetTime()
     for (auto *c : components_) {
         c->active_ = true;
         c->wake_cycle_ = 0;
-        c->pending_wake_.store(false, std::memory_order_relaxed);
     }
-    if (scheduler_)
-        scheduler_->markDirty();
 }
 
 } // namespace siopmp

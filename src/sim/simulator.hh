@@ -13,21 +13,12 @@
  * test.cc proves it on a mixed workload) — and can be disabled with
  * setFastForward(false) or the SIOPMP_NO_FAST_FORWARD=1 environment
  * variable as an escape hatch.
- *
- * Parallel scheduling: setThreads(n >= 1) swaps the cycle body for the
- * sharded DomainScheduler (sim/domain.hh), which ticks per-topology
- * tick domains on n threads with epoch barriers at the registered
- * fifo boundaries. Results stay bit-identical to this sequential loop
- * (tests/sim/parallel_differential_test.cc). Escape hatches:
- * setThreads(0) and SIOPMP_NO_PARALLEL=1.
  */
 
 #ifndef SIM_SIMULATOR_HH
 #define SIM_SIMULATOR_HH
 
-#include <cstdint>
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include "sim/event_queue.hh"
@@ -35,8 +26,6 @@
 #include "sim/types.hh"
 
 namespace siopmp {
-
-class DomainScheduler;
 
 /**
  * Cycle-driven simulator. Components are ticked in registration order;
@@ -47,7 +36,6 @@ class Simulator
 {
   public:
     Simulator();
-    ~Simulator();
 
     Simulator(const Simulator &) = delete;
     Simulator &operator=(const Simulator &) = delete;
@@ -57,88 +45,10 @@ class Simulator
 
     /**
      * Remove a previously added component. Safe at any point: mid-tick
-     * removals (from an evaluate/advance body or an event handler) and
-     * removals from another tick domain under the parallel engine are
+     * removals (from an evaluate/advance body or an event handler) are
      * deferred to the end of the current cycle.
      */
     void remove(Tickable *component);
-
-    /**
-     * Assign @p component to tick domain @p domain (parallel engine;
-     * see sim/domain.hh). Components in the same domain always run on
-     * the same thread in registration order; components in different
-     * domains may run concurrently and must only communicate through
-     * registered fifos or deferred shared operations. No effect on the
-     * sequential loops beyond bookkeeping.
-     */
-    void setDomain(Tickable *component, unsigned domain);
-
-    /**
-     * Enable the sharded parallel engine with @p n threads (0 restores
-     * the sequential loop, the default). Ignored — sequential loop
-     * kept — when SIOPMP_NO_PARALLEL=1 is set in the environment.
-     */
-    void setThreads(unsigned n);
-
-    /** Worker threads of the parallel engine (0 = sequential loop). */
-    unsigned threads() const { return threads_; }
-
-    /** True iff the parallel engine is driving the cycle loop. */
-    bool parallel() const { return scheduler_ != nullptr; }
-
-    /** Seed for the deterministic per-domain random streams. */
-    void setDomainRngSeed(std::uint64_t seed);
-
-    /** Process-wide gate (false iff SIOPMP_NO_PARALLEL=1). */
-    static bool parallelAllowed();
-
-    /**
-     * Request a multi-cycle epoch for the parallel engine: up to @p n
-     * back-to-back cycles per barrier pair. 0 (the default) derives
-     * the length from the topology — the minimum latency over
-     * attributed cross-domain channels. Any request is still clamped
-     * by that derived bound (and per epoch by the run target, the next
-     * pending event and the epoch-limit hook), so results remain
-     * bit-identical to the sequential loop at every setting; see
-     * sim/domain.hh. No effect on the sequential loops.
-     */
-    void setEpoch(Cycle n);
-
-    /** Requested epoch length (0 = auto). */
-    Cycle epoch() const { return requested_epoch_; }
-
-    /** Derived epoch upper bound (1 on the sequential loops). */
-    Cycle epochCap();
-
-    /**
-     * Install a per-epoch clamp: called at each epoch start (after
-     * due events fired) with the current cycle, it returns the
-     * maximum epoch length allowed from here (values < 1 mean 1).
-     * The Soc uses it to hold the epoch at one cycle while an
-     * interrupt is pending, so firmware-driven shared-state mutation
-     * replays exactly as at epoch 1. Pass nullptr to remove.
-     */
-    void setEpochLimit(std::function<Cycle(Cycle)> limit);
-
-    /**
-     * Derive tick domains from the attributed channel graph (for
-     * hand-built Simulators; Soc installs its own plan): components
-     * joined by a latency-1 channel are tightly coupled and share a
-     * domain, latency >= 2 channels are registered boundaries between
-     * domains, and components on no attributed channel stay together
-     * in domain 0 (the conservative default for unknown sharing).
-     * Requires producer/consumer annotation (FifoBase::setProducer /
-     * setConsumer or Link::setEndpoints).
-     * @return number of distinct domains assigned.
-     */
-    unsigned autoPartition();
-
-    /** Process-wide default epoch request (SIOPMP_EPOCH, else 0). */
-    static Cycle defaultEpoch();
-
-    /** The parallel engine, when driving the loop (observability:
-     * epoch/barrier counters for benches and tests); else nullptr. */
-    DomainScheduler *scheduler() { return scheduler_.get(); }
 
     /**
      * Run a single cycle: events, evaluate-all, advance-all. Under
@@ -191,11 +101,8 @@ class Simulator
     static bool defaultFastForward();
 
   private:
-    friend class DomainScheduler;
-
-    /** Execute one epoch at now_ (no idle jump): up to @p limit
-     * cycles under the parallel engine, exactly one otherwise. */
-    void tickOnce(Cycle limit = 1);
+    /** Execute exactly one cycle at now_ (no idle jump). */
+    void tickOnce();
 
     /** Immediate removal (caller guarantees no tick is in flight). */
     void removeNow(Tickable *component);
@@ -207,11 +114,6 @@ class Simulator
     std::size_t num_active_ = 0;
     Cycle idle_cycles_skipped_ = 0;
 
-    std::unique_ptr<DomainScheduler> scheduler_;
-    unsigned threads_ = 0;
-    Cycle requested_epoch_;
-    std::function<Cycle(Cycle)> epoch_limit_;
-    std::uint32_t next_order_ = 0;
     //! Guards against mutating components_ while tickOnce iterates it.
     bool ticking_ = false;
     std::vector<Tickable *> pending_removes_;

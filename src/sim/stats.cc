@@ -202,13 +202,6 @@ Group::accept(StatsVisitor &visitor) const
 }
 
 void
-Group::dump(std::ostream &os) const
-{
-    TextStatsWriter writer(os);
-    accept(writer);
-}
-
-void
 Group::resetAll()
 {
     for (auto &[k, v] : scalars_)

@@ -10,14 +10,12 @@
  * decoupled from the stat containers through the StatsVisitor
  * interface; TextStatsWriter reproduces the classic "group.stat value"
  * line format and JsonStatsWriter emits a machine-readable document
- * with identical coverage. The old ostream-coupled Group::dump remains
- * as a deprecated shim for one release.
+ * with identical coverage.
  */
 
 #ifndef SIM_STATS_HH
 #define SIM_STATS_HH
 
-#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -30,48 +28,22 @@ namespace siopmp {
 namespace stats {
 
 /**
- * Monotonically increasing counter. Increments are atomic so counters
- * shared across tick domains (e.g. a centralized IOPMP's check count)
- * stay exact under the parallel engine; integer-valued sums are
- * order-independent, so totals remain bit-identical to a sequential
- * run. Reads (value()) are not synchronized against writers — callers
- * read between cycles or after the run, as before.
+ * Monotonically increasing counter: a plain double, single-threaded by
+ * contract. A component's counters are only touched by the thread
+ * running its simulation; sharded tools (siopmp_fuzz --jobs) give each
+ * worker its own component tree.
  */
 class Scalar
 {
   public:
-    Scalar() = default;
-
-    /** Detached copy (registry snapshots); no concurrent writers. */
-    Scalar(const Scalar &other)
-        : value_(other.value_.load(std::memory_order_relaxed)) {}
-    Scalar &
-    operator=(const Scalar &other)
-    {
-        value_.store(other.value_.load(std::memory_order_relaxed),
-                     std::memory_order_relaxed);
-        return *this;
-    }
-
-    Scalar &operator++() { add(1.0); return *this; }
-    Scalar &operator+=(double v) { add(v); return *this; }
-    void set(double v) { value_.store(v, std::memory_order_relaxed); }
-    double value() const { return value_.load(std::memory_order_relaxed); }
-    void reset() { set(0.0); }
+    Scalar &operator++() { value_ += 1.0; return *this; }
+    Scalar &operator+=(double v) { value_ += v; return *this; }
+    void set(double v) { value_ = v; }
+    double value() const { return value_; }
+    void reset() { value_ = 0.0; }
 
   private:
-    void
-    add(double v)
-    {
-        // CAS loop: fetch_add on atomic<double> needs C++20 library
-        // support that not all toolchains ship.
-        double cur = value_.load(std::memory_order_relaxed);
-        while (!value_.compare_exchange_weak(cur, cur + v,
-                                             std::memory_order_relaxed)) {
-        }
-    }
-
-    std::atomic<double> value_{0.0};
+    double value_ = 0.0;
 };
 
 /** Running average (mean of samples). */
@@ -217,11 +189,6 @@ class Group
 
     /** Visit every stat in registration order (between begin/endGroup). */
     void accept(StatsVisitor &visitor) const;
-
-    /** Write all stats as "group.stat value" lines. */
-    [[deprecated("use accept() with a TextStatsWriter; see "
-                 "docs/OBSERVABILITY.md")]]
-    void dump(std::ostream &os) const;
 
     /** Reset every stat in the group. */
     void resetAll();

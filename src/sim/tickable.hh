@@ -36,15 +36,12 @@
 #ifndef SIM_TICKABLE_HH
 #define SIM_TICKABLE_HH
 
-#include <atomic>
-#include <cstdint>
 #include <string>
 
 #include "sim/types.hh"
 
 namespace siopmp {
 
-class DomainScheduler;
 class Simulator;
 
 /**
@@ -96,38 +93,15 @@ class Tickable
             wakeSlow();
     }
 
-    /**
-     * Lower bound on the distance (in cycles) of any event-queue
-     * *callback* this component schedules from inside evaluate()/
-     * advance(): a promise that every schedule(when, cb) issued at
-     * cycle T targets when >= T + minWakeDistance(). The parallel
-     * engine caps the multi-cycle epoch length at this bound because a
-     * phase-issued callback lands in the queue only at the epoch's
-     * main section — a target inside the running epoch would fire
-     * late. Self-re-arm wakes (EventQueue::scheduleWake) are exempt:
-     * the engine never retires a component mid-epoch, so work the wake
-     * guards is processed on time by the still-active component, and a
-     * wake armed while parking targets the next epoch or later. The
-     * default (kNever) is correct for components that schedule no
-     * callbacks from tick phases — true of every in-tree component;
-     * hand-built ones that do must override this (or keep epoch 1).
-     */
-    virtual Cycle minWakeDistance() const { return kNever; }
-
     /** Simulator this component is registered with (null if none). */
     Simulator *simulator() const { return sim_; }
 
     /** True iff the component is on the simulator's active set. */
     bool active() const { return active_; }
 
-    /** Tick domain this component belongs to (parallel engine only;
-     * see sim/domain.hh). Set via Simulator::setDomain. */
-    unsigned domain() const { return domain_; }
-
     const std::string &name() const { return name_; }
 
   private:
-    friend class DomainScheduler;
     friend class Simulator;
 
     void wakeSlow();
@@ -135,26 +109,10 @@ class Tickable
     std::string name_;
     Simulator *sim_ = nullptr;
     bool active_ = false;
-    //! Tick domain affinity (default 0 = control domain).
-    unsigned domain_ = 0;
-    //! Registration order with the simulator; the parallel engine
-    //! replays deferred shared operations and merges trace buffers in
-    //! this order to reproduce the sequential schedule.
-    std::uint32_t order_ = 0;
-    //! Cross-domain wake request, committed at the next phase barrier.
-    std::atomic<bool> pending_wake_{false};
     //! Cycle of the last wake; guards retirement in the same cycle so
     //! a wake during the advance phase (whose cause is still invisible
     //! to quiescent(), e.g. a staged fifo push) is never lost.
     Cycle wake_cycle_ = 0;
-    //! Cycle of the last evaluate() issued by the parallel engine.
-    //! Lets the main section tell whether a component woken by a
-    //! deferred shared operation already ran this cycle — if not, and
-    //! it is registered after the waker, the sequential loop would
-    //! still have evaluated it this cycle (the wake lands before its
-    //! slot in the tick order), so the scheduler owes it a late
-    //! evaluation (see DomainScheduler::mainSection).
-    Cycle last_eval_ = kNever;
 };
 
 } // namespace siopmp

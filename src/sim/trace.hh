@@ -79,31 +79,16 @@ class Sink
 };
 
 /**
- * Process-wide tracer. Sinks themselves are single-threaded; under the
- * parallel engine (sim/domain.hh) a buffer hook intercepts emits from
- * concurrent tick phases into per-domain staging buffers, which the
- * scheduler merges — sorted back into the sequential emission order —
- * and forwards to the sink from its single-threaded main section. The
- * sink is not owned; installers must clear it (setSink(nullptr))
- * before the sink dies.
+ * Process-wide tracer. Sinks are single-threaded, like the simulation
+ * that feeds them. The sink is not owned; installers must clear it
+ * (setSink(nullptr)) before the sink dies.
  */
 class Tracer
 {
   public:
-    /**
-     * Per-domain staging hook. Returns true when it captured the event
-     * (nothing reaches the sink directly); false to fall through. Must
-     * be a plain function pointer so emit() stays trivially cheap.
-     */
-    using BufferHook = bool (*)(const Event &);
-
     /** Install (or, with nullptr, remove) the active sink. */
     void setSink(Sink *sink) { sink_ = sink; }
     Sink *sink() const { return sink_; }
-
-    /** Install (or, with nullptr, remove) the staging hook. Installed
-     * by DomainScheduler; not for general use. */
-    void setBufferHook(BufferHook hook) { buffer_hook_ = hook; }
 
     bool enabled() const { return sink_ != nullptr; }
 
@@ -111,16 +96,12 @@ class Tracer
     void
     emit(const Event &event)
     {
-        if (sink_ == nullptr)
-            return;
-        if (buffer_hook_ != nullptr && buffer_hook_(event))
-            return;
-        sink_->record(event);
+        if (sink_ != nullptr)
+            sink_->record(event);
     }
 
   private:
     Sink *sink_ = nullptr;
-    BufferHook buffer_hook_ = nullptr;
 };
 
 /** The process-wide tracer instance. */

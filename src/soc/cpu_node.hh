@@ -21,23 +21,8 @@ namespace soc {
 class CpuNode : public Tickable
 {
   public:
-    /**
-     * @p irq_latency models the interrupt wire from the sIOPMP to the
-     * CPU: a raise() becomes pending @p irq_latency cycles later, via
-     * the event queue (0 keeps the legacy same-cycle delivery). On a
-     * multi-cycle-epoch SoC (SocConfig::boundary_latency >= 2) pass
-     * the boundary latency here — the interrupt path is a cross-domain
-     * information flow that is not a registered fifo, so the CpuNode
-     * installs a Simulator epoch-limit hook clamping the epoch to
-     * min(irq_latency, ...) while idle and to 1 while an interrupt is
-     * pending; with irq_latency == 0 the epoch is held at 1 whenever a
-     * CpuNode exists. Either way results stay bit-identical to the
-     * sequential loop. The hook is removed by the destructor; destroy
-     * the CpuNode before the Simulator.
-     */
     CpuNode(std::string name, fw::SecureMonitor *monitor,
-            iopmp::SIopmp *unit, Simulator *sim, Cycle irq_latency = 0);
-    ~CpuNode();
+            iopmp::SIopmp *unit, Simulator *sim);
 
     void evaluate(Cycle now) override;
     void advance(Cycle now) override;
@@ -47,9 +32,6 @@ class CpuNode : public Tickable
     std::uint64_t interruptsServiced() const { return serviced_; }
 
   private:
-    /** The actual interrupt-service work of evaluate(). */
-    void serviceNow(Cycle now);
-
     fw::SecureMonitor *monitor_;
     iopmp::SIopmp *unit_;
     Simulator *sim_;

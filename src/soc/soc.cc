@@ -44,7 +44,7 @@ Soc::Soc(const SocConfig &cfg)
         cfg.iopmp, cfg.checker_kind, cfg.checker_stages);
     // Apply the acceleration-mode override before the checker nodes
     // are built: their eager syncLogic copies the unit's mode into
-    // every per-node replica.
+    // every node's checker.
     if (cfg.accel)
         iopmp_->setAccelMode(*cfg.accel);
 
@@ -60,24 +60,9 @@ Soc::Soc(const SocConfig &cfg)
     memmap_.add({"ext-iopmp-table", {0x7000'0000, 0x10'0000},
                  mem::RegionKind::Protected});
 
-    // Slice <-> fabric boundary links carry the configured register
-    // latency; a latency-L link needs 2*L slots of depth to sustain
-    // one beat per cycle (L in flight + L being drained).
-    const Cycle bl = std::max<Cycle>(1, cfg.boundary_latency);
-    const std::size_t bdepth = static_cast<std::size_t>(2 * bl);
-
     mem_link_ = std::make_unique<bus::Link>();
-
-    for (unsigned i = 0; i < cfg.num_masters; ++i) {
-        // Centralized topology: the master link itself is the
-        // slice <-> fabric crossing. Per-device: it stays inside the
-        // slice (device and checker share a domain), so it keeps the
-        // combinational default.
-        if (cfg.centralized_checker)
-            master_links_.push_back(std::make_unique<bus::Link>(bdepth, bl));
-        else
-            master_links_.push_back(std::make_unique<bus::Link>());
-    }
+    for (unsigned i = 0; i < cfg.num_masters; ++i)
+        master_links_.push_back(std::make_unique<bus::Link>());
 
     if (cfg.centralized_checker) {
         // master -> xbar -> checker -> memory
@@ -98,8 +83,7 @@ Soc::Soc(const SocConfig &cfg)
         // master -> checker -> xbar -> memory
         std::vector<bus::Link *> uplinks;
         for (unsigned i = 0; i < cfg.num_masters; ++i) {
-            checked_links_.push_back(
-                std::make_unique<bus::Link>(bdepth, bl));
+            checked_links_.push_back(std::make_unique<bus::Link>());
             error_links_.push_back(std::make_unique<bus::Link>());
             checkers_.push_back(std::make_unique<iopmp::CheckerNode>(
                 "checker" + std::to_string(i), master_links_[i].get(),
@@ -125,52 +109,6 @@ Soc::Soc(const SocConfig &cfg)
     sim_.add(mem_node_.get());
     for (auto &node : error_nodes_)
         sim_.add(node.get());
-
-    // Tick-domain plan (see soc.hh header): the shared fabric is one
-    // domain; each per-device checker slice is its own. Every
-    // cross-domain edge is a registered bus::Link fifo, which the
-    // parallel engine's one-cycle epoch relies on.
-    sim_.setDomain(xbar_.get(), kFabricDomain);
-    sim_.setDomain(mem_node_.get(), kFabricDomain);
-    if (cfg.centralized_checker) {
-        sim_.setDomain(checkers_[0].get(), kFabricDomain);
-        sim_.setDomain(error_nodes_[0].get(), kFabricDomain);
-    } else {
-        for (unsigned i = 0; i < cfg.num_masters; ++i) {
-            sim_.setDomain(checkers_[i].get(), masterDomain(i));
-            sim_.setDomain(error_nodes_[i].get(), masterDomain(i));
-        }
-    }
-
-    // Endpoint attribution for the epoch-cap derivation (sim/domain.hh):
-    // the parallel engine walks the registered fifos and takes the
-    // minimum latency over cross-domain channels; a channel it cannot
-    // fully attribute clamps the cap to 1. The device side of each
-    // master link is filled in by addDevice().
-    mem_link_->setEndpoints(xbar_.get(), mem_node_.get());
-    if (cfg.centralized_checker) {
-        checked_links_[0]->setEndpoints(xbar_.get(), checkers_[0].get());
-        error_links_[0]->setEndpoints(checkers_[0].get(),
-                                      error_nodes_[0].get());
-        for (auto &link : master_links_) {
-            link->a.setConsumer(xbar_.get());
-            link->d.setProducer(xbar_.get());
-        }
-    } else {
-        for (unsigned i = 0; i < cfg.num_masters; ++i) {
-            checked_links_[i]->setEndpoints(checkers_[i].get(),
-                                            xbar_.get());
-            error_links_[i]->setEndpoints(checkers_[i].get(),
-                                          error_nodes_[i].get());
-            master_links_[i]->a.setConsumer(checkers_[i].get());
-            master_links_[i]->d.setProducer(checkers_[i].get());
-        }
-    }
-
-    if (cfg.sim_threads != 0)
-        sim_.setThreads(cfg.sim_threads);
-    if (cfg.sim_epoch != 0)
-        sim_.setEpoch(cfg.sim_epoch);
 }
 
 bus::Link *
@@ -193,18 +131,6 @@ Soc::reconfigure(const CheckerConfig &checker)
 }
 
 void
-Soc::setChecker(iopmp::CheckerKind kind, unsigned stages)
-{
-    reconfigure({kind, stages, cfg_.policy});
-}
-
-void
-Soc::setPolicy(iopmp::ViolationPolicy policy)
-{
-    reconfigure({cfg_.checker_kind, cfg_.checker_stages, policy});
-}
-
-void
 Soc::accept(stats::StatsVisitor &visitor)
 {
     iopmp_->statsGroup().accept(visitor);
@@ -213,13 +139,6 @@ Soc::accept(stats::StatsVisitor &visitor)
     xbar_->statsGroup().accept(visitor);
     mem_node_->statsGroup().accept(visitor);
     monitor_.statsGroup().accept(visitor);
-}
-
-void
-Soc::dumpStats(std::ostream &os)
-{
-    stats::TextStatsWriter writer(os);
-    accept(writer);
 }
 
 } // namespace soc

@@ -38,37 +38,10 @@ namespace soc {
 inline constexpr Addr kIopmpMmioBase = 0x1000'0000;
 
 /**
- * Topology-driven tick-domain plan (parallel engine, sim/domain.hh):
- *
- *  - domain 0 (control): CPU node, firmware-driven components and
- *    anything added through the generic add() — the conservative
- *    default for components whose sharing pattern is unknown;
- *  - domain 1 (fabric): xbar, memory controller, and under the
- *    centralized topology the checker + error node (they sit behind
- *    the xbar and share its traffic stream);
- *  - domains 2+i (master slice i): per-device checker i, its error
- *    node, and the device plugged into master port i (addDevice) —
- *    the device talks to its checker through the master link every
- *    cycle, so splitting them would buy nothing and cost a fifo
- *    boundary; the slice <-> fabric crossing is a registered link
- *    already, which is exactly the 1-cycle epoch boundary.
- */
-inline constexpr unsigned kControlDomain = 0;
-inline constexpr unsigned kFabricDomain = 1;
-
-/** Tick domain of master-port slice @p i (device + its checker). */
-inline constexpr unsigned
-masterDomain(unsigned i)
-{
-    return 2 + i;
-}
-
-/**
  * Runtime-swappable checker configuration: microarchitecture, pipeline
  * depth and violation policy as one unit, validated together by
  * Soc::reconfigure (e.g. multi-stage pipelines require a pipelined
- * checker kind — combinations the old setChecker/setPolicy pair
- * silently accepted).
+ * checker kind).
  */
 struct CheckerConfig {
     iopmp::CheckerKind kind = iopmp::CheckerKind::PipelineTree;
@@ -85,27 +58,9 @@ struct SocConfig {
     mem::MemoryTiming mem_timing;
     bool centralized_checker = false;
     Cycle mmio_access_cost = 2;
-    //! Register latency of every master-slice <-> fabric link (the
-    //! checked links under the per-device topology, the master links
-    //! under the centralized one). 1 models a combinational boundary
-    //! (today's behaviour); L >= 2 inserts L-1 extra register stages
-    //! per crossing *and* raises the parallel engine's epoch cap to L
-    //! (see sim/domain.hh) — N <= L cycles run back-to-back per
-    //! barrier pair. A timing model change: results differ from
-    //! boundary_latency=1 runs but stay bit-identical between the
-    //! sequential and parallel engines at the same value.
-    Cycle boundary_latency = 1;
-    //! Worker threads for the sharded parallel engine (0 = sequential
-    //! loop; see Simulator::setThreads and sim/domain.hh).
-    unsigned sim_threads = 0;
-    //! Requested epoch length for the parallel engine (0 = derive
-    //! from the topology, i.e. up to boundary_latency). Clamped by
-    //! the derived cap, so any value is safe; only meaningful with
-    //! sim_threads > 0. See Simulator::setEpoch.
-    Cycle sim_epoch = 0;
     //! Check-path acceleration mode for the sIOPMP unit (and, via
-    //! CheckerNode::syncLogic, every per-node replica). nullopt keeps
-    //! the process default (CheckAccel::defaultMode()).
+    //! CheckerNode::syncLogic, every checker node). nullopt keeps the
+    //! process default (CheckAccel::defaultMode()).
     std::optional<iopmp::AccelMode> accel;
 
     /** The checker knobs as a validatable unit. */
@@ -136,47 +91,15 @@ class Soc
      * the centralized topology. */
     iopmp::CheckerNode &checkerNode(unsigned i) { return *checkers_.at(i); }
 
-    /** Register a device (or any component) with the simulator. Lands
-     * in the control domain; prefer addDevice() for DMA masters. */
+    /** Register a device (or any component) with the simulator. */
     void add(Tickable *component) { sim_.add(component); }
-
-    /**
-     * Register the device plugged into master port @p port and assign
-     * it to that port's tick domain (same slice as its checker under
-     * the per-device topology), so the device/checker handshake stays
-     * thread-local under setThreads().
-     */
-    void
-    addDevice(Tickable *device, unsigned port)
-    {
-        sim_.add(device);
-        sim_.setDomain(device, masterDomain(port));
-        // Complete the master link's endpoint attribution (the Soc
-        // pre-attributed its own side at build time): the epoch-cap
-        // derivation treats a partially-attributed channel as a
-        // 1-cycle boundary, so a port without a device keeps the
-        // conservative cap.
-        bus::Link *link = masterLink(port);
-        link->a.setProducer(device);
-        link->d.setConsumer(device);
-    }
-
-    /** Enable the sharded parallel engine (see Simulator::setThreads). */
-    void setThreads(unsigned n) { sim_.setThreads(n); }
 
     /**
      * Swap the checker configuration between experiments, validating
      * the combination (fatal() on an invalid one, e.g. stages > 1 with
-     * a non-pipelined kind). Replaces setChecker() + setPolicy().
+     * a non-pipelined kind).
      */
     void reconfigure(const CheckerConfig &checker);
-
-    [[deprecated("use reconfigure(CheckerConfig) — it validates the "
-                 "kind/stages/policy combination")]]
-    void setChecker(iopmp::CheckerKind kind, unsigned stages);
-    [[deprecated("use reconfigure(CheckerConfig) — it validates the "
-                 "kind/stages/policy combination")]]
-    void setPolicy(iopmp::ViolationPolicy policy);
 
     /**
      * Visit the statistics groups of every component this Soc owns
@@ -185,10 +108,6 @@ class Soc
      * with stats::Registry::global().
      */
     void accept(stats::StatsVisitor &visitor);
-
-    [[deprecated("use accept() with a stats::TextStatsWriter, or "
-                 "stats::Registry::global(); see docs/OBSERVABILITY.md")]]
-    void dumpStats(std::ostream &os);
 
   private:
     SocConfig cfg_;

@@ -1,12 +1,10 @@
 /**
  * @file
  * Tenant-churn workload implementation. The control loop runs in the
- * sequential gap between sim.step() calls (firmware/event context), so
- * every monitor call and every RNG draw happens in a deterministic
- * order regardless of the parallel engine's thread count; the only
- * concurrent-phase observers are the per-port burst-latency hooks,
- * each of which appends to its own port's vector (single writer) and
- * is merged in port order after the run.
+ * gap between sim.step() calls (firmware/event context), so every
+ * monitor call and every RNG draw happens in a deterministic order.
+ * The per-port burst-latency hooks each append to their own port's
+ * vector, merged in port order after the run.
  */
 
 #include "workloads/churn.hh"
@@ -103,7 +101,7 @@ runChurn(const ChurnConfig &cfg)
         engines.push_back(std::make_unique<dev::DmaEngine>(
             "churn" + std::to_string(p), /*device=*/0,
             soc.masterLink(p)));
-        soc.addDevice(engines.back().get(), p);
+        soc.add(engines.back().get());
         PortState &port = ports[p];
         port.engine = engines.back().get();
         port.engine->setBurstObserver(
@@ -113,7 +111,6 @@ runChurn(const ChurnConfig &cfg)
                     ++port.denied;
             });
     }
-    soc.setThreads(cfg.sim_threads);
     soc.sim().setFastForward(cfg.fast_forward &&
                              Simulator::defaultFastForward());
 
@@ -365,8 +362,7 @@ runChurn(const ChurnConfig &cfg)
     result.sid_miss_rearms = rearms.total;
 
     // Merge the per-port latency series in port order into one
-    // distribution — deterministic because each port's series is
-    // single-writer and ordered by its own tick domain.
+    // distribution.
     stats::Distribution checks;
     for (const PortState &port : ports) {
         for (Cycle latency : port.latencies)

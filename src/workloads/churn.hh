@@ -20,8 +20,7 @@
  * cold-mount stalls — the interesting tail), cold-switch latency
  * percentiles, blocking-window histogram, churn rate in TEE
  * create/destroy cycles per simulated second. The run is deterministic
- * per seed and bit-identical under the sharded parallel engine at any
- * thread count (the result carries an FNV-1a fingerprint over every
+ * per seed (the result carries an FNV-1a fingerprint over every
  * deterministic observable to prove it).
  */
 
@@ -53,7 +52,6 @@ struct ChurnConfig {
     unsigned num_mds = 4;
     unsigned num_entries = 32;
     std::uint64_t seed = 1;
-    unsigned sim_threads = 0; //!< parallel engine workers (0 = off)
     //! Run on the naive per-cycle loop instead of the quiescence
     //! fast-forward scheduler. Results are bit-identical either way
     //! (the arrival pinning + same-iteration re-activation in the

@@ -123,9 +123,8 @@ runArm(const HotColdConfig &cfg, Arm arm, std::uint64_t *switches,
 
     dev::DmaEngine hot("hot", kHotDevice, bench.soc.masterLink(0));
     dev::DmaEngine cold("cold", kColdDevice, bench.soc.masterLink(1));
-    bench.soc.addDevice(&hot, 0);
-    bench.soc.addDevice(&cold, 1);
-    bench.soc.setThreads(cfg.sim_threads);
+    bench.soc.add(&hot);
+    bench.soc.add(&cold);
 
     dev::DmaJob hot_job;
     hot_job.kind = dev::DmaKind::Read;

@@ -30,7 +30,6 @@ struct HotColdConfig {
     unsigned ratio = 100;      //!< hot bursts per cold burst
     bool matched = true;       //!< hot device correctly marked hot
     unsigned hot_bursts = 2000; //!< total hot bursts to complete
-    unsigned sim_threads = 0;  //!< parallel engine workers (0 = off)
 };
 
 struct HotColdResult {

@@ -43,11 +43,10 @@ runBurstLatency(const BurstLatencyConfig &cfg)
                                : iopmp::CheckerKind::Tree;
     soc_cfg.checker_stages = cfg.stages;
     soc_cfg.policy = cfg.policy;
-    soc_cfg.sim_threads = cfg.sim_threads;
     soc::Soc soc(soc_cfg);
 
     dev::DmaEngine engine("dma0", /*device=*/1, soc.masterLink(0));
-    soc.addDevice(&engine, 0);
+    soc.add(&engine);
     bindDevice(soc, 0, 1);
 
     dev::DmaJob job;
@@ -74,13 +73,12 @@ runBandwidth(const BandwidthConfig &cfg)
                                : iopmp::CheckerKind::Tree;
     soc_cfg.checker_stages = cfg.stages;
     soc_cfg.policy = cfg.policy;
-    soc_cfg.sim_threads = cfg.sim_threads;
     soc::Soc soc(soc_cfg);
 
     dev::DmaEngine node0("dma0", 1, soc.masterLink(0));
     dev::DmaEngine node1("dma1", 2, soc.masterLink(1));
-    soc.addDevice(&node0, 0);
-    soc.addDevice(&node1, 1);
+    soc.add(&node0);
+    soc.add(&node1);
     bindDevice(soc, 0, 1);
     soc.iopmp().cam().set(1, 2);
     soc.iopmp().src2md().associate(1, 0);

@@ -31,7 +31,6 @@ struct BurstLatencyConfig {
     bool write = false;     //!< write bursts instead of reads
     bool violating = false; //!< target a forbidden region
     unsigned bursts = 64;
-    unsigned sim_threads = 0; //!< parallel engine workers (0 = off)
 };
 
 /** Total cycles for the configured burst train. */
@@ -46,7 +45,6 @@ struct BandwidthConfig {
     iopmp::ViolationPolicy policy = iopmp::ViolationPolicy::BusError;
     unsigned bursts_per_node = 64;
     unsigned max_outstanding = 8;
-    unsigned sim_threads = 0; //!< parallel engine workers (0 = off)
 };
 
 /** Aggregate payload bytes per cycle across both DMA nodes. */

@@ -232,8 +232,8 @@ struct ParkRig {
           hot("hot", kHot, soc.masterLink(0)),
           ghost("ghost", kGhost, soc.masterLink(1))
     {
-        soc.addDevice(&hot, 0);
-        soc.addDevice(&ghost, 1);
+        soc.add(&hot);
+        soc.add(&ghost);
         soc.add(&late);
         soc.sim().setFastForward(fast_forward);
         SIopmp &unit = soc.iopmp();
@@ -561,8 +561,8 @@ struct HoldRig {
           hot("hot", kHot, soc.masterLink(0)),
           hog("hog", kHog, soc.masterLink(1))
     {
-        soc.addDevice(&hot, 0);
-        soc.addDevice(&hog, 1);
+        soc.add(&hot);
+        soc.add(&hog);
         SIopmp &unit = soc.iopmp();
         unit.setAccelMode(AccelMode::PlansAndCache);
         if (cold) {
@@ -802,7 +802,7 @@ TEST(CheckerNodeHold, SetCheckerRechecksThroughNewReplica)
     rig.holdHead();
     rig.soc.iopmp().setChecker(CheckerKind::PipelineTree, 4);
     rig.poll();
-    // The node rebuilt its replica and checked the beat through it:
+    // The node rebuilt its checker and checked the beat through it:
     // one miss in the new, empty verdict cache, not a held hit.
     EXPECT_EQ(rig.accelStat("check_cache_hits"), 0.0);
     EXPECT_EQ(rig.accelStat("check_cache_misses"), 1.0);

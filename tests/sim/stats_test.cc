@@ -96,22 +96,6 @@ TEST(Group, TextWriterContainsRegisteredStats)
     EXPECT_NE(out.find("unit.lat.mean 7"), std::string::npos);
 }
 
-TEST(Group, DeprecatedDumpShimMatchesTextWriter)
-{
-    Group g("unit");
-    g.scalar("hits") += 3;
-    g.distribution("lat").sample(9);
-    std::ostringstream via_writer;
-    TextStatsWriter writer(via_writer);
-    g.accept(writer);
-    std::ostringstream via_dump;
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-    g.dump(via_dump);
-#pragma GCC diagnostic pop
-    EXPECT_EQ(via_dump.str(), via_writer.str());
-}
-
 TEST(Group, SameNameReturnsSameStat)
 {
     Group g("unit");

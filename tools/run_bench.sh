@@ -20,11 +20,16 @@
 # runs the cache-invalidation/accelerator tests and bounded
 # differential-fuzz campaigns — accel forced on, forced off, and the
 # mutation-heavy churn profile that stresses per-MD incremental
-# invalidation — under the sanitizers. It then configures a second, TSan-instrumented tree
-# (build-tsan/, matching the tsan preset) and runs the parallel
-# differential suite plus a bounded fuzz smoke under ThreadSanitizer —
-# the data-race gate for the sharded parallel engine. Exits nonzero on
-# any sanitizer report or divergence.
+# invalidation — under the sanitizers. It then configures a second,
+# TSan-instrumented tree (build-tsan/, matching the tsan preset) and
+# runs a bounded fuzz smoke sharded over 4 worker threads under
+# ThreadSanitizer — the data-race gate for siopmp_fuzz --jobs, the one
+# place the simulator runs on several threads. Exits nonzero on any
+# sanitizer report or divergence.
+#
+# Every JSON gate below runs in python3 when it is installed and
+# fails the script when an assertion fails; without python3 only the
+# grep-based key checks run.
 
 set -euo pipefail
 
@@ -56,27 +61,11 @@ if [ "${1:-}" = "--sanitize" ]; then
 
     echo "== configure + build (TSan) =="
     cmake -B "$TSAN_DIR" -S "$REPO_ROOT" -DSIOPMP_TSAN=ON
-    cmake --build "$TSAN_DIR" -j --target test_parallel siopmp_fuzz \
-        test_workloads test_iopmp_structs
-    echo "== parallel differential suite (TSan) =="
-    "$TSAN_DIR/tests/test_parallel"
-    echo "== multi-cycle epoch lookahead, epoch > 1 (TSan) =="
-    # Redundant with the full suite above, but kept as a named leg so
-    # the epoch > 1 data-race coverage (latency-4 boundary links,
-    # threads x epoch grid, epoch-committed fifo handoff) cannot
-    # silently disappear if the suite is ever filtered.
-    "$TSAN_DIR/tests/test_parallel" \
-        --gtest_filter='ParallelDifferential.EpochGridBitIdenticalToSequentialOracle:AutoPartition.*'
-    echo "== concurrent-structure regressions (TSan) =="
-    # Covers the atomic ExtendedTable::total_loads_ fix: concurrent
-    # finders from multiple threads must count loads exactly.
-    "$TSAN_DIR/tests/test_iopmp_structs" --gtest_filter='*Concurrent*'
-    echo "== tenant-churn workload leg (TSan, parallel engine) =="
-    "$TSAN_DIR/tests/test_workloads" \
-        --gtest_filter='Churn.BitIdenticalUnderParallelEngine:Churn.ConcurrentColdMissesBothComplete'
-    echo "== bounded fuzz smoke (TSan) =="
-    "$TSAN_DIR/tools/siopmp_fuzz" --cases 100 --seed 1
-    "$TSAN_DIR/tools/siopmp_fuzz" --cases 100 --profile churn --seed 1
+    cmake --build "$TSAN_DIR" -j --target siopmp_fuzz
+    echo "== sharded fuzz smoke, 4 worker threads (TSan) =="
+    "$TSAN_DIR/tools/siopmp_fuzz" --cases 100 --seed 1 --jobs 4
+    "$TSAN_DIR/tools/siopmp_fuzz" --cases 100 --profile churn --seed 1 \
+        --jobs 4
     echo "run_bench: sanitize mode clean"
     exit 0
 fi
@@ -131,14 +120,6 @@ for key in \
     '"fast_forward_s_per_mcycle"' \
     '"naive_s_per_mcycle"' \
     '"idle_cycles_skipped"' \
-    '"thread_scaling"' \
-    '"epoch_scaling"' \
-    '"barrier_syncs"' \
-    '"barriers_per_cycle"' \
-    '"num_devices"' \
-    '"host_cores"' \
-    '"series"' \
-    '"s_per_mcycle"' \
     '"speedup"'; do
     grep -q "$key" "$OUT_JSON" || {
         echo "schema check FAILED: missing $key in $OUT_JSON" >&2
@@ -146,7 +127,8 @@ for key in \
     }
 done
 
-python3 - "$OUT_JSON" <<'EOF' 2>/dev/null || {
+if command -v python3 > /dev/null; then
+    python3 - "$OUT_JSON" <<'EOF'
 import json, sys
 d = json.load(open(sys.argv[1]))
 assert d["benchmark"] == "sim_core_micro"
@@ -156,72 +138,14 @@ for wl in ("idle_heavy", "saturated"):
     for k in ("fast_forward_s_per_mcycle", "naive_s_per_mcycle", "speedup"):
         assert isinstance(w[k], (int, float)), (wl, k)
     assert isinstance(w["idle_cycles_skipped"], int)
-ts = d["thread_scaling"]
-assert ts["num_devices"] == 16
-assert isinstance(ts["simulated_cycles"], int) and ts["simulated_cycles"] > 0
-assert isinstance(ts["host_cores"], int)
-assert ts["sequential_s_per_mcycle"] > 0
-series = ts["series"]
-assert [p["threads"] for p in series] == [1, 2, 4, 8]
-for p in series:
-    assert p["s_per_mcycle"] > 0 and p["speedup"] > 0, p
-# Acceptance gate: the saturated 16-device workload must scale to
-# >= 3x at 4 worker threads vs 1 worker thread. Only meaningful with
-# real cores under the workers — a 1-2 core CI host measures
-# contention, not scaling (bit-identity is still asserted inside the
-# benchmark binary there).
-if ts["host_cores"] >= 4:
-    at1 = next(p for p in series if p["threads"] == 1)
-    at4 = next(p for p in series if p["threads"] == 4)
-    scale = at1["s_per_mcycle"] / at4["s_per_mcycle"]
-    assert scale >= 3.0, (at1, at4, scale)
-    print("json schema OK (4-thread scaling %.2fx vs 1 thread)" % scale)
-else:
-    print("json schema OK (scaling gate skipped: %d host cores)"
-          % ts["host_cores"])
-es = d["epoch_scaling"]
-assert es["num_devices"] == 16
-assert es["boundary_latency"] == 4
-assert isinstance(es["simulated_cycles"], int) and es["simulated_cycles"] > 0
-eseries = es["series"]
-assert [(p["threads"], p["epoch"]) for p in eseries] == \
-    [(1, 1), (1, 2), (1, 4), (4, 1), (4, 2), (4, 4)]
-for p in eseries:
-    assert p["s_per_mcycle"] > 0 and p["speedup"] > 0, p
-    assert p["epochs"] > 0, p
-    # A single worker never rendezvouses, so barriers only count at
-    # multi-thread points.
-    if p["threads"] > 1:
-        assert p["barrier_syncs"] > 0 and p["barriers_per_cycle"] > 0, p
-    # Batching bookkeeping: at epoch N >= 2 the engine must run
-    # strictly fewer epochs than cycles.
-    if p["epoch"] >= 2:
-        assert p["epochs"] < es["simulated_cycles"], p
-# Acceptance gate (unconditional — a counting argument, not a timing
-# one): epoch 2 must reduce barriers per simulated cycle by >= 2x vs
-# epoch 1 at the same thread count (3 per cycle -> 2 per 2-cycle
-# epoch).
-e1 = next(p for p in eseries if p["threads"] == 4 and p["epoch"] == 1)
-e2 = next(p for p in eseries if p["threads"] == 4 and p["epoch"] == 2)
-e4 = next(p for p in eseries if p["threads"] == 4 and p["epoch"] == 4)
-barrier_cut = e1["barriers_per_cycle"] / e2["barriers_per_cycle"]
-assert barrier_cut >= 2.0, (e1, e2, barrier_cut)
-# Acceptance gate (conditional, like the thread-scaling one): with
-# real cores under the workers, 4-cycle lookahead must buy >= 1.2x
-# throughput at 4 threads vs the same run at epoch 1.
-if es["host_cores"] >= 4:
-    gain = e1["s_per_mcycle"] / e4["s_per_mcycle"]
-    assert gain >= 1.2, (e1, e4, gain)
-    print("epoch schema OK (barriers cut %.2fx at epoch 2; "
-          "lookahead gain %.2fx at 4 threads)" % (barrier_cut, gain))
-else:
-    print("epoch schema OK (barriers cut %.2fx at epoch 2; "
-          "throughput gate skipped: %d host cores)"
-          % (barrier_cut, es["host_cores"]))
+print("json schema OK (idle-heavy fast-forward %.1fx, %d of %d cycles "
+      "skipped)" % (d["idle_heavy"]["speedup"],
+                    d["idle_heavy"]["idle_cycles_skipped"],
+                    d["idle_heavy"]["simulated_cycles"]))
 EOF
-    # python3 unavailable: the grep-based key check above already ran.
+else
     echo "json schema OK (grep-only: python3 unavailable)"
-}
+fi
 
 echo "== checker_micro (BENCH_checker.json) =="
 "$BUILD_DIR/bench/checker_micro" --json "$CHECKER_JSON" --checks 100000
@@ -242,7 +166,8 @@ for key in \
     }
 done
 
-python3 - "$CHECKER_JSON" <<'EOF' 2>/dev/null || {
+if command -v python3 > /dev/null; then
+    python3 - "$CHECKER_JSON" <<'EOF'
 import json, sys
 d = json.load(open(sys.argv[1]))
 assert d["benchmark"] == "checker_micro"
@@ -280,21 +205,20 @@ print("checker json schema OK (min speedup %.1fx; min churn@1:100 %.1fx)" %
        min(c["speedup"] for c in churn
            if c["accel"] == "plans+cache" and c["ratio"] == 100)))
 EOF
-    # python3 unavailable: the grep-based key check above already ran.
+else
     echo "checker json schema OK (grep-only: python3 unavailable)"
-}
+fi
 
 echo "== churn_fleet (BENCH_churn.json) =="
 CHURN_JSON="$REPO_ROOT/BENCH_churn.json"
-# The binary itself enforces the churn-rate and bit-identity gates
-# (exits nonzero if the headline point sustains < 1000 TEE/s or the
-# 4-thread parallel run diverges from the sequential fingerprint).
+# The binary itself enforces the churn-rate and lifecycle gates
+# (exits nonzero if the headline point sustains < 1000 TEE/s, a
+# tenant does not complete or a lifecycle invariant is violated).
 "$BUILD_DIR/bench/churn_fleet" "$CHURN_JSON"
 
 echo "== BENCH_churn.json schema check =="
 for key in \
     '"benchmark"' \
-    '"bit_identical_threads"' \
     '"series"' \
     '"churn_per_sim_s"' \
     '"executed_cycles"' \
@@ -312,11 +236,11 @@ for key in \
     }
 done
 
-python3 - "$CHURN_JSON" <<'EOF' 2>/dev/null || {
+if command -v python3 > /dev/null; then
+    python3 - "$CHURN_JSON" <<'EOF'
 import json, sys
 d = json.load(open(sys.argv[1]))
 assert d["benchmark"] == "churn_fleet"
-assert d["bit_identical_threads"] == [0, 4]
 series = d["series"]
 assert len(series) >= 4, len(series)
 for p in series:
@@ -340,9 +264,9 @@ assert any(p["sid_misses"] > 0 for p in series), "no cold misses"
 print("churn json schema OK (headline %.0f TEE/s over %d points)" %
       (head["churn_per_sim_s"], len(series)))
 EOF
-    # python3 unavailable: the grep-based key check above already ran.
+else
     echo "churn json schema OK (grep-only: python3 unavailable)"
-}
+fi
 
 SCRATCH="$(mktemp -d /tmp/siopmp_bench.XXXXXX)"
 trap 'rm -rf "$SCRATCH"' EXIT
@@ -367,7 +291,8 @@ echo "== trace schema check (dma_attack_demo --trace) =="
 TRACE_JSON="$SCRATCH/trace.json"
 "$BUILD_DIR/examples/dma_attack_demo" "$TRACE_JSON" > /dev/null
 
-python3 - "$TRACE_JSON" <<'EOF' 2>/dev/null || {
+if command -v python3 > /dev/null; then
+    python3 - "$TRACE_JSON" <<'EOF'
 import json, sys
 d = json.load(open(sys.argv[1]))
 evs = d["traceEvents"]
@@ -384,7 +309,7 @@ assert spans and all(p.count("b") == p.count("e") for p in spans.values()), \
     "unbalanced async spans"
 print("trace schema OK: %d events" % len(evs))
 EOF
-    # python3 unavailable: fall back to grepping for the key records.
+else
     for pat in '"ph":"b"' '"name":"verdict"' '"name":"violation"' \
                '"name":"block_window"' '"cat":"mem"'; do
         grep -q "$pat" "$TRACE_JSON" || {
@@ -393,6 +318,6 @@ EOF
         }
     done
     echo "trace schema OK (grep-only: python3 unavailable)"
-}
+fi
 
 echo "run_bench: all checks passed"

@@ -5,32 +5,19 @@
  * writing code:
  *
  *   siopmp-cli latency   [--stages N] [--policy be|mask] [--write]
- *                        [--violating] [--bursts N] [--threads N]
+ *                        [--violating] [--bursts N]
  *   siopmp-cli bandwidth [--scenario rr|rw|ww] [--stages N]
- *                        [--outstanding N] [--threads N]
+ *                        [--outstanding N]
  *   siopmp-cli network   [--tx] [--cores N] [--packets N]
  *   siopmp-cli memcached [--qps X] [--scheme none|siopmp|strict]
  *   siopmp-cli hotcold   [--ratio N] [--mismatched] [--bursts N]
- *                        [--threads N]
  *   siopmp-cli churn     [--tenants N] [--devices N] [--ports N]
  *                        [--arrival X] [--cold X] [--seed N]
- *                        [--threads N]
  *   siopmp-cli freq      [--entries N] [--stages N] [--kind lin|tree]
  *                        [--arity N]
  *
- * --threads N runs the cycle-level workloads on the sharded parallel
- * engine with N worker threads (0, the default, keeps the sequential
- * loop). Results are bit-identical either way; see docs/SIMULATION.md.
- *
  * Flags accepted by every command:
  *
- *   --epoch N          process-wide requested epoch length for the
- *                      parallel engine (sets SIOPMP_EPOCH; 0 = derive
- *                      from the topology). Always clamped to the
- *                      topology's cross-domain latency, so it is
- *                      inert on combinational (latency-1) boundary
- *                      links and never changes results; see
- *                      docs/SIMULATION.md section 5.
  *   --accel MODE       check-path acceleration mode for every sIOPMP
  *                      the command builds: off | plans | plans+cache
  *                      (default: CheckAccel::defaultMode(), i.e. the
@@ -120,7 +107,6 @@ cmdLatency(const Args &args)
     cfg.write = args.flag("--write");
     cfg.violating = args.flag("--violating");
     cfg.bursts = static_cast<unsigned>(args.number("--bursts", 64));
-    cfg.sim_threads = static_cast<unsigned>(args.number("--threads", 0));
     const Cycle cycles = wl::runBurstLatency(cfg);
     std::printf("latency: %llu cycles (%u bursts, %u stages, %s, %s%s)\n",
                 static_cast<unsigned long long>(cycles), cfg.bursts,
@@ -141,7 +127,6 @@ cmdBandwidth(const Args &args)
     cfg.stages = static_cast<unsigned>(args.number("--stages", 2));
     cfg.max_outstanding =
         static_cast<unsigned>(args.number("--outstanding", 8));
-    cfg.sim_threads = static_cast<unsigned>(args.number("--threads", 0));
     const double bpc = wl::runBandwidth(cfg);
     std::printf("bandwidth: %.2f bytes/cycle (%s, %u stages, %u "
                 "outstanding)\n",
@@ -192,7 +177,6 @@ cmdHotCold(const Args &args)
     cfg.matched = !args.flag("--mismatched");
     cfg.hot_bursts =
         static_cast<unsigned>(args.number("--bursts", 2000));
-    cfg.sim_threads = static_cast<unsigned>(args.number("--threads", 0));
     const auto result = wl::runHotCold(cfg);
     std::printf("hotcold 1:%u (%s): hot throughput %.1f%%, %llu SID "
                 "misses, switch cost %llu cycles\n",
@@ -211,7 +195,6 @@ cmdChurn(const Args &args)
     cfg.devices = static_cast<unsigned>(args.number("--devices", 64));
     cfg.ports = static_cast<unsigned>(args.number("--ports", 4));
     cfg.seed = static_cast<std::uint64_t>(args.number("--seed", 1));
-    cfg.sim_threads = static_cast<unsigned>(args.number("--threads", 0));
     const std::string arrival = args.value("--arrival", "");
     if (!arrival.empty())
         cfg.arrival_mean = std::atof(arrival.c_str());
@@ -272,7 +255,7 @@ usage()
     std::fprintf(stderr,
                  "usage: siopmp-cli <latency|bandwidth|network|memcached|"
                  "hotcold|churn|freq> [flags]\n"
-                 "       [--accel off|plans|plans+cache] [--epoch N]\n"
+                 "       [--accel off|plans|plans+cache]\n"
                  "       [--trace-out FILE] [--stats-json FILE|-]\n"
                  "run with a command and no flags for sane defaults; see "
                  "the file header for flags.\n");
@@ -366,14 +349,6 @@ main(int argc, char **argv)
         }
         iopmp::CheckAccel::setDefaultMode(mode);
     }
-
-    // Process-wide epoch request: Simulator::defaultEpoch() reads the
-    // environment lazily at the first Simulator construction, which
-    // is after this point, so exporting the variable here is exactly
-    // equivalent to the user setting SIOPMP_EPOCH themselves.
-    const std::string epoch = args.value("--epoch", "");
-    if (!epoch.empty())
-        setenv("SIOPMP_EPOCH", epoch.c_str(), 1);
 
     const Observability observability(args);
     if (cmd == "latency")

@@ -97,13 +97,13 @@ CheckAccel::setDefaultMode(std::optional<AccelMode> mode)
 }
 
 CheckAccel::CheckAccel(const EntryTable &entries, const MdCfgTable &mdcfg,
-                       std::string group_name, AccelMode mode)
+                       AccelMode mode)
     : entries_(entries),
       mdcfg_(mdcfg),
       mode_(mode),
       md_salts_(mdcfg.numMds(), 0),
       lines_(kCacheLines),
-      stats_(std::move(group_name))
+      stats_(kName)
 {
     SIOPMP_ASSERT(mode_ != AccelMode::Off,
                   "AccelMode::Off is modelled by not constructing a "
@@ -187,7 +187,7 @@ CheckAccel::invalidateMds(std::uint64_t md_mask)
         trace::Event event;
         event.when = last_seen_now_;
         event.phase = trace::Phase::Instant;
-        event.track = "check_accel";
+        event.track = kName;
         event.category = "checker";
         event.name = "partial_flush";
         event.arg0 = md_mask;
@@ -213,7 +213,7 @@ CheckAccel::fullFlush()
         trace::Event event;
         event.when = last_seen_now_;
         event.phase = trace::Phase::Instant;
-        event.track = "check_accel";
+        event.track = kName;
         event.category = "checker";
         event.name = "full_flush";
         event.arg0 = global_salt_;
@@ -315,7 +315,7 @@ CheckAccel::planFor(std::uint64_t md_bitmap, Cycle now)
             trace::Event event;
             event.when = now;
             event.phase = trace::Phase::Instant;
-            event.track = "check_accel";
+            event.track = kName;
             event.category = "checker";
             event.name = recompile ? "plan_recompile" : "plan_compile";
             event.id = md_bitmap;

@@ -55,7 +55,8 @@
  * verdict cache), PlansAndCache (both; the default). The process-wide
  * default comes from SIOPMP_ACCEL_MODE (off | plans | plans+cache)
  * and can be overridden programmatically (setDefaultMode) or per
- * instance (CheckerLogic::setAccelMode / SIopmp::setAccelMode).
+ * instance (CheckerLogic::setAccelMode / SIopmp::setAccelMode). A unit
+ * has one: all its CheckerNodes check through the SIopmp's checker.
  */
 
 #ifndef IOPMP_ACCEL_HH
@@ -101,12 +102,12 @@ bool parseAccelMode(const std::string &text, AccelMode *out);
 class CheckAccel final : public TableListener
 {
   public:
-    /** @p group_name names the stats group; each CheckerNode's
-     * checker passes "<node>.accel" so the nodes' stats stay distinct.
-     * Registers as a mutation listener on both tables; @p mode must
+    //! Name of the stats group and of the trace track.
+    static constexpr const char *kName = "check_accel";
+
+    /** Registers as a mutation listener on both tables; @p mode must
      * not be Off (an owner models Off by not having a CheckAccel). */
     CheckAccel(const EntryTable &entries, const MdCfgTable &mdcfg,
-               std::string group_name = "check_accel",
                AccelMode mode = AccelMode::PlansAndCache);
     ~CheckAccel() override;
 
@@ -123,11 +124,12 @@ class CheckAccel final : public TableListener
     AccelMode mode() const { return mode_; }
 
     /**
-     * Account a check() that repeats the previous one verbatim with no
+     * Account a check() that repeats an earlier one verbatim with no
      * table mutation since (a CheckerNode re-polling a held Allow, see
-     * SIopmp::creditHeldAllow): it would hit the line the previous
-     * check left, so count one cache hit when the cache is on, and
-     * move the last-seen cycle to @p now as check() does.
+     * SIopmp::creditHeldAllow): count one cache hit when the cache is
+     * on, and move the last-seen cycle to @p now as check() does. The
+     * hit means "answered without a plan walk": another node's fill
+     * may have evicted the line, so a real re-check could miss.
      */
     void
     creditRepeat(Cycle now)

@@ -13,7 +13,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <string>
 
 #include "iopmp/accel.hh"
 #include "iopmp/tables.hh"
@@ -58,6 +57,7 @@ const char *checkerKindName(CheckerKind kind);
  * Abstract checker. Holds references to the shared hardware tables; it
  * never copies them, so configuration changes are visible immediately
  * (the atomicity of such changes is the job of the SID block bitmap).
+ * An SIopmp owns one, shared by every CheckerNode of the unit.
  */
 class CheckerLogic
 {
@@ -106,8 +106,7 @@ class CheckerLogic
         if (mode == AccelMode::Off) {
             accel_.reset();
         } else if (!accel_) {
-            accel_ = std::make_unique<CheckAccel>(entries_, mdcfg_,
-                                                  accel_stats_name_, mode);
+            accel_ = std::make_unique<CheckAccel>(entries_, mdcfg_, mode);
         } else {
             accel_->setMode(mode);
         }
@@ -117,16 +116,6 @@ class CheckerLogic
     accelMode() const
     {
         return accel_ ? accel_->mode() : AccelMode::Off;
-    }
-
-    /**
-     * Name the accelerator's stats group (default "check_accel").
-     * Each CheckerNode's checker sets "<node>.accel" before enabling
-     * the accelerator so the nodes report separately.
-     */
-    void setAccelStatsName(std::string name)
-    {
-        accel_stats_name_ = std::move(name);
     }
 
     bool accelEnabled() const { return accel_ != nullptr; }
@@ -173,7 +162,6 @@ class CheckerLogic
     //! is logically const but the cache state evolves. Not
     //! thread-safe.
     mutable std::unique_ptr<CheckAccel> accel_;
-    std::string accel_stats_name_ = "check_accel";
 };
 
 /** Factory covering every evaluated configuration. */

@@ -48,9 +48,6 @@ CheckerNode::CheckerNode(std::string name, bus::Link *up, bus::Link *down,
     down_->d.bindWake(this);
     if (err_ != nullptr)
         err_->d.bindWake(this);
-    // Build the node's checker eagerly so its stats group registers
-    // in construction order (deterministic JSON output).
-    syncLogic();
     version_ = unit_->stateVersion();
     unit_->addStallWaiter(this);
 }
@@ -58,24 +55,6 @@ CheckerNode::CheckerNode(std::string name, bus::Link *up, bus::Link *down,
 CheckerNode::~CheckerNode()
 {
     unit_->removeStallWaiter(this);
-}
-
-void
-CheckerNode::syncLogic()
-{
-    const CheckerLogic &ref = unit_->checker();
-    if (!logic_ || logic_->kind() != ref.kind() ||
-        logic_->stages() != ref.stages()) {
-        logic_ = makeChecker(ref.kind(), ref.stages(), unit_->entryTable(),
-                             unit_->mdcfg());
-        // The factory-built accelerator carries the default stats
-        // group name; rebuild it under this node's name so each node's
-        // checker reports separately.
-        logic_->setAccelMode(AccelMode::Off);
-        logic_->setAccelStatsName(name() + ".accel");
-    }
-    if (logic_->accelMode() != ref.accelMode())
-        logic_->setAccelMode(ref.accelMode());
 }
 
 bool
@@ -115,13 +94,12 @@ void
 CheckerNode::acceptRequests(Cycle now)
 {
     // Any change that can alter a verdict moves the version: drop the
-    // held verdict, and resync in case the checker was swapped (the
-    // policy's response delay is set by setPolicy).
+    // held verdict, and re-read the request delay in case the checker
+    // was swapped (the policy's response delay is set by setPolicy).
     if (unit_->stateVersion() != version_) {
         version_ = unit_->stateVersion();
         held_.reset();
         req_pipe_.configure(requestDelay());
-        syncLogic();
     }
 
     if (up_->a.empty() || !req_pipe_.canPush())
@@ -272,10 +250,9 @@ CheckerNode::dispatchRequests(Cycle now)
     AuthResult auth;
     if (held_) {
         auth = *held_;
-        unit_->creditHeldAllow(now, *logic_);
+        unit_->creditHeldAllow(now);
     } else {
-        auth = unit_->authorize(beat.device, beat.addr, len, perm, now,
-                                logic_.get());
+        auth = unit_->authorize(beat.device, beat.addr, len, perm, now);
     }
 
     switch (auth.status) {

@@ -33,20 +33,16 @@
  * can alter a verdict: config-epoch bumps (eSID and every MMIO path),
  * setChecker/setAccelMode, entry and MDCFG table mutations, and CAM,
  * SRC2MD and block-bitmap mutations, direct calls included. The same
- * version gates the resync of the pipes and of the node's checker.
+ * version gates the resync of the request pipe's delay.
  *
- * Checker instances: each node checks through its own CheckerLogic
- * (one per master port), built from the unit's configured checker.
- * Verdicts are bit-identical by construction — the check is a pure
- * function of the shared tables — while the accelerator's plans,
- * verdict cache and stats ("<node>.accel") are per node.
+ * A node is a port onto its SIopmp: all nodes of a unit check through
+ * its one checker and share its plans, cache and "check_accel" stats.
  */
 
 #ifndef IOPMP_CHECKER_NODE_HH
 #define IOPMP_CHECKER_NODE_HH
 
 #include <deque>
-#include <memory>
 #include <optional>
 
 #include "bus/link.hh"
@@ -136,14 +132,6 @@ class CheckerNode : public Tickable
     void dispatchRequests(Cycle now);
     void forwardResponses(Cycle now);
 
-    /**
-     * Keep the node's checker in sync with the unit's configured
-     * checker (kind, stages, accelerator enablement). Runs when the
-     * unit's state version moved (acceptRequests), which
-     * setChecker/setAccelMode do.
-     */
-    void syncLogic();
-
     Cycle requestDelay() const;
     Cycle responseDelay() const;
 
@@ -164,9 +152,6 @@ class CheckerNode : public Tickable
     SIopmp *unit_;
     bus::BusMonitor *monitor_;
     ViolationPolicy policy_;
-
-    //! The node's own instance of the unit's checker (see syncLogic).
-    std::unique_ptr<CheckerLogic> logic_;
 
     DelayPipe req_pipe_;
     DelayPipe resp_pipe_;

@@ -105,11 +105,11 @@ SIopmp::creditBlockedPolls(std::uint64_t polls)
 }
 
 void
-SIopmp::creditHeldAllow(Cycle now, const CheckerLogic &logic)
+SIopmp::creditHeldAllow(Cycle now)
 {
     ++*st_checks_;
     ++*st_allows_;
-    if (CheckAccel *accel = logic.accel())
+    if (CheckAccel *accel = checker_->accel())
         accel->creditRepeat(now);
 }
 
@@ -141,7 +141,7 @@ SIopmp::rejectWrite(Addr offset)
 
 AuthResult
 SIopmp::authorize(DeviceId device, Addr addr, Addr len, Perm perm,
-                  Cycle now, const CheckerLogic *logic)
+                  Cycle now)
 {
     ++*st_checks_;
 
@@ -171,7 +171,7 @@ SIopmp::authorize(DeviceId device, Addr addr, Addr len, Perm perm,
     req.perm = perm;
     req.md_bitmap = src2md_.bitmap(sid);
     req.now = now;
-    const CheckResult result = (logic ? logic : checker_.get())->check(req);
+    const CheckResult result = checker_->check(req);
 
     if (result.allowed) {
         ++*st_allows_;

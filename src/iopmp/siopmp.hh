@@ -12,7 +12,8 @@
  *  - an interrupt callback through which SID-missing and violation
  *    interrupts reach the CPU.
  *
- * The bus-facing cycle model wrapping this object is CheckerNode.
+ * The bus-facing cycle model wrapping this object is CheckerNode;
+ * every node of a unit authorizes through the unit's one checker.
  */
 
 #ifndef IOPMP_SIOPMP_HH
@@ -108,14 +109,9 @@ class SIopmp : public mem::MmioDevice, private TableListener
      * Authorize one DMA access of @p len bytes at @p addr from
      * @p device. Raises interrupts through the handler as a side
      * effect (SID-missing on unknown device, violation on deny).
-     *
-     * @p logic optionally substitutes the permission-check stage (a
-     * CheckerNode's own checker instance; the verdict is bit-identical
-     * by construction).
      */
     AuthResult authorize(DeviceId device, Addr addr, Addr len, Perm perm,
-                         Cycle now = 0,
-                         const CheckerLogic *logic = nullptr);
+                         Cycle now = 0);
 
     /** Resolve a device to a SID without side effects (tests). */
     std::optional<Sid> resolveSid(DeviceId device) const;
@@ -213,13 +209,13 @@ class SIopmp : public mem::MmioDevice, private TableListener
     void creditBlockedPolls(std::uint64_t polls);
 
     /**
-     * Count a poll that repeats an authorize() through @p logic which
-     * returned Allow, with stateVersion() unmoved since: the counter
-     * updates the call would make again — "checks" and "allows", and
-     * one verdict-cache hit when @p logic's cache is on. The CAM use
+     * Count a poll that repeats an authorize() which returned Allow,
+     * with stateVersion() unmoved since: the counter updates the call
+     * would make again — "checks", "allows" and, with the cache on,
+     * one verdict-cache hit (CheckAccel::creditRepeat). The CAM use
      * bit needs no touch: every path that clears it moves the version.
      */
-    void creditHeldAllow(Cycle now, const CheckerLogic &logic);
+    void creditHeldAllow(Cycle now);
 
     stats::Group &statsGroup() { return stats_; }
 

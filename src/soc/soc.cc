@@ -42,11 +42,6 @@ Soc::Soc(const SocConfig &cfg)
 
     iopmp_ = std::make_unique<iopmp::SIopmp>(
         cfg.iopmp, cfg.checker_kind, cfg.checker_stages);
-    // Apply the acceleration-mode override before the checker nodes
-    // are built: their eager syncLogic copies the unit's mode into
-    // every node's checker.
-    if (cfg.accel)
-        iopmp_->setAccelMode(*cfg.accel);
 
     // Periphery bus: the sIOPMP register window.
     mmio_.map("siopmp", {kIopmpMmioBase, iopmp::regmap::kWindowSize},

@@ -10,13 +10,14 @@
  *
  *  per-device:   master -> checker -> xbar -> memory
  *  centralized:  master -> xbar -> checker -> memory
+ *
+ * Either way every checker node is a port onto the one sIOPMP unit.
  */
 
 #ifndef SOC_SOC_HH
 #define SOC_SOC_HH
 
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "bus/error_node.hh"
@@ -58,10 +59,6 @@ struct SocConfig {
     mem::MemoryTiming mem_timing;
     bool centralized_checker = false;
     Cycle mmio_access_cost = 2;
-    //! Check-path acceleration mode for the sIOPMP unit (and, via
-    //! CheckerNode::syncLogic, every checker node). nullopt keeps the
-    //! process default (CheckAccel::defaultMode()).
-    std::optional<iopmp::AccelMode> accel;
 
     /** The checker knobs as a validatable unit. */
     CheckerConfig

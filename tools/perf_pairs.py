@@ -1,0 +1,149 @@
+#!/usr/bin/env python3
+"""Alternating parent/change perfbench pairs, summarised against
+BENCHMARK.json.
+
+    python3 tools/perf_pairs.py --parent DIR --change DIR --workload W \\
+        --pairs N --seconds S --seed K
+
+Pair i runs `python3 perfbench/run.py --workload W --seed K+i
+--seconds S --trace 0` once in each checkout. The tree that goes first
+alternates from pair to pair, because host speed drifts over minutes.
+run.py builds each checkout into its own directory.
+
+Every run is printed as it finishes. Then, for each end-to-end metric
+of the parent's BENCHMARK.json, the summary gives:
+- the parent's and the change's median and quartiles, and their ratio;
+- the change's wins, ties and losses over the pairs, by the metric's
+  direction;
+- the parent's quartile spread (quartile distance over the median)
+  against the metric's bound;
+- REGRESSION when the change's median is worse than the parent's by
+  more than the bound.
+
+Per seed, it also checks that both runs report failed == 0 and the
+same counted-repetition fingerprints and sim_* values. The exit status
+is 1 when a run failed ops or a seed's fingerprints or sim_* values
+differ, 2 when a run could not be made, and 0 otherwise. perfbench/ and
+BENCHMARK.json are only read.
+"""
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+
+
+def fail(message):
+    print("perf_pairs: " + message, file=sys.stderr)
+    sys.exit(2)
+
+
+def run(tree, args, seed):
+    """One untraced perfbench run in `tree`; returns (provenance,
+    result) as printed by run.py's last two lines."""
+    cmd = [sys.executable, os.path.join("perfbench", "run.py"),
+           "--workload", args.workload, "--seed", str(seed),
+           "--seconds", str(args.seconds), "--trace", "0"]
+    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or len(lines) < 2:
+        sys.stderr.write(proc.stderr)
+        fail("%s: run.py exited with %d" % (tree, proc.returncode))
+    return json.loads(lines[-2])["provenance"], json.loads(lines[-1])
+
+
+def quartiles(values):
+    """(q1, median, q3) by linear interpolation."""
+    if len(values) < 2:
+        return values[0], values[0], values[0]
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q2, q3
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--parent", required=True, help="parent checkout")
+    parser.add_argument("--change", required=True, help="changed checkout")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--pairs", type=int, required=True)
+    parser.add_argument("--seconds", type=int, required=True)
+    parser.add_argument("--seed", type=int, required=True,
+                        help="pair i runs at seed SEED+i")
+    args = parser.parse_args()
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
+    trees = {"parent": os.path.abspath(args.parent),
+             "change": os.path.abspath(args.change)}
+    with open(os.path.join(trees["parent"], "BENCHMARK.json")) as f:
+        end_to_end = json.load(f)["end_to_end"]
+    names = [m["name"] for m in end_to_end]
+
+    values = {side: {name: [] for name in names} for side in trees}
+    problems = []
+    print("%-4s %-6s %-6s %6s  %s" % ("pair", "seed", "tree", "failed",
+                                      "  ".join(names)))
+    for i in range(args.pairs):
+        seed = args.seed + i
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        seen = {}
+        for side in order:
+            provenance, result = run(trees[side], args, seed)
+            metrics = {n: result["metrics"][n]["value"] for n in names}
+            for name in names:
+                values[side][name].append(metrics[name])
+            seen[side] = (provenance["fingerprints"],
+                          {n: v for n, v in metrics.items()
+                           if n.startswith("sim_")})
+            print("%-4d %-6d %-6s %6d  %s" % (
+                i, seed, side, result["failed"],
+                "  ".join("%.6g" % metrics[n] for n in names)), flush=True)
+            if result["failed"] != 0 or not result["correct"]:
+                problems.append("seed %d: %s run failed %d of %d ops"
+                                % (seed, side, result["failed"],
+                                   result["attempted"]))
+        if seen["parent"][0] != seen["change"][0]:
+            problems.append("seed %d: counted fingerprints differ" % seed)
+        if seen["parent"][1] != seen["change"][1]:
+            problems.append("seed %d: sim_* values differ: parent %s, "
+                            "change %s" % (seed, seen["parent"][1],
+                                           seen["change"][1]))
+
+    print()
+    print("%s, %d pairs of %d s, seeds %d-%d" % (
+        args.workload, args.pairs, args.seconds, args.seed,
+        args.seed + args.pairs - 1))
+    for metric in end_to_end:
+        name, bound = metric["name"], metric["bound"]
+        higher = metric["better"] == "higher"
+        parent, change = values["parent"][name], values["change"][name]
+        pq, cq = quartiles(parent), quartiles(change)
+        wins = ties = losses = 0
+        for p, c in zip(parent, change):
+            if c == p:
+                ties += 1
+            elif (c > p) == higher:
+                wins += 1
+            else:
+                losses += 1
+        spread = (pq[2] - pq[0]) / pq[1] if pq[1] else 0.0
+        ratio = cq[1] / pq[1] if pq[1] else float("nan")
+        worse = (1 - ratio) if higher else (ratio - 1)
+        print("  %-21s parent %.6g [%.6g-%.6g]  change %.6g [%.6g-%.6g]  "
+              "x%.3f  wins %d ties %d losses %d  parent spread %.3f "
+              "(bound %.2f%s)%s" % (
+                  name, pq[1], pq[0], pq[2], cq[1], cq[0], cq[2], ratio,
+                  wins, ties, losses, spread, bound,
+                  ", TOO WIDE" if spread > bound else "",
+                  "  REGRESSION" if worse > bound else ""))
+    for problem in problems:
+        print("FAIL: " + problem)
+    if not problems:
+        print("failed 0 in every run; fingerprints and sim_* values "
+              "identical per seed")
+    sys.exit(1 if problems else 0)
+
+
+if __name__ == "__main__":
+    main()

@@ -9,7 +9,7 @@
  *   siopmp-cli bandwidth [--scenario rr|rw|ww] [--stages N]
  *                        [--outstanding N]
  *   siopmp-cli network   [--tx] [--cores N] [--packets N]
- *   siopmp-cli memcached [--qps X] [--scheme none|siopmp|strict]
+ *   siopmp-cli memcached [--qps N] [--scheme none|siopmp|strict]
  *   siopmp-cli hotcold   [--ratio N] [--mismatched] [--bursts N]
  *   siopmp-cli churn     [--tenants N] [--devices N] [--ports N]
  *                        [--arrival X] [--cold X] [--seed N]
@@ -28,14 +28,22 @@
  *                      ("-" for stdout); see docs/OBSERVABILITY.md
  *
  * Every command prints a single result line plus the key parameters,
- * suitable for scripting sweeps.
+ * suitable for scripting sweeps. A flag value outside its list, or a
+ * number that is not a whole non-negative integer (a non-negative real
+ * for --arrival and --cold), exits with status 2 and a message naming
+ * the flag.
  */
 
+#include <cctype>
+#include <cerrno>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
+#include <initializer_list>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -55,7 +63,17 @@ using namespace siopmp;
 
 namespace {
 
-/** Tiny flag parser: --name value / --name (boolean). */
+/** Refuse @p value for flag @p name: a message, then exit status 2. */
+[[noreturn]] void
+reject(const char *name, const std::string &value, const std::string &want)
+{
+    std::fprintf(stderr, "siopmp-cli: %s: '%s' is not %s\n", name,
+                 value.c_str(), want.c_str());
+    std::exit(2);
+}
+
+/** Tiny flag parser: --name value / --name (boolean). A value that
+ * does not parse is refused (reject()), never replaced by a default. */
 class Args
 {
   public:
@@ -78,21 +96,72 @@ class Args
     std::string
     value(const char *name, const std::string &fallback) const
     {
-        for (std::size_t i = 0; i + 1 < tokens_.size(); ++i) {
-            if (tokens_[i] == name)
-                return tokens_[i + 1];
-        }
-        return fallback;
+        const std::string *v = find(name);
+        return v ? *v : fallback;
     }
 
-    long
-    number(const char *name, long fallback) const
+    /** The value of @p name, which must be one of @p choices. */
+    std::string
+    choice(const char *name, const char *fallback,
+           std::initializer_list<const char *> choices) const
     {
-        const std::string v = value(name, "");
-        return v.empty() ? fallback : std::atol(v.c_str());
+        const std::string v = value(name, fallback);
+        std::string want;
+        for (const char *c : choices) {
+            if (v == c)
+                return v;
+            want += want.empty() ? "one of " : "|";
+            want += c;
+        }
+        reject(name, v, want);
+    }
+
+    /** A whole non-negative number no larger than @p max. */
+    std::uint64_t
+    number(const char *name, std::uint64_t fallback,
+           std::uint64_t max = std::numeric_limits<unsigned>::max()) const
+    {
+        const std::string *v = find(name);
+        if (!v)
+            return fallback;
+        char *end = nullptr;
+        errno = 0;
+        const unsigned long long n = std::strtoull(v->c_str(), &end, 10);
+        if (!std::isdigit(static_cast<unsigned char>((*v)[0])) ||
+            *end != '\0')
+            reject(name, *v, "a whole non-negative number");
+        if (errno == ERANGE || n > max)
+            reject(name, *v, "at most " + std::to_string(max));
+        return n;
+    }
+
+    /** A finite non-negative real. */
+    double
+    real(const char *name, double fallback) const
+    {
+        const std::string *v = find(name);
+        if (!v)
+            return fallback;
+        char *end = nullptr;
+        const double x = std::strtod(v->c_str(), &end);
+        if (end == v->c_str() || *end != '\0' || !std::isfinite(x) ||
+            x < 0)
+            reject(name, *v, "a non-negative number");
+        return x;
     }
 
   private:
+    /** The token after @p name, or nullptr when the flag is absent. */
+    const std::string *
+    find(const char *name) const
+    {
+        for (std::size_t i = 0; i + 1 < tokens_.size(); ++i) {
+            if (tokens_[i] == name)
+                return &tokens_[i + 1];
+        }
+        return nullptr;
+    }
+
     std::vector<std::string> tokens_;
 };
 
@@ -101,7 +170,7 @@ cmdLatency(const Args &args)
 {
     wl::BurstLatencyConfig cfg;
     cfg.stages = static_cast<unsigned>(args.number("--stages", 2));
-    cfg.policy = args.value("--policy", "be") == "mask"
+    cfg.policy = args.choice("--policy", "be", {"be", "mask"}) == "mask"
                      ? iopmp::ViolationPolicy::PacketMasking
                      : iopmp::ViolationPolicy::BusError;
     cfg.write = args.flag("--write");
@@ -120,7 +189,8 @@ int
 cmdBandwidth(const Args &args)
 {
     wl::BandwidthConfig cfg;
-    const std::string scenario = args.value("--scenario", "rr");
+    const std::string scenario =
+        args.choice("--scenario", "rr", {"rr", "rw", "ww"});
     cfg.scenario = scenario == "ww" ? wl::BandwidthScenario::WriteWrite
                    : scenario == "rw" ? wl::BandwidthScenario::ReadWrite
                                       : wl::BandwidthScenario::ReadRead;
@@ -156,7 +226,8 @@ int
 cmdMemcached(const Args &args)
 {
     const double qps = static_cast<double>(args.number("--qps", 30000));
-    const std::string scheme_name = args.value("--scheme", "siopmp");
+    const std::string scheme_name =
+        args.choice("--scheme", "siopmp", {"none", "siopmp", "strict"});
     const wl::Protection scheme =
         scheme_name == "none" ? wl::Protection::None
         : scheme_name == "strict" ? wl::Protection::IommuStrict
@@ -194,13 +265,10 @@ cmdChurn(const Args &args)
     cfg.tenants = static_cast<unsigned>(args.number("--tenants", 400));
     cfg.devices = static_cast<unsigned>(args.number("--devices", 64));
     cfg.ports = static_cast<unsigned>(args.number("--ports", 4));
-    cfg.seed = static_cast<std::uint64_t>(args.number("--seed", 1));
-    const std::string arrival = args.value("--arrival", "");
-    if (!arrival.empty())
-        cfg.arrival_mean = std::atof(arrival.c_str());
-    const std::string cold = args.value("--cold", "");
-    if (!cold.empty())
-        cfg.cold_fraction = std::atof(cold.c_str());
+    cfg.seed = args.number("--seed", 1,
+                           std::numeric_limits<std::uint64_t>::max());
+    cfg.arrival_mean = args.real("--arrival", cfg.arrival_mean);
+    cfg.cold_fraction = args.real("--cold", cfg.cold_fraction);
     const auto r = wl::runChurn(cfg);
     std::printf(
         "churn %llu/%llu tenants over %u devices in %llu cycles "
@@ -228,7 +296,7 @@ cmdFreq(const Args &args)
     geometry.entries = static_cast<unsigned>(args.number("--entries", 1024));
     geometry.stages = static_cast<unsigned>(args.number("--stages", 3));
     geometry.arity = static_cast<unsigned>(args.number("--arity", 2));
-    const std::string kind = args.value("--kind", "tree");
+    const std::string kind = args.choice("--kind", "tree", {"lin", "tree"});
     geometry.kind = kind == "lin"
                         ? (geometry.stages > 1
                                ? iopmp::CheckerKind::PipelineLinear
@@ -342,11 +410,8 @@ main(int argc, char **argv)
     const std::string accel = args.value("--accel", "");
     if (!accel.empty()) {
         iopmp::AccelMode mode;
-        if (!iopmp::parseAccelMode(accel, &mode)) {
-            std::fprintf(stderr, "unknown accel mode '%s'\n",
-                         accel.c_str());
-            return 2;
-        }
+        if (!iopmp::parseAccelMode(accel, &mode))
+            reject("--accel", accel, "one of off|plans|plans+cache");
         iopmp::CheckAccel::setDefaultMode(mode);
     }
 

@@ -11,12 +11,20 @@
  *    e.g. Fig 17's cold-switch probes). Fast-forward collapses the
  *    gaps, so this is where the speedup target (>= 3x) applies.
  *  - saturated: two DMA engines with deep outstanding queues keep the
- *    fabric busy every cycle, so there is nothing to skip and the
- *    measurement bounds the bookkeeping overhead (<= 5% target).
+ *    fabric busy every cycle, so almost no cycle is skipped. The xbar
+ *    takes about one beat per cycle, so the checker node that lost
+ *    arbitration holds its head beat behind a full downlink, and its
+ *    engine waits behind a full uplink: both park until the pop that
+ *    frees a slot wakes them. The row measures what parking saves
+ *    against the bookkeeping it costs.
  *
- * Both workloads are run in both modes and their final cycle counts
- * are asserted equal — a built-in differential check. Results go to
- * BENCH_sim_core.json (path overridable via argv).
+ * Both workloads are run in both modes, and their final cycle counts
+ * and full stats dumps (every live stats group) are asserted equal — a
+ * built-in differential check. Results go to BENCH_sim_core.json (path
+ * overridable via argv), under a provenance header: the checkout's
+ * commit ("+dirty" when tracked files differ from it, so a file
+ * committed with its change names the parent), the CMake build type,
+ * the compiler, the host's core count and iters.
  *
  * Usage: sim_core_micro [iters] [out.json]
  *   iters scales the workload length (default 40; run_bench.sh uses a
@@ -27,7 +35,9 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <sstream>
 #include <string>
+#include <thread>
 
 #include "devices/dma_engine.hh"
 #include "sim/logging.hh"
@@ -45,6 +55,7 @@ struct Measurement {
     double host_seconds = 0;
     Cycle simulated = 0;
     Cycle skipped = 0;
+    std::string stats; //!< every live stats group, after the run
 
     double
     secondsPerMegacycle() const
@@ -92,6 +103,53 @@ struct Bench {
     }
 };
 
+Measurement
+measure(Bench &bench, std::chrono::steady_clock::time_point t0,
+        std::chrono::steady_clock::time_point t1)
+{
+    Measurement m;
+    m.host_seconds = std::chrono::duration<double>(t1 - t0).count();
+    m.simulated = bench.soc.sim().now();
+    m.skipped = bench.soc.sim().idleCyclesSkipped();
+    std::ostringstream os;
+    stats::TextStatsWriter writer(os);
+    stats::Registry::global().accept(writer);
+    m.stats = os.str();
+    return m;
+}
+
+/** First line of `command`'s output, or "" when it fails. */
+std::string
+firstLine(const char *command)
+{
+    std::FILE *pipe = popen(command, "r");
+    if (pipe == nullptr)
+        return "";
+    char buf[256] = {};
+    const bool got = std::fgets(buf, sizeof buf, pipe) != nullptr;
+    const int status = pclose(pipe);
+    std::string line = got && status == 0 ? buf : "";
+    while (!line.empty() && (line.back() == '\n' || line.back() == '\r'))
+        line.pop_back();
+    return line;
+}
+
+/** The checkout's HEAD, "+dirty" when tracked files differ from it. */
+std::string
+commitId()
+{
+    const std::string git = "git -C '" SIOPMP_SOURCE_DIR "' ";
+    std::string commit =
+        firstLine((git + "rev-parse --short=12 HEAD 2>/dev/null").c_str());
+    if (commit.empty())
+        return "unknown";
+    if (!firstLine((git + "status --porcelain --untracked-files=no "
+                          "2>/dev/null").c_str())
+             .empty())
+        commit += "+dirty";
+    return commit;
+}
+
 dev::DmaJob
 burstJob(unsigned engine, std::uint64_t bytes, unsigned outstanding)
 {
@@ -118,11 +176,7 @@ runIdleHeavy(bool fast_forward, unsigned iters)
     }
     const auto t1 = std::chrono::steady_clock::now();
 
-    Measurement m;
-    m.host_seconds = std::chrono::duration<double>(t1 - t0).count();
-    m.simulated = bench.soc.sim().now();
-    m.skipped = bench.soc.sim().idleCyclesSkipped();
-    return m;
+    return measure(bench, t0, t1);
 }
 
 Measurement
@@ -143,11 +197,7 @@ runSaturated(bool fast_forward, unsigned iters)
     }
     const auto t1 = std::chrono::steady_clock::now();
 
-    Measurement m;
-    m.host_seconds = std::chrono::duration<double>(t1 - t0).count();
-    m.simulated = bench.soc.sim().now();
-    m.skipped = bench.soc.sim().idleCyclesSkipped();
-    return m;
+    return measure(bench, t0, t1);
 }
 
 void
@@ -186,6 +236,8 @@ main(int argc, char **argv)
     const Measurement idle_naive = runIdleHeavy(false, iters);
     SIOPMP_ASSERT(idle_ff.simulated == idle_naive.simulated,
                   "idle-heavy cycle counts diverged between modes");
+    SIOPMP_ASSERT(idle_ff.stats == idle_naive.stats,
+                  "idle-heavy stats dumps diverged between modes");
     SIOPMP_ASSERT(idle_naive.skipped == 0,
                   "naive mode must not skip cycles");
 
@@ -193,6 +245,8 @@ main(int argc, char **argv)
     const Measurement sat_naive = runSaturated(false, iters);
     SIOPMP_ASSERT(sat_ff.simulated == sat_naive.simulated,
                   "saturated cycle counts diverged between modes");
+    SIOPMP_ASSERT(sat_ff.stats == sat_naive.stats,
+                  "saturated stats dumps diverged between modes");
 
     std::printf("idle-heavy: %.3f s/Mcycle naive, %.3f s/Mcycle ff "
                 "(%.1fx, %llu of %llu cycles skipped)\n",
@@ -214,8 +268,17 @@ main(int argc, char **argv)
         std::fprintf(stderr, "cannot open %s\n", out_path.c_str());
         return 1;
     }
-    std::fprintf(f, "{\n  \"benchmark\": \"sim_core_micro\",\n"
-                    "  \"iters\": %u,\n", iters);
+    const char *build_type =
+        SIOPMP_BUILD_TYPE[0] != '\0' ? SIOPMP_BUILD_TYPE : "none";
+    std::fprintf(f,
+                 "{\n  \"benchmark\": \"sim_core_micro\",\n"
+                 "  \"commit\": \"%s\",\n"
+                 "  \"build_type\": \"%s\",\n"
+                 "  \"compiler\": \"%s\",\n"
+                 "  \"host_cores\": %u,\n"
+                 "  \"iters\": %u,\n",
+                 commitId().c_str(), build_type, SIOPMP_COMPILER,
+                 std::thread::hardware_concurrency(), iters);
     emitWorkload(f, "idle_heavy", idle_ff, idle_naive, false);
     emitWorkload(f, "saturated", sat_ff, sat_naive, true);
     std::fprintf(f, "}\n");

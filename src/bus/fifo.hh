@@ -10,6 +10,14 @@
  * every push() then re-arms it on the simulator's active set, which is
  * what lets a quiescent consumer sleep between transfers without ever
  * missing an incoming beat (see sim/tickable.hh).
+ *
+ * Wake-on-pop: the producer component may bind itself with
+ * bindProducer(); a pop() from a fifo that was full at its last clock()
+ * then re-arms the producer if it is parked. That pop is the first
+ * event that can give the producer room (the slot shows at the next
+ * clock()), so a producer may park behind a full fifo. An active
+ * producer is left alone: waking it would only restart its grace
+ * cycle.
  */
 
 #ifndef BUS_FIFO_HH
@@ -41,6 +49,10 @@ class Fifo
     /** Bind the consumer component woken by every push (may be null to
      * unbind). Survives reset(): it is wiring, not state. */
     void bindWake(Tickable *consumer) { wake_ = consumer; }
+
+    /** Bind the producer component woken by a pop that frees a slot of
+     * a full fifo (may be null to unbind). Wiring, like bindWake(). */
+    void bindProducer(Tickable *producer) { producer_ = producer; }
 
     /** True iff a producer may push this cycle. */
     bool
@@ -87,6 +99,9 @@ class Fifo
     {
         SIOPMP_ASSERT(!ready_.empty(), "pop on empty fifo");
         ready_.pop_front();
+        if (snapshot_ == capacity_ && producer_ != nullptr &&
+            !producer_->active())
+            producer_->wake();
     }
 
     /** Advance the register stage; call once per cycle (by consumer). */
@@ -115,6 +130,7 @@ class Fifo
   private:
     std::size_t capacity_;
     Tickable *wake_ = nullptr;
+    Tickable *producer_ = nullptr;
     std::deque<T> ready_;      //!< consumer-readable
     std::deque<T> staged_;     //!< producer-side register stage
     std::size_t snapshot_ = 0; //!< registered occupancy (at last clock)

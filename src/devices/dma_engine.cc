@@ -15,6 +15,7 @@ namespace dev {
 DmaEngine::DmaEngine(std::string name, DeviceId device, bus::Link *link)
     : DmaMaster(std::move(name), device, link)
 {
+    link_->a.bindProducer(this);
 }
 
 void
@@ -92,16 +93,23 @@ DmaEngine::quiescent(Cycle) const
         return false; // responses to collect
     if (done_)
         return true;
-    // Any issuable work keeps the engine hot so it polls through
-    // A-channel backpressure; once everything issued is merely awaiting
-    // responses, the D-channel wake re-arms it.
-    if (writing_ || !write_queue_.empty())
+    // Opening a write burst stamps its issue cycle, so the engine stays
+    // hot until it has opened the next one, whether or not the uplink
+    // can take a beat.
+    const bool room = outstanding_.size() < job_.max_outstanding;
+    if (!writing_ && room &&
+        (job_.kind == DmaKind::Copy
+             ? !write_queue_.empty()
+             : job_.kind == DmaKind::Write && issued_bytes_ < job_.bytes))
         return false;
-    if (issued_bytes_ < job_.bytes &&
-        outstanding_.size() < job_.max_outstanding) {
-        return false;
-    }
-    return true;
+    // All other issuing is a push. Behind a full uplink it waits for the
+    // pop that frees a slot, which wakes the engine (its uplink's bound
+    // producer); once everything issued merely awaits responses, the
+    // D-channel wake re-arms it.
+    if (!link_->a.canPush())
+        return true;
+    return !writing_ && !(job_.kind != DmaKind::Write && room &&
+                          issued_bytes_ < job_.bytes);
 }
 
 bool

@@ -124,19 +124,20 @@ class CheckAccel final : public TableListener
     AccelMode mode() const { return mode_; }
 
     /**
-     * Account a check() that repeats an earlier one verbatim with no
-     * table mutation since (a CheckerNode re-polling a held Allow, see
-     * SIopmp::creditHeldAllow): count one cache hit when the cache is
-     * on, and move the last-seen cycle to @p now as check() does. The
-     * hit means "answered without a plan walk": another node's fill
-     * may have evicted the line, so a real re-check could miss.
+     * Account @p repeats check() calls that repeat an earlier one
+     * verbatim with no table mutation since (a CheckerNode re-polling
+     * a held Allow, see SIopmp::creditPolls): count one cache hit each
+     * when the cache is on, and move the last-seen cycle to @p last,
+     * the cycle of the last repeat, as check() does. A hit means
+     * "answered without a plan walk": another node's fill may have
+     * evicted the line, so a real re-check could miss.
      */
     void
-    creditRepeat(Cycle now)
+    creditRepeat(std::uint64_t repeats, Cycle last)
     {
-        last_seen_now_ = now;
+        last_seen_now_ = last;
         if (mode_ == AccelMode::PlansAndCache)
-            ++*hits_;
+            *hits_ += static_cast<double>(repeats);
     }
 
     /** Switch between Plans and PlansAndCache (Off is modelled by

@@ -45,6 +45,7 @@ CheckerNode::CheckerNode(std::string name, bus::Link *up, bus::Link *down,
     req_pipe_.configure(requestDelay());
     resp_pipe_.configure(responseDelay());
     up_->a.bindWake(this);
+    down_->a.bindProducer(this);
     down_->d.bindWake(this);
     if (err_ != nullptr)
         err_->d.bindWake(this);
@@ -61,9 +62,14 @@ bool
 CheckerNode::quiescent(Cycle) const
 {
     // Ordered so a busy node exits on its first test: a beat in the
-    // request pipe that is not parked on a SID miss or block bit (in
-    // flight, or held by backpressure) keeps the node polling.
+    // request pipe that is not parked (in flight, or its stall cannot
+    // wait for a wake) keeps the node polling.
     if (stall_ == Stall::None && !req_pipe_.empty())
+        return false;
+    // A held beat parks only behind a downlink still full at its last
+    // clock, whose next pop wakes the node; a pop this cycle already
+    // made room.
+    if (stall_ == Stall::Held && down_->a.canPush())
         return false;
     if (!resp_pipe_.empty() || !down_->d.settled() ||
         (err_ != nullptr && !err_->d.settled()))
@@ -200,6 +206,7 @@ void
 CheckerNode::dispatchRequests(Cycle now)
 {
     stall_ = Stall::None;
+    noPollsOwed();
     if (!req_pipe_.ready(now))
         return;
     bus::Beat beat = req_pipe_.front();
@@ -250,7 +257,7 @@ CheckerNode::dispatchRequests(Cycle now)
     AuthResult auth;
     if (held_) {
         auth = *held_;
-        unit_->creditHeldAllow(now);
+        unit_->creditPolls(AuthStatus::Allow, 1, now);
     } else {
         auth = unit_->authorize(beat.device, beat.addr, len, perm, now);
     }
@@ -275,7 +282,7 @@ CheckerNode::dispatchRequests(Cycle now)
 
       case AuthStatus::Blocked:
         stall_ = Stall::Blocked;
-        blocked_poll_ = now;
+        pollCounted(now);
         ++block_stalls_;
         // Edge: open the §4.1 blocking window on the first stalled
         // cycle; traceResolved() closes it when the head resolves.
@@ -334,6 +341,8 @@ CheckerNode::dispatchRequests(Cycle now)
 
       case AuthStatus::Allow:
         if (!down_->a.canPush()) {
+            stall_ = Stall::Held;
+            pollCounted(now);
             held_ = auth;
             return;
         }
@@ -395,18 +404,25 @@ CheckerNode::forwardResponses(Cycle now)
 }
 
 void
+CheckerNode::creditPolls(std::uint64_t polls, Cycle last)
+{
+    // A block-bit poll also re-touches the head device's CAM use bit.
+    // That touch is idempotent while parked: clearing the bit moves the
+    // state version, which settles and wakes the node.
+    if (stall_ == Stall::Blocked) {
+        block_stalls_ += static_cast<double>(polls);
+        unit_->creditPolls(AuthStatus::Blocked, polls, last);
+    } else {
+        unit_->creditPolls(AuthStatus::Allow, polls, last);
+    }
+}
+
+void
 CheckerNode::evaluate(Cycle now)
 {
-    // Back from a block-bit park: the tick-every-cycle loop would have
-    // re-polled the blocked head on each skipped cycle, each poll
-    // counting one check and one blocked stall and re-touching the
-    // CAM use bit. Credit the counts; the touch is idempotent, since
-    // clearing the use bit would have woken the node.
-    if (stall_ == Stall::Blocked && now > blocked_poll_ + 1) {
-        const std::uint64_t polls = now - blocked_poll_ - 1;
-        block_stalls_ += static_cast<double>(polls);
-        unit_->creditBlockedPolls(polls);
-    }
+    // Back from a park: the tick-every-cycle loop would have re-polled
+    // the stalled head on each skipped cycle.
+    settleThrough(now - 1);
     acceptRequests(now);
     dispatchRequests(now);
     forwardResponses(now);

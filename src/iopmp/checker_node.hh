@@ -18,22 +18,30 @@
  * state monitor (bus::BusMonitor) is updated at burst start/end so the
  * firmware's per-SID blocking can wait for pipeline drain.
  *
- * Stalls: a head beat stalled on a SID miss or a block bit parks the
- * node (quiescent()) once its response path is idle and its uplink
- * cannot feed it. The node is an SIopmp stall waiter, so every move of
- * the unit's state version wakes it to re-poll. The first evaluate
- * after a block-bit park credits the polls it skipped (see
- * evaluate()), so stats match the tick-every-cycle loop.
+ * Stalls: a head beat stalled on a SID miss or a block bit, or holding
+ * an Allow its full downlink cannot take, parks the node (quiescent())
+ * once its response path is idle and its uplink cannot feed it. The
+ * node is an SIopmp stall waiter, so every move of the unit's state
+ * version wakes it to re-poll, and it is its downlink's bound producer
+ * (bus::Fifo::bindProducer), so the pop that frees a slot wakes a held
+ * beat.
  *
  * Held verdicts: a head beat held by backpressure (allowed, downlink
- * full) still polls every cycle, but reuses its held Allow instead of
- * re-running authorize() while SIopmp::stateVersion() stands still,
- * crediting the counters the call would have made
- * (SIopmp::creditHeldAllow). The version moves on every change that
- * can alter a verdict: config-epoch bumps (eSID and every MMIO path),
- * setChecker/setAccelMode, entry and MDCFG table mutations, and CAM,
- * SRC2MD and block-bitmap mutations, direct calls included. The same
- * version gates the resync of the request pipe's delay.
+ * full) reuses its held Allow instead of re-running authorize() while
+ * SIopmp::stateVersion() stands still, crediting the counters the call
+ * would have made (SIopmp::creditPolls). The version moves on every
+ * change that can alter a verdict: config-epoch bumps (eSID and every
+ * MMIO path), setChecker/setAccelMode, entry and MDCFG table
+ * mutations, and CAM, SRC2MD and block-bitmap mutations, direct calls
+ * included. The same version gates the resync of the request pipe's
+ * delay.
+ *
+ * Skipped-poll credit: a block-bit poll and a held poll only count, so
+ * a node parked on either owes its skipped polls from the last one it
+ * counted (Tickable::pollCounted). settle() credits them, per-poll
+ * delta times polls, through SIopmp::creditPolls: at the node's next
+ * evaluate, when Simulator::run()/runUntil() return, and before any
+ * unit state change. So stats match the tick-every-cycle loop.
  *
  * A node is a port onto its SIopmp: all nodes of a unit check through
  * its one checker and share its plans, cache and "check_accel" stats.
@@ -179,14 +187,16 @@ class CheckerNode : public Tickable
     //! polls reuse it until the beat leaves or the version moves.
     std::optional<AuthResult> held_;
 
+    /** Credit @p polls skipped polls of the Blocked or Held head beat,
+     * the last at cycle @p last (Tickable::settle). */
+    void creditPolls(std::uint64_t polls, Cycle last) override;
+
     //! Why the head beat did not leave in the last dispatch: a SID
-    //! miss or block-bit stall lets the node park (see quiescent()).
-    enum class Stall : std::uint8_t { None, SidMiss, Blocked };
+    //! miss, a block bit or a held Allow behind a full downlink lets
+    //! the node park (see quiescent()). Blocked and Held polls count,
+    //! so while either stands the node owes the polls it skips.
+    enum class Stall : std::uint8_t { None, SidMiss, Blocked, Held };
     Stall stall_ = Stall::None;
-    //! Cycle of the last block-bit poll. While stall_ is Blocked it
-    //! was the last evaluate(), so a gap before the next one is the
-    //! run of polls the node skipped while parked.
-    Cycle blocked_poll_ = 0;
 
     stats::Group stats_;
     stats::LazyScalar beats_forwarded_{stats_, "beats_forwarded"};

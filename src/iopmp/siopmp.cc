@@ -38,12 +38,20 @@ SIopmp::SIopmp(IopmpConfig cfg, CheckerKind kind, unsigned stages)
       mdcfg_(cfg.num_mds, cfg.num_entries),
       cam_(cfg.num_sids - 1), // hot SIDs 0 .. num_sids-2; last is cold
       blocks_(cfg.num_sids),
-      checker_(makeChecker(kind, stages, entries_, mdcfg_)),
+      // Listen to the tables before the checker's accelerator does, so
+      // a mutation settles the stall waiters before the accelerator
+      // stamps its invalidation instant with the cycle of its last
+      // check. The checker arrives from makeChecker already in the
+      // process-wide default acceleration mode
+      // (CheckAccel::defaultMode) — the single construction path
+      // applies the single documented default.
+      checker_([&] {
+          entries_.addListener(this);
+          mdcfg_.addListener(this);
+          return makeChecker(kind, stages, entries_, mdcfg_);
+      }()),
       stats_("siopmp")
 {
-    // The checker arrives from makeChecker already in the process-wide
-    // default acceleration mode (CheckAccel::defaultMode) — the single
-    // construction path applies the single documented default.
     st_checks_ = &stats_.scalar("checks");
     st_sid_misses_ = &stats_.scalar("sid_misses");
     st_blocked_ = &stats_.scalar("blocked_stalls");
@@ -53,13 +61,12 @@ SIopmp::SIopmp(IopmpConfig cfg, CheckerKind kind, unsigned stages)
     cam_.setChangeHook([this] { stateChanged(); });
     src2md_.setChangeHook([this] { stateChanged(); });
     blocks_.setChangeHook([this] { stateChanged(); });
-    entries_.addListener(this);
-    mdcfg_.addListener(this);
 }
 
 void
 SIopmp::setChecker(CheckerKind kind, unsigned stages)
 {
+    settleWaiters();
     const AccelMode mode = checker_->accelMode();
     checker_ = makeChecker(kind, stages, entries_, mdcfg_);
     checker_->setAccelMode(mode);
@@ -69,6 +76,7 @@ SIopmp::setChecker(CheckerKind kind, unsigned stages)
 void
 SIopmp::setAccelMode(AccelMode mode)
 {
+    settleWaiters();
     checker_->setAccelMode(mode);
     stateChanged();
 }
@@ -93,24 +101,31 @@ SIopmp::stateChanged()
     ++state_version_;
     // Active waiters are woken too: the wake keeps one that evaluated
     // earlier this cycle (and saw the old state) from parking on it.
-    for (Tickable *node : stall_waiters_)
+    for (Tickable *node : stall_waiters_) {
+        node->settle();
         node->wake();
+    }
 }
 
 void
-SIopmp::creditBlockedPolls(std::uint64_t polls)
+SIopmp::settleWaiters()
 {
-    *st_checks_ += static_cast<double>(polls);
-    *st_blocked_ += static_cast<double>(polls);
+    for (Tickable *node : stall_waiters_)
+        node->settle();
 }
 
 void
-SIopmp::creditHeldAllow(Cycle now)
+SIopmp::creditPolls(AuthStatus status, std::uint64_t polls, Cycle last)
 {
-    ++*st_checks_;
-    ++*st_allows_;
+    const double n = static_cast<double>(polls);
+    *st_checks_ += n;
+    if (status == AuthStatus::Blocked) {
+        *st_blocked_ += n;
+        return;
+    }
+    *st_allows_ += n;
     if (CheckAccel *accel = checker_->accel())
-        accel->creditRepeat(now);
+        accel->creditRepeat(polls, last);
 }
 
 std::optional<Sid>

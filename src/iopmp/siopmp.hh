@@ -168,9 +168,9 @@ class SIopmp : public mem::MmioDevice, private TableListener
      * direct call — each config-epoch bump, setChecker/setAccelMode,
      * the entry and MDCFG tables (as their TableListener), and every
      * CAM, SRC2MD and block-bitmap mutation (through change hooks in
-     * those structures). Each move also wakes the stall waiters. A
-     * CheckerNode holds an allowed head beat's verdict while the
-     * version stands still (creditHeldAllow).
+     * those structures). Each move first settles the stall waiters'
+     * owed polls, then wakes them. A CheckerNode holds an allowed head
+     * beat's verdict while the version stands still (creditPolls).
      */
     std::uint64_t stateVersion() const { return state_version_; }
 
@@ -193,29 +193,27 @@ class SIopmp : public mem::MmioDevice, private TableListener
 
     /**
      * Register @p node as a stall waiter: a component that may park on
-     * a beat stalled on a SID miss or a block bit (CheckerNode). Every
-     * stateVersion() move wakes all waiters, so every change that can
-     * decide such a stall does. A waiter unregisters before it is
-     * destroyed.
+     * a beat stalled on a SID miss or a block bit, or holding an Allow
+     * behind a full downlink (CheckerNode). Every stateVersion() move
+     * settles and wakes all waiters, so every change that can decide
+     * such a stall does. A waiter unregisters before it is destroyed.
      */
     void addStallWaiter(Tickable *node);
     void removeStallWaiter(Tickable *node);
 
     /**
-     * Count @p polls block-bit polls a parked waiter skipped: the
-     * "checks" and "blocked_stalls" increments authorize() would have
-     * made, had the waiter re-polled its blocked beat every cycle.
+     * Count @p polls repeats of a poll that authorize() answered with
+     * @p status while its outcome cannot change (a stall waiter's head
+     * beat, stateVersion() unmoved): the counter updates each repeat
+     * would make. Blocked: "checks" and "blocked_stalls". Allow (a held
+     * verdict; no other status is credited): "checks", "allows" and,
+     * with the verdict cache on, one cache hit each
+     * (CheckAccel::creditRepeat); @p last, the cycle of the last
+     * repeat, moves the accelerator's last-seen cycle. The CAM use bit
+     * needs no touch: every path that clears it moves the version. The
+     * one entry point for skipped-poll credit (see Tickable::settle()).
      */
-    void creditBlockedPolls(std::uint64_t polls);
-
-    /**
-     * Count a poll that repeats an authorize() which returned Allow,
-     * with stateVersion() unmoved since: the counter updates the call
-     * would make again — "checks", "allows" and, with the cache on,
-     * one verdict-cache hit (CheckAccel::creditRepeat). The CAM use
-     * bit needs no touch: every path that clears it moves the version.
-     */
-    void creditHeldAllow(Cycle now);
+    void creditPolls(AuthStatus status, std::uint64_t polls, Cycle last);
 
     stats::Group &statsGroup() { return stats_; }
 
@@ -238,8 +236,14 @@ class SIopmp : public mem::MmioDevice, private TableListener
         stateChanged();
     }
 
-    /** Move the state version and wake the stall waiters. */
+    /** Move the state version, then settle and wake the stall
+     * waiters. */
     void stateChanged();
+
+    /** Credit the polls the stall waiters owe (Tickable::settle): due
+     * before any change their credit depends on — the accelerator's
+     * invalidation stamps and swaps. */
+    void settleWaiters();
 
     // ---- TableListener (entry and MDCFG tables) ------------------------
 

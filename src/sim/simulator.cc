@@ -20,6 +20,13 @@ Tickable::wakeSlow()
     sim_->wake(this);
 }
 
+void
+Tickable::settleSlow()
+{
+    if (sim_ != nullptr)
+        settleThrough(sim_->settleHorizon());
+}
+
 bool
 Simulator::defaultFastForward()
 {
@@ -156,6 +163,7 @@ Simulator::run(Cycle n)
         }
         tickOnce();
     }
+    settleAll();
 }
 
 Cycle
@@ -185,7 +193,15 @@ Simulator::runUntil(const std::function<bool()> &done, Cycle max_cycles)
         }
         tickOnce();
     }
+    settleAll();
     return now_ - start;
+}
+
+void
+Simulator::settleAll()
+{
+    for (auto *c : components_)
+        c->settle();
 }
 
 void

@@ -58,7 +58,8 @@ class Simulator
      */
     void step();
 
-    /** Run @p n cycles. */
+    /** Run @p n cycles, then settle every component (Tickable::settle),
+     * so stats read after the call match the naive loop's. */
     void run(Cycle n);
 
     /**
@@ -68,7 +69,9 @@ class Simulator
      * Under fast-forward, @p done is only evaluated at cycles where
      * something can happen (active components or a fired event), so it
      * must be a function of simulation state — not of now() alone. A
-     * pure time bound belongs in run().
+     * pure time bound belongs in run(). Settles every component on
+     * return, as run() does; inside @p done, skipped polls may still
+     * be owed.
      */
     Cycle runUntil(const std::function<bool()> &done,
                    Cycle max_cycles = 100'000'000);
@@ -79,6 +82,13 @@ class Simulator
     /** Reset time (components keep their state; callers reset those).
      * Every component is returned to the active set. */
     void resetTime();
+
+    /**
+     * Last cycle whose polls a settle covers: now() mid-tick, since the
+     * components that owe polls (checker nodes) are registered, and so
+     * tick, first; now() - 1 between cycles and at event time.
+     */
+    Cycle settleHorizon() const { return ticking_ ? now_ : now_ - 1; }
 
     /** Re-arm @p component onto the active set (see Tickable::wake). */
     void wake(Tickable *component);
@@ -106,6 +116,9 @@ class Simulator
 
     /** Immediate removal (caller guarantees no tick is in flight). */
     void removeNow(Tickable *component);
+
+    /** Settle every component through settleHorizon(). */
+    void settleAll();
 
     std::vector<Tickable *> components_;
     EventQueue events_;

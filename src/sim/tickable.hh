@@ -9,15 +9,17 @@
  * by overriding quiescent(). Returning true is a promise that both
  * evaluate() and advance() are exact no-ops at the given cycle AND will
  * stay no-ops until the component is woken — or, for a poll whose only
- * effect is counting, that the component credits the skipped polls on
- * its first evaluate after the wake (a CheckerNode parked on a block
- * bit). The simulator then drops the component from the hot active
- * set and stops ticking it; when all components are quiescent it
+ * effect is counting, that the component owes the skipped polls (see
+ * settle() below). The simulator then drops the component from the hot
+ * active set and stops ticking it; when all components are quiescent it
  * fast-forwards time to the next pending event. A quiescent component
  * is re-armed by:
  *
  *  - a push into any bus::Fifo bound to it via Fifo::bindWake()
  *    (the consumer-side channels it clocks in advance());
+ *  - a pop from a full bus::Fifo bound to it via Fifo::bindProducer()
+ *    (the channels it pushes into), so a producer may park behind a
+ *    full fifo: that pop is the first event that can give it room;
  *  - a timed EventQueue::scheduleWake() the component armed itself
  *    (e.g. a memory controller waiting out an access latency, a CPU
  *    waiting out its interrupt handler);
@@ -30,14 +32,26 @@
  * naive tick-everything loop, so every path that can turn a no-op
  * evaluate()/advance() into real work must wake the component. Spurious
  * wakes are harmless: the simulator re-checks quiescent() after every
- * ticked cycle. See docs/SIMULATION.md for the full contract.
+ * ticked cycle.
+ *
+ * Skipped-poll credit: a poll that only counts (a CheckerNode's head
+ * beat stalled on a block bit, or holding an Allow behind a full
+ * downlink) may be skipped if it is counted later. The component marks
+ * each such poll with pollCounted(); every later poll it skips is owed
+ * until settleThrough() credits them, "per-poll delta x polls", through
+ * creditPolls(). settle() is the inline gate callers use: the simulator
+ * settles every component when run()/runUntil() return, a unit settles
+ * its stall waiters before any state change, and the component settles
+ * at its next evaluate. See docs/SIMULATION.md for the full contract.
  */
 
 #ifndef SIM_TICKABLE_HH
 #define SIM_TICKABLE_HH
 
+#include <cstdint>
 #include <string>
 
+#include "sim/logging.hh"
 #include "sim/types.hh"
 
 namespace siopmp {
@@ -93,6 +107,19 @@ class Tickable
             wakeSlow();
     }
 
+    /**
+     * Credit the polls this component skipped while parked, through the
+     * last cycle the simulator has polled (Simulator::settleHorizon()).
+     * A no-op unless a counted poll is owed; the test is inline, so
+     * callers may settle on every pass.
+     */
+    void
+    settle()
+    {
+        if (poll_cursor_ != kNever)
+            settleSlow();
+    }
+
     /** Simulator this component is registered with (null if none). */
     Simulator *simulator() const { return sim_; }
 
@@ -101,10 +128,48 @@ class Tickable
 
     const std::string &name() const { return name_; }
 
+  protected:
+    /** The poll at @p now counted, and every later poll would count the
+     * same until the next call or noPollsOwed(): skipped ones are owed
+     * from here. */
+    void pollCounted(Cycle now) { poll_cursor_ = now; }
+
+    /** Later polls count nothing: none are owed. */
+    void noPollsOwed() { poll_cursor_ = kNever; }
+
+    /** Credit the owed polls after the last counted one, through cycle
+     * @p through, and move the cursor there. */
+    void
+    settleThrough(Cycle through)
+    {
+        if (poll_cursor_ < through) {
+            creditPolls(through - poll_cursor_, through);
+            poll_cursor_ = through;
+        } else {
+            SIOPMP_ASSERT(poll_cursor_ == kNever || poll_cursor_ == through,
+                          "a poll was credited before it ran: state "
+                          "changed mid-tick from a component that ticks "
+                          "before the one that owes it");
+        }
+    }
+
+    /**
+     * Count @p polls skipped polls, the last one at cycle @p last, as
+     * the counted poll would have counted each. Called only while a
+     * poll is owed (after pollCounted()).
+     */
+    virtual void
+    creditPolls(std::uint64_t polls, Cycle last)
+    {
+        (void)polls;
+        (void)last;
+    }
+
   private:
     friend class Simulator;
 
     void wakeSlow();
+    void settleSlow();
 
     std::string name_;
     Simulator *sim_ = nullptr;
@@ -113,6 +178,8 @@ class Tickable
     //! a wake during the advance phase (whose cause is still invisible
     //! to quiescent(), e.g. a staged fifo push) is never lost.
     Cycle wake_cycle_ = 0;
+    //! Cycle of the last poll counted, kNever when none is owed.
+    Cycle poll_cursor_ = kNever;
 };
 
 } // namespace siopmp

@@ -889,6 +889,50 @@ TEST(CheckerNodeHold, HeldPollStampsInvalidationInstants)
 }
 
 /**
+ * The same stamp while the held node is parked behind its full
+ * downlink: a mutation from an event settles the node's skipped polls
+ * before the accelerator stamps its instant (the unit listens to the
+ * tables first), so the stamp is the cycle before the event, as in the
+ * loop that polls every cycle. Blocking the hog's SID mid-burst keeps
+ * the xbar locked on its port, so checker 0 holds its beat with no
+ * other check in the unit.
+ */
+TEST(CheckerNodeHold, ParkedHeldPollStampsInvalidationInstants)
+{
+    struct Probe {
+        std::vector<Cycle> stamps;
+        bool parked = false;
+    };
+    const auto run = [](bool fast_forward) {
+        HoldRig rig;
+        rig.soc.sim().setFastForward(fast_forward);
+        rig.holdHead();
+        rig.soc.iopmp().blockBitmap().block(1);
+        Probe probe;
+        trace::RingBufferSink ring(16);
+        const Cycle event = rig.soc.sim().now() + 200;
+        rig.soc.sim().events().schedule(event, [&] {
+            probe.parked = !rig.soc.checkerNode(0).active();
+            trace::tracer().setSink(&ring);
+            rig.soc.iopmp().entryTable().set(15, Entry::off()); // MD 1
+            trace::tracer().setSink(nullptr);
+        });
+        rig.soc.sim().run(201);
+        for (const trace::Event &ev : ring.events()) {
+            if (std::string(ev.name) == "partial_flush")
+                probe.stamps.push_back(ev.when);
+        }
+        EXPECT_EQ(probe.stamps, (std::vector<Cycle>{event - 1}));
+        return probe;
+    };
+    const Probe ff = run(true);
+    const Probe naive = run(false);
+    EXPECT_TRUE(ff.parked);
+    EXPECT_FALSE(naive.parked);
+    EXPECT_EQ(ff.stamps, naive.stamps);
+}
+
+/**
  * An interrupt that arrives while the CPU is still inside the previous
  * handler leaves it parked (no polling through busy_until_); the timed
  * wake services it exactly at busy_until_, as the naive loop does.

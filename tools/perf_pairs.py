@@ -4,6 +4,8 @@ BENCHMARK.json.
 
     python3 tools/perf_pairs.py --parent DIR --change DIR --workload W \\
         --pairs N --seconds S --seed K
+    python3 tools/perf_pairs.py --parent DIR --change DIR --workload W \\
+        --traced --seconds S --seed K
 
 Pair i runs `python3 perfbench/run.py --workload W --seed K+i
 --seconds S --trace 0` once in each checkout. The tree that goes first
@@ -25,11 +27,20 @@ same counted-repetition fingerprints and sim_* values. The exit status
 is 1 when a run failed ops or a seed's fingerprints or sim_* values
 differ, 2 when a run could not be made, and 0 otherwise. perfbench/ and
 BENCHMARK.json are only read.
+
+--traced makes one `--trace 1` run per tree at seed K instead, and
+prints every per-layer metric of the two side by side, with the
+change/parent ratio. Host-time metrics (_ns and _us timings, their
+sample counts and tails, *.host_share, self.* and trace.*) may differ;
+any other metric that differs is flagged DIFFERS, and the exit status
+is then 1. This shows in which layer a saving appears, and that the
+simulated counts underneath it did not move.
 """
 
 import argparse
 import json
 import os
+import re
 import statistics
 import subprocess
 import sys
@@ -40,18 +51,65 @@ def fail(message):
     sys.exit(2)
 
 
-def run(tree, args, seed):
-    """One untraced perfbench run in `tree`; returns (provenance,
-    result) as printed by run.py's last two lines."""
+def run(tree, args, seed, trace=0):
+    """One perfbench run in `tree`; returns (provenance, result) as
+    printed by run.py's last two lines."""
     cmd = [sys.executable, os.path.join("perfbench", "run.py"),
            "--workload", args.workload, "--seed", str(seed),
-           "--seconds", str(args.seconds), "--trace", "0"]
+           "--seconds", str(args.seconds), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or len(lines) < 2:
         sys.stderr.write(proc.stderr)
         fail("%s: run.py exited with %d" % (tree, proc.returncode))
     return json.loads(lines[-2])["provenance"], json.loads(lines[-1])
+
+
+# A metric measured in host time: an _ns or _us timing (with its sample
+# count and tail), a host-time share, a self-time share or the tracer's
+# own cost.
+HOST_TIME = re.compile(r"(^|[._])(ns|us)([._]|$)")
+
+
+def host_time(name):
+    return (HOST_TIME.search(name) is not None or
+            name.endswith(".host_share") or
+            name.startswith(("self.", "trace.")))
+
+
+def traced(args, trees):
+    """One traced run per tree; print the per-layer metrics side by
+    side and flag every non-host-time metric that differs."""
+    metrics, failed = {}, []
+    for side in ("parent", "change"):
+        _, result = run(trees[side], args, args.seed, trace=1)
+        metrics[side] = {n: m["value"] for n, m in result["metrics"].items()}
+        if result["failed"] != 0 or not result["correct"]:
+            failed.append("%s run failed %d of %d ops"
+                          % (side, result["failed"], result["attempted"]))
+    print("%s, traced, seed %d, %d s" % (args.workload, args.seed,
+                                         args.seconds))
+    print("%-40s %16s %16s %9s" % ("metric", "parent", "change", "ratio"))
+    differs = []
+    for name in sorted(set(metrics["parent"]) | set(metrics["change"])):
+        p, c = metrics["parent"].get(name), metrics["change"].get(name)
+        ratio = "%9.3f" % (c / p) if p and c is not None else "%9s" % "-"
+        mark = ""
+        if p != c:
+            mark = "  host time" if host_time(name) else "  DIFFERS"
+            if not host_time(name):
+                differs.append(name)
+        print("%-40s %16.6g %16.6g %s%s" % (
+            name, float("nan") if p is None else p,
+            float("nan") if c is None else c, ratio, mark))
+    for problem in failed:
+        print("FAIL: " + problem)
+    if differs:
+        print("FAIL: %d non-host-time metrics differ: %s"
+              % (len(differs), ", ".join(differs)))
+    else:
+        print("every metric other than host time is identical")
+    sys.exit(1 if failed or differs else 0)
 
 
 def quartiles(values):
@@ -67,15 +125,20 @@ def main():
     parser.add_argument("--parent", required=True, help="parent checkout")
     parser.add_argument("--change", required=True, help="changed checkout")
     parser.add_argument("--workload", required=True)
-    parser.add_argument("--pairs", type=int, required=True)
+    parser.add_argument("--pairs", type=int)
     parser.add_argument("--seconds", type=int, required=True)
     parser.add_argument("--seed", type=int, required=True,
                         help="pair i runs at seed SEED+i")
+    parser.add_argument("--traced", action="store_true",
+                        help="one traced run per tree at SEED; compare "
+                             "the per-layer metrics")
     args = parser.parse_args()
-    if args.pairs < 1:
-        parser.error("--pairs must be at least 1")
     trees = {"parent": os.path.abspath(args.parent),
              "change": os.path.abspath(args.change)}
+    if args.traced:
+        traced(args, trees)
+    if args.pairs is None or args.pairs < 1:
+        parser.error("--pairs must be at least 1")
     with open(os.path.join(trees["parent"], "BENCHMARK.json")) as f:
         end_to_end = json.load(f)["end_to_end"]
     names = [m["name"] for m in end_to_end]

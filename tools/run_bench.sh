@@ -114,6 +114,11 @@ echo "== BENCH_sim_core.json schema check =="
 # Every required key must be present; values must parse as numbers.
 for key in \
     '"benchmark"' \
+    '"commit"' \
+    '"build_type"' \
+    '"compiler"' \
+    '"host_cores"' \
+    '"iters"' \
     '"idle_heavy"' \
     '"saturated"' \
     '"simulated_cycles"' \
@@ -132,16 +137,23 @@ if command -v python3 > /dev/null; then
 import json, sys
 d = json.load(open(sys.argv[1]))
 assert d["benchmark"] == "sim_core_micro"
+# Provenance header: what produced the numbers below.
+for k in ("commit", "build_type", "compiler"):
+    assert isinstance(d[k], str) and d[k], k
+assert isinstance(d["host_cores"], int) and d["host_cores"] > 0
+assert isinstance(d["iters"], int) and d["iters"] > 0
 for wl in ("idle_heavy", "saturated"):
     w = d[wl]
     assert isinstance(w["simulated_cycles"], int) and w["simulated_cycles"] > 0
     for k in ("fast_forward_s_per_mcycle", "naive_s_per_mcycle", "speedup"):
         assert isinstance(w[k], (int, float)), (wl, k)
     assert isinstance(w["idle_cycles_skipped"], int)
-print("json schema OK (idle-heavy fast-forward %.1fx, %d of %d cycles "
-      "skipped)" % (d["idle_heavy"]["speedup"],
-                    d["idle_heavy"]["idle_cycles_skipped"],
-                    d["idle_heavy"]["simulated_cycles"]))
+print("json schema OK (%s, %s, %d cores; idle-heavy fast-forward %.1fx, "
+      "%d of %d cycles skipped)" % (d["commit"], d["build_type"],
+                                    d["host_cores"],
+                                    d["idle_heavy"]["speedup"],
+                                    d["idle_heavy"]["idle_cycles_skipped"],
+                                    d["idle_heavy"]["simulated_cycles"]))
 EOF
 else
     echo "json schema OK (grep-only: python3 unavailable)"

@@ -7,19 +7,21 @@
  *
  * Two modes:
  *
- *  - default: the classic google-benchmark BM_* suite over the
- *    UNCACHED checker walks (AccelMode::Off is forced explicitly:
- *    makeChecker applies the process-default acceleration mode, and
- *    these benchmarks guard the baseline walk cost);
+ *  - default: the classic google-benchmark BM_* suite over the bare
+ *    checker walks (makeChecker attaches nothing), which guard the
+ *    baseline walk cost;
  *  - `--json OUT [--checks N]`: emit BENCH_checker.json — a saturated
  *    128-SID check stream replayed against every checker kind x entry
- *    count x {cache off, cache on}, reporting ns/check, simulated
- *    seconds per million cycles (one check per simulated beat cycle)
- *    and the on/off speedup; plus a "churn" series where the entry
- *    table is rewritten every N checks (mutation:check ratios 1:10,
- *    1:100, 1:1000) under sparse per-SID MD bitmaps — the workload
- *    per-MD incremental invalidation exists for. Schema is validated
- *    by tools/run_bench.sh and documented in docs/PERFORMANCE.md.
+ *    count x {accel off: the kind's walk, accel plans: the compiled
+ *    match plans an SIopmp authorizes through}, reporting ns/check,
+ *    simulated seconds per million cycles (one check per simulated
+ *    beat cycle) and the plans/walk speedup; plus a "churn" series
+ *    where the entry table is rewritten every N checks (mutation:check
+ *    ratios 1:10, 1:100, 1:1000) under sparse per-SID MD bitmaps — the
+ *    workload per-MD incremental invalidation exists for. The file
+ *    opens with the provenance header of provenance.hh and the run
+ *    size ("checks_per_config"). Schema is validated by
+ *    tools/run_bench.sh and documented in docs/PERFORMANCE.md.
  */
 
 #include <benchmark/benchmark.h>
@@ -30,10 +32,9 @@
 #include <memory>
 #include <vector>
 
+#include "iopmp/accel.hh"
 #include "iopmp/checker.hh"
-#include "iopmp/linear_checker.hh"
-#include "iopmp/pipelined_checker.hh"
-#include "iopmp/tree_checker.hh"
+#include "provenance.hh"
 #include "sim/random.hh"
 
 using namespace siopmp;
@@ -65,9 +66,6 @@ runCheck(benchmark::State &state, MakeChecker make)
     const unsigned n = static_cast<unsigned>(state.range(0));
     Fixture fixture(n);
     auto checker = make(fixture);
-    // These benchmarks guard the raw walk cost; the accelerated path
-    // has its own series in --json mode.
-    checker->setAccelMode(AccelMode::Off);
     Rng rng(2);
     for (auto _ : state) {
         CheckRequest req;
@@ -110,10 +108,8 @@ BM_MtChecker3Stage(benchmark::State &state)
 /**
  * Saturated check stream at paper scale: 128 SIDs, each with its own
  * MD bitmap, issuing bursts over a bounded per-SID address pool (DMA
- * streams revisit their buffers — that temporal locality is exactly
- * what the verdict cache exploits; plan compilation alone carries the
- * speedup when it is absent). The stream is a pure function of the
- * seed, so the cache-off and cache-on runs replay identical requests.
+ * streams revisit their buffers). The stream is a pure function of
+ * the seed, so the walk and plan runs replay identical requests.
  */
 struct SidStream {
     static constexpr unsigned kSids = 128;
@@ -154,25 +150,50 @@ struct LegResult {
     double ns_per_check = 0.0;
 };
 
+/**
+ * One leg's check path over @p fixture's tables: the kind's bare walk
+ * (accel off), or the compiled match plans an SIopmp authorizes
+ * through (accel plans).
+ */
+class CheckPath
+{
+  public:
+    CheckPath(CheckerKind kind, unsigned stages, const Fixture &fixture,
+              bool plans)
+        : walk_(makeChecker(kind, stages, fixture.entries, fixture.mdcfg))
+    {
+        if (plans)
+            accel_ = std::make_unique<CheckAccel>(fixture.entries,
+                                                  fixture.mdcfg);
+    }
+
+    CheckResult
+    check(const CheckRequest &req)
+    {
+        return accel_ ? accel_->check(req) : walk_->check(req);
+    }
+
+  private:
+    std::unique_ptr<CheckerLogic> walk_;
+    std::unique_ptr<CheckAccel> accel_;
+};
+
 LegResult
-runLeg(CheckerKind kind, unsigned stages, unsigned num_entries,
-       bool cache_on, std::uint64_t checks)
+runLeg(CheckerKind kind, unsigned stages, unsigned num_entries, bool plans,
+       std::uint64_t checks)
 {
     Fixture fixture(num_entries);
-    auto checker = makeChecker(kind, stages, fixture.entries,
-                               fixture.mdcfg);
-    checker->setAccelMode(cache_on ? AccelMode::PlansAndCache
-                                   : AccelMode::Off);
+    CheckPath path(kind, stages, fixture, plans);
     const SidStream stream(3);
 
-    // Warm-up: page in the tables, compile the plans, fill the cache.
+    // Warm-up: page in the tables, compile the plans.
     const std::uint64_t warmup = checks / 8 + 1;
     for (std::uint64_t i = 0; i < warmup; ++i)
-        benchmark::DoNotOptimize(checker->check(stream.request(i)));
+        benchmark::DoNotOptimize(path.check(stream.request(i)));
 
     const auto start = std::chrono::steady_clock::now();
     for (std::uint64_t i = 0; i < checks; ++i)
-        benchmark::DoNotOptimize(checker->check(stream.request(i)));
+        benchmark::DoNotOptimize(path.check(stream.request(i)));
     const auto stop = std::chrono::steady_clock::now();
 
     LegResult result;
@@ -187,8 +208,8 @@ runLeg(CheckerKind kind, unsigned stages, unsigned num_entries,
  * sparse (2-3 of the 63 MDs). That is the realistic sharing shape —
  * a device sees a few domains, not half the machine — and it is what
  * makes per-MD invalidation pay: a mutation inside one MD's window
- * leaves the plans and verdict-cache lines of disjoint bitmaps valid,
- * where the old epoch scheme flushed everything.
+ * leaves the plans of disjoint bitmaps valid, where the old epoch
+ * scheme flushed everything.
  */
 struct ChurnStream {
     static constexpr unsigned kSids = 128;
@@ -230,18 +251,15 @@ struct ChurnStream {
 /**
  * Churn leg: the check stream interleaved with an entry rewrite every
  * @p ratio checks (the monitor reprogramming rules under live
- * traffic). The mutation stream is identical across acceleration
- * modes, so off-vs-on replay the same work.
+ * traffic). The mutation stream is identical for the walk and the
+ * plans, so both replay the same work.
  */
 LegResult
 runChurnLeg(CheckerKind kind, unsigned stages, unsigned num_entries,
-            bool accel_on, std::uint64_t checks, std::uint64_t ratio)
+            bool plans, std::uint64_t checks, std::uint64_t ratio)
 {
     Fixture fixture(num_entries);
-    auto checker = makeChecker(kind, stages, fixture.entries,
-                               fixture.mdcfg);
-    checker->setAccelMode(accel_on ? AccelMode::PlansAndCache
-                                   : AccelMode::Off);
+    CheckPath path(kind, stages, fixture, plans);
     const ChurnStream stream(7);
     Rng mutate_rng(11);
 
@@ -259,14 +277,14 @@ runChurnLeg(CheckerKind kind, unsigned stages, unsigned num_entries,
     for (std::uint64_t i = 0; i < warmup; ++i) {
         if (i % ratio == ratio - 1)
             mutate();
-        benchmark::DoNotOptimize(checker->check(stream.request(i)));
+        benchmark::DoNotOptimize(path.check(stream.request(i)));
     }
 
     const auto start = std::chrono::steady_clock::now();
     for (std::uint64_t i = 0; i < checks; ++i) {
         if (i % ratio == ratio - 1)
             mutate();
-        benchmark::DoNotOptimize(checker->check(stream.request(i)));
+        benchmark::DoNotOptimize(path.check(stream.request(i)));
     }
     const auto stop = std::chrono::steady_clock::now();
 
@@ -300,15 +318,14 @@ jsonMain(const char *path, std::uint64_t checks)
 
     // One simulated DMA beat per simulated cycle at saturation, so
     // seconds-per-million-simulated-cycles == ns_per_check / 1000.
+    bench::writeProvenance(out, "checker_micro");
     std::fprintf(out,
-                 "{\n"
-                 "  \"benchmark\": \"checker_micro\",\n"
+                 "  \"checks_per_config\": %llu,\n"
                  "  \"num_sids\": %u,\n"
                  "  \"num_mds\": 63,\n"
-                 "  \"checks_per_config\": %llu,\n"
                  "  \"configs\": [\n",
-                 SidStream::kSids,
-                 static_cast<unsigned long long>(checks));
+                 static_cast<unsigned long long>(checks),
+                 SidStream::kSids);
 
     bool first = true;
     for (const KindSpec &spec : kKinds) {
@@ -321,22 +338,22 @@ jsonMain(const char *path, std::uint64_t checks)
                 on.ns_per_check > 0.0
                     ? off.ns_per_check / on.ns_per_check
                     : 0.0;
-            for (int cached = 0; cached < 2; ++cached) {
-                const LegResult &leg = cached ? on : off;
+            for (int plans = 0; plans < 2; ++plans) {
+                const LegResult &leg = plans ? on : off;
                 std::fprintf(
                     out,
                     "%s    {\"kind\": \"%s\", \"entries\": %u, "
-                    "\"cache\": \"%s\", \"ns_per_check\": %.3f, "
+                    "\"accel\": \"%s\", \"ns_per_check\": %.3f, "
                     "\"s_per_mcycle\": %.6f, \"speedup\": %.3f}",
                     first ? "" : ",\n", spec.name, n,
-                    cached ? "on" : "off", leg.ns_per_check,
+                    plans ? "plans" : "off", leg.ns_per_check,
                     leg.ns_per_check / 1000.0 * 1e-3,
-                    cached ? speedup : 1.0);
+                    plans ? speedup : 1.0);
                 first = false;
             }
             std::fprintf(stderr,
                          "checker_micro: %s entries=%u off=%.1fns "
-                         "on=%.1fns speedup=%.2fx\n",
+                         "plans=%.1fns speedup=%.2fx\n",
                          spec.name, n, off.ns_per_check,
                          on.ns_per_check, speedup);
         }
@@ -369,13 +386,13 @@ jsonMain(const char *path, std::uint64_t checks)
                     "\"ns_per_check\": %.3f, \"speedup\": %.3f}",
                     first ? "" : ",\n", spec.name,
                     static_cast<unsigned long long>(ratio),
-                    accel ? "plans+cache" : "off", leg.ns_per_check,
+                    accel ? "plans" : "off", leg.ns_per_check,
                     accel ? speedup : 1.0);
                 first = false;
             }
             std::fprintf(stderr,
                          "checker_micro: churn %s ratio=1:%llu "
-                         "off=%.1fns on=%.1fns speedup=%.2fx\n",
+                         "off=%.1fns plans=%.1fns speedup=%.2fx\n",
                          spec.name,
                          static_cast<unsigned long long>(ratio),
                          off.ns_per_check, on.ns_per_check, speedup);

@@ -9,6 +9,9 @@
  * the cycles the simulator actually ticked (executed_cycles: the rest
  * were idle cycles fast-forward skipped).
  *
+ * The file opens with the provenance header of provenance.hh and the
+ * run size ("points", the grid cells run).
+ *
  * Usage: churn_fleet [out.json]   (default BENCH_churn.json)
  */
 
@@ -17,6 +20,7 @@
 #include <string>
 #include <vector>
 
+#include "provenance.hh"
 #include "workloads/churn.hh"
 
 using namespace siopmp;
@@ -156,9 +160,10 @@ main(int argc, char **argv)
                      out.c_str());
         return 1;
     }
-    std::fprintf(f, "{\n  \"benchmark\": \"churn_fleet\",\n"
-                    "  \"ports\": 4,\n"
-                    "  \"series\": [\n");
+    bench::writeProvenance(f, "churn_fleet");
+    std::fprintf(f, "  \"points\": %zu,\n  \"ports\": 4,\n"
+                    "  \"series\": [\n",
+                 points.size());
     for (std::size_t i = 0; i < points.size(); ++i)
         emitPoint(f, points[i], i + 1 == points.size());
     std::fprintf(f, "  ]\n}\n");

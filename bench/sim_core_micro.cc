@@ -37,9 +37,9 @@
 #include <cstdlib>
 #include <sstream>
 #include <string>
-#include <thread>
 
 #include "devices/dma_engine.hh"
+#include "provenance.hh"
 #include "sim/logging.hh"
 #include "soc/soc.hh"
 
@@ -116,38 +116,6 @@ measure(Bench &bench, std::chrono::steady_clock::time_point t0,
     stats::Registry::global().accept(writer);
     m.stats = os.str();
     return m;
-}
-
-/** First line of `command`'s output, or "" when it fails. */
-std::string
-firstLine(const char *command)
-{
-    std::FILE *pipe = popen(command, "r");
-    if (pipe == nullptr)
-        return "";
-    char buf[256] = {};
-    const bool got = std::fgets(buf, sizeof buf, pipe) != nullptr;
-    const int status = pclose(pipe);
-    std::string line = got && status == 0 ? buf : "";
-    while (!line.empty() && (line.back() == '\n' || line.back() == '\r'))
-        line.pop_back();
-    return line;
-}
-
-/** The checkout's HEAD, "+dirty" when tracked files differ from it. */
-std::string
-commitId()
-{
-    const std::string git = "git -C '" SIOPMP_SOURCE_DIR "' ";
-    std::string commit =
-        firstLine((git + "rev-parse --short=12 HEAD 2>/dev/null").c_str());
-    if (commit.empty())
-        return "unknown";
-    if (!firstLine((git + "status --porcelain --untracked-files=no "
-                          "2>/dev/null").c_str())
-             .empty())
-        commit += "+dirty";
-    return commit;
 }
 
 dev::DmaJob
@@ -268,17 +236,8 @@ main(int argc, char **argv)
         std::fprintf(stderr, "cannot open %s\n", out_path.c_str());
         return 1;
     }
-    const char *build_type =
-        SIOPMP_BUILD_TYPE[0] != '\0' ? SIOPMP_BUILD_TYPE : "none";
-    std::fprintf(f,
-                 "{\n  \"benchmark\": \"sim_core_micro\",\n"
-                 "  \"commit\": \"%s\",\n"
-                 "  \"build_type\": \"%s\",\n"
-                 "  \"compiler\": \"%s\",\n"
-                 "  \"host_cores\": %u,\n"
-                 "  \"iters\": %u,\n",
-                 commitId().c_str(), build_type, SIOPMP_COMPILER,
-                 std::thread::hardware_concurrency(), iters);
+    bench::writeProvenance(f, "sim_core_micro");
+    std::fprintf(f, "  \"iters\": %u,\n", iters);
     emitWorkload(f, "idle_heavy", idle_ff, idle_naive, false);
     emitWorkload(f, "saturated", sat_ff, sat_naive, true);
     std::fprintf(f, "}\n");

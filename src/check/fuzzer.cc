@@ -160,7 +160,7 @@ constexpr OpMix kDefaultMix = {40, 54, 62, 71, 75, 81, 84, 91};
 
 /** Churn: invalidation-relevant mutations (entry commits, MDCFG top
  * moves) dominate, interleaved with ~25% checks, so every check runs
- * against freshly-dirtied plans and verdict-cache lines. */
+ * against freshly-dirtied plans. */
 constexpr OpMix kChurnMix = {35, 43, 58, 64, 66, 68, 70, 75};
 
 /** Decode a register offset for replayable trace printouts. Uses only
@@ -399,6 +399,23 @@ checkDetail(const FuzzOp &op, const iopmp::AuthResult &dut,
 }
 
 std::string
+walkDetail(const FuzzOp &op, const iopmp::AuthResult &dut,
+           const iopmp::CheckerLogic &checker,
+           const iopmp::CheckResult &walk)
+{
+    char buf[256];
+    std::snprintf(buf, sizeof(buf),
+                  "%s: dut={%s sid=%d entry=%d} %s x%u walk={%s "
+                  "entry=%d}",
+                  op.toString().c_str(),
+                  statusName(static_cast<unsigned>(dut.status)),
+                  static_cast<int>(dut.sid), dut.entry,
+                  iopmp::checkerKindName(checker.kind()), checker.stages(),
+                  walk.allowed ? "allow" : "deny", walk.entry);
+    return buf;
+}
+
+std::string
 readDetail(const FuzzOp &op, std::uint64_t dut, std::uint64_t oracle)
 {
     char buf[192];
@@ -558,8 +575,6 @@ DifferentialFuzzer::replay(const std::vector<FuzzOp> &ops, bool emit_trace)
     icfg.num_sids = cfg_.num_sids;
     icfg.num_mds = cfg_.num_mds;
     iopmp::SIopmp dut(icfg, cfg_.kind, cfg_.stages);
-    if (cfg_.accel)
-        dut.setAccelMode(*cfg_.accel);
     ReferenceOracle oracle(cfg_.num_entries, cfg_.num_sids, cfg_.num_mds);
     TableAuditor auditor(dut.entryTable(), dut.mdcfg());
 
@@ -689,8 +704,26 @@ DifferentialFuzzer::replay(const std::vector<FuzzOp> &ops, bool emit_trace)
                     trace::emit(bad);
                 }
             }
-            if (!same)
+            if (!same) {
                 divergence = Divergence{i, checkDetail(op, got, want)};
+            } else if (got.status == iopmp::AuthStatus::Allow ||
+                       got.status == iopmp::AuthStatus::Deny) {
+                // The unit decides through its compiled plans; the
+                // configured kind's own walk must reach the same
+                // verdict over the resolved SID's domains.
+                iopmp::CheckRequest req;
+                req.addr = op.addr;
+                req.len = op.len;
+                req.perm = op.perm;
+                req.md_bitmap = dut.src2md().bitmap(got.sid);
+                const iopmp::CheckResult walk = dut.checker().check(req);
+                if (walk.entry != got.entry ||
+                    walk.allowed !=
+                        (got.status == iopmp::AuthStatus::Allow)) {
+                    divergence = Divergence{
+                        i, walkDetail(op, got, dut.checker(), walk)};
+                }
+            }
             break;
           }
         }

@@ -9,7 +9,12 @@
  * ops and register read-backs, applies every op to a fresh SIopmp
  * (the device under test) and to the spec-direct ReferenceOracle,
  * and reports the first spot where the two disagree — on a check
- * verdict (status/SID/deciding entry) or a register read-back.
+ * verdict (status/SID/deciding entry) or a register read-back. The
+ * DUT decides through its compiled match plans, so every Allow or
+ * Deny that agrees with the oracle is also re-decided by the
+ * configured checker kind's own walk (SIopmp::checker()) over the
+ * resolved SID's domains; a walk whose deciding entry or allowed bit
+ * differs is a divergence too.
  *
  * A divergence is minimized by ddmin-style chunk removal into the
  * shortest op trace that still reproduces, and every case is fully
@@ -75,7 +80,7 @@ struct FuzzOp {
  * reprograms tables continuously at a high rate relative to traffic —
  * the regime the accelerator's per-MD incremental invalidation
  * exists for — so entry commits and MDCFG top moves dominate, with
- * checks interleaved to catch any stale plan or verdict-cache line.
+ * checks interleaved to catch any stale plan.
  */
 enum class FuzzProfile : std::uint8_t { Default, Churn };
 
@@ -87,9 +92,6 @@ struct FuzzCaseConfig {
     iopmp::CheckerKind kind = iopmp::CheckerKind::Linear;
     unsigned stages = 1;
     unsigned ops_per_case = 96;
-    //! Acceleration mode forced onto the DUT; nullopt keeps the
-    //! process default (CheckAccel::defaultMode()).
-    std::optional<iopmp::AccelMode> accel;
     FuzzProfile profile = FuzzProfile::Default;
 };
 

@@ -8,7 +8,6 @@
 #include "iopmp/accel.hh"
 
 #include <algorithm>
-#include <cstdlib>
 #include <set>
 
 #include "iopmp/checker.hh"
@@ -29,7 +28,7 @@ using End = unsigned __int128;
 
 inline constexpr End kTop = End{1} << 64;
 
-/** splitmix-style finalizer for the cache index hash. */
+/** splitmix-style finalizer for the plan index hash. */
 inline std::uint64_t
 mix(std::uint64_t x)
 {
@@ -41,77 +40,13 @@ mix(std::uint64_t x)
     return x;
 }
 
-/** Process-wide programmatic override of the default mode (CLIs). */
-std::optional<AccelMode> default_mode_override;
-
 } // namespace
 
-const char *
-accelModeName(AccelMode mode)
+CheckAccel::CheckAccel(const EntryTable &entries, const MdCfgTable &mdcfg)
+    : entries_(entries), mdcfg_(mdcfg), stats_(kName)
 {
-    switch (mode) {
-      case AccelMode::Off: return "off";
-      case AccelMode::Plans: return "plans";
-      case AccelMode::PlansAndCache: return "plans+cache";
-    }
-    return "?";
-}
-
-bool
-parseAccelMode(const std::string &text, AccelMode *out)
-{
-    if (text == "off") {
-        *out = AccelMode::Off;
-        return true;
-    }
-    if (text == "plans") {
-        *out = AccelMode::Plans;
-        return true;
-    }
-    if (text == "plans+cache" || text == "plans_and_cache") {
-        *out = AccelMode::PlansAndCache;
-        return true;
-    }
-    return false;
-}
-
-AccelMode
-CheckAccel::defaultMode()
-{
-    if (default_mode_override)
-        return *default_mode_override;
-    if (const char *env = std::getenv("SIOPMP_ACCEL_MODE")) {
-        AccelMode mode;
-        if (env[0] != '\0' && parseAccelMode(env, &mode))
-            return mode;
-        // Unparseable value: keep the full default rather than
-        // silently disabling the layer.
-    }
-    return AccelMode::PlansAndCache;
-}
-
-void
-CheckAccel::setDefaultMode(std::optional<AccelMode> mode)
-{
-    default_mode_override = mode;
-}
-
-CheckAccel::CheckAccel(const EntryTable &entries, const MdCfgTable &mdcfg,
-                       AccelMode mode)
-    : entries_(entries),
-      mdcfg_(mdcfg),
-      mode_(mode),
-      md_salts_(mdcfg.numMds(), 0),
-      lines_(kCacheLines),
-      stats_(kName)
-{
-    SIOPMP_ASSERT(mode_ != AccelMode::Off,
-                  "AccelMode::Off is modelled by not constructing a "
-                  "CheckAccel (CheckerLogic::setAccelMode)");
     // The counters sit on the per-check hot path: resolve the name ->
     // Scalar map lookups once here instead of per event.
-    hits_ = &stats_.scalar("check_cache_hits");
-    misses_ = &stats_.scalar("check_cache_misses");
     full_flushes_ = &stats_.scalar("full_flushes");
     partial_flushes_ = &stats_.scalar("partial_flushes");
     compiles_ = &stats_.scalar("plan_compiles");
@@ -125,17 +60,6 @@ CheckAccel::~CheckAccel()
 {
     entries_.removeListener(this);
     mdcfg_.removeListener(this);
-}
-
-void
-CheckAccel::setMode(AccelMode mode)
-{
-    SIOPMP_ASSERT(mode != AccelMode::Off,
-                  "AccelMode::Off is modelled by destroying the "
-                  "CheckAccel (CheckerLogic::setAccelMode)");
-    // Lines written before a Plans interlude revalidate through their
-    // salt: it only hits if no MD of its bitmap changed meanwhile.
-    mode_ = mode;
 }
 
 void
@@ -166,12 +90,6 @@ CheckAccel::invalidateMds(std::uint64_t md_mask)
 {
     if (md_mask == 0)
         return;
-    for (std::uint64_t rest = md_mask; rest != 0; rest &= rest - 1) {
-        const unsigned md =
-            static_cast<unsigned>(__builtin_ctzll(rest));
-        if (md < md_salts_.size())
-            ++md_salts_[md];
-    }
     for (auto &pair : plans_) {
         Plan &plan = pair.second;
         if ((plan.md_bitmap & md_mask) != 0 && !plan.dirty) {
@@ -199,7 +117,6 @@ CheckAccel::invalidateMds(std::uint64_t md_mask)
 void
 CheckAccel::fullFlush()
 {
-    ++global_salt_; // every line of every bitmap dies at once
     for (auto &pair : plans_) {
         Plan &plan = pair.second;
         if (!plan.dirty) {
@@ -216,23 +133,10 @@ CheckAccel::fullFlush()
         event.track = kName;
         event.category = "checker";
         event.name = "full_flush";
-        event.arg0 = global_salt_;
+        event.arg0 = full_flushes_->value();
         event.arg1 = stale_plans_count_;
         trace::emit(event);
     }
-}
-
-std::uint64_t
-CheckAccel::saltFor(std::uint64_t md_bitmap) const
-{
-    std::uint64_t salt = global_salt_;
-    for (std::uint64_t rest = md_bitmap; rest != 0; rest &= rest - 1) {
-        const unsigned md =
-            static_cast<unsigned>(__builtin_ctzll(rest));
-        if (md < md_salts_.size())
-            salt += md_salts_[md];
-    }
-    return salt;
 }
 
 CheckResult
@@ -246,42 +150,7 @@ CheckAccel::check(const CheckRequest &req)
     if (req.len == 0)
         return {};
 
-    // Plan first: its salt is the validity token the cache line must
-    // match, precomputed at compile time so a hit costs no per-MD
-    // salt walk.
-    Plan &plan = planFor(req.md_bitmap, req.now);
-
-    if (mode_ != AccelMode::PlansAndCache)
-        return planCheck(plan, req);
-
-    const std::size_t way =
-        mix(req.addr * 0x9e3779b97f4a7c15ULL ^ req.md_bitmap ^
-            (req.len << 2) ^ static_cast<std::uint64_t>(req.perm)) &
-        (kCacheLines - 1);
-    Line &line = lines_[way];
-    if (line.salt == plan.salt && line.md_bitmap == req.md_bitmap &&
-        line.addr == req.addr && line.len == req.len &&
-        line.perm == req.perm) {
-        ++*hits_;
-        CheckResult result;
-        result.entry = line.entry;
-        result.allowed = line.allowed;
-        result.partial = line.partial;
-        return result;
-    }
-    ++*misses_;
-
-    const CheckResult result = planCheck(plan, req);
-
-    line.salt = plan.salt;
-    line.md_bitmap = req.md_bitmap;
-    line.addr = req.addr;
-    line.len = req.len;
-    line.perm = req.perm;
-    line.entry = result.entry;
-    line.allowed = result.allowed;
-    line.partial = result.partial;
-    return result;
+    return planCheck(planFor(req.md_bitmap, req.now), req);
 }
 
 CheckAccel::Plan &
@@ -299,7 +168,6 @@ CheckAccel::planFor(std::uint64_t md_bitmap, Cycle now)
     if (plan->dirty) {
         const bool recompile = plan->compiled;
         compile(*plan, md_bitmap);
-        plan->salt = saltFor(md_bitmap);
         plan->compiled = true;
         plan->dirty = false;
         if (recompile) {
@@ -319,7 +187,7 @@ CheckAccel::planFor(std::uint64_t md_bitmap, Cycle now)
             event.category = "checker";
             event.name = recompile ? "plan_recompile" : "plan_compile";
             event.id = md_bitmap;
-            event.arg0 = plan->salt;
+            event.arg0 = plan->starts.size();
             event.arg1 = stale_plans_count_;
             trace::emit(event);
         }

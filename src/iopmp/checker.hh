@@ -14,7 +14,6 @@
 #include <cstdint>
 #include <memory>
 
-#include "iopmp/accel.hh"
 #include "iopmp/tables.hh"
 #include "sim/types.hh"
 
@@ -54,10 +53,13 @@ enum class CheckerKind {
 const char *checkerKindName(CheckerKind kind);
 
 /**
- * Abstract checker. Holds references to the shared hardware tables; it
- * never copies them, so configuration changes are visible immediately
- * (the atomicity of such changes is the job of the SID block bitmap).
- * An SIopmp owns one, shared by every CheckerNode of the unit.
+ * Abstract checker: the microarchitecture model. Holds references to
+ * the shared hardware tables; it never copies them, so configuration
+ * changes are visible immediately (the atomicity of such changes is
+ * the job of the SID block bitmap). An SIopmp owns one, fixed when the
+ * unit is built: its stages() set every CheckerNode's request delay,
+ * and its walk is the reference the unit's CheckAccel is tested
+ * against (the unit authorizes through the accelerator).
  */
 class CheckerLogic
 {
@@ -72,56 +74,9 @@ class CheckerLogic
     CheckerLogic(const CheckerLogic &) = delete;
     CheckerLogic &operator=(const CheckerLogic &) = delete;
 
-    /**
-     * Authorize one access. Pure function of tables + request. With
-     * the acceleration layer enabled the verdict comes from the
-     * compiled match plan / verdict cache (bit-identical by
-     * construction); otherwise from this checker's own
-     * microarchitectural model.
-     */
-    CheckResult
-    check(const CheckRequest &req) const
-    {
-        if (accel_)
-            return accel_->check(req);
-        return checkUncached(req);
-    }
-
-    /** The microarchitectural model's own walk (always available;
-     * the differential tests compare it against the accelerator). */
-    virtual CheckResult checkUncached(const CheckRequest &req) const = 0;
-
-    /**
-     * Select the acceleration mode for this checker instance.
-     * makeChecker() applies CheckAccel::defaultMode() to every
-     * factory-built checker — the one construction path and the one
-     * documented default. Directly-constructed checkers (raw
-     * LinearChecker/TreeChecker/... ctors, used by microarchitecture
-     * unit tests) stay Off until told otherwise, so the per-kind
-     * reduction logic keeps getting exercised.
-     */
-    void
-    setAccelMode(AccelMode mode)
-    {
-        if (mode == AccelMode::Off) {
-            accel_.reset();
-        } else if (!accel_) {
-            accel_ = std::make_unique<CheckAccel>(entries_, mdcfg_, mode);
-        } else {
-            accel_->setMode(mode);
-        }
-    }
-
-    AccelMode
-    accelMode() const
-    {
-        return accel_ ? accel_->mode() : AccelMode::Off;
-    }
-
-    bool accelEnabled() const { return accel_ != nullptr; }
-
-    /** The live accelerator, or nullptr when disabled (stats/tests). */
-    CheckAccel *accel() const { return accel_.get(); }
+    /** Authorize one access with this microarchitecture's own walk.
+     * Pure function of tables + request. */
+    virtual CheckResult check(const CheckRequest &req) const = 0;
 
     /** Pipeline stages; 1 means fully combinational (no extra cycles). */
     virtual unsigned stages() const = 0;
@@ -156,15 +111,10 @@ class CheckerLogic
 
     const EntryTable &entries_;
     const MdCfgTable &mdcfg_;
-
-    //! Optional acceleration layer (plans + verdict cache). Mutable
-    //! for the same reason as TreeChecker's scratch buffers: check()
-    //! is logically const but the cache state evolves. Not
-    //! thread-safe.
-    mutable std::unique_ptr<CheckAccel> accel_;
 };
 
-/** Factory covering every evaluated configuration. */
+/** Factory covering every evaluated configuration: the bare walk of
+ * @p kind, nothing attached. */
 std::unique_ptr<CheckerLogic>
 makeChecker(CheckerKind kind, unsigned stages, const EntryTable &entries,
             const MdCfgTable &mdcfg);

@@ -100,12 +100,10 @@ void
 CheckerNode::acceptRequests(Cycle now)
 {
     // Any change that can alter a verdict moves the version: drop the
-    // held verdict, and re-read the request delay in case the checker
-    // was swapped (the policy's response delay is set by setPolicy).
+    // held verdict.
     if (unit_->stateVersion() != version_) {
         version_ = unit_->stateVersion();
         held_.reset();
-        req_pipe_.configure(requestDelay());
     }
 
     if (up_->a.empty() || !req_pipe_.canPush())

@@ -31,10 +31,8 @@
  * SIopmp::stateVersion() stands still, crediting the counters the call
  * would have made (SIopmp::creditPolls). The version moves on every
  * change that can alter a verdict: config-epoch bumps (eSID and every
- * MMIO path), setChecker/setAccelMode, entry and MDCFG table
- * mutations, and CAM, SRC2MD and block-bitmap mutations, direct calls
- * included. The same version gates the resync of the request pipe's
- * delay.
+ * MMIO path), entry and MDCFG table mutations, and CAM, SRC2MD and
+ * block-bitmap mutations, direct calls included.
  *
  * Skipped-poll credit: a block-bit poll and a held poll only count, so
  * a node parked on either owes its skipped polls from the last one it
@@ -44,7 +42,9 @@
  * unit state change. So stats match the tick-every-cycle loop.
  *
  * A node is a port onto its SIopmp: all nodes of a unit check through
- * its one checker and share its plans, cache and "check_accel" stats.
+ * its one accelerator and share its plans and "check_accel" stats. The
+ * unit's checker and the node's violation policy are fixed when they
+ * are built, and so are the pipe delays they set.
  */
 
 #ifndef IOPMP_CHECKER_NODE_HH
@@ -85,12 +85,6 @@ class CheckerNode : public Tickable
     bool quiescent(Cycle now) const override;
 
     ViolationPolicy policy() const { return policy_; }
-    void
-    setPolicy(ViolationPolicy policy)
-    {
-        policy_ = policy;
-        resp_pipe_.configure(responseDelay());
-    }
 
     stats::Group &statsGroup() { return stats_; }
 
@@ -180,8 +174,8 @@ class CheckerNode : public Tickable
     //! stalled on its SID block bit; closed when the head resolves.
     std::optional<Cycle> block_window_start_;
 
-    //! SIopmp::stateVersion() at the last resync. The held verdict
-    //! dates from no earlier, so it stands while the version does.
+    //! SIopmp::stateVersion() when the held verdict was last checked
+    //! against it: the verdict stands while the version does.
     std::uint64_t version_ = 0;
     //! Allow verdict of a head beat the downlink could not take; its
     //! polls reuse it until the beat leaves or the version moves.

@@ -9,7 +9,7 @@ namespace siopmp {
 namespace iopmp {
 
 CheckResult
-LinearChecker::checkUncached(const CheckRequest &req) const
+LinearChecker::check(const CheckRequest &req) const
 {
     return firstMatch(req, 0, entries_.size());
 }

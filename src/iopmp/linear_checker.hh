@@ -19,7 +19,7 @@ class LinearChecker : public CheckerLogic
   public:
     using CheckerLogic::CheckerLogic;
 
-    CheckResult checkUncached(const CheckRequest &req) const override;
+    CheckResult check(const CheckRequest &req) const override;
     unsigned stages() const override { return 1; }
     CheckerKind kind() const override { return CheckerKind::Linear; }
 };

@@ -33,7 +33,7 @@ PipelinedChecker::stageWindow(unsigned s) const
 }
 
 CheckResult
-PipelinedChecker::checkUncached(const CheckRequest &req) const
+PipelinedChecker::check(const CheckRequest &req) const
 {
     // Stage order matches entry priority: stage 0 holds the
     // lowest-index (highest-priority) window, so the first stage that

@@ -27,7 +27,7 @@ class PipelinedChecker : public CheckerLogic
     PipelinedChecker(const EntryTable &entries, const MdCfgTable &mdcfg,
                      unsigned stages, bool tree_units, unsigned arity = 2);
 
-    CheckResult checkUncached(const CheckRequest &req) const override;
+    CheckResult check(const CheckRequest &req) const override;
     unsigned stages() const override { return stages_; }
 
     CheckerKind

@@ -7,7 +7,6 @@
 
 #include <algorithm>
 
-#include "iopmp/accel.hh"
 #include "sim/logging.hh"
 #include "sim/tickable.hh"
 
@@ -38,18 +37,16 @@ SIopmp::SIopmp(IopmpConfig cfg, CheckerKind kind, unsigned stages)
       mdcfg_(cfg.num_mds, cfg.num_entries),
       cam_(cfg.num_sids - 1), // hot SIDs 0 .. num_sids-2; last is cold
       blocks_(cfg.num_sids),
-      // Listen to the tables before the checker's accelerator does, so
-      // a mutation settles the stall waiters before the accelerator
+      // Listen to the tables before the accelerator does, so a
+      // mutation settles the stall waiters before the accelerator
       // stamps its invalidation instant with the cycle of its last
-      // check. The checker arrives from makeChecker already in the
-      // process-wide default acceleration mode
-      // (CheckAccel::defaultMode) — the single construction path
-      // applies the single documented default.
+      // check.
       checker_([&] {
           entries_.addListener(this);
           mdcfg_.addListener(this);
           return makeChecker(kind, stages, entries_, mdcfg_);
       }()),
+      accel_(entries_, mdcfg_),
       stats_("siopmp")
 {
     st_checks_ = &stats_.scalar("checks");
@@ -61,24 +58,6 @@ SIopmp::SIopmp(IopmpConfig cfg, CheckerKind kind, unsigned stages)
     cam_.setChangeHook([this] { stateChanged(); });
     src2md_.setChangeHook([this] { stateChanged(); });
     blocks_.setChangeHook([this] { stateChanged(); });
-}
-
-void
-SIopmp::setChecker(CheckerKind kind, unsigned stages)
-{
-    settleWaiters();
-    const AccelMode mode = checker_->accelMode();
-    checker_ = makeChecker(kind, stages, entries_, mdcfg_);
-    checker_->setAccelMode(mode);
-    stateChanged();
-}
-
-void
-SIopmp::setAccelMode(AccelMode mode)
-{
-    settleWaiters();
-    checker_->setAccelMode(mode);
-    stateChanged();
 }
 
 void
@@ -108,13 +87,6 @@ SIopmp::stateChanged()
 }
 
 void
-SIopmp::settleWaiters()
-{
-    for (Tickable *node : stall_waiters_)
-        node->settle();
-}
-
-void
 SIopmp::creditPolls(AuthStatus status, std::uint64_t polls, Cycle last)
 {
     const double n = static_cast<double>(polls);
@@ -124,8 +96,7 @@ SIopmp::creditPolls(AuthStatus status, std::uint64_t polls, Cycle last)
         return;
     }
     *st_allows_ += n;
-    if (CheckAccel *accel = checker_->accel())
-        accel->creditRepeat(polls, last);
+    accel_.creditRepeat(last);
 }
 
 std::optional<Sid>
@@ -186,7 +157,7 @@ SIopmp::authorize(DeviceId device, Addr addr, Addr len, Perm perm,
     req.perm = perm;
     req.md_bitmap = src2md_.bitmap(sid);
     req.now = now;
-    const CheckResult result = checker_->check(req);
+    const CheckResult result = accel_.check(req);
 
     if (result.allowed) {
         ++*st_allows_;

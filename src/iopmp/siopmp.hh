@@ -12,8 +12,11 @@
  *  - an interrupt callback through which SID-missing and violation
  *    interrupts reach the CPU.
  *
- * The bus-facing cycle model wrapping this object is CheckerNode;
- * every node of a unit authorizes through the unit's one checker.
+ * The unit's check path is fixed when it is built: authorize() decides
+ * through the unit's one CheckAccel (compiled match plans), and the
+ * configured CheckerLogic is the microarchitecture model that sets
+ * the pipeline depth. The bus-facing cycle model wrapping this object
+ * is CheckerNode; every node of a unit authorizes through the unit.
  */
 
 #ifndef IOPMP_SIOPMP_HH
@@ -24,6 +27,7 @@
 #include <optional>
 #include <vector>
 
+#include "iopmp/accel.hh"
 #include "iopmp/block.hh"
 #include "iopmp/checker.hh"
 #include "iopmp/remap_cam.hh"
@@ -140,17 +144,12 @@ class SIopmp : public mem::MmioDevice, private TableListener
         bumpEpoch();
     }
 
-    /** Swap the checker configuration (between experiments). */
-    void setChecker(CheckerKind kind, unsigned stages);
+    /** The configured microarchitecture model: its stages() and
+     * kind(), and its walk as the reference for authorize(). */
     const CheckerLogic &checker() const { return *checker_; }
 
-    /**
-     * Select the check-path acceleration mode for this instance,
-     * overriding the CheckAccel::defaultMode() the checker was built
-     * with. Survives setChecker().
-     */
-    void setAccelMode(AccelMode mode);
-    AccelMode accelMode() const { return checker_->accelMode(); }
+    /** The compiled-plan accelerator authorize() decides through. */
+    const CheckAccel &accel() const { return accel_; }
 
     /**
      * Monotone configuration epoch: bumped by every MMIO path that can
@@ -165,8 +164,8 @@ class SIopmp : public mem::MmioDevice, private TableListener
     /**
      * Monotone state version: moves on every change that can alter
      * any authorize() outcome, whether made through MMIO or by a
-     * direct call — each config-epoch bump, setChecker/setAccelMode,
-     * the entry and MDCFG tables (as their TableListener), and every
+     * direct call — each config-epoch bump, the entry and MDCFG
+     * tables (as their TableListener), and every
      * CAM, SRC2MD and block-bitmap mutation (through change hooks in
      * those structures). Each move first settles the stall waiters'
      * owed polls, then wakes them. A CheckerNode holds an allowed head
@@ -206,10 +205,9 @@ class SIopmp : public mem::MmioDevice, private TableListener
      * @p status while its outcome cannot change (a stall waiter's head
      * beat, stateVersion() unmoved): the counter updates each repeat
      * would make. Blocked: "checks" and "blocked_stalls". Allow (a held
-     * verdict; no other status is credited): "checks", "allows" and,
-     * with the verdict cache on, one cache hit each
-     * (CheckAccel::creditRepeat); @p last, the cycle of the last
-     * repeat, moves the accelerator's last-seen cycle. The CAM use bit
+     * verdict; no other status is credited): "checks" and "allows";
+     * @p last, the cycle of the last repeat, moves the accelerator's
+     * last-seen cycle (CheckAccel::creditRepeat). The CAM use bit
      * needs no touch: every path that clears it moves the version. The
      * one entry point for skipped-poll credit (see Tickable::settle()).
      */
@@ -237,13 +235,9 @@ class SIopmp : public mem::MmioDevice, private TableListener
     }
 
     /** Move the state version, then settle and wake the stall
-     * waiters. */
+     * waiters: their owed polls are credited before the accelerator
+     * stamps an invalidation instant with its last-seen cycle. */
     void stateChanged();
-
-    /** Credit the polls the stall waiters owe (Tickable::settle): due
-     * before any change their credit depends on — the accelerator's
-     * invalidation stamps and swaps. */
-    void settleWaiters();
 
     // ---- TableListener (entry and MDCFG tables) ------------------------
 
@@ -261,7 +255,8 @@ class SIopmp : public mem::MmioDevice, private TableListener
     MdCfgTable mdcfg_;
     DeviceId2SidCam cam_;
     SidBlockBitmap blocks_;
-    std::unique_ptr<CheckerLogic> checker_;
+    std::unique_ptr<const CheckerLogic> checker_;
+    CheckAccel accel_;
     std::optional<DeviceId> esid_;
     std::optional<ViolationRecord> violation_;
     IrqHandler irq_;

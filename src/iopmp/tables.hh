@@ -12,8 +12,8 @@
  * Mutation observability: EntryTable and MdCfgTable accept
  * TableListener registrations and report *which* entries / memory
  * domains every successful mutation touched — the dirty-set contract
- * consumers with derived state (compiled match plans, verdict caches)
- * build incremental invalidation on. Src2MdTable reports every bitmap
+ * consumers with derived state (compiled match plans) build
+ * incremental invalidation on. Src2MdTable reports every bitmap
  * change through a single change hook (its owning SIopmp's).
  */
 

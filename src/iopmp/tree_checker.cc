@@ -92,7 +92,7 @@ TreeChecker::reduceWindow(const CheckRequest &req, unsigned lo,
 }
 
 CheckResult
-TreeChecker::checkUncached(const CheckRequest &req) const
+TreeChecker::check(const CheckRequest &req) const
 {
     return reduceWindow(req, 0, entries_.size());
 }

@@ -30,7 +30,7 @@ class TreeChecker : public CheckerLogic
     TreeChecker(const EntryTable &entries, const MdCfgTable &mdcfg,
                 unsigned arity = 2);
 
-    CheckResult checkUncached(const CheckRequest &req) const override;
+    CheckResult check(const CheckRequest &req) const override;
     unsigned stages() const override { return 1; }
     CheckerKind kind() const override { return CheckerKind::Tree; }
 

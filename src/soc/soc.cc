@@ -21,15 +21,15 @@ isPipelined(iopmp::CheckerKind kind)
 
 /** Reject checker knob combinations the hardware could not build. */
 void
-validateCheckerConfig(const CheckerConfig &checker)
+validateChecker(const SocConfig &cfg)
 {
-    if (checker.stages < 1)
+    if (cfg.checker_stages < 1)
         fatal("invalid checker config: stages must be >= 1 (got %u)",
-              checker.stages);
-    if (checker.stages > 1 && !isPipelined(checker.kind))
+              cfg.checker_stages);
+    if (cfg.checker_stages > 1 && !isPipelined(cfg.checker_kind))
         fatal("invalid checker config: %u pipeline stages requires a "
               "pipelined checker kind (PipelineLinear or PipelineTree)",
-              checker.stages);
+              cfg.checker_stages);
 }
 
 } // namespace
@@ -38,7 +38,7 @@ Soc::Soc(const SocConfig &cfg)
     : cfg_(cfg), mmio_(cfg.mmio_access_cost)
 {
     SIOPMP_ASSERT(cfg.num_masters >= 1, "SoC needs at least one master");
-    validateCheckerConfig(cfg.checkerConfig());
+    validateChecker(cfg);
 
     iopmp_ = std::make_unique<iopmp::SIopmp>(
         cfg.iopmp, cfg.checker_kind, cfg.checker_stages);
@@ -111,18 +111,6 @@ Soc::masterLink(unsigned i)
 {
     SIOPMP_ASSERT(i < master_links_.size(), "master port out of range");
     return master_links_[i].get();
-}
-
-void
-Soc::reconfigure(const CheckerConfig &checker)
-{
-    validateCheckerConfig(checker);
-    iopmp_->setChecker(checker.kind, checker.stages);
-    for (auto &node : checkers_)
-        node->setPolicy(checker.policy);
-    cfg_.checker_kind = checker.kind;
-    cfg_.checker_stages = checker.stages;
-    cfg_.policy = checker.policy;
 }
 
 void

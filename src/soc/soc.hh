@@ -39,17 +39,10 @@ namespace soc {
 inline constexpr Addr kIopmpMmioBase = 0x1000'0000;
 
 /**
- * Runtime-swappable checker configuration: microarchitecture, pipeline
- * depth and violation policy as one unit, validated together by
- * Soc::reconfigure (e.g. multi-stage pipelines require a pipelined
- * checker kind).
+ * What to build. The checker knobs (kind, stages, policy) are fixed for
+ * the life of the Soc; the constructor rejects a combination the
+ * hardware could not build (e.g. stages > 1 with a non-pipelined kind).
  */
-struct CheckerConfig {
-    iopmp::CheckerKind kind = iopmp::CheckerKind::PipelineTree;
-    unsigned stages = 1;
-    iopmp::ViolationPolicy policy = iopmp::ViolationPolicy::BusError;
-};
-
 struct SocConfig {
     unsigned num_masters = 1;
     iopmp::IopmpConfig iopmp;
@@ -59,13 +52,6 @@ struct SocConfig {
     mem::MemoryTiming mem_timing;
     bool centralized_checker = false;
     Cycle mmio_access_cost = 2;
-
-    /** The checker knobs as a validatable unit. */
-    CheckerConfig
-    checkerConfig() const
-    {
-        return {checker_kind, checker_stages, policy};
-    }
 };
 
 class Soc
@@ -90,13 +76,6 @@ class Soc
 
     /** Register a device (or any component) with the simulator. */
     void add(Tickable *component) { sim_.add(component); }
-
-    /**
-     * Swap the checker configuration between experiments, validating
-     * the combination (fatal() on an invalid one, e.g. stages > 1 with
-     * a non-pipelined kind).
-     */
-    void reconfigure(const CheckerConfig &checker);
 
     /**
      * Visit the statistics groups of every component this Soc owns

@@ -2,25 +2,24 @@
  * @file
  * Check-path accelerator tests (iopmp/accel.hh):
  *
- *  - differential: with the accelerator enabled, check() must return
- *    bit-identical results to the checker's own checkUncached() walk,
- *    across every checker kind, random programming, and direct table
+ *  - differential: CheckAccel::check() must return bit-identical
+ *    results to the checker's own walk (CheckerLogic::check), across
+ *    every checker kind, random programming, and direct table
  *    mutations mid-stream;
  *  - invalidation completeness: a parameterized walk over every MMIO
  *    write path (and the direct-mutation APIs) that can change an
- *    authorization outcome, comparing a cache-enabled DUT against a
- *    cache-disabled twin driven by the same op sequence;
+ *    authorization outcome, comparing the unit's authorize() with a
+ *    reference built from its own live state (SID resolution, block
+ *    bit, the configured kind's walk);
  *  - invalidation minimality: a mutation confined to one MD must not
- *    invalidate plans or verdict-cache lines of disjoint MD bitmaps
- *    (the point of the per-MD incremental scheme);
- *  - the SIOPMP_ACCEL_MODE escape
- *    hatches and the deprecated boolean shims;
+ *    invalidate plans of disjoint MD bitmaps (the point of the per-MD
+ *    incremental scheme);
+ *  - the factory: makeChecker builds the bare walk, no accelerator;
  *  - the check_accel observability counters.
  */
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <functional>
 #include <optional>
 #include <string>
@@ -28,9 +27,9 @@
 
 #include "iopmp/accel.hh"
 #include "iopmp/checker.hh"
-#include "iopmp/linear_checker.hh"
 #include "iopmp/siopmp.hh"
 #include "sim/random.hh"
+#include "sim/stats.hh"
 
 namespace siopmp {
 namespace iopmp {
@@ -133,8 +132,7 @@ TEST_P(AccelDifferential, MatchesUncachedUnderMutation)
 
     auto checker =
         makeChecker(GetParam().kind, GetParam().stages, entries, mdcfg);
-    checker->setAccelMode(AccelMode::PlansAndCache);
-    ASSERT_TRUE(checker->accelEnabled());
+    CheckAccel accel(entries, mdcfg);
 
     for (unsigned i = 0; i < 4000; ++i) {
         if (i % 97 == 96) {
@@ -146,8 +144,8 @@ TEST_P(AccelDifferential, MatchesUncachedUnderMutation)
                 randomizeTops(mdcfg, rng, kEntries);
         }
         const CheckRequest req = randomRequest(rng, kMds);
-        const CheckResult fast = checker->check(req);
-        const CheckResult slow = checker->checkUncached(req);
+        const CheckResult fast = accel.check(req);
+        const CheckResult slow = checker->check(req);
         ASSERT_EQ(fast.entry, slow.entry)
             << "iter " << i << " addr=" << std::hex << req.addr
             << " len=" << req.len << " bitmap=" << req.md_bitmap;
@@ -231,9 +229,11 @@ program(SIopmp &dut)
     dut.mmioWrite(regmap::kEsid, kValid | kDevCold);
 }
 
-/** Every (device, addr, perm) combination the scenarios can flip. */
+/** Every (device, addr, perm) combination the scenarios can flip,
+ * each decided by @p decide. */
+template <typename Decide>
 std::vector<AuthResult>
-probe(SIopmp &dut)
+battery(Decide decide)
 {
     static constexpr DeviceId kDevices[] = {kDevHot, kDevHot2, kDevCold,
                                             kDevCold2, kDevUnbound};
@@ -243,8 +243,41 @@ probe(SIopmp &dut)
     for (DeviceId device : kDevices)
         for (Addr addr : kAddrs)
             for (Perm perm : kPerms)
-                results.push_back(dut.authorize(device, addr, 8, perm));
+                results.push_back(decide(device, addr, perm));
     return results;
+}
+
+/** The battery through the unit's authorize(). */
+std::vector<AuthResult>
+probe(SIopmp &dut)
+{
+    return battery([&dut](DeviceId device, Addr addr, Perm perm) {
+        return dut.authorize(device, addr, 8, perm);
+    });
+}
+
+/** The battery decided from @p dut's live state without its
+ * accelerator: resolve the SID, test its block bit, then run the
+ * configured kind's walk over the SID's domains. */
+std::vector<AuthResult>
+reference(SIopmp &dut)
+{
+    return battery([&dut](DeviceId device, Addr addr,
+                          Perm perm) -> AuthResult {
+        const std::optional<Sid> sid = dut.resolveSid(device);
+        if (!sid)
+            return {AuthStatus::SidMiss, kNoSid, -1};
+        if (dut.blockBitmap().blocked(*sid))
+            return {AuthStatus::Blocked, *sid, -1};
+        CheckRequest req;
+        req.addr = addr;
+        req.len = 8;
+        req.perm = perm;
+        req.md_bitmap = dut.src2md().bitmap(*sid);
+        const CheckResult walk = dut.checker().check(req);
+        return {walk.allowed ? AuthStatus::Allow : AuthStatus::Deny, *sid,
+                walk.entry};
+    });
 }
 
 bool
@@ -274,39 +307,27 @@ class InvalidationCompleteness : public ::testing::TestWithParam<Mutation>
 };
 
 /**
- * Twin-DUT walk: drive the identical sequence — program, probe,
- * mutate, probe — through a cache-enabled DUT and a cache-disabled
- * twin. Any missing invalidation path shows up as the cached DUT
- * serving a pre-mutation verdict.
+ * Drive program, probe, mutate, probe through a DUT and compare every
+ * probe with the reference decided from the DUT's live state. Any
+ * missing invalidation path shows up as the DUT serving a
+ * pre-mutation verdict out of a stale plan.
  */
 TEST_P(InvalidationCompleteness, CachedMatchesUncachedAcrossMutation)
 {
-    SIopmp cached(probeConfig(), CheckerKind::Linear, 1);
-    SIopmp uncached(probeConfig(), CheckerKind::Tree, 1);
-    cached.setAccelMode(AccelMode::PlansAndCache);
-    uncached.setAccelMode(AccelMode::Off);
-    ASSERT_EQ(cached.accelMode(), AccelMode::PlansAndCache);
-    ASSERT_EQ(uncached.accelMode(), AccelMode::Off);
-
-    program(cached);
-    program(uncached);
+    SIopmp dut(probeConfig(), CheckerKind::Tree, 1);
+    program(dut);
 
     std::string why;
-    const std::vector<AuthResult> before_cached = probe(cached);
-    const std::vector<AuthResult> before = probe(uncached);
-    ASSERT_TRUE(sameResults(before_cached, before, &why)) << why;
+    const std::vector<AuthResult> before = reference(dut);
+    ASSERT_TRUE(sameResults(probe(dut), before, &why)) << why;
+    // Probe again so every plan is compiled and clean: a stale
+    // post-mutation verdict can only come out of a stale plan.
+    probe(dut);
 
-    // Probe twice more so the verdict cache is genuinely warm (every
-    // probe is a hit now); a stale post-mutation verdict can only come
-    // out of the cache or a stale plan.
-    probe(cached);
+    GetParam().apply(dut);
 
-    GetParam().apply(cached);
-    GetParam().apply(uncached);
-
-    const std::vector<AuthResult> after_cached = probe(cached);
-    const std::vector<AuthResult> after = probe(uncached);
-    EXPECT_TRUE(sameResults(after_cached, after, &why))
+    const std::vector<AuthResult> after = reference(dut);
+    EXPECT_TRUE(sameResults(probe(dut), after, &why))
         << GetParam().name << ": " << why;
 
     if (GetParam().expect_change) {
@@ -416,111 +437,50 @@ INSTANTIATE_TEST_SUITE_P(
         return info.param.name;
     });
 
-// ---- escape hatches and deprecated shims --------------------------------
+// ---- the factory --------------------------------------------------------
 
-/** RAII save/restore of the acceleration env var. */
-class EnvGuard
+unsigned
+liveAccelGroups()
 {
-  public:
-    EnvGuard() { save("SIOPMP_ACCEL_MODE", &accel_); }
-    ~EnvGuard()
-    {
-        restore("SIOPMP_ACCEL_MODE", accel_);
-        CheckAccel::setDefaultMode(std::nullopt);
-    }
-
-  private:
-    static void
-    save(const char *name, std::optional<std::string> *slot)
-    {
-        if (const char *value = std::getenv(name))
-            *slot = value;
-        unsetenv(name);
-    }
-    static void
-    restore(const char *name, const std::optional<std::string> &slot)
-    {
-        if (slot)
-            setenv(name, slot->c_str(), 1);
-        else
-            unsetenv(name);
-    }
-
-    std::optional<std::string> accel_;
-};
-
-TEST(CheckAccel, EnvEscapeHatch)
-{
-    EnvGuard guard;
-
-    // No env, no override: full acceleration.
-    EXPECT_EQ(CheckAccel::defaultMode(), AccelMode::PlansAndCache);
-
-    setenv("SIOPMP_ACCEL_MODE", "off", 1);
-    EXPECT_EQ(CheckAccel::defaultMode(), AccelMode::Off);
-    {
-        SIopmp dut(probeConfig(), CheckerKind::Linear, 1);
-        EXPECT_EQ(dut.accelMode(), AccelMode::Off);
-        // Explicit per-instance override beats the environment.
-        dut.setAccelMode(AccelMode::PlansAndCache);
-        EXPECT_EQ(dut.accelMode(), AccelMode::PlansAndCache);
-    }
-
-    setenv("SIOPMP_ACCEL_MODE", "plans", 1);
-    EXPECT_EQ(CheckAccel::defaultMode(), AccelMode::Plans);
-    {
-        SIopmp dut(probeConfig(), CheckerKind::Linear, 1);
-        EXPECT_EQ(dut.accelMode(), AccelMode::Plans);
-    }
-
-    // An unparseable value keeps the full default rather than
-    // silently disabling the layer.
-    setenv("SIOPMP_ACCEL_MODE", "warpdrive", 1);
-    EXPECT_EQ(CheckAccel::defaultMode(), AccelMode::PlansAndCache);
-
-    // The programmatic override (CLIs) beats the environment.
-    CheckAccel::setDefaultMode(AccelMode::Off);
-    EXPECT_EQ(CheckAccel::defaultMode(), AccelMode::Off);
+    unsigned n = 0;
+    for (const stats::Group *group : stats::Registry::global().liveGroups())
+        n += group->name() == CheckAccel::kName;
+    return n;
 }
 
-TEST(CheckAccel, SetCheckerPreservesAccelMode)
+/** makeChecker builds the kind's bare walk: nothing attached, so no
+ * check_accel group goes live and check() is the walk itself. */
+TEST(CheckerFactory, BuildsBareWalkForEveryKind)
 {
-    SIopmp dut(probeConfig(), CheckerKind::Linear, 1);
-    dut.setAccelMode(AccelMode::PlansAndCache);
-    dut.setChecker(CheckerKind::Tree, 1);
-    EXPECT_EQ(dut.accelMode(), AccelMode::PlansAndCache);
-    dut.setAccelMode(AccelMode::Plans);
-    dut.setChecker(CheckerKind::PipelineTree, 2);
-    EXPECT_EQ(dut.accelMode(), AccelMode::Plans);
-    dut.setAccelMode(AccelMode::Off);
-    dut.setChecker(CheckerKind::Linear, 1);
-    EXPECT_EQ(dut.accelMode(), AccelMode::Off);
-}
-
-/** One documented default, one construction path: the factory applies
- * CheckAccel::defaultMode(); raw checker constructors stay Off so
- * microarchitectural unit tests see the pure walk. */
-TEST(CheckAccel, FactoryAppliesDefaultRawConstructionStaysOff)
-{
-    EnvGuard guard;
-
     constexpr unsigned kEntries = 8;
     EntryTable entries(kEntries);
     MdCfgTable mdcfg(2, kEntries);
+    ASSERT_TRUE(mdcfg.setTop(0, kEntries));
+    ASSERT_TRUE(entries.set(
+        3, Entry::range(0x1000, 0x1000, Perm::ReadWrite), true));
+    CheckRequest req;
+    req.addr = 0x1000;
+    req.len = 8;
+    req.perm = Perm::Read;
+    req.md_bitmap = 0x1;
 
-    auto factory_built =
-        makeChecker(CheckerKind::Linear, 1, entries, mdcfg);
-    EXPECT_EQ(factory_built->accelMode(), CheckAccel::defaultMode());
-    EXPECT_EQ(factory_built->accelMode(), AccelMode::PlansAndCache);
+    const unsigned before = liveAccelGroups();
+    for (const KindParam kind : {KindParam{CheckerKind::Linear, 1},
+                                 KindParam{CheckerKind::Tree, 1},
+                                 KindParam{CheckerKind::PipelineLinear, 3},
+                                 KindParam{CheckerKind::PipelineTree, 2}}) {
+        auto checker = makeChecker(kind.kind, kind.stages, entries, mdcfg);
+        EXPECT_EQ(checker->kind(), kind.kind);
+        EXPECT_EQ(checker->stages(), kind.stages);
+        const CheckResult result = checker->check(req);
+        EXPECT_TRUE(result.allowed) << checkerKindName(kind.kind);
+        EXPECT_EQ(result.entry, 3) << checkerKindName(kind.kind);
+        EXPECT_EQ(liveAccelGroups(), before) << checkerKindName(kind.kind);
+    }
 
-    LinearChecker raw(entries, mdcfg);
-    EXPECT_EQ(raw.accelMode(), AccelMode::Off);
-
-    // The factory honours a changed default, too.
-    CheckAccel::setDefaultMode(AccelMode::Plans);
-    auto plans_built =
-        makeChecker(CheckerKind::Tree, 1, entries, mdcfg);
-    EXPECT_EQ(plans_built->accelMode(), AccelMode::Plans);
+    // A unit owns exactly one accelerator.
+    SIopmp dut(probeConfig(), CheckerKind::Linear, 1);
+    EXPECT_EQ(liveAccelGroups(), before + 1);
 }
 
 // ---- observability counters ---------------------------------------------
@@ -528,44 +488,39 @@ TEST(CheckAccel, FactoryAppliesDefaultRawConstructionStaysOff)
 TEST(CheckAccel, CountersTrackHitsMissesAndFlushes)
 {
     SIopmp dut(probeConfig(), CheckerKind::Linear, 1);
-    dut.setAccelMode(AccelMode::PlansAndCache);
     program(dut);
-    const CheckAccel *accel = dut.checker().accel();
-    ASSERT_NE(accel, nullptr);
+    const CheckAccel &accel = dut.accel();
 
     // program() itself churns the tables through MMIO, so flush
     // counters are already nonzero; snapshot and compare deltas.
-    const std::uint64_t partial0 = accel->partialFlushes();
-    const std::uint64_t full0 = accel->fullFlushes();
+    const std::uint64_t partial0 = accel.partialFlushes();
+    const std::uint64_t full0 = accel.fullFlushes();
 
-    // First check compiles SID1's plan and misses the verdict cache.
+    // First check compiles SID1's plan.
     EXPECT_EQ(dut.authorize(kDevHot, 0x1000, 8, Perm::Read).status,
               AuthStatus::Allow);
-    const std::uint64_t misses0 = accel->cacheMisses();
-    const std::uint64_t compiles0 = accel->planCompiles();
-    EXPECT_GE(misses0, 1u);
+    const std::uint64_t compiles0 = accel.planCompiles();
     EXPECT_GE(compiles0, 1u);
-    EXPECT_EQ(accel->planRecompiles(), 0u);
+    EXPECT_EQ(accel.planRecompiles(), 0u);
 
-    // Identical repeats hit; no new plan work.
+    // Identical repeats reuse the plan: no new plan work.
     for (int i = 0; i < 5; ++i)
         dut.authorize(kDevHot, 0x1000, 8, Perm::Read);
-    EXPECT_EQ(accel->cacheHits(), 5u);
-    EXPECT_EQ(accel->cacheMisses(), misses0);
-    EXPECT_EQ(accel->planCompiles(), compiles0);
+    EXPECT_EQ(accel.planCompiles(), compiles0);
+    EXPECT_EQ(accel.planRecompiles(), 0u);
 
     // A config write partially flushes (no full flush: only the owning
-    // MDs salt forward) and strands the plan: the next check
-    // re-misses and re-compiles.
+    // MDs' plans go stale) and strands the plan: the next check
+    // recompiles it.
     writeEntry(dut, 0, 0x1000, 0x1000, (1u << 2) | 0x1); // rw -> r-
-    EXPECT_EQ(accel->partialFlushes(), partial0 + 1);
-    EXPECT_EQ(accel->fullFlushes(), full0);
-    EXPECT_GE(accel->stalePlans(), 1u);
+    EXPECT_EQ(accel.partialFlushes(), partial0 + 1);
+    EXPECT_EQ(accel.fullFlushes(), full0);
+    EXPECT_GE(accel.stalePlans(), 1u);
     EXPECT_FALSE(
         dut.authorize(kDevHot, 0x1000, 8, Perm::Write).status ==
         AuthStatus::Allow);
-    EXPECT_GE(accel->planRecompiles(), 1u);
-    EXPECT_GT(accel->cacheMisses(), misses0);
+    EXPECT_GE(accel.planRecompiles(), 1u);
+    EXPECT_EQ(accel.planCompiles(), compiles0);
 }
 
 // ---- invalidation minimality --------------------------------------------
@@ -585,11 +540,6 @@ struct MinimalityRig {
                 i, Entry::range(Addr{0x1000} * i, 0x1000, Perm::ReadWrite),
                 /*machine_mode=*/true));
         }
-        checker = makeChecker(CheckerKind::Linear, 1, entries, mdcfg);
-        checker->setAccelMode(AccelMode::PlansAndCache);
-        accel = checker->accel();
-        EXPECT_NE(accel, nullptr);
-
         // req_a reads through MD0; req_b through MD2|MD3 — disjoint.
         req_a.addr = 0x1000;
         req_a.len = 8;
@@ -599,23 +549,22 @@ struct MinimalityRig {
         req_b.addr = 0x9000;
         req_b.md_bitmap = 0xc;
 
-        // Compile both plans and fill both verdict-cache lines.
-        checker->check(req_a);
-        checker->check(req_b);
+        // Listen from here on, then compile both plans.
+        accel.emplace(entries, mdcfg);
+        accel->check(req_a);
+        accel->check(req_b);
         EXPECT_EQ(accel->planCompiles(), 2u);
-        EXPECT_EQ(accel->cacheMisses(), 2u);
     }
 
     EntryTable entries;
     MdCfgTable mdcfg;
-    std::unique_ptr<CheckerLogic> checker;
-    const CheckAccel *accel = nullptr;
+    std::optional<CheckAccel> accel;
     CheckRequest req_a;
     CheckRequest req_b;
 };
 
-/** An entry rewrite inside MD0 must leave MD2|MD3's plan compiled and
- * its verdict-cache line live, while MD0's plan goes stale. */
+/** An entry rewrite inside MD0 must leave MD2|MD3's plan compiled,
+ * while MD0's plan goes stale. */
 TEST(CheckAccel, EntryMutationLeavesDisjointMdsValid)
 {
     MinimalityRig rig;
@@ -627,16 +576,15 @@ TEST(CheckAccel, EntryMutationLeavesDisjointMdsValid)
     EXPECT_EQ(rig.accel->fullFlushes(), 0u);
     EXPECT_EQ(rig.accel->stalePlans(), 1u);
 
-    // Disjoint bitmap: still a verdict-cache hit, no plan work.
-    rig.checker->check(rig.req_b);
-    EXPECT_EQ(rig.accel->cacheHits(), 1u);
-    EXPECT_EQ(rig.accel->cacheMisses(), 2u);
+    // Disjoint bitmap: no plan work.
+    rig.accel->check(rig.req_b);
     EXPECT_EQ(rig.accel->planRecompiles(), 0u);
+    EXPECT_EQ(rig.accel->stalePlans(), 1u);
 
-    // Touched bitmap: the plan recompiles and the salted line misses.
-    rig.checker->check(rig.req_a);
+    // Touched bitmap: the plan recompiles.
+    rig.accel->check(rig.req_a);
     EXPECT_EQ(rig.accel->planRecompiles(), 1u);
-    EXPECT_EQ(rig.accel->cacheMisses(), 3u);
+    EXPECT_EQ(rig.accel->planCompiles(), 2u);
     EXPECT_EQ(rig.accel->stalePlans(), 0u);
 }
 
@@ -650,14 +598,14 @@ TEST(CheckAccel, MdcfgTopMoveLeavesDisjointMdsValid)
     ASSERT_TRUE(rig.mdcfg.setTop(0, 3));
     EXPECT_EQ(rig.accel->partialFlushes(), 1u);
     EXPECT_EQ(rig.accel->fullFlushes(), 0u);
+    EXPECT_EQ(rig.accel->stalePlans(), 1u);
 
     // MD2|MD3 is untouched by the boundary move.
-    rig.checker->check(rig.req_b);
-    EXPECT_EQ(rig.accel->cacheHits(), 1u);
+    rig.accel->check(rig.req_b);
     EXPECT_EQ(rig.accel->planRecompiles(), 0u);
 
     // MD0's plan is stale and recompiles.
-    rig.checker->check(rig.req_a);
+    rig.accel->check(rig.req_a);
     EXPECT_EQ(rig.accel->planRecompiles(), 1u);
     EXPECT_EQ(rig.accel->stalePlans(), 0u);
 }
@@ -673,7 +621,7 @@ TEST(CheckAccel, OverlappingBitmapSaltsAreIndependent)
     CheckRequest req_c = rig.req_a;
     req_c.addr = 0x5000;
     req_c.md_bitmap = 0x6;
-    rig.checker->check(req_c);
+    rig.accel->check(req_c);
     EXPECT_EQ(rig.accel->planCompiles(), 3u);
 
     // Mutate entry 13 (MD3): dirties req_b's plan (MD2|MD3 intersects
@@ -682,13 +630,14 @@ TEST(CheckAccel, OverlappingBitmapSaltsAreIndependent)
         13, Entry::range(0xd000, 0x1000, Perm::Read), true));
     EXPECT_EQ(rig.accel->stalePlans(), 1u);
 
-    rig.checker->check(rig.req_a);
-    rig.checker->check(req_c);
+    rig.accel->check(rig.req_a);
+    rig.accel->check(req_c);
     EXPECT_EQ(rig.accel->planRecompiles(), 0u);
-    EXPECT_EQ(rig.accel->cacheHits(), 2u);
+    EXPECT_EQ(rig.accel->stalePlans(), 1u);
 
-    rig.checker->check(rig.req_b);
+    rig.accel->check(rig.req_b);
     EXPECT_EQ(rig.accel->planRecompiles(), 1u);
+    EXPECT_EQ(rig.accel->stalePlans(), 0u);
 }
 
 /** resetAll is the sledgehammer: everything stale, one full flush. */
@@ -698,12 +647,13 @@ TEST(CheckAccel, TableResetFullyFlushes)
 
     rig.entries.resetAll();
     EXPECT_EQ(rig.accel->fullFlushes(), 1u);
+    EXPECT_EQ(rig.accel->partialFlushes(), 0u);
     EXPECT_EQ(rig.accel->stalePlans(), 2u);
 
-    rig.checker->check(rig.req_a);
-    rig.checker->check(rig.req_b);
+    rig.accel->check(rig.req_a);
+    rig.accel->check(rig.req_b);
     EXPECT_EQ(rig.accel->planRecompiles(), 2u);
-    EXPECT_EQ(rig.accel->cacheHits(), 0u);
+    EXPECT_EQ(rig.accel->planCompiles(), 2u);
     EXPECT_EQ(rig.accel->stalePlans(), 0u);
 }
 
@@ -716,14 +666,14 @@ TEST(CheckAccel, ZeroLengthMatchesUncached)
     ASSERT_TRUE(entries.set(0, Entry::range(0, ~Addr{0}, Perm::ReadWrite),
                             true));
     auto checker = makeChecker(CheckerKind::Linear, 1, entries, mdcfg);
-    checker->setAccelMode(AccelMode::PlansAndCache);
+    CheckAccel accel(entries, mdcfg);
     CheckRequest req;
     req.addr = 0x1000;
     req.len = 0;
     req.perm = Perm::Read;
     req.md_bitmap = 0x1;
-    const CheckResult fast = checker->check(req);
-    const CheckResult slow = checker->checkUncached(req);
+    const CheckResult fast = accel.check(req);
+    const CheckResult slow = checker->check(req);
     EXPECT_EQ(fast.entry, slow.entry);
     EXPECT_EQ(fast.allowed, slow.allowed);
     EXPECT_EQ(fast.partial, slow.partial);

@@ -138,15 +138,6 @@ TEST_F(SIopmpTest, StatsCountOutcomes)
     EXPECT_EQ(unit.statsGroup().scalar("sid_misses").value(), 1.0);
 }
 
-TEST_F(SIopmpTest, CheckerSwapPreservesDecisions)
-{
-    auto before = unit.authorize(7, 0x8000'0000, 64, Perm::Read).status;
-    unit.setChecker(CheckerKind::PipelineTree, 3);
-    auto after = unit.authorize(7, 0x8000'0000, 64, Perm::Read).status;
-    EXPECT_EQ(before, after);
-    EXPECT_EQ(unit.checker().stages(), 3u);
-}
-
 TEST_F(SIopmpTest, ColdSidIsLastSid)
 {
     EXPECT_EQ(unit.coldSid(), 63u);

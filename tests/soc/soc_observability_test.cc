@@ -6,7 +6,8 @@
  * correct span nesting; tracing must be a pure observer (identical
  * results on and off); the redesigned stats API (Soc::accept +
  * visitors) must cover every component in both text and JSON form;
- * and Soc::reconfigure must validate checker combinations.
+ * and Soc construction must reject checker combinations the hardware
+ * could not build.
  */
 
 #include <gtest/gtest.h>
@@ -334,54 +335,24 @@ TEST(SocObservability, StatsJsonCoversEveryGroupTheTextWriterSees)
     EXPECT_NE(text_out.find("memory.read_bursts"), std::string::npos);
 }
 
-TEST(SocObservability, ReconfigureSwapsCheckerAndPolicy)
-{
-    SocConfig cfg;
-    Soc soc(cfg);
-    dev::DmaEngine engine("dma0", kDevice, soc.masterLink(0));
-    soc.add(&engine);
-    allowWindow(soc);
-
-    CheckerConfig next;
-    next.kind = iopmp::CheckerKind::PipelineTree;
-    next.stages = 3;
-    next.policy = iopmp::ViolationPolicy::PacketMasking;
-    soc.reconfigure(next);
-    EXPECT_EQ(soc.config().checker_stages, 3u);
-    EXPECT_EQ(soc.config().policy,
-              iopmp::ViolationPolicy::PacketMasking);
-
-    // The reconfigured system still moves bytes.
-    dev::DmaJob job;
-    job.kind = dev::DmaKind::Read;
-    job.src = kAllowed;
-    job.bytes = 256;
-    engine.start(job, soc.sim().now());
-    soc.sim().runUntil([&] { return engine.done(); }, 100'000);
-    EXPECT_TRUE(engine.done());
-    EXPECT_EQ(engine.bytesTransferred(), 256u);
-}
-
-TEST(SocObservability, ReconfigureRejectsInvalidCombination)
-{
-    SocConfig cfg;
-    Soc soc(cfg);
-    CheckerConfig bad;
-    bad.kind = iopmp::CheckerKind::Tree; // not pipelined
-    bad.stages = 3;
-    EXPECT_DEATH(soc.reconfigure(bad), "pipelined checker kind");
-
-    CheckerConfig zero;
-    zero.stages = 0;
-    EXPECT_DEATH(soc.reconfigure(zero), "stages must be >= 1");
-}
-
 TEST(SocObservability, InvalidSocConfigRejectedAtConstruction)
 {
     SocConfig cfg;
     cfg.checker_kind = iopmp::CheckerKind::Linear;
     cfg.checker_stages = 4;
     EXPECT_DEATH(Soc{cfg}, "pipelined checker kind");
+}
+
+TEST(SocObservability, InvalidCheckerCombinationRejectedAtConstruction)
+{
+    SocConfig bad;
+    bad.checker_kind = iopmp::CheckerKind::Tree; // not pipelined
+    bad.checker_stages = 3;
+    EXPECT_DEATH(Soc{bad}, "pipelined checker kind");
+
+    SocConfig zero;
+    zero.checker_stages = 0;
+    EXPECT_DEATH(Soc{zero}, "stages must be >= 1");
 }
 
 } // namespace

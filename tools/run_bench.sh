@@ -17,10 +17,12 @@
 #
 # --sanitize configures a separate ASan+UBSan-instrumented tree
 # (default build-asan/, matching the asan-ubsan CMake preset), then
-# runs the cache-invalidation/accelerator tests and bounded
-# differential-fuzz campaigns — accel forced on, forced off, and the
-# mutation-heavy churn profile that stresses per-MD incremental
-# invalidation — under the sanitizers. It then configures a second,
+# runs the accelerator, invalidation and checker-factory tests and four
+# bounded differential-fuzz campaigns — the default and the
+# mutation-heavy churn profile (which stresses per-MD incremental
+# invalidation), each at seeds 1 and 2 — under the sanitizers. Every
+# campaign checks the plans against the oracle and each kind's walk
+# against the plans. It then configures a second,
 # TSan-instrumented tree (build-tsan/, matching the tsan preset) and
 # runs a bounded fuzz smoke sharded over 4 worker threads under
 # ThreadSanitizer — the data-race gate for siopmp_fuzz --jobs, the one
@@ -45,15 +47,13 @@ if [ "${1:-}" = "--sanitize" ]; then
     cmake --build "$ASAN_DIR" -j --target test_iopmp_checkers siopmp_fuzz
     echo "== accelerator + invalidation tests (sanitized) =="
     "$ASAN_DIR/tests/test_iopmp_checkers" \
-        --gtest_filter='*CheckAccel*:*Invalidation*:*AccelDifferential*'
-    echo "== bounded fuzz campaign, accel forced on (sanitized) =="
-    "$ASAN_DIR/tools/siopmp_fuzz" --cases 300 --accel plans+cache --seed 1
-    "$ASAN_DIR/tools/siopmp_fuzz" --cases 300 --accel off --seed 1
+        --gtest_filter='*CheckAccel*:*Invalidation*:*AccelDifferential*:*CheckerFactory*'
+    echo "== bounded fuzz campaign (sanitized) =="
+    "$ASAN_DIR/tools/siopmp_fuzz" --cases 300 --seed 1
+    "$ASAN_DIR/tools/siopmp_fuzz" --cases 300 --seed 2
     echo "== churn-profile fuzz: incremental invalidation (sanitized) =="
-    "$ASAN_DIR/tools/siopmp_fuzz" --cases 300 --profile churn \
-        --accel plans+cache --seed 1
-    "$ASAN_DIR/tools/siopmp_fuzz" --cases 300 --profile churn \
-        --accel plans --seed 2
+    "$ASAN_DIR/tools/siopmp_fuzz" --cases 300 --profile churn --seed 1
+    "$ASAN_DIR/tools/siopmp_fuzz" --cases 300 --profile churn --seed 2
 
     echo "== tenant-churn workload leg (ASan+UBSan) =="
     cmake --build "$ASAN_DIR" -j --target test_workloads
@@ -165,6 +165,11 @@ echo "== checker_micro (BENCH_checker.json) =="
 echo "== BENCH_checker.json schema check =="
 for key in \
     '"benchmark"' \
+    '"commit"' \
+    '"build_type"' \
+    '"compiler"' \
+    '"host_cores"' \
+    '"checks_per_config"' \
     '"num_sids"' \
     '"configs"' \
     '"churn"' \
@@ -183,39 +188,45 @@ if command -v python3 > /dev/null; then
 import json, sys
 d = json.load(open(sys.argv[1]))
 assert d["benchmark"] == "checker_micro"
+# Provenance header: what produced the numbers below.
+for k in ("commit", "build_type", "compiler"):
+    assert isinstance(d[k], str) and d[k], k
+assert isinstance(d["host_cores"], int) and d["host_cores"] > 0
+assert isinstance(d["checks_per_config"], int) and d["checks_per_config"] > 0
 assert d["num_sids"] == 128
 cfgs = d["configs"]
 kinds = {c["kind"] for c in cfgs}
 assert kinds == {"linear", "tree", "mt3"}, kinds
 for c in cfgs:
-    assert c["cache"] in ("off", "on")
+    assert c["accel"] in ("off", "plans")
     assert c["entries"] in (64, 256, 1024)
     assert c["ns_per_check"] > 0 and c["s_per_mcycle"] > 0
-# Acceptance gate: saturated 128-SID throughput with the verdict
-# cache on must be at least 3x the cache-off baseline, per kind and
-# entry count.
+# Acceptance gate: saturated 128-SID throughput through the compiled
+# plans must be at least 3x the kind's walk, per kind and entry count.
 for c in cfgs:
-    if c["cache"] == "on":
+    if c["accel"] == "plans":
         assert c["speedup"] >= 3.0, (c["kind"], c["entries"], c["speedup"])
-# Churn series: every kind at ratios 1:10/1:100/1:1000, accel off+on.
+# Churn series: every kind at ratios 1:10/1:100/1:1000, walk and plans.
 churn = d["churn"]
 ckinds = {c["kind"] for c in churn}
 assert ckinds == {"linear", "tree", "mt3"}, ckinds
 for c in churn:
-    assert c["accel"] in ("off", "plans+cache"), c
+    assert c["accel"] in ("off", "plans"), c
     assert c["ratio"] in (10, 100, 1000), c
     assert c["ns_per_check"] > 0, c
-# Acceptance gate: with per-MD incremental invalidation, accelerated
-# checks under churn at a 1:100 mutation:check ratio must be at least
-# 5x the uncached walk, per kind. (The old epoch scheme flushed every
-# plan and line on every mutation; this gate is what it would fail.)
+# Acceptance gate: with per-MD incremental invalidation, checks through
+# the plans under churn at a 1:100 mutation:check ratio must be at
+# least 5x the kind's walk, per kind. (The old epoch scheme flushed
+# every plan on every mutation; this gate is what it would fail.)
 for c in churn:
-    if c["accel"] == "plans+cache" and c["ratio"] == 100:
+    if c["accel"] == "plans" and c["ratio"] == 100:
         assert c["speedup"] >= 5.0, (c["kind"], c["speedup"])
-print("checker json schema OK (min speedup %.1fx; min churn@1:100 %.1fx)" %
-      (min(c["speedup"] for c in cfgs if c["cache"] == "on"),
+print("checker json schema OK (%s, %s, %d cores; min speedup %.1fx; "
+      "min churn@1:100 %.1fx)" %
+      (d["commit"], d["build_type"], d["host_cores"],
+       min(c["speedup"] for c in cfgs if c["accel"] == "plans"),
        min(c["speedup"] for c in churn
-           if c["accel"] == "plans+cache" and c["ratio"] == 100)))
+           if c["accel"] == "plans" and c["ratio"] == 100)))
 EOF
 else
     echo "checker json schema OK (grep-only: python3 unavailable)"
@@ -231,6 +242,11 @@ CHURN_JSON="$REPO_ROOT/BENCH_churn.json"
 echo "== BENCH_churn.json schema check =="
 for key in \
     '"benchmark"' \
+    '"commit"' \
+    '"build_type"' \
+    '"compiler"' \
+    '"host_cores"' \
+    '"points"' \
     '"series"' \
     '"churn_per_sim_s"' \
     '"executed_cycles"' \
@@ -253,7 +269,12 @@ if command -v python3 > /dev/null; then
 import json, sys
 d = json.load(open(sys.argv[1]))
 assert d["benchmark"] == "churn_fleet"
+# Provenance header: what produced the numbers below.
+for k in ("commit", "build_type", "compiler"):
+    assert isinstance(d[k], str) and d[k], k
+assert isinstance(d["host_cores"], int) and d["host_cores"] > 0
 series = d["series"]
+assert isinstance(d["points"], int) and d["points"] == len(series), d["points"]
 assert len(series) >= 4, len(series)
 for p in series:
     assert p["tenants"] > 0 and p["devices"] > 0, p
@@ -273,8 +294,9 @@ assert head["churn_per_sim_s"] >= 1000.0, head
 # The all-hot contention cell must actually evict live CAM entries.
 assert any(p["cam_evictions"] > 0 for p in series), "no CAM churn"
 assert any(p["sid_misses"] > 0 for p in series), "no cold misses"
-print("churn json schema OK (headline %.0f TEE/s over %d points)" %
-      (head["churn_per_sim_s"], len(series)))
+print("churn json schema OK (%s, %s, %d cores; headline %.0f TEE/s over "
+      "%d points)" % (d["commit"], d["build_type"], d["host_cores"],
+                      head["churn_per_sim_s"], len(series)))
 EOF
 else
     echo "churn json schema OK (grep-only: python3 unavailable)"

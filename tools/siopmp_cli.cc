@@ -18,37 +18,28 @@
  *
  * Flags accepted by every command:
  *
- *   --accel MODE       check-path acceleration mode for every sIOPMP
- *                      the command builds: off | plans | plans+cache
- *                      (default: CheckAccel::defaultMode(), i.e. the
- *                      SIOPMP_ACCEL_MODE env var or plans+cache)
  *   --trace-out FILE   write a Chrome trace-event JSON of the run
  *                      (load in Perfetto / chrome://tracing)
  *   --stats-json FILE  write every stats group the run touched as JSON
  *                      ("-" for stdout); see docs/OBSERVABILITY.md
  *
  * Every command prints a single result line plus the key parameters,
- * suitable for scripting sweeps. A flag value outside its list, or a
- * number that is not a whole non-negative integer (a non-negative real
- * for --arrival and --cold), exits with status 2 and a message naming
- * the flag.
+ * suitable for scripting sweeps. A flag the command does not read, a
+ * flag value outside its list, or a number that is not a whole
+ * non-negative integer (a non-negative real for --arrival and --cold)
+ * exits with status 2 and a message naming the flag (tools/args.hh).
  */
 
-#include <cctype>
-#include <cerrno>
-#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <initializer_list>
 #include <iostream>
 #include <limits>
 #include <memory>
 #include <string>
-#include <vector>
 
-#include "iopmp/accel.hh"
+#include "args.hh"
 #include "sim/stats.hh"
 #include "sim/trace.hh"
 #include "timing/frequency.hh"
@@ -63,107 +54,7 @@ using namespace siopmp;
 
 namespace {
 
-/** Refuse @p value for flag @p name: a message, then exit status 2. */
-[[noreturn]] void
-reject(const char *name, const std::string &value, const std::string &want)
-{
-    std::fprintf(stderr, "siopmp-cli: %s: '%s' is not %s\n", name,
-                 value.c_str(), want.c_str());
-    std::exit(2);
-}
-
-/** Tiny flag parser: --name value / --name (boolean). A value that
- * does not parse is refused (reject()), never replaced by a default. */
-class Args
-{
-  public:
-    Args(int argc, char **argv)
-    {
-        for (int i = 2; i < argc; ++i)
-            tokens_.emplace_back(argv[i]);
-    }
-
-    bool
-    flag(const char *name) const
-    {
-        for (const auto &token : tokens_) {
-            if (token == name)
-                return true;
-        }
-        return false;
-    }
-
-    std::string
-    value(const char *name, const std::string &fallback) const
-    {
-        const std::string *v = find(name);
-        return v ? *v : fallback;
-    }
-
-    /** The value of @p name, which must be one of @p choices. */
-    std::string
-    choice(const char *name, const char *fallback,
-           std::initializer_list<const char *> choices) const
-    {
-        const std::string v = value(name, fallback);
-        std::string want;
-        for (const char *c : choices) {
-            if (v == c)
-                return v;
-            want += want.empty() ? "one of " : "|";
-            want += c;
-        }
-        reject(name, v, want);
-    }
-
-    /** A whole non-negative number no larger than @p max. */
-    std::uint64_t
-    number(const char *name, std::uint64_t fallback,
-           std::uint64_t max = std::numeric_limits<unsigned>::max()) const
-    {
-        const std::string *v = find(name);
-        if (!v)
-            return fallback;
-        char *end = nullptr;
-        errno = 0;
-        const unsigned long long n = std::strtoull(v->c_str(), &end, 10);
-        if (!std::isdigit(static_cast<unsigned char>((*v)[0])) ||
-            *end != '\0')
-            reject(name, *v, "a whole non-negative number");
-        if (errno == ERANGE || n > max)
-            reject(name, *v, "at most " + std::to_string(max));
-        return n;
-    }
-
-    /** A finite non-negative real. */
-    double
-    real(const char *name, double fallback) const
-    {
-        const std::string *v = find(name);
-        if (!v)
-            return fallback;
-        char *end = nullptr;
-        const double x = std::strtod(v->c_str(), &end);
-        if (end == v->c_str() || *end != '\0' || !std::isfinite(x) ||
-            x < 0)
-            reject(name, *v, "a non-negative number");
-        return x;
-    }
-
-  private:
-    /** The token after @p name, or nullptr when the flag is absent. */
-    const std::string *
-    find(const char *name) const
-    {
-        for (std::size_t i = 0; i + 1 < tokens_.size(); ++i) {
-            if (tokens_[i] == name)
-                return &tokens_[i + 1];
-        }
-        return nullptr;
-    }
-
-    std::vector<std::string> tokens_;
-};
+using tools::Args;
 
 int
 cmdLatency(const Args &args)
@@ -323,7 +214,6 @@ usage()
     std::fprintf(stderr,
                  "usage: siopmp-cli <latency|bandwidth|network|memcached|"
                  "hotcold|churn|freq> [flags]\n"
-                 "       [--accel off|plans|plans+cache]\n"
                  "       [--trace-out FILE] [--stats-json FILE|-]\n"
                  "run with a command and no flags for sane defaults; see "
                  "the file header for flags.\n");
@@ -392,44 +282,49 @@ class Observability
     std::unique_ptr<trace::ChromeTraceSink> trace_sink_;
 };
 
+/** One command: its runner and the flags it reads (besides the
+ * observability flags every command takes). */
+struct Command {
+    const char *name;
+    int (*run)(const Args &);
+    Args::Spec flags;
+};
+
 } // namespace
 
 int
 main(int argc, char **argv)
 {
+    const Command commands[] = {
+        {"latency", cmdLatency,
+         {{"--stages", "--policy", "--bursts"}, {"--write", "--violating"}}},
+        {"bandwidth", cmdBandwidth,
+         {{"--scenario", "--stages", "--outstanding"}, {}}},
+        {"network", cmdNetwork, {{"--cores", "--packets"}, {"--tx"}}},
+        {"memcached", cmdMemcached, {{"--qps", "--scheme"}, {}}},
+        {"hotcold", cmdHotCold, {{"--ratio", "--bursts"}, {"--mismatched"}}},
+        {"churn", cmdChurn,
+         {{"--tenants", "--devices", "--ports", "--arrival", "--cold",
+           "--seed"},
+          {}}},
+        {"freq", cmdFreq,
+         {{"--entries", "--stages", "--arity", "--kind"}, {}}},
+    };
     if (argc < 2) {
         usage();
         return 2;
     }
     const std::string cmd = argv[1];
-    const Args args(argc, argv);
-
-    // Process-wide acceleration-mode selection: every Soc/SIopmp the
-    // commands build below picks this up through makeChecker's
-    // CheckAccel::defaultMode() resolution.
-    const std::string accel = args.value("--accel", "");
-    if (!accel.empty()) {
-        iopmp::AccelMode mode;
-        if (!iopmp::parseAccelMode(accel, &mode))
-            reject("--accel", accel, "one of off|plans|plans+cache");
-        iopmp::CheckAccel::setDefaultMode(mode);
+    for (const Command &command : commands) {
+        if (cmd != command.name)
+            continue;
+        Args::Spec flags = command.flags;
+        flags.valued.insert(flags.valued.end(),
+                            {"--trace-out", "--stats-json"});
+        const Args args("siopmp-cli " + cmd, argc - 2, argv + 2, flags);
+        const Observability observability(args);
+        return command.run(args);
     }
-
-    const Observability observability(args);
-    if (cmd == "latency")
-        return cmdLatency(args);
-    if (cmd == "bandwidth")
-        return cmdBandwidth(args);
-    if (cmd == "network")
-        return cmdNetwork(args);
-    if (cmd == "memcached")
-        return cmdMemcached(args);
-    if (cmd == "hotcold")
-        return cmdHotCold(args);
-    if (cmd == "churn")
-        return cmdChurn(args);
-    if (cmd == "freq")
-        return cmdFreq(args);
     usage();
     return 2;
 }

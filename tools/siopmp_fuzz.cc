@@ -7,7 +7,6 @@
  *   siopmp_fuzz [--cases N] [--wide-cases N] [--ops N] [--seed S]
  *               [--checker linear|tree|pipe-linear|pipe-tree|all]
  *               [--stages N] [--entries N] [--sids N] [--mds N]
- *               [--accel off|plans|plans+cache|default]
  *               [--profile default|churn] [--jobs N]
  *               [--replay CASE] [--inject lock-bypass|block-hole|unbind-drop]
  *               [--trace-out FILE] [--stats-json FILE|-] [--verbose]
@@ -27,10 +26,10 @@
  * workers join. Tracing (--trace-out) forces --jobs 1: the trace sink
  * serializes one event stream.
  *
- * --accel forces the DUT's check-path acceleration mode (compiled
- * match plans, optionally plus the verdict cache — see
- * docs/PERFORMANCE.md) for every case; "default" defers to
- * CheckAccel::defaultMode() (SIOPMP_ACCEL_MODE).
+ * The DUT decides through its compiled match plans
+ * (docs/PERFORMANCE.md); every Allow or Deny it agrees with the oracle
+ * on is re-decided by the configured checker kind's own walk, so each
+ * leg covers its kind's microarchitecture model too.
  *
  * --profile churn switches the op mix to continuous high-rate table
  * mutation interleaved with checks — the workload the accelerator's
@@ -44,20 +43,24 @@
  *               write path to prove the harness catches it (expects
  *               to exit 1 with a minimized trace)
  *
- * See docs/FUZZING.md for the op grammar and workflow.
+ * An unknown flag, a value outside its list or a count that is not a
+ * whole non-negative number exits with status 2 and a message naming
+ * the flag (tools/args.hh). See docs/FUZZING.md for the op grammar
+ * and workflow.
  */
 
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "args.hh"
 #include "check/fuzzer.hh"
 #include "sim/logging.hh"
 #include "sim/stats.hh"
@@ -67,46 +70,7 @@ using namespace siopmp;
 
 namespace {
 
-/** Tiny flag parser: --name value / --name (boolean). */
-class Args
-{
-  public:
-    Args(int argc, char **argv)
-    {
-        for (int i = 1; i < argc; ++i)
-            tokens_.emplace_back(argv[i]);
-    }
-
-    bool
-    flag(const char *name) const
-    {
-        for (const auto &token : tokens_) {
-            if (token == name)
-                return true;
-        }
-        return false;
-    }
-
-    std::string
-    value(const char *name, const std::string &fallback) const
-    {
-        for (std::size_t i = 0; i + 1 < tokens_.size(); ++i) {
-            if (tokens_[i] == name)
-                return tokens_[i + 1];
-        }
-        return fallback;
-    }
-
-    long long
-    number(const char *name, long long fallback) const
-    {
-        const std::string v = value(name, "");
-        return v.empty() ? fallback : std::atoll(v.c_str());
-    }
-
-  private:
-    std::vector<std::string> tokens_;
-};
+using tools::Args;
 
 void
 usage()
@@ -118,7 +82,6 @@ usage()
         "pipe-linear|pipe-tree|all]\n"
         "                   [--stages N] [--entries N] [--sids N] "
         "[--mds N]\n"
-        "                   [--accel off|plans|plans+cache|default]\n"
         "                   [--profile default|churn] [--jobs N]\n"
         "                   [--replay CASE] [--inject "
         "lock-bypass|block-hole|unbind-drop]\n"
@@ -132,6 +95,7 @@ struct Combo {
     unsigned stages;
 };
 
+/** @p checker is one of the --checker choices. */
 std::vector<Combo>
 campaignCombos(const std::string &checker, unsigned stages)
 {
@@ -144,37 +108,27 @@ campaignCombos(const std::string &checker, unsigned stages)
         return {{CheckerKind::PipelineLinear, stages ? stages : 2}};
     if (checker == "pipe-tree")
         return {{CheckerKind::PipelineTree, stages ? stages : 2}};
-    if (checker == "all") {
-        return {
-            {CheckerKind::Linear, 1},
-            {CheckerKind::Tree, 1},
-            {CheckerKind::PipelineLinear, 2},
-            {CheckerKind::PipelineLinear, 4},
-            {CheckerKind::PipelineTree, 2},
-            {CheckerKind::PipelineTree, 4},
-        };
-    }
-    std::fprintf(stderr, "unknown checker '%s'\n", checker.c_str());
-    std::exit(2);
+    return {
+        {CheckerKind::Linear, 1},
+        {CheckerKind::Tree, 1},
+        {CheckerKind::PipelineLinear, 2},
+        {CheckerKind::PipelineLinear, 4},
+        {CheckerKind::PipelineTree, 2},
+        {CheckerKind::PipelineTree, 4},
+    };
 }
 
+/** @p inject is empty or one of the --inject choices. */
 void
 installInjection(check::DifferentialFuzzer &fuzzer,
                  const std::string &inject)
 {
     if (inject.empty())
         return;
-    check::FaultInjection injection;
-    if (inject == "lock-bypass") {
-        injection = check::makeLockBypassInjection();
-    } else if (inject == "block-hole") {
-        injection = check::makeBlockHoleInjection();
-    } else if (inject == "unbind-drop") {
-        injection = check::makeUnbindDropInjection();
-    } else {
-        std::fprintf(stderr, "unknown injection '%s'\n", inject.c_str());
-        std::exit(2);
-    }
+    const check::FaultInjection injection =
+        inject == "lock-bypass"  ? check::makeLockBypassInjection()
+        : inject == "block-hole" ? check::makeBlockHoleInjection()
+                                 : check::makeUnbindDropInjection();
     fuzzer.setDutWriteHook(injection.hook, injection.reset);
 }
 
@@ -188,16 +142,14 @@ printFailure(const check::FuzzCaseConfig &cfg,
                 cfg.num_entries, cfg.num_sids, cfg.num_mds);
     std::printf("  replay: --seed %llu --replay %u --checker %s "
                 "--stages %u --entries %u --sids %u --mds %u --ops %u"
-                "%s%s%s\n",
+                "%s\n",
                 static_cast<unsigned long long>(report.seed),
                 report.case_index, iopmp::checkerKindName(cfg.kind),
                 cfg.stages, cfg.num_entries, cfg.num_sids, cfg.num_mds,
                 cfg.ops_per_case,
                 cfg.profile == check::FuzzProfile::Churn
                     ? " --profile churn"
-                    : "",
-                cfg.accel ? " --accel " : "",
-                cfg.accel ? iopmp::accelModeName(*cfg.accel) : "");
+                    : "");
     std::printf("  minimized to %zu ops:\n", report.trace.size());
     for (std::size_t i = 0; i < report.trace.size(); ++i)
         std::printf("    [%2zu] %s\n", i, report.trace[i].toString().c_str());
@@ -293,52 +245,42 @@ cmdReplay(const Args &args, const check::FuzzCaseConfig &cfg,
 int
 main(int argc, char **argv)
 {
-    const Args args(argc, argv);
+    const Args args("siopmp_fuzz", argc - 1, argv + 1,
+                    {{"--cases", "--wide-cases", "--ops", "--seed",
+                      "--checker", "--stages", "--entries", "--sids",
+                      "--mds", "--profile", "--jobs", "--replay",
+                      "--inject", "--trace-out", "--stats-json"},
+                     {"--verbose", "--help", "-h"}});
     if (args.flag("--help") || args.flag("-h")) {
         usage();
         return 2;
     }
 
-    const auto seed = static_cast<std::uint64_t>(args.number("--seed", 1));
+    const std::uint64_t seed = args.number(
+        "--seed", 1, std::numeric_limits<std::uint64_t>::max());
     const auto cases = static_cast<unsigned>(args.number("--cases", 10000));
     const auto wide_cases = static_cast<unsigned>(
         args.number("--wide-cases", cases / 5));
-    const std::string checker = args.value("--checker", "all");
+    const std::string checker =
+        args.choice("--checker", "all",
+                    {"linear", "tree", "pipe-linear", "pipe-tree", "all"});
     const auto stages = static_cast<unsigned>(args.number("--stages", 0));
-    const std::string inject = args.value("--inject", "");
-    if (!inject.empty() && inject != "lock-bypass" &&
-        inject != "block-hole" && inject != "unbind-drop") {
-        std::fprintf(stderr, "unknown injection '%s'\n", inject.c_str());
-        return 2;
-    }
+    const std::string inject =
+        args.flag("--inject")
+            ? args.choice("--inject", "",
+                          {"lock-bypass", "block-hole", "unbind-drop"})
+            : "";
     const bool verbose = args.flag("--verbose");
-    auto jobs = static_cast<unsigned>(
-        std::max<long long>(1, args.number("--jobs", 1)));
+    auto jobs = std::max(1u, static_cast<unsigned>(args.number("--jobs", 1)));
 
     check::FuzzCaseConfig base;
     base.num_entries = static_cast<unsigned>(args.number("--entries", 24));
     base.num_sids = static_cast<unsigned>(args.number("--sids", 16));
     base.num_mds = static_cast<unsigned>(args.number("--mds", 8));
     base.ops_per_case = static_cast<unsigned>(args.number("--ops", 96));
-
-    const std::string accel = args.value("--accel", "");
-    if (!accel.empty() && accel != "default") {
-        iopmp::AccelMode mode;
-        if (!iopmp::parseAccelMode(accel, &mode)) {
-            std::fprintf(stderr, "unknown accel mode '%s'\n",
-                         accel.c_str());
-            return 2;
-        }
-        base.accel = mode;
-    }
-
-    const std::string profile = args.value("--profile", "default");
-    if (profile == "churn") {
+    if (args.choice("--profile", "default", {"default", "churn"}) ==
+        "churn")
         base.profile = check::FuzzProfile::Churn;
-    } else if (profile != "default") {
-        std::fprintf(stderr, "unknown profile '%s'\n", profile.c_str());
-        return 2;
-    }
 
     // Observability plumbing (same conventions as siopmp-cli).
     const std::string trace_path = args.value("--trace-out", "");
@@ -358,7 +300,7 @@ main(int argc, char **argv)
         stats::Registry::global().setRetainRetired(true);
 
     int rc = 0;
-    if (!args.value("--replay", "").empty()) {
+    if (args.flag("--replay")) {
         check::FuzzCaseConfig cfg = base;
         const std::vector<Combo> combos = campaignCombos(
             checker == "all" ? "linear" : checker, stages);

@@ -4,7 +4,7 @@
  * time under the fast-forward scheduler vs the naive tick-everything
  * loop, in host seconds per simulated megacycle.
  *
- * Two workloads bracket the design space:
+ * Three workloads bracket the design space:
  *
  *  - idle-heavy: short DMA bursts separated by long quiet windows
  *    (the shape of interrupt-driven and latency-measuring experiments,
@@ -17,8 +17,14 @@
  *    engine waits behind a full uplink: both park until the pop that
  *    frees a slot wakes them. The row measures what parking saves
  *    against the bookkeeping it costs.
+ *  - saturated16: the same at 16 masters, in the shape of perfbench's
+ *    soc_saturated16 (per-device checkers, half the engines reading
+ *    and half writing 16 KiB with 8 outstanding bursts): 50 registered
+ *    components, of which about four are awake in a cycle. The row
+ *    measures how the loop's cost scales with registered components
+ *    that sleep.
  *
- * Both workloads are run in both modes, and their final cycle counts
+ * Every workload is run in both modes, and their final cycle counts
  * and full stats dumps (every live stats group) are asserted equal — a
  * built-in differential check. Results go to BENCH_sim_core.json (path
  * overridable via argv), under a provenance header: the checkout's
@@ -31,12 +37,15 @@
  *   small value for the smoke test).
  */
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "devices/dma_engine.hh"
 #include "provenance.hh"
@@ -68,22 +77,23 @@ struct Measurement {
 
 struct Bench {
     soc::Soc soc;
-    dev::DmaEngine dma0;
-    dev::DmaEngine dma1;
+    std::vector<std::unique_ptr<dev::DmaEngine>> dma;
 
-    explicit Bench(bool fast_forward)
-        : soc(cfg()),
-          dma0("dma0", 1, soc.masterLink(0)),
-          dma1("dma1", 2, soc.masterLink(1))
+    /** Engine i is device i + 1, bound to SID i, MD i and window i. */
+    Bench(bool fast_forward, unsigned engines) : soc(cfg(engines))
     {
         soc.sim().setFastForward(fast_forward);
-        soc.add(&dma0);
-        soc.add(&dma1);
+        for (unsigned i = 0; i < engines; ++i) {
+            dma.push_back(std::make_unique<dev::DmaEngine>(
+                "dma" + std::to_string(i), i + 1, soc.masterLink(i)));
+            soc.add(dma.back().get());
+        }
 
         auto &unit = soc.iopmp();
+        const unsigned top = std::max(16u, 4 * engines);
         for (MdIndex md = 0; md < unit.config().num_mds; ++md)
-            unit.mdcfg().setTop(md, std::min(16u, (md + 1) * 4));
-        for (Sid sid = 0; sid < 2; ++sid) {
+            unit.mdcfg().setTop(md, std::min(top, (md + 1) * 4));
+        for (Sid sid = 0; sid < engines; ++sid) {
             unit.cam().set(sid, sid + 1);
             unit.src2md().associate(sid, sid);
             unit.entryTable().set(
@@ -93,10 +103,10 @@ struct Bench {
     }
 
     static soc::SocConfig
-    cfg()
+    cfg(unsigned engines)
     {
         soc::SocConfig c;
-        c.num_masters = 2;
+        c.num_masters = engines;
         c.checker_kind = iopmp::CheckerKind::PipelineTree;
         c.checker_stages = 2;
         return c;
@@ -132,13 +142,13 @@ burstJob(unsigned engine, std::uint64_t bytes, unsigned outstanding)
 Measurement
 runIdleHeavy(bool fast_forward, unsigned iters)
 {
-    Bench bench(fast_forward);
+    Bench bench(fast_forward, 2);
+    dev::DmaEngine &dma0 = *bench.dma[0];
     const auto t0 = std::chrono::steady_clock::now();
     for (unsigned i = 0; i < iters; ++i) {
         // A small burst of real traffic...
-        bench.dma0.start(burstJob(0, 512, 1), bench.soc.sim().now());
-        bench.soc.sim().runUntil([&] { return bench.dma0.done(); },
-                                 100'000);
+        dma0.start(burstJob(0, 512, 1), bench.soc.sim().now());
+        bench.soc.sim().runUntil([&] { return dma0.done(); }, 100'000);
         // ...then a long quiet window (device idle, nothing in flight).
         bench.soc.sim().run(kIdleGap);
     }
@@ -150,17 +160,42 @@ runIdleHeavy(bool fast_forward, unsigned iters)
 Measurement
 runSaturated(bool fast_forward, unsigned iters)
 {
-    Bench bench(fast_forward);
+    Bench bench(fast_forward, 2);
     const Cycle budget = static_cast<Cycle>(iters) * 25'000;
     const auto t0 = std::chrono::steady_clock::now();
     while (bench.soc.sim().now() < budget) {
         // Keep both engines permanently busy with deep queues.
-        if (bench.dma0.done())
-            bench.dma0.start(burstJob(0, 64 * 1024, 8),
-                             bench.soc.sim().now());
-        if (bench.dma1.done())
-            bench.dma1.start(burstJob(1, 64 * 1024, 8),
-                             bench.soc.sim().now());
+        for (unsigned i = 0; i < 2; ++i) {
+            if (bench.dma[i]->done())
+                bench.dma[i]->start(burstJob(i, 64 * 1024, 8),
+                                    bench.soc.sim().now());
+        }
+        bench.soc.sim().run(1'000);
+    }
+    const auto t1 = std::chrono::steady_clock::now();
+
+    return measure(bench, t0, t1);
+}
+
+Measurement
+runSaturated16(bool fast_forward, unsigned iters)
+{
+    constexpr unsigned kEngines = 16;
+    Bench bench(fast_forward, kEngines);
+    const Cycle budget = static_cast<Cycle>(iters) * 25'000;
+    const auto t0 = std::chrono::steady_clock::now();
+    while (bench.soc.sim().now() < budget) {
+        // Odd engines write their window, even ones read theirs.
+        for (unsigned i = 0; i < kEngines; ++i) {
+            if (!bench.dma[i]->done())
+                continue;
+            dev::DmaJob job = burstJob(i, 16 * 1024, 8);
+            if (i % 2 == 1) {
+                job.kind = dev::DmaKind::Write;
+                job.dst = job.src;
+            }
+            bench.dma[i]->start(job, bench.soc.sim().now());
+        }
         bench.soc.sim().run(1'000);
     }
     const auto t1 = std::chrono::steady_clock::now();
@@ -216,6 +251,13 @@ main(int argc, char **argv)
     SIOPMP_ASSERT(sat_ff.stats == sat_naive.stats,
                   "saturated stats dumps diverged between modes");
 
+    const Measurement sat16_ff = runSaturated16(true, iters);
+    const Measurement sat16_naive = runSaturated16(false, iters);
+    SIOPMP_ASSERT(sat16_ff.simulated == sat16_naive.simulated,
+                  "saturated16 cycle counts diverged between modes");
+    SIOPMP_ASSERT(sat16_ff.stats == sat16_naive.stats,
+                  "saturated16 stats dumps diverged between modes");
+
     std::printf("idle-heavy: %.3f s/Mcycle naive, %.3f s/Mcycle ff "
                 "(%.1fx, %llu of %llu cycles skipped)\n",
                 idle_naive.secondsPerMegacycle(),
@@ -230,6 +272,11 @@ main(int argc, char **argv)
                 sat_naive.secondsPerMegacycle(),
                 sat_ff.secondsPerMegacycle(),
                 static_cast<unsigned long long>(sat_ff.skipped));
+    std::printf("saturated16: %.3f s/Mcycle naive, %.3f s/Mcycle ff "
+                "(%llu cycles skipped)\n",
+                sat16_naive.secondsPerMegacycle(),
+                sat16_ff.secondsPerMegacycle(),
+                static_cast<unsigned long long>(sat16_ff.skipped));
 
     std::FILE *f = std::fopen(out_path.c_str(), "w");
     if (f == nullptr) {
@@ -239,7 +286,8 @@ main(int argc, char **argv)
     bench::writeProvenance(f, "sim_core_micro");
     std::fprintf(f, "  \"iters\": %u,\n", iters);
     emitWorkload(f, "idle_heavy", idle_ff, idle_naive, false);
-    emitWorkload(f, "saturated", sat_ff, sat_naive, true);
+    emitWorkload(f, "saturated", sat_ff, sat_naive, false);
+    emitWorkload(f, "saturated16", sat16_ff, sat16_naive, true);
     std::fprintf(f, "}\n");
     std::fclose(f);
     std::printf("wrote %s\n", out_path.c_str());

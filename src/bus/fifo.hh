@@ -18,13 +18,20 @@
  * clock()), so a producer may park behind a full fifo. An active
  * producer is left alone: waking it would only restart its grace
  * cycle.
+ *
+ * Storage is a fixed ring of capacity() slots, allocated once at
+ * construction. canPush() caps the readable items plus the staged ones
+ * at capacity() (readable items never outnumber the registered
+ * occupancy), so the staged items sit in the slots right after the
+ * readable ones: push() and pop() move indices, and clock() only turns
+ * staged counts into readable ones.
  */
 
 #ifndef BUS_FIFO_HH
 #define BUS_FIFO_HH
 
 #include <cstddef>
-#include <deque>
+#include <vector>
 
 #include "sim/logging.hh"
 #include "sim/tickable.hh"
@@ -36,7 +43,8 @@ template <typename T>
 class Fifo
 {
   public:
-    explicit Fifo(std::size_t capacity = 2) : capacity_(capacity)
+    explicit Fifo(std::size_t capacity = 2)
+        : capacity_(capacity), slots_(capacity)
     {
         SIOPMP_ASSERT(capacity >= 1, "fifo capacity must be >= 1");
     }
@@ -55,50 +63,53 @@ class Fifo
     void bindProducer(Tickable *producer) { producer_ = producer; }
 
     /** True iff a producer may push this cycle. */
-    bool
-    canPush() const
-    {
-        return snapshot_ + staged_.size() < capacity_;
-    }
+    bool canPush() const { return snapshot_ + staged_ < capacity_; }
 
     /** Enqueue an item; visible to the consumer after the next clock(). */
     void
     push(const T &item)
     {
         SIOPMP_ASSERT(canPush(), "push on full fifo");
-        staged_.push_back(item);
+        // head_ < capacity_ and ready_ + staged_ < capacity_.
+        std::size_t slot = head_ + ready_ + staged_;
+        if (slot >= capacity_)
+            slot -= capacity_;
+        slots_[slot] = item;
+        ++staged_;
         if (wake_ != nullptr)
             wake_->wake();
     }
 
     /** True iff the consumer can pop this cycle. */
-    bool empty() const { return ready_.empty(); }
+    bool empty() const { return ready_ == 0; }
 
     /**
      * True iff nothing is readable now or staged for the consumer.
      * Consumers use this in quiescent() so an item pushed this cycle
      * keeps them awake until their clock() makes it readable.
      */
-    bool settled() const { return ready_.empty() && staged_.empty(); }
+    bool settled() const { return ready_ == 0 && staged_ == 0; }
 
     /** True iff items are staged, so the consumer's clock() has work
      * left. */
-    bool inTransit() const { return !staged_.empty(); }
+    bool inTransit() const { return staged_ != 0; }
 
     /** Item at the head (consumer-visible). */
     const T &
     front() const
     {
-        SIOPMP_ASSERT(!ready_.empty(), "front on empty fifo");
-        return ready_.front();
+        SIOPMP_ASSERT(ready_ != 0, "front on empty fifo");
+        return slots_[head_];
     }
 
     /** Remove the head item. */
     void
     pop()
     {
-        SIOPMP_ASSERT(!ready_.empty(), "pop on empty fifo");
-        ready_.pop_front();
+        SIOPMP_ASSERT(ready_ != 0, "pop on empty fifo");
+        if (++head_ == capacity_)
+            head_ = 0;
+        --ready_;
         if (snapshot_ == capacity_ && producer_ != nullptr &&
             !producer_->active())
             producer_->wake();
@@ -108,22 +119,21 @@ class Fifo
     void
     clock()
     {
-        while (!staged_.empty()) {
-            ready_.push_back(staged_.front());
-            staged_.pop_front();
-        }
-        snapshot_ = ready_.size();
+        ready_ += staged_;
+        staged_ = 0;
+        snapshot_ = ready_;
     }
 
     /** Total items in flight (readable + staged). */
-    std::size_t occupancy() const { return ready_.size() + staged_.size(); }
+    std::size_t occupancy() const { return ready_ + staged_; }
 
     /** Drop everything (used on reset between experiments). */
     void
     reset()
     {
-        ready_.clear();
-        staged_.clear();
+        head_ = 0;
+        ready_ = 0;
+        staged_ = 0;
         snapshot_ = 0;
     }
 
@@ -131,8 +141,10 @@ class Fifo
     std::size_t capacity_;
     Tickable *wake_ = nullptr;
     Tickable *producer_ = nullptr;
-    std::deque<T> ready_;      //!< consumer-readable
-    std::deque<T> staged_;     //!< producer-side register stage
+    std::vector<T> slots_;     //!< the ring: readable, then staged items
+    std::size_t head_ = 0;     //!< slot of the oldest readable item
+    std::size_t ready_ = 0;    //!< consumer-readable items
+    std::size_t staged_ = 0;   //!< producer-side register stage
     std::size_t snapshot_ = 0; //!< registered occupancy (at last clock)
 };
 

@@ -50,8 +50,8 @@
 #ifndef IOPMP_CHECKER_NODE_HH
 #define IOPMP_CHECKER_NODE_HH
 
-#include <deque>
 #include <optional>
+#include <vector>
 
 #include "bus/link.hh"
 #include "bus/monitor.hh"
@@ -89,44 +89,59 @@ class CheckerNode : public Tickable
     stats::Group &statsGroup() { return stats_; }
 
   private:
-    /** Fixed-latency pipeline register chain. */
+    /** Fixed-latency pipeline register chain: a ring of delay + 2
+     * slots, which is all canPush() admits. */
     class DelayPipe
     {
       public:
         void
         configure(Cycle delay)
         {
+            SIOPMP_ASSERT(size_ == 0, "reconfiguring a busy delay pipe");
             delay_ = delay;
+            slots_.assign(delay + 2, Slot{});
+            head_ = 0;
         }
 
-        bool
-        canPush() const
-        {
-            return q_.size() < delay_ + 2;
-        }
+        bool canPush() const { return size_ < slots_.size(); }
 
         void
         push(const bus::Beat &beat, Cycle now)
         {
-            q_.push_back(Slot{beat, now + delay_});
+            SIOPMP_ASSERT(canPush(), "push on full delay pipe");
+            std::size_t slot = head_ + size_;
+            if (slot >= slots_.size())
+                slot -= slots_.size();
+            slots_[slot] = Slot{beat, now + delay_};
+            ++size_;
         }
 
         bool
         ready(Cycle now) const
         {
-            return !q_.empty() && q_.front().ready_at <= now;
+            return size_ != 0 && slots_[head_].ready_at <= now;
         }
 
-        const bus::Beat &front() const { return q_.front().beat; }
-        void pop() { q_.pop_front(); }
-        bool empty() const { return q_.empty(); }
+        const bus::Beat &front() const { return slots_[head_].beat; }
+
+        void
+        pop()
+        {
+            if (++head_ == slots_.size())
+                head_ = 0;
+            --size_;
+        }
+
+        bool empty() const { return size_ == 0; }
 
       private:
         struct Slot {
             bus::Beat beat;
-            Cycle ready_at;
+            Cycle ready_at = 0;
         };
-        std::deque<Slot> q_;
+        std::vector<Slot> slots_;
+        std::size_t head_ = 0; //!< slot of the oldest beat
+        std::size_t size_ = 0;
         Cycle delay_ = 0;
     };
 

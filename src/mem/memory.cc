@@ -80,17 +80,39 @@ std::uint64_t
 Backing::read64(Addr addr) const
 {
     std::uint64_t value = 0;
+    const Addr offset = addr & (kPageSize - 1);
+    if (offset > kPageSize - 8) {
+        // The word straddles two pages.
+        for (unsigned i = 0; i < 8; ++i)
+            value |= static_cast<std::uint64_t>(read8(addr + i)) << (8 * i);
+        return value;
+    }
+    const Page *page = findPage(addr);
+    if (page == nullptr)
+        return 0;
     for (unsigned i = 0; i < 8; ++i)
-        value |= static_cast<std::uint64_t>(read8(addr + i)) << (8 * i);
+        value |= static_cast<std::uint64_t>((*page)[offset + i]) << (8 * i);
     return value;
 }
 
 void
 Backing::write64(Addr addr, std::uint64_t value, std::uint8_t strobe)
 {
+    const Addr offset = addr & (kPageSize - 1);
+    if (offset > kPageSize - 8) {
+        // The word straddles two pages: touch only the strobed ones.
+        for (unsigned i = 0; i < 8; ++i) {
+            if (strobe & (1u << i))
+                write8(addr + i, static_cast<std::uint8_t>(value >> (8 * i)));
+        }
+        return;
+    }
+    if (strobe == 0)
+        return; // allocates no page
+    Page &page = touchPage(addr);
     for (unsigned i = 0; i < 8; ++i) {
         if (strobe & (1u << i))
-            write8(addr + i, static_cast<std::uint8_t>(value >> (8 * i)));
+            page[offset + i] = static_cast<std::uint8_t>(value >> (8 * i));
     }
 }
 

@@ -6,6 +6,7 @@
 #include "sim/simulator.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cstdlib>
 
 #include "sim/logging.hh"
@@ -38,29 +39,67 @@ Simulator::defaultFastForward()
 }
 
 void
+Simulator::setActiveBit(std::size_t index)
+{
+    active_bits_[index / 64] |= std::uint64_t{1} << (index % 64);
+}
+
+void
+Simulator::clearActiveBit(std::size_t index)
+{
+    active_bits_[index / 64] &= ~(std::uint64_t{1} << (index % 64));
+}
+
+template <typename Fn>
+void
+Simulator::forEachActive(Fn fn)
+{
+    for (std::size_t w = 0; w < active_bits_.size(); ++w) {
+        std::uint64_t bits = active_bits_[w];
+        while (bits != 0) {
+            const int bit = std::countr_zero(bits);
+            fn(components_[w * 64 + static_cast<std::size_t>(bit)]);
+            // The call may have woken a component registered later in
+            // this word: it runs in this pass, as in a list scan.
+            bits = active_bits_[w] & (~std::uint64_t{1} << bit);
+        }
+    }
+}
+
+void
 Simulator::add(Tickable *component)
 {
     SIOPMP_ASSERT(component != nullptr, "null component");
     SIOPMP_ASSERT(component->sim_ == nullptr,
                   "component already registered with a simulator");
+    component->index_ = components_.size();
     components_.push_back(component);
+    active_bits_.resize((components_.size() + 63) / 64);
     component->sim_ = this;
     component->active_ = true;
     component->wake_cycle_ = now_;
+    setActiveBit(component->index_);
     ++num_active_;
 }
 
 void
 Simulator::removeNow(Tickable *component)
 {
-    auto it = std::remove(components_.begin(), components_.end(), component);
+    auto it = std::find(components_.begin(), components_.end(), component);
     if (it == components_.end())
         return;
-    components_.erase(it, components_.end());
+    components_.erase(it);
     if (component->active_)
         --num_active_;
     component->active_ = false;
     component->sim_ = nullptr;
+    // Every later component moves down one index: rebuild the bitmap.
+    active_bits_.assign((components_.size() + 63) / 64, 0);
+    for (std::size_t i = 0; i < components_.size(); ++i) {
+        components_[i]->index_ = i;
+        if (components_[i]->active_)
+            setActiveBit(i);
+    }
 }
 
 void
@@ -83,6 +122,7 @@ Simulator::wake(Tickable *component)
     component->wake_cycle_ = now_;
     if (!component->active_) {
         component->active_ = true;
+        setActiveBit(component->index_);
         ++num_active_;
     }
 }
@@ -99,25 +139,19 @@ Simulator::tickOnce()
         for (auto *c : components_)
             c->advance(now_);
     } else if (num_active_ > 0) {
-        for (auto *c : components_) {
-            if (c->active_)
-                c->evaluate(now_);
-        }
-        for (auto *c : components_) {
-            if (c->active_)
-                c->advance(now_);
-        }
+        forEachActive([this](Tickable *c) { c->evaluate(now_); });
+        forEachActive([this](Tickable *c) { c->advance(now_); });
         // Retire components with no pending work. Anything woken this
         // cycle stays hot one more cycle: the cause of a late wake
         // (e.g. a fifo push staged during the advance phase) is not
         // yet visible to quiescent().
-        for (auto *c : components_) {
-            if (c->active_ && c->wake_cycle_ != now_ &&
-                c->quiescent(now_)) {
+        forEachActive([this](Tickable *c) {
+            if (c->wake_cycle_ != now_ && c->quiescent(now_)) {
                 c->active_ = false;
+                clearActiveBit(c->index_);
                 --num_active_;
             }
-        }
+        });
     }
     ticking_ = false;
     if (!pending_removes_.empty()) {
@@ -202,19 +236,6 @@ Simulator::settleAll()
 {
     for (auto *c : components_)
         c->settle();
-}
-
-void
-Simulator::resetTime()
-{
-    events_.reset();
-    now_ = 0;
-    idle_cycles_skipped_ = 0;
-    num_active_ = components_.size();
-    for (auto *c : components_) {
-        c->active_ = true;
-        c->wake_cycle_ = 0;
-    }
 }
 
 } // namespace siopmp

@@ -13,11 +13,20 @@
  * test.cc proves it on a mixed workload) — and can be disabled with
  * setFastForward(false) or the SIOPMP_NO_FAST_FORWARD=1 environment
  * variable as an escape hatch.
+ *
+ * The active set is a bitmap with one bit per component, in
+ * registration order. The evaluate, advance and retire passes walk its
+ * set bits (count trailing zeros) and re-read the current word after
+ * each call, so a cycle costs the awake components, not the registered
+ * ones. A component woken mid-pass runs in that pass exactly when it
+ * registered after the component running, as a scan of the component
+ * list in registration order would have it.
  */
 
 #ifndef SIM_SIMULATOR_HH
 #define SIM_SIMULATOR_HH
 
+#include <cstdint>
 #include <functional>
 #include <vector>
 
@@ -79,10 +88,6 @@ class Simulator
     Cycle now() const { return now_; }
     EventQueue &events() { return events_; }
 
-    /** Reset time (components keep their state; callers reset those).
-     * Every component is returned to the active set. */
-    void resetTime();
-
     /**
      * Last cycle whose polls a settle covers: now() mid-tick, since the
      * components that owe polls (checker nodes) are registered, and so
@@ -114,13 +119,23 @@ class Simulator
     /** Execute exactly one cycle at now_ (no idle jump). */
     void tickOnce();
 
-    /** Immediate removal (caller guarantees no tick is in flight). */
+    /** Immediate removal (caller guarantees no tick is in flight).
+     * Re-packs the registration indices after the removed component. */
     void removeNow(Tickable *component);
 
     /** Settle every component through settleHorizon(). */
     void settleAll();
 
+    /** Call @p fn on every component whose active bit is set, in
+     * registration order, re-reading the bitmap after each call. */
+    template <typename Fn> void forEachActive(Fn fn);
+
+    void setActiveBit(std::size_t index);
+    void clearActiveBit(std::size_t index);
+
     std::vector<Tickable *> components_;
+    //! Active set: bit i of word i / 64 is components_[i]->active_.
+    std::vector<std::uint64_t> active_bits_;
     EventQueue events_;
     Cycle now_ = 0;
     bool fast_forward_;

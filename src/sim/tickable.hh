@@ -11,9 +11,9 @@
  * stay no-ops until the component is woken — or, for a poll whose only
  * effect is counting, that the component owes the skipped polls (see
  * settle() below). The simulator then drops the component from the hot
- * active set and stops ticking it; when all components are quiescent it
- * fast-forwards time to the next pending event. A quiescent component
- * is re-armed by:
+ * active set (one bit per component, indexed by registration order) and
+ * stops ticking it; when all components are quiescent it fast-forwards
+ * time to the next pending event. A quiescent component is re-armed by:
  *
  *  - a push into any bus::Fifo bound to it via Fifo::bindWake()
  *    (the consumer-side channels it clocks in advance());
@@ -32,7 +32,9 @@
  * naive tick-everything loop, so every path that can turn a no-op
  * evaluate()/advance() into real work must wake the component. Spurious
  * wakes are harmless: the simulator re-checks quiescent() after every
- * ticked cycle.
+ * ticked cycle. A wake issued while a phase is running reaches the
+ * woken component in that phase exactly when it registered after the
+ * component running (see Simulator).
  *
  * Skipped-poll credit: a poll that only counts (a CheckerNode's head
  * beat stalled on a block bit, or holding an Allow behind a full
@@ -48,6 +50,7 @@
 #ifndef SIM_TICKABLE_HH
 #define SIM_TICKABLE_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 
@@ -173,6 +176,9 @@ class Tickable
 
     std::string name_;
     Simulator *sim_ = nullptr;
+    //! Registration index: this component's bit in the simulator's
+    //! active set, and its place in tick order.
+    std::size_t index_ = 0;
     bool active_ = false;
     //! Cycle of the last wake; guards retirement in the same cycle so
     //! a wake during the advance phase (whose cause is still invisible

@@ -63,6 +63,64 @@ TEST(Backing, CrossPageAccess)
     EXPECT_EQ(m.allocatedPages(), 2u);
 }
 
+TEST(Backing, StraddlingWordMatchesItsBytes)
+{
+    Backing m;
+    const Addr addr = 0x2000 - 3; // 3 bytes below the edge, 5 above
+    m.write64(addr, 0x1122334455667788ULL);
+    for (unsigned i = 0; i < 8; ++i)
+        EXPECT_EQ(m.read8(addr + i), 0x88 - 0x11 * i) << i;
+    EXPECT_EQ(m.read64(addr), 0x1122334455667788ULL);
+    EXPECT_EQ(m.allocatedPages(), 2u);
+}
+
+TEST(Backing, StraddlingPartialStrobeTouchesOnlyStrobedPages)
+{
+    Backing m;
+    const Addr addr = 0x3000 - 4;
+    m.write64(addr, 0xa1b2c3d4e5f60718ULL, /*strobe=*/0x0f);
+    EXPECT_EQ(m.allocatedPages(), 1u); // the upper bytes were not strobed
+    EXPECT_EQ(m.read64(addr), 0x00000000e5f60718ULL);
+    m.write64(addr, 0xa1b2c3d4e5f60718ULL, /*strobe=*/0x30);
+    EXPECT_EQ(m.allocatedPages(), 2u);
+    EXPECT_EQ(m.read64(addr), 0x0000c3d4e5f60718ULL);
+}
+
+TEST(Backing, PartialStrobeInsidePage)
+{
+    Backing m;
+    m.write64(0x7000, 0x0807060504030201ULL, /*strobe=*/0xa5);
+    EXPECT_EQ(m.read64(0x7000), 0x0800060000030001ULL);
+    m.write64(0x7000, 0xffffffffffffffffULL, /*strobe=*/0x5a);
+    EXPECT_EQ(m.read64(0x7000), 0x08ff06ffff03ff01ULL);
+}
+
+TEST(Backing, ZeroStrobeAllocatesNoPage)
+{
+    Backing m;
+    m.write64(0x8000, 0xdeadbeefULL, /*strobe=*/0x00);
+    m.write64(0x9000 - 4, 0xdeadbeefULL, /*strobe=*/0x00); // straddling
+    EXPECT_EQ(m.allocatedPages(), 0u);
+    m.write8(0x8010, 0x5a);
+    m.write64(0x8000, 0xdeadbeefULL, /*strobe=*/0x00);
+    EXPECT_EQ(m.allocatedPages(), 1u);
+    EXPECT_EQ(m.read64(0x8000), 0u);
+}
+
+TEST(Backing, UnwrittenWordsReadZero)
+{
+    Backing m;
+    m.write8(0xa008, 0x77);
+    // Other words of an allocated page, and of a page never allocated.
+    EXPECT_EQ(m.read64(0xa000), 0u);
+    EXPECT_EQ(m.read64(0xaff8), 0u);
+    EXPECT_EQ(m.read64(0xb000), 0u);
+    // A word straddling from the allocated page into an unallocated one.
+    m.write8(0xaffe, 0x42);
+    EXPECT_EQ(m.read64(0xaffc), 0x0000000000420000ULL);
+    EXPECT_EQ(m.allocatedPages(), 1u);
+}
+
 TEST(Backing, BlockRoundTrip)
 {
     Backing m;

@@ -22,7 +22,10 @@
 # mutation-heavy churn profile (which stresses per-MD incremental
 # invalidation), each at seeds 1 and 2 — under the sanitizers. Every
 # campaign checks the plans against the oracle and each kind's walk
-# against the plans. It then configures a second,
+# against the plans. It runs the tenant-churn tests and, whole, the
+# simulator, bus and fast-forward suites (test_sim, test_bus,
+# test_fastforward: the active-set bitmap, the fifo rings and the
+# parking differentials) in the same tree. It then configures a second,
 # TSan-instrumented tree (build-tsan/, matching the tsan preset) and
 # runs a bounded fuzz smoke sharded over 4 worker threads under
 # ThreadSanitizer — the data-race gate for siopmp_fuzz --jobs, the one
@@ -58,6 +61,12 @@ if [ "${1:-}" = "--sanitize" ]; then
     echo "== tenant-churn workload leg (ASan+UBSan) =="
     cmake --build "$ASAN_DIR" -j --target test_workloads
     "$ASAN_DIR/tests/test_workloads" --gtest_filter='Churn.*'
+
+    echo "== cycle loop, fifo rings and fast-forward suites (ASan+UBSan) =="
+    cmake --build "$ASAN_DIR" -j --target test_sim test_bus test_fastforward
+    "$ASAN_DIR/tests/test_sim"
+    "$ASAN_DIR/tests/test_bus"
+    "$ASAN_DIR/tests/test_fastforward"
 
     echo "== configure + build (TSan) =="
     cmake -B "$TSAN_DIR" -S "$REPO_ROOT" -DSIOPMP_TSAN=ON
@@ -121,6 +130,7 @@ for key in \
     '"iters"' \
     '"idle_heavy"' \
     '"saturated"' \
+    '"saturated16"' \
     '"simulated_cycles"' \
     '"fast_forward_s_per_mcycle"' \
     '"naive_s_per_mcycle"' \
@@ -142,7 +152,7 @@ for k in ("commit", "build_type", "compiler"):
     assert isinstance(d[k], str) and d[k], k
 assert isinstance(d["host_cores"], int) and d["host_cores"] > 0
 assert isinstance(d["iters"], int) and d["iters"] > 0
-for wl in ("idle_heavy", "saturated"):
+for wl in ("idle_heavy", "saturated", "saturated16"):
     w = d[wl]
     assert isinstance(w["simulated_cycles"], int) and w["simulated_cycles"] > 0
     for k in ("fast_forward_s_per_mcycle", "naive_s_per_mcycle", "speedup"):

@@ -12,6 +12,7 @@
 #include <unordered_map>
 #include <utility>
 
+#include "check/table_auditor.hh"
 #include "sim/logging.hh"
 #include "sim/random.hh"
 #include "sim/trace.hh"
@@ -425,137 +426,6 @@ readDetail(const FuzzOp &op, std::uint64_t dut, std::uint64_t oracle)
                   static_cast<unsigned long long>(oracle));
     return buf;
 }
-
-/**
- * Audits the TableListener dirty-set contract against the DUT's live
- * tables. Keeps a mirror of every entry's verdict-relevant fields and
- * of every entry's owning MD; collects the dirty ranges / MD masks
- * reported through the listener callbacks; and after each write op
- * diffs the live tables against the mirror — a change the callbacks
- * did not cover means a consumer like CheckAccel would have kept
- * stale derived state, which is a divergence even if no check has
- * tripped over it yet.
- */
-class TableAuditor final : public iopmp::TableListener
-{
-  public:
-    TableAuditor(const iopmp::EntryTable &entries,
-                 const iopmp::MdCfgTable &mdcfg)
-        : entries_(entries), mdcfg_(mdcfg)
-    {
-        const unsigned n = entries_.size();
-        entry_mirror_.reserve(n);
-        owner_mirror_.reserve(n);
-        for (unsigned j = 0; j < n; ++j) {
-            entry_mirror_.push_back(entries_.get(j));
-            owner_mirror_.push_back(mdcfg_.mdOfEntry(j));
-        }
-        entries_.addListener(this);
-        mdcfg_.addListener(this);
-    }
-
-    ~TableAuditor() override
-    {
-        entries_.removeListener(this);
-        mdcfg_.removeListener(this);
-    }
-
-    TableAuditor(const TableAuditor &) = delete;
-    TableAuditor &operator=(const TableAuditor &) = delete;
-
-    void
-    onEntriesChanged(unsigned lo, unsigned hi) override
-    {
-        entry_ranges_.push_back({lo, hi});
-    }
-
-    void
-    onMdWindowsChanged(std::uint64_t md_mask, unsigned lo,
-                       unsigned hi) override
-    {
-        md_mask_ |= md_mask;
-        window_ranges_.push_back({lo, hi});
-    }
-
-    void onTableReset() override { reset_ = true; }
-
-    /**
-     * Diff the live tables against the mirror, then resync and clear
-     * the collected dirty sets. Returns a description of the first
-     * unreported change, or an empty string when the contract held.
-     */
-    std::string
-    auditAndSync()
-    {
-        std::string error;
-        const unsigned n = entries_.size();
-        for (unsigned j = 0; j < n && error.empty(); ++j) {
-            const iopmp::Entry &live = entries_.get(j);
-            const iopmp::Entry &old = entry_mirror_[j];
-            // Lock-bit-only changes are deliberately unreported.
-            const bool value_changed =
-                live.mode() != old.mode() || live.base() != old.base() ||
-                live.size() != old.size() || live.perm() != old.perm();
-            if (value_changed && !reset_ && !covered(entry_ranges_, j)) {
-                error = "listener audit: entry " + std::to_string(j) +
-                        " changed without a covering onEntriesChanged";
-                break;
-            }
-            const int owner = mdcfg_.mdOfEntry(j);
-            if (owner != owner_mirror_[j] && !reset_) {
-                const bool mds_reported =
-                    mdReported(owner) && mdReported(owner_mirror_[j]);
-                if (!covered(window_ranges_, j) || !mds_reported) {
-                    error = "listener audit: entry " + std::to_string(j) +
-                            " moved MD " +
-                            std::to_string(owner_mirror_[j]) + " -> " +
-                            std::to_string(owner) +
-                            " without a covering onMdWindowsChanged";
-                }
-            }
-        }
-        for (unsigned j = 0; j < n; ++j) {
-            entry_mirror_[j] = entries_.get(j);
-            owner_mirror_[j] = mdcfg_.mdOfEntry(j);
-        }
-        entry_ranges_.clear();
-        window_ranges_.clear();
-        md_mask_ = 0;
-        reset_ = false;
-        return error;
-    }
-
-  private:
-    struct Range {
-        unsigned lo, hi;
-    };
-
-    static bool
-    covered(const std::vector<Range> &ranges, unsigned j)
-    {
-        for (const Range &r : ranges) {
-            if (j >= r.lo && j < r.hi)
-                return true;
-        }
-        return false;
-    }
-
-    /** -1 (unowned side of a move) needs no MD bit. */
-    bool
-    mdReported(int md) const
-    {
-        return md < 0 || ((md_mask_ >> md) & 1) != 0;
-    }
-
-    const iopmp::EntryTable &entries_;
-    const iopmp::MdCfgTable &mdcfg_;
-    std::vector<iopmp::Entry> entry_mirror_;
-    std::vector<int> owner_mirror_;
-    std::vector<Range> entry_ranges_;
-    std::vector<Range> window_ranges_;
-    std::uint64_t md_mask_ = 0;
-    bool reset_ = false;
-};
 
 } // namespace
 

@@ -29,14 +29,15 @@
  * checker or remapping changes get differential coverage for free.
  *
  * Beyond verdicts and read-backs, every replay also audits the
- * TableListener dirty-set contract (tables.hh): a listener registered
- * on the DUT's tables accumulates the reported dirty entry ranges and
- * MD sets, and after every write op the live tables are diffed
- * against a mirror — any entry value or MD ownership change not
- * covered by a callback is a divergence. The incremental-invalidation
- * machinery in CheckAccel is exactly as sound as this contract, so
- * the fuzzer exercises it under the same op streams that stress the
- * checker itself (see FuzzProfile::Churn for the mutation-heavy mix).
+ * TableListener dirty-set contract (tables.hh): a TableAuditor
+ * (table_auditor.hh) registered on the DUT's tables accumulates the
+ * reported dirty entry ranges and MD sets, and after every write op
+ * the live tables are diffed against a mirror — any entry value or MD
+ * ownership change not covered by a callback is a divergence. The
+ * incremental-invalidation machinery in CheckAccel is exactly as
+ * sound as this contract, so the fuzzer exercises it under the same
+ * op streams that stress the checker itself (see FuzzProfile::Churn
+ * for the mutation-heavy mix).
  */
 
 #ifndef CHECK_FUZZER_HH

@@ -150,7 +150,9 @@ DmaEngine::issueNext(Cycle now)
         out.addr = addr;
         out.beats = job_.burst_beats;
         out.issued_at = now;
-        outstanding_.emplace(last_get_txn_, out);
+        if (job_.kind == DmaKind::Copy)
+            out.data.reserve(out.beats);
+        outstanding_.emplace(last_get_txn_, std::move(out));
         issued_bytes_ += burst_bytes;
         return;
     }
@@ -168,7 +170,7 @@ DmaEngine::issueNext(Cycle now)
         out.addr = write_addr_;
         out.beats = job_.burst_beats;
         out.issued_at = now;
-        outstanding_.emplace(write_txn_, out);
+        outstanding_.emplace(write_txn_, std::move(out));
     }
     const std::uint64_t data =
         job_.fill_pattern + issued_bytes_ / burst_bytes + write_beat_;
@@ -193,7 +195,7 @@ DmaEngine::issueWrites(Cycle now)
             return;
         if (outstanding_.size() >= job_.max_outstanding)
             return;
-        write_current_ = write_queue_.front();
+        write_current_ = std::move(write_queue_.front());
         write_queue_.pop_front();
         writing_ = true;
         write_beat_ = 0;
@@ -204,7 +206,7 @@ DmaEngine::issueWrites(Cycle now)
         out.addr = write_addr_;
         out.beats = write_current_.beats;
         out.issued_at = now;
-        outstanding_.emplace(write_txn_, out);
+        outstanding_.emplace(write_txn_, std::move(out));
     }
     const std::uint64_t data = write_beat_ < write_current_.data.size()
                                    ? write_current_.data[write_beat_]
@@ -246,7 +248,8 @@ DmaEngine::collectResponses(Cycle now)
             burst_observer_(now - out.issued_at, true);
         outstanding_.erase(it);
     } else if (beat.opcode == bus::Opcode::AccessAckData) {
-        out.data.push_back(beat.data);
+        if (job_.kind == DmaKind::Copy)
+            out.data.push_back(beat.data); // staged for the write-out
         ++out.received;
         if (beat.last) {
             ++bursts_completed_;
@@ -255,7 +258,7 @@ DmaEngine::collectResponses(Cycle now)
             if (burst_observer_)
                 burst_observer_(now - out.issued_at, false);
             if (job_.kind == DmaKind::Copy && !aborted_) {
-                write_queue_.push_back(out);
+                write_queue_.push_back(std::move(out));
             } else {
                 // Aborted copies count the read as the burst's end:
                 // the write-out never starts.

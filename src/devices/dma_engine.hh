@@ -110,7 +110,7 @@ class DmaEngine : public DmaMaster
         unsigned beats;
         unsigned received = 0; //!< data/ack beats so far
         Cycle issued_at = 0;
-        std::deque<std::uint64_t> data; //!< read data (Copy staging)
+        std::vector<std::uint64_t> data; //!< read data (Copy jobs only)
         bool terminated = false;        //!< denied/terminated early
     };
 

@@ -205,19 +205,8 @@ CheckAccel::compile(Plan &plan, std::uint64_t md_bitmap) const
 
     const unsigned num_entries = entries_.size();
 
-    // Reproduce MdCfgTable::mdOfEntry for the whole table in
-    // O(entries + mds): walking MDs in priority order, MD m owns
-    // [covered, T_m) where covered is the highest top seen so far —
-    // exactly the "first MD whose T exceeds the index" rule.
-    std::vector<int> md_of(num_entries, -1);
-    unsigned covered = 0;
-    for (MdIndex md = 0; md < mdcfg_.numMds(); ++md) {
-        const unsigned top = mdcfg_.top(md);
-        for (unsigned j = covered; j < top && j < num_entries; ++j)
-            md_of[j] = static_cast<int>(md);
-        if (top > covered)
-            covered = top;
-    }
+    std::vector<int> md_of(num_entries);
+    mdcfg_.mdOfEntries(md_of);
 
     // Enabled entries for this bitmap, as clamped [base, end) spans.
     struct Span {

@@ -47,7 +47,8 @@ SIopmp::SIopmp(IopmpConfig cfg, CheckerKind kind, unsigned stages)
           return makeChecker(kind, stages, entries_, mdcfg_);
       }()),
       accel_(entries_, mdcfg_),
-      stats_("siopmp")
+      stats_("siopmp"),
+      entry_stage_(cfg_.num_entries)
 {
     st_checks_ = &stats_.scalar("checks");
     st_sid_misses_ = &stats_.scalar("sid_misses");
@@ -353,7 +354,8 @@ SIopmp::mmioWrite(Addr offset, std::uint64_t value)
             } else {
                 rejectWrite(offset);
             }
-            entry_stage_.erase(idx);
+            // The commit consumes the staged words, accepted or not.
+            entry_stage_[idx] = EntryStage{};
             return;
           }
           default:

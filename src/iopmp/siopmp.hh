@@ -275,12 +275,13 @@ class SIopmp : public mem::MmioDevice, private TableListener
     std::uint64_t config_epoch_ = 0;
     std::uint64_t state_version_ = 0;
 
-    // MMIO staging for entry writes (base/size latched, cfg commits).
+    // MMIO staging for entry writes, one slot per entry: base/size
+    // latch, a cfg write commits and resets the slot.
     struct EntryStage {
         std::uint64_t base = 0;
         std::uint64_t size = 0;
     };
-    std::unordered_map<unsigned, EntryStage> entry_stage_;
+    std::vector<EntryStage> entry_stage_;
 };
 
 } // namespace iopmp

@@ -75,13 +75,6 @@ EntryTable::notifyReset()
         listener->onTableReset();
 }
 
-const Entry &
-EntryTable::get(unsigned idx) const
-{
-    SIOPMP_ASSERT(idx < entries_.size(), "entry index out of range");
-    return entries_[idx];
-}
-
 bool
 EntryTable::set(unsigned idx, const Entry &entry, bool machine_mode)
 {
@@ -258,11 +251,26 @@ MdCfgTable::lo(MdIndex md) const
 int
 MdCfgTable::mdOfEntry(unsigned idx) const
 {
+    // Every top before the first one above idx is <= idx, so idx is
+    // never below that MD's lo().
     for (MdIndex md = 0; md < tops_.size(); ++md) {
         if (idx < tops_[md])
-            return idx >= lo(md) ? static_cast<int>(md) : -1;
+            return static_cast<int>(md);
     }
     return -1;
+}
+
+void
+MdCfgTable::mdOfEntries(std::vector<int> &owners) const
+{
+    const unsigned n = static_cast<unsigned>(owners.size());
+    unsigned covered = 0;
+    for (MdIndex md = 0; md < tops_.size() && covered < n; ++md) {
+        const unsigned top = std::min(tops_[md], n);
+        for (; covered < top; ++covered)
+            owners[covered] = static_cast<int>(md);
+    }
+    std::fill(owners.begin() + covered, owners.end(), -1);
 }
 
 std::uint64_t

@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "iopmp/entry.hh"
+#include "sim/logging.hh"
 #include "sim/types.hh"
 
 namespace siopmp {
@@ -97,7 +98,12 @@ class EntryTable
 
     unsigned size() const { return static_cast<unsigned>(entries_.size()); }
 
-    const Entry &get(unsigned idx) const;
+    const Entry &
+    get(unsigned idx) const
+    {
+        SIOPMP_ASSERT(idx < entries_.size(), "entry index out of range");
+        return entries_[idx];
+    }
 
     /**
      * Register @p listener for mutation callbacks (see TableListener).
@@ -221,6 +227,15 @@ class MdCfgTable
 
     /** Memory domain owning entry @p idx, or -1 if unassigned. */
     int mdOfEntry(unsigned idx) const;
+
+    /**
+     * mdOfEntry for a whole table in one O(entries + mds) sweep:
+     * @p owners[j] becomes the MD owning entry j, or -1, for every
+     * j < owners.size(). Walking MDs in index order, MD m owns
+     * [covered, T_m) where covered is the highest top below m —
+     * the "first MD whose T exceeds the index" rule.
+     */
+    void mdOfEntries(std::vector<int> &owners) const;
 
     /**
      * Bitmap of MDs whose *effective* entry window intersects

@@ -85,6 +85,49 @@ TEST_F(RegmapTest, EntryWriteCommitsOnCfg)
     EXPECT_EQ(rd(e5 + 16) & 0x3, static_cast<std::uint64_t>(Perm::ReadWrite));
 }
 
+TEST_F(RegmapTest, EntryStagingIsPerEntryAndConsumedByCommit)
+{
+    const Addr e3 = regmap::kEntryBase + 3 * regmap::kEntryStride;
+    const Addr e5 = regmap::kEntryBase + 5 * regmap::kEntryStride;
+    const std::uint64_t range_rw =
+        static_cast<std::uint64_t>(Perm::ReadWrite) |
+        (regmap::kModeRange << 2);
+    const std::uint64_t lock = std::uint64_t{1} << 7;
+
+    // Base and size staged for entries 3 and 5, interleaved: each cfg
+    // write commits its own entry's words.
+    wr(e3 + 0, 0x3000);
+    wr(e5 + 0, 0x5000);
+    wr(e5 + 8, 0x500);
+    wr(e3 + 8, 0x300);
+    wr(e5 + 16, range_rw);
+    wr(e3 + 16, range_rw | lock);
+    const EntryTable &table = unit.entryTable();
+    EXPECT_EQ(table.get(3).base(), 0x3000u);
+    EXPECT_EQ(table.get(3).size(), 0x300u);
+    EXPECT_TRUE(table.get(3).locked());
+    EXPECT_EQ(table.get(5).base(), 0x5000u);
+    EXPECT_EQ(table.get(5).size(), 0x500u);
+
+    // An accepted commit consumed entry 5's words: a bare cfg write
+    // commits from zeroed words, and a Range of size 0 is Off.
+    wr(e5 + 16, range_rw);
+    EXPECT_FALSE(table.get(5).enabled());
+
+    // A lock-rejected commit consumes its words too. Once a table
+    // reset drops the lock, a bare cfg write commits from zeroed
+    // words rather than the rejected ones.
+    wr(e3 + 0, 0x7000);
+    wr(e3 + 8, 0x700);
+    wr(e3 + 16, range_rw);
+    EXPECT_EQ(unit.rejectedWrites(), 1u);
+    EXPECT_EQ(table.get(3).base(), 0x3000u);
+    unit.entryTable().resetAll();
+    wr(e3 + 16, range_rw);
+    EXPECT_FALSE(table.get(3).enabled());
+    EXPECT_EQ(unit.rejectedWrites(), 1u);
+}
+
 TEST_F(RegmapTest, EntryOffModeDisables)
 {
     const Addr e0 = regmap::kEntryBase;

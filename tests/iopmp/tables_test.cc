@@ -5,7 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "iopmp/tables.hh"
+#include "sim/random.hh"
 
 namespace siopmp {
 namespace iopmp {
@@ -157,6 +161,68 @@ TEST(MdCfg, OwnersOfUsesEffectiveWindows)
     EXPECT_EQ(t.ownersOf(0, 16), 0xbu);
     EXPECT_EQ(t.ownersOf(16, 64), 0x0u); // past every programmed top
     EXPECT_EQ(t.ownersOf(5, 5), 0x0u);   // empty query range
+}
+
+/** First index where the sweep disagrees with mdOfEntry, or -1. */
+int
+firstOwnerMismatch(const MdCfgTable &t, std::vector<int> &owners)
+{
+    std::fill(owners.begin(), owners.end(), 1000); // every slot rewritten
+    t.mdOfEntries(owners);
+    for (unsigned j = 0; j < owners.size(); ++j) {
+        if (owners[j] != t.mdOfEntry(j))
+            return static_cast<int>(j);
+    }
+    return -1;
+}
+
+TEST(MdCfg, MdOfEntriesMatchesMdOfEntry)
+{
+    // Seeded setTop sequences at 1, 8 and 63 MDs: accepted tops,
+    // rejected (non-monotone or oversized) ones, zero tops left
+    // between programmed ones, and resets. After every write the
+    // sweep must equal mdOfEntry at every index, for an owners
+    // vector shorter than the table and one running past its end.
+    constexpr unsigned kEntries = 96;
+    for (const unsigned mds : {1u, 8u, 63u}) {
+        MdCfgTable t(mds, kEntries);
+        Rng rng(0x5eed + mds);
+        std::vector<int> part(kEntries / 3), past(kEntries + 4);
+        unsigned accepted = 0, rejected = 0, resets = 0, gaps = 0;
+        for (unsigned step = 0; step < 3000; ++step) {
+            if (rng.chance(0.01)) {
+                t.resetAll();
+                ++resets;
+            } else {
+                const MdIndex md = static_cast<MdIndex>(rng.below(mds));
+                const unsigned top =
+                    rng.chance(0.1)
+                        ? 0
+                        : static_cast<unsigned>(rng.below(kEntries + 2));
+                if (t.setTop(md, top))
+                    ++accepted;
+                else
+                    ++rejected;
+            }
+            for (MdIndex md = 1; md + 1 < mds; ++md) {
+                if (t.top(md) == 0 && t.top(md - 1) != 0 &&
+                    t.top(mds - 1) != 0) {
+                    ++gaps;
+                    break;
+                }
+            }
+            ASSERT_EQ(firstOwnerMismatch(t, part), -1)
+                << mds << " MDs, step " << step;
+            ASSERT_EQ(firstOwnerMismatch(t, past), -1)
+                << mds << " MDs, step " << step;
+        }
+        EXPECT_GT(accepted, 100u) << mds << " MDs";
+        EXPECT_GT(rejected, 10u) << mds << " MDs";
+        EXPECT_GT(resets, 10u) << mds << " MDs";
+        if (mds >= 3) {
+            EXPECT_GT(gaps, 100u) << mds << " MDs";
+        }
+    }
 }
 
 /** Records every TableListener callback for event-by-event assertions. */

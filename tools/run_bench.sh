@@ -25,7 +25,10 @@
 # against the plans. It runs the tenant-churn tests and, whole, the
 # simulator, bus and fast-forward suites (test_sim, test_bus,
 # test_fastforward: the active-set bitmap, the fifo rings and the
-# parking differentials) in the same tree. It then configures a second,
+# parking differentials) and the table and differential-check suites
+# (test_iopmp_tables, test_check: the owner sweep, the listener audit
+# and its fire tests, the oracle and the bounded fuzz campaigns) in the
+# same tree. It then configures a second,
 # TSan-instrumented tree (build-tsan/, matching the tsan preset) and
 # runs a bounded fuzz smoke sharded over 4 worker threads under
 # ThreadSanitizer — the data-race gate for siopmp_fuzz --jobs, the one
@@ -67,6 +70,11 @@ if [ "${1:-}" = "--sanitize" ]; then
     "$ASAN_DIR/tests/test_sim"
     "$ASAN_DIR/tests/test_bus"
     "$ASAN_DIR/tests/test_fastforward"
+
+    echo "== tables, listener audit and differential-check suites (ASan+UBSan) =="
+    cmake --build "$ASAN_DIR" -j --target test_iopmp_tables test_check
+    "$ASAN_DIR/tests/test_iopmp_tables"
+    "$ASAN_DIR/tests/test_check"
 
     echo "== configure + build (TSan) =="
     cmake -B "$TSAN_DIR" -S "$REPO_ROOT" -DSIOPMP_TSAN=ON

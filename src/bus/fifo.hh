@@ -55,7 +55,7 @@ class Fifo
     std::size_t capacity() const { return capacity_; }
 
     /** Bind the consumer component woken by every push (may be null to
-     * unbind). Survives reset(): it is wiring, not state. */
+     * unbind). */
     void bindWake(Tickable *consumer) { wake_ = consumer; }
 
     /** Bind the producer component woken by a pop that frees a slot of
@@ -126,16 +126,6 @@ class Fifo
 
     /** Total items in flight (readable + staged). */
     std::size_t occupancy() const { return ready_ + staged_; }
-
-    /** Drop everything (used on reset between experiments). */
-    void
-    reset()
-    {
-        head_ = 0;
-        ready_ = 0;
-        staged_ = 0;
-        snapshot_ = 0;
-    }
 
   private:
     std::size_t capacity_;

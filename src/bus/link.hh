@@ -24,13 +24,6 @@ struct Link {
 
     Fifo<Beat> a; //!< requests: master -> slave
     Fifo<Beat> d; //!< responses: slave -> master
-
-    void
-    reset()
-    {
-        a.reset();
-        d.reset();
-    }
 };
 
 } // namespace bus

@@ -84,15 +84,6 @@ class BusMonitor
 
     stats::Group &statsGroup() { return stats_; }
 
-    void
-    reset()
-    {
-        inflight_.clear();
-        total_started_ = total_completed_ = 0;
-        block_windows_ = 0;
-        stats_.resetAll();
-    }
-
   private:
     std::map<DeviceId, std::uint64_t> inflight_;
     std::uint64_t total_started_ = 0;

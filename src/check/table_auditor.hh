@@ -63,8 +63,6 @@ class TableAuditor final : public iopmp::TableListener
         window_ranges_.push_back({lo, hi});
     }
 
-    void onTableReset() override { reset_ = true; }
-
     /**
      * Diff every entry's value and owner against the mirror, writing
      * the mirror where they differ, then clear the collected dirty
@@ -84,7 +82,7 @@ class TableAuditor final : public iopmp::TableListener
             // Lock-bit-only changes are deliberately unreported.
             if (live.mode() != old.mode() || live.base() != old.base() ||
                 live.size() != old.size() || live.perm() != old.perm()) {
-                if (error.empty() && !reset_ && !covered(entry_ranges_, j)) {
+                if (error.empty() && !covered(entry_ranges_, j)) {
                     error = "listener audit: entry " + std::to_string(j) +
                             " changed without a covering onEntriesChanged";
                 }
@@ -93,7 +91,7 @@ class TableAuditor final : public iopmp::TableListener
             const int owner = owners_[j];
             const int was = owner_mirror_[j];
             if (owner != was) {
-                if (error.empty() && !reset_ &&
+                if (error.empty() &&
                     (!covered(window_ranges_, j) || !mdReported(owner) ||
                      !mdReported(was))) {
                     error = "listener audit: entry " + std::to_string(j) +
@@ -107,7 +105,6 @@ class TableAuditor final : public iopmp::TableListener
         entry_ranges_.clear();
         window_ranges_.clear();
         md_mask_ = 0;
-        reset_ = false;
         return error;
     }
 
@@ -141,7 +138,6 @@ class TableAuditor final : public iopmp::TableListener
     std::vector<Range> entry_ranges_;
     std::vector<Range> window_ranges_;
     std::uint64_t md_mask_ = 0;
-    bool reset_ = false;
 };
 
 } // namespace check

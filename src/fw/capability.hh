@@ -19,9 +19,8 @@
 #define FW_CAPABILITY_HH
 
 #include <cstdint>
-#include <string>
 
-#include "mem/memmap.hh"
+#include "mem/range.hh"
 #include "sim/types.hh"
 
 namespace siopmp {
@@ -88,8 +87,6 @@ struct Capability {
     mem::Range range;       //!< Memory
     DeviceId device = 0;    //!< Device
     unsigned irq_line = 0;  //!< Interrupt
-
-    std::string toString() const;
 };
 
 } // namespace fw

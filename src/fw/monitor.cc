@@ -700,18 +700,14 @@ SecureMonitor::handleViolation(const iopmp::Irq &irq, Cycle now)
 {
     (void)irq;
     (void)now;
+    // Read the record and acknowledge it; the checker node has already
+    // traced the violation, so only the MMIO cost matters here.
     Cycle cost = 0;
-    std::uint64_t addr = 0, device = 0, info = 0;
-    cost += mmioRead(kErrAddr, &addr);
-    cost += mmioRead(kErrDevice, &device);
-    cost += mmioRead(kErrInfo, &info);
+    cost += mmioRead(kErrAddr, nullptr);
+    cost += mmioRead(kErrDevice, nullptr);
+    cost += mmioRead(kErrInfo, nullptr);
     cost += mmioWrite(kErrInfo, 0); // acknowledge
     ++violations_;
-    Logger::trace(TraceFlag::Monitor,
-                  "violation: dev=%llu addr=%#llx perm=%llu",
-                  static_cast<unsigned long long>(device),
-                  static_cast<unsigned long long>(addr),
-                  static_cast<unsigned long long>(info & 0x3));
     return cost;
 }
 

@@ -47,7 +47,6 @@ CheckAccel::CheckAccel(const EntryTable &entries, const MdCfgTable &mdcfg)
 {
     // The counters sit on the per-check hot path: resolve the name ->
     // Scalar map lookups once here instead of per event.
-    full_flushes_ = &stats_.scalar("full_flushes");
     partial_flushes_ = &stats_.scalar("partial_flushes");
     compiles_ = &stats_.scalar("plan_compiles");
     recompiles_ = &stats_.scalar("plan_recompiles");
@@ -80,12 +79,6 @@ CheckAccel::onMdWindowsChanged(std::uint64_t md_mask, unsigned, unsigned)
 }
 
 void
-CheckAccel::onTableReset()
-{
-    fullFlush();
-}
-
-void
 CheckAccel::invalidateMds(std::uint64_t md_mask)
 {
     if (md_mask == 0)
@@ -109,31 +102,6 @@ CheckAccel::invalidateMds(std::uint64_t md_mask)
         event.category = "checker";
         event.name = "partial_flush";
         event.arg0 = md_mask;
-        event.arg1 = stale_plans_count_;
-        trace::emit(event);
-    }
-}
-
-void
-CheckAccel::fullFlush()
-{
-    for (auto &pair : plans_) {
-        Plan &plan = pair.second;
-        if (!plan.dirty) {
-            plan.dirty = true;
-            ++stale_plans_count_;
-        }
-    }
-    ++*full_flushes_;
-    stale_gauge_->set(static_cast<double>(stale_plans_count_));
-    if (trace::on()) {
-        trace::Event event;
-        event.when = last_seen_now_;
-        event.phase = trace::Phase::Instant;
-        event.track = kName;
-        event.category = "checker";
-        event.name = "full_flush";
-        event.arg0 = full_flushes_->value();
         event.arg1 = stale_plans_count_;
         trace::emit(event);
     }

@@ -25,8 +25,7 @@
  * MMIO window and direct calls alike — completeness by construction.
  * A mutation marks dirty only the plans whose bitmap intersects the
  * dirty MD set; plans for disjoint MD bitmaps stay valid, and stale
- * plans recompile lazily on their next use, off the mutation path. A
- * whole-table reset marks every plan dirty.
+ * plans recompile lazily on their next use, off the mutation path.
  *
  * What deliberately does NOT invalidate: SRC2MD changes (the MD
  * bitmap is part of the request and therefore of every plan key), and
@@ -95,12 +94,9 @@ class CheckAccel final : public TableListener
     void onEntriesChanged(unsigned lo, unsigned hi) override;
     void onMdWindowsChanged(std::uint64_t md_mask, unsigned lo,
                             unsigned hi) override;
-    void onTableReset() override;
 
     // ---- observability ---------------------------------------------------
 
-    //! Whole-layer invalidations (table resets): every plan.
-    std::uint64_t fullFlushes() const { return full_flushes_->value(); }
     //! Targeted invalidations: only plans whose bitmap intersects the
     //! mutation's dirty-MD set.
     std::uint64_t partialFlushes() const
@@ -148,9 +144,6 @@ class CheckAccel final : public TableListener
      * flush). */
     void invalidateMds(std::uint64_t md_mask);
 
-    /** Whole-layer invalidation (table reset): one full flush. */
-    void fullFlush();
-
     Plan &planFor(std::uint64_t md_bitmap, Cycle now);
     void compile(Plan &plan, std::uint64_t md_bitmap) const;
 
@@ -175,7 +168,6 @@ class CheckAccel final : public TableListener
     Cycle last_seen_now_ = 0;
 
     stats::Group stats_;
-    stats::Scalar *full_flushes_;
     stats::Scalar *partial_flushes_;
     stats::Scalar *compiles_;
     stats::Scalar *recompiles_;

@@ -27,7 +27,7 @@
 #include <vector>
 
 #include "iopmp/entry.hh"
-#include "mem/memmap.hh"
+#include "mem/range.hh"
 #include "mem/memory.hh"
 #include "sim/types.hh"
 

@@ -134,14 +134,5 @@ DeviceId2SidCam::useBit(Sid sid) const
     return rows_[sid].use;
 }
 
-void
-DeviceId2SidCam::reset()
-{
-    for (auto &row : rows_)
-        row = Row{};
-    hand_ = 0;
-    changed();
-}
-
 } // namespace iopmp
 } // namespace siopmp

@@ -65,12 +65,10 @@ class DeviceId2SidCam
     /** Use bit of row @p sid (tests). */
     bool useBit(Sid sid) const;
 
-    void reset();
-
     /**
      * Install @p hook, called after every call that can change a
      * device's SID or clear a use bit (set, invalidate, invalidateSid,
-     * insertLru, reset) — not after lookup(), which only sets use
+     * insertLru) — not after lookup(), which only sets use
      * bits. The owning SIopmp wakes checker nodes parked on a
      * SID miss or a block bit through it: a mapping change decides
      * their stall, and a cleared use bit is one their next poll would

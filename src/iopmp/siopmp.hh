@@ -136,14 +136,6 @@ class SIopmp : public mem::MmioDevice, private TableListener
     /** Currently mounted cold device (eSID register), if any. */
     std::optional<DeviceId> mountedCold() const { return esid_; }
 
-    /** Load the eSID register (performed by the monitor on mount). */
-    void
-    setMountedCold(std::optional<DeviceId> device)
-    {
-        esid_ = device;
-        bumpEpoch();
-    }
-
     /** The configured microarchitecture model: its stages() and
      * kind(), and its walk as the reference for authorize(). */
     const CheckerLogic &checker() const { return *checker_; }
@@ -175,7 +167,6 @@ class SIopmp : public mem::MmioDevice, private TableListener
 
     /** Latched violation record, if an unread one exists. */
     std::optional<ViolationRecord> violationRecord() const;
-    void clearViolationRecord() { violation_.reset(); }
 
     /**
      * MMIO configuration writes rejected since the last clear: entry
@@ -247,7 +238,6 @@ class SIopmp : public mem::MmioDevice, private TableListener
     {
         stateChanged();
     }
-    void onTableReset() override { stateChanged(); }
 
     IopmpConfig cfg_;
     EntryTable entries_;

@@ -68,13 +68,6 @@ EntryTable::notifyChanged(unsigned lo, unsigned hi)
         listener->onEntriesChanged(lo, hi);
 }
 
-void
-EntryTable::notifyReset()
-{
-    for (TableListener *listener : listeners_)
-        listener->onTableReset();
-}
-
 bool
 EntryTable::set(unsigned idx, const Entry &entry, bool machine_mode)
 {
@@ -104,15 +97,6 @@ EntryTable::lock(unsigned idx)
     entries_[idx].lock();
     // No listener callback: the lock bit never changes a verdict, only
     // future writability.
-}
-
-void
-EntryTable::resetAll()
-{
-    for (auto &entry : entries_)
-        entry = Entry::off();
-    writes_ = 0;
-    notifyReset();
 }
 
 Src2MdTable::Src2MdTable(unsigned num_sids, unsigned num_mds)
@@ -183,14 +167,6 @@ Src2MdTable::lock(Sid sid)
 {
     SIOPMP_ASSERT(validSid(sid), "SID out of range");
     rows_[sid].lock = true;
-}
-
-void
-Src2MdTable::resetAll()
-{
-    for (auto &row : rows_)
-        row = Row{};
-    changed();
 }
 
 MdCfgTable::MdCfgTable(unsigned num_mds, unsigned num_entries)
@@ -309,21 +285,6 @@ MdCfgTable::notifyWindows(std::uint64_t md_mask, unsigned lo, unsigned hi)
 {
     for (TableListener *listener : listeners_)
         listener->onMdWindowsChanged(md_mask, lo, hi);
-}
-
-void
-MdCfgTable::notifyReset()
-{
-    for (TableListener *listener : listeners_)
-        listener->onTableReset();
-}
-
-void
-MdCfgTable::resetAll()
-{
-    for (auto &top : tops_)
-        top = 0;
-    notifyReset();
 }
 
 } // namespace iopmp

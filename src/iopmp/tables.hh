@@ -82,10 +82,6 @@ class TableListener
      */
     virtual void onMdWindowsChanged(std::uint64_t md_mask, unsigned lo,
                                     unsigned hi) = 0;
-
-    /** The table was reset wholesale (resetAll): discard every piece
-     * of derived state. */
-    virtual void onTableReset() = 0;
 };
 
 /**
@@ -126,18 +122,14 @@ class EntryTable
     /** Clear (disable) entry @p idx; same lock rule as set(). */
     bool clear(unsigned idx, bool machine_mode = false);
 
-    /** Lock entry @p idx (sticky until reset). */
+    /** Lock entry @p idx (sticky for the life of the table). */
     void lock(unsigned idx);
 
     /** Number of writes since construction (drives Fig 13 costs). */
     std::uint64_t writeCount() const { return writes_; }
 
-    /** Full reset (simulation-only; real hardware resets on POR). */
-    void resetAll();
-
   private:
     void notifyChanged(unsigned lo, unsigned hi);
-    void notifyReset();
 
     std::vector<Entry> entries_;
     std::uint64_t writes_ = 0;
@@ -169,11 +161,9 @@ class Src2MdTable
     bool locked(Sid sid) const;
     void lock(Sid sid);
 
-    void resetAll();
-
     /**
      * Install @p hook, called after every successful bitmap change
-     * (associate, deassociate, setBitmap, resetAll) — not after lock(),
+     * (associate, deassociate, setBitmap) — not after lock(),
      * which never changes a verdict. The owning SIopmp moves its state
      * version through it, so direct callers are covered too.
      */
@@ -251,11 +241,8 @@ class MdCfgTable
     void addListener(TableListener *listener) const;
     void removeListener(TableListener *listener) const;
 
-    void resetAll();
-
   private:
     void notifyWindows(std::uint64_t md_mask, unsigned lo, unsigned hi);
-    void notifyReset();
 
     std::vector<unsigned> tops_;
     unsigned num_entries_;

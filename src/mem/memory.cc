@@ -117,20 +117,6 @@ Backing::write64(Addr addr, std::uint64_t value, std::uint8_t strobe)
 }
 
 void
-Backing::readBlock(Addr addr, std::uint8_t *out, std::size_t len) const
-{
-    for (std::size_t i = 0; i < len; ++i)
-        out[i] = read8(addr + i);
-}
-
-void
-Backing::writeBlock(Addr addr, const std::uint8_t *in, std::size_t len)
-{
-    for (std::size_t i = 0; i < len; ++i)
-        write8(addr + i, in[i]);
-}
-
-void
 Backing::fill(Addr addr, std::uint8_t value, std::size_t len)
 {
     for (std::size_t i = 0; i < len; ++i)

@@ -40,9 +40,7 @@ class Backing
     std::uint64_t read64(Addr addr) const;
     void write64(Addr addr, std::uint64_t value, std::uint8_t strobe = 0xff);
 
-    /** Bulk helpers used by devices and the firmware. */
-    void readBlock(Addr addr, std::uint8_t *out, std::size_t len) const;
-    void writeBlock(Addr addr, const std::uint8_t *in, std::size_t len);
+    /** Set the @p len bytes from @p addr to @p value. */
     void fill(Addr addr, std::uint8_t value, std::size_t len);
 
     /** Number of lazily allocated pages (for tests). */

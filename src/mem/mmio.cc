@@ -37,9 +37,9 @@ MmioBus::read(Addr addr)
     const Mapping *mapping = find(addr);
     if (!mapping)
         return {};
-    total_cycles_ += access_cost_;
+    total_cycles_ += kAccessCost;
     return {true, mapping->device->mmioRead(addr - mapping->window.base),
-            access_cost_};
+            kAccessCost};
 }
 
 MmioResult
@@ -48,9 +48,9 @@ MmioBus::write(Addr addr, std::uint64_t value)
     const Mapping *mapping = find(addr);
     if (!mapping)
         return {};
-    total_cycles_ += access_cost_;
+    total_cycles_ += kAccessCost;
     mapping->device->mmioWrite(addr - mapping->window.base, value);
-    return {true, 0, access_cost_};
+    return {true, 0, kAccessCost};
 }
 
 } // namespace mem

@@ -15,7 +15,7 @@
 #include <string>
 #include <vector>
 
-#include "mem/memmap.hh"
+#include "mem/range.hh"
 #include "sim/types.hh"
 
 namespace siopmp {
@@ -49,8 +49,8 @@ class MmioDevice
 class MmioBus
 {
   public:
-    /** @param access_cost cycles charged per register read/write. */
-    explicit MmioBus(Cycle access_cost = 2) : access_cost_(access_cost) {}
+    /** Cycles charged per register read/write. */
+    static constexpr Cycle kAccessCost = 2;
 
     /** Map @p device at @p window. Returns false on overlap. */
     bool map(const std::string &name, Range window, MmioDevice *device);
@@ -58,9 +58,7 @@ class MmioBus
     MmioResult read(Addr addr);
     MmioResult write(Addr addr, std::uint64_t value);
 
-    Cycle accessCost() const { return access_cost_; }
     Cycle totalCycles() const { return total_cycles_; }
-    void resetAccounting() { total_cycles_ = 0; }
 
   private:
     struct Mapping {
@@ -71,7 +69,6 @@ class MmioBus
 
     const Mapping *find(Addr addr) const;
 
-    Cycle access_cost_;
     Cycle total_cycles_ = 0;
     std::vector<Mapping> mappings_;
 };

@@ -49,12 +49,6 @@ EventQueue::schedule(Cycle when, Callback cb)
 }
 
 void
-EventQueue::scheduleIn(Cycle delay, Callback cb)
-{
-    schedule(now_ + delay, std::move(cb));
-}
-
-void
 EventQueue::scheduleWake(Cycle when, Tickable *target)
 {
     SIOPMP_ASSERT(when >= now_, "scheduling wake in the past");
@@ -75,22 +69,6 @@ EventQueue::runUntil(Cycle until)
         fireTop();
     if (now_ < until)
         now_ = until;
-}
-
-Cycle
-EventQueue::runAll()
-{
-    while (!heap_.empty())
-        fireTop();
-    return now_;
-}
-
-void
-EventQueue::reset()
-{
-    heap_.clear();
-    now_ = 0;
-    next_seq_ = 0;
 }
 
 } // namespace siopmp

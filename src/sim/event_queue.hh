@@ -42,14 +42,11 @@ class EventQueue
     /** Schedule @p cb to run at absolute cycle @p when. */
     void schedule(Cycle when, Callback cb);
 
-    /** Schedule @p cb to run @p delay cycles after now(). */
-    void scheduleIn(Cycle delay, Callback cb);
-
     /**
      * Schedule a wake of @p target at absolute cycle @p when. This is
      * the allocation-free re-arm path for quiescent components; firing
-     * calls target->wake(). The target must outlive the event (or the
-     * queue must be reset() first).
+     * calls target->wake(). The target must outlive the event; pending
+     * events live as long as the queue.
      */
     void scheduleWake(Cycle when, Tickable *target);
 
@@ -70,12 +67,6 @@ class EventQueue
      * to @p until even if the queue drains earlier.
      */
     void runUntil(Cycle until);
-
-    /** Run until the queue drains. Returns the final cycle. */
-    Cycle runAll();
-
-    /** Drop all pending events and reset time to zero. */
-    void reset();
 
   private:
     struct Item {

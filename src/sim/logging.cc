@@ -5,38 +5,16 @@
 
 #include "sim/logging.hh"
 
-#include <algorithm>
-#include <array>
 #include <atomic>
-#include <cctype>
 #include <cstdlib>
 
 namespace siopmp {
 
 namespace {
 
-std::array<bool, static_cast<unsigned>(TraceFlag::NumFlags)> trace_flags{};
 //! Atomic: replay workers (siopmp_fuzz --jobs) save/restore quiet
 //! state concurrently; a torn read here would be UB for no benefit.
 std::atomic<bool> quiet_mode{false};
-
-const char *const flag_names[] = {
-    "bus", "iopmp", "iommu", "device", "monitor", "workload",
-};
-
-int
-flagIndex(const std::string &name)
-{
-    std::string lower(name);
-    std::transform(lower.begin(), lower.end(), lower.begin(),
-                   [](unsigned char c) { return std::tolower(c); });
-    for (unsigned i = 0; i < static_cast<unsigned>(TraceFlag::NumFlags);
-         ++i) {
-        if (lower == flag_names[i])
-            return static_cast<int>(i);
-    }
-    return -1;
-}
 
 void
 vlog(const char *prefix, const char *fmt, va_list args)
@@ -48,32 +26,6 @@ vlog(const char *prefix, const char *fmt, va_list args)
 
 } // namespace
 
-bool
-Logger::enable(const std::string &flag_name)
-{
-    int idx = flagIndex(flag_name);
-    if (idx < 0)
-        return false;
-    trace_flags[static_cast<unsigned>(idx)] = true;
-    return true;
-}
-
-bool
-Logger::disable(const std::string &flag_name)
-{
-    int idx = flagIndex(flag_name);
-    if (idx < 0)
-        return false;
-    trace_flags[static_cast<unsigned>(idx)] = false;
-    return true;
-}
-
-bool
-Logger::enabled(TraceFlag flag)
-{
-    return trace_flags[static_cast<unsigned>(flag)];
-}
-
 void
 Logger::setQuiet(bool quiet)
 {
@@ -84,30 +36,6 @@ bool
 Logger::quiet()
 {
     return quiet_mode.load(std::memory_order_relaxed);
-}
-
-void
-Logger::trace(TraceFlag flag, const char *fmt, ...)
-{
-    if (!enabled(flag))
-        return;
-    va_list args;
-    va_start(args, fmt);
-    std::string prefix =
-        std::string("[") + flag_names[static_cast<unsigned>(flag)] + "] ";
-    vlog(prefix.c_str(), fmt, args);
-    va_end(args);
-}
-
-void
-inform(const char *fmt, ...)
-{
-    if (quiet_mode)
-        return;
-    va_list args;
-    va_start(args, fmt);
-    vlog("info: ", fmt, args);
-    va_end(args);
 }
 
 void

@@ -1,8 +1,8 @@
 /**
  * @file
  * Logging and error reporting, following the gem5 severity split:
- * panic() for simulator bugs, fatal() for user errors, warn()/inform()
- * for status. Trace output is gated by named flags.
+ * panic() for simulator bugs, fatal() for user errors, warn() for
+ * status.
  */
 
 #ifndef SIM_LOGGING_HH
@@ -10,49 +10,20 @@
 
 #include <cstdarg>
 #include <cstdio>
-#include <string>
 
 namespace siopmp {
 
-/** Trace categories; enable with Logger::enable("Bus") etc. */
-enum class TraceFlag : unsigned {
-    Bus = 0,
-    Iopmp,
-    Iommu,
-    Device,
-    Monitor,
-    Workload,
-    NumFlags,
-};
-
 /**
- * Process-wide logger. The simulator is single-threaded by design, so no
- * synchronization is required.
+ * Process-wide logger state. Quiet mode suppresses warn(); trace output
+ * goes through trace::Tracer, not here.
  */
 class Logger
 {
   public:
-    /** Enable a trace flag by name (case-insensitive). Returns false if
-     * the name is unknown. */
-    static bool enable(const std::string &flag_name);
-
-    /** Disable a trace flag by name. */
-    static bool disable(const std::string &flag_name);
-
-    /** True iff the given trace flag is enabled. */
-    static bool enabled(TraceFlag flag);
-
-    /** Enable/disable all informational output (inform/warn). */
+    /** Enable/disable warn() output. */
     static void setQuiet(bool quiet);
     static bool quiet();
-
-    /** printf-style trace line, emitted only if the flag is enabled. */
-    static void trace(TraceFlag flag, const char *fmt, ...)
-        __attribute__((format(printf, 2, 3)));
 };
-
-/** Status message for the user; no connotation of incorrect behaviour. */
-void inform(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
 
 /** Something may be wrong but simulation can continue. */
 void warn(const char *fmt, ...) __attribute__((format(printf, 1, 2)));

@@ -83,38 +83,6 @@ Simulator::add(Tickable *component)
 }
 
 void
-Simulator::removeNow(Tickable *component)
-{
-    auto it = std::find(components_.begin(), components_.end(), component);
-    if (it == components_.end())
-        return;
-    components_.erase(it);
-    if (component->active_)
-        --num_active_;
-    component->active_ = false;
-    component->sim_ = nullptr;
-    // Every later component moves down one index: rebuild the bitmap.
-    active_bits_.assign((components_.size() + 63) / 64, 0);
-    for (std::size_t i = 0; i < components_.size(); ++i) {
-        components_[i]->index_ = i;
-        if (components_[i]->active_)
-            setActiveBit(i);
-    }
-}
-
-void
-Simulator::remove(Tickable *component)
-{
-    // Mid-tick: defer to the end of the cycle — removing inline would
-    // invalidate the iterators of the loop that called us.
-    if (ticking_) {
-        pending_removes_.push_back(component);
-        return;
-    }
-    removeNow(component);
-}
-
-void
 Simulator::wake(Tickable *component)
 {
     if (component->sim_ != this)
@@ -154,11 +122,6 @@ Simulator::tickOnce()
         });
     }
     ticking_ = false;
-    if (!pending_removes_.empty()) {
-        for (auto *c : pending_removes_)
-            removeNow(c);
-        pending_removes_.clear();
-    }
     ++now_;
 }
 

@@ -49,15 +49,12 @@ class Simulator
     Simulator(const Simulator &) = delete;
     Simulator &operator=(const Simulator &) = delete;
 
-    /** Register a component (not owned). Starts on the active set. */
-    void add(Tickable *component);
-
     /**
-     * Remove a previously added component. Safe at any point: mid-tick
-     * removals (from an evaluate/advance body or an event handler) are
-     * deferred to the end of the current cycle.
+     * Register a component (not owned). Starts on the active set.
+     * Registration is append-only: a component stays registered, at the
+     * same index, for the life of the Simulator.
      */
-    void remove(Tickable *component);
+    void add(Tickable *component);
 
     /**
      * Run a single cycle: events, evaluate-all, advance-all. Under
@@ -119,10 +116,6 @@ class Simulator
     /** Execute exactly one cycle at now_ (no idle jump). */
     void tickOnce();
 
-    /** Immediate removal (caller guarantees no tick is in flight).
-     * Re-packs the registration indices after the removed component. */
-    void removeNow(Tickable *component);
-
     /** Settle every component through settleHorizon(). */
     void settleAll();
 
@@ -142,9 +135,8 @@ class Simulator
     std::size_t num_active_ = 0;
     Cycle idle_cycles_skipped_ = 0;
 
-    //! Guards against mutating components_ while tickOnce iterates it.
+    //! True while tickOnce runs the evaluate/advance passes.
     bool ticking_ = false;
-    std::vector<Tickable *> pending_removes_;
 };
 
 } // namespace siopmp

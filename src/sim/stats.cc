@@ -99,13 +99,6 @@ Histogram::sample(double v)
     ++buckets_[idx];
 }
 
-void
-Histogram::reset()
-{
-    std::fill(buckets_.begin(), buckets_.end(), 0);
-    underflow_ = overflow_ = total_ = 0;
-}
-
 // ---- Group --------------------------------------------------------------
 
 Group::Group(std::string name)
@@ -201,19 +194,6 @@ Group::accept(StatsVisitor &visitor) const
     visitor.endGroup(*this);
 }
 
-void
-Group::resetAll()
-{
-    for (auto &[k, v] : scalars_)
-        v.reset();
-    for (auto &[k, v] : averages_)
-        v.reset();
-    for (auto &[k, v] : distributions_)
-        v.reset();
-    for (auto &[k, v] : histograms_)
-        v.reset();
-}
-
 // ---- Registry -----------------------------------------------------------
 
 Registry &
@@ -250,14 +230,6 @@ Registry::accept(StatsVisitor &visitor) const
         group->accept(visitor);
     for (const auto &group : retired_)
         group->accept(visitor);
-}
-
-void
-Registry::resetAll()
-{
-    std::lock_guard<std::mutex> guard(mutex_);
-    for (Group *group : live_)
-        group->resetAll();
 }
 
 // ---- TextStatsWriter ----------------------------------------------------

@@ -40,7 +40,6 @@ class Scalar
     Scalar &operator+=(double v) { value_ += v; return *this; }
     void set(double v) { value_ = v; }
     double value() const { return value_; }
-    void reset() { value_ = 0.0; }
 
   private:
     double value_ = 0.0;
@@ -60,7 +59,6 @@ class Average
     double mean() const { return count_ ? sum_ / count_ : 0.0; }
     std::uint64_t count() const { return count_; }
     double sum() const { return sum_; }
-    void reset() { sum_ = 0.0; count_ = 0; }
 
   private:
     double sum_ = 0.0;
@@ -85,8 +83,6 @@ class Distribution
     /** Exact percentile in [0, 100] by nearest-rank on sorted samples. */
     double percentile(double pct) const;
 
-    void reset() { samples_.clear(); sorted_ = true; }
-
   private:
     void ensureSorted() const;
 
@@ -110,7 +106,6 @@ class Histogram
     std::uint64_t underflow() const { return underflow_; }
     std::uint64_t overflow() const { return overflow_; }
     std::uint64_t totalSamples() const { return total_; }
-    void reset();
 
   private:
     double lo_;
@@ -190,9 +185,6 @@ class Group
     /** Visit every stat in registration order (between begin/endGroup). */
     void accept(StatsVisitor &visitor) const;
 
-    /** Reset every stat in the group. */
-    void resetAll();
-
   private:
     std::string name_;
     std::map<std::string, Scalar> scalars_;
@@ -247,7 +239,7 @@ class LazyScalar
  * construct and destruct whole component trees on worker threads, and
  * every Group ctor/dtor lands here. The stat *values* stay
  * unsynchronized — each worker only touches groups it owns, and
- * accept()/resetAll() are only meaningful once workers have joined.
+ * accept() is only meaningful once workers have joined.
  */
 class Registry
 {
@@ -259,9 +251,6 @@ class Registry
 
     /** Visit every live group, then every retained snapshot. */
     void accept(StatsVisitor &visitor) const;
-
-    /** Reset every stat of every live group. */
-    void resetAll();
 
     /** Keep final-value snapshots of destructed groups. */
     void setRetainRetired(bool retain) { retain_ = retain; }

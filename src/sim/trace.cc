@@ -1,7 +1,7 @@
 /**
  * @file
- * Tracing subsystem implementation: the global tracer and the two
- * shipped sinks (Chrome trace-event JSON, post-mortem ring buffer).
+ * Tracing subsystem implementation: the global tracer and the Chrome
+ * trace-event JSON sink.
  */
 
 #include "sim/trace.hh"
@@ -13,18 +13,6 @@
 
 namespace siopmp {
 namespace trace {
-
-const char *
-phaseName(Phase phase)
-{
-    switch (phase) {
-      case Phase::SpanBegin: return "begin";
-      case Phase::SpanEnd: return "end";
-      case Phase::Instant: return "instant";
-      case Phase::Counter: return "counter";
-    }
-    return "?";
-}
 
 Tracer &
 tracer()
@@ -141,67 +129,6 @@ ChromeTraceSink::flush()
     closed_ = true;
     os_ << "\n]}\n";
     os_.flush();
-}
-
-// ---- RingBufferSink -----------------------------------------------------
-
-RingBufferSink::RingBufferSink(std::size_t capacity)
-{
-    SIOPMP_ASSERT(capacity > 0, "ring buffer needs capacity");
-    ring_.resize(capacity);
-}
-
-void
-RingBufferSink::record(const Event &event)
-{
-    ring_[next_] = event;
-    next_ = (next_ + 1) % ring_.size();
-    if (count_ < ring_.size())
-        ++count_;
-    ++total_;
-}
-
-std::vector<Event>
-RingBufferSink::events() const
-{
-    std::vector<Event> out;
-    out.reserve(count_);
-    const std::size_t start =
-        count_ < ring_.size() ? 0 : next_; // oldest surviving slot
-    for (std::size_t i = 0; i < count_; ++i)
-        out.push_back(ring_[(start + i) % ring_.size()]);
-    return out;
-}
-
-std::size_t
-RingBufferSink::size() const
-{
-    return count_;
-}
-
-void
-RingBufferSink::clear()
-{
-    next_ = 0;
-    count_ = 0;
-    total_ = 0;
-}
-
-void
-RingBufferSink::dump(std::ostream &os) const
-{
-    for (const Event &event : events()) {
-        os << event.when << ' ' << event.track << ' ' << event.category
-           << '.' << event.name << ' ' << phaseName(event.phase)
-           << " dev=" << event.device << " addr=0x" << std::hex
-           << event.addr << std::dec;
-        if (event.id != 0)
-            os << " id=0x" << std::hex << event.id << std::dec;
-        os << " arg0=" << event.arg0 << " arg1=" << event.arg1;
-        if (event.label != nullptr)
-            os << ' ' << event.label;
-        os << '\n';
-    }
 }
 
 } // namespace trace

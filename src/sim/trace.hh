@@ -11,13 +11,10 @@
  * Event construction (call sites guard with `if (trace::on())`). The
  * simulator's timing is never affected either way: sinks only observe.
  *
- * Two concrete sinks ship with the simulator:
- *
- *  - ChromeTraceSink streams Chrome trace-event JSON ("traceEvents")
- *    that loads directly in Perfetto / chrome://tracing, one track
- *    (tid) per component, async spans per transaction;
- *  - RingBufferSink keeps the last N events in a circular buffer for
- *    post-mortem dumps when a violation fires mid-run.
+ * The simulator ships one concrete sink: ChromeTraceSink streams
+ * Chrome trace-event JSON ("traceEvents") that loads directly in
+ * Perfetto / chrome://tracing, one track (tid) per component, async
+ * spans per transaction.
  *
  * Event taxonomy and field conventions are documented in
  * docs/OBSERVABILITY.md.
@@ -30,7 +27,6 @@
 #include <map>
 #include <ostream>
 #include <string>
-#include <vector>
 
 #include "sim/types.hh"
 
@@ -45,14 +41,11 @@ enum class Phase : std::uint8_t {
     Counter,   //!< sampled value ("C")
 };
 
-const char *phaseName(Phase phase);
-
 /**
  * One trace record. String fields are borrowed, not owned: category,
  * name and label must be string literals (static storage); track
  * points at the emitting component's name and must outlive any sink
- * that stores events verbatim (RingBufferSink) — which holds for the
- * supported use, dumping the ring while the simulation is alive.
+ * that stores events verbatim.
  */
 struct Event {
     Cycle when = 0;            //!< timestamp, in simulated cycles
@@ -149,36 +142,6 @@ class ChromeTraceSink : public Sink
     std::uint64_t events_written_ = 0;
     bool first_ = true;
     bool closed_ = false;
-};
-
-/**
- * Bounded post-mortem buffer: keeps the most recent @p capacity events.
- * Intended to run cheaply for a whole experiment and be dumped when
- * something interesting (a violation) happens.
- */
-class RingBufferSink : public Sink
-{
-  public:
-    explicit RingBufferSink(std::size_t capacity);
-
-    void record(const Event &event) override;
-
-    /** Events in arrival order, oldest first. */
-    std::vector<Event> events() const;
-
-    std::size_t size() const;
-    std::size_t capacity() const { return ring_.size(); }
-    std::uint64_t totalRecorded() const { return total_; }
-    void clear();
-
-    /** Human-readable dump, one line per event, oldest first. */
-    void dump(std::ostream &os) const;
-
-  private:
-    std::vector<Event> ring_;
-    std::size_t next_ = 0;     //!< slot the next event lands in
-    std::size_t count_ = 0;    //!< valid events in the ring
-    std::uint64_t total_ = 0;  //!< lifetime record() calls
 };
 
 } // namespace trace

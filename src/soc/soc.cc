@@ -35,7 +35,7 @@ validateChecker(const SocConfig &cfg)
 } // namespace
 
 Soc::Soc(const SocConfig &cfg)
-    : cfg_(cfg), mmio_(cfg.mmio_access_cost)
+    : cfg_(cfg)
 {
     SIOPMP_ASSERT(cfg.num_masters >= 1, "SoC needs at least one master");
     validateChecker(cfg);
@@ -46,14 +46,6 @@ Soc::Soc(const SocConfig &cfg)
     // Periphery bus: the sIOPMP register window.
     mmio_.map("siopmp", {kIopmpMmioBase, iopmp::regmap::kWindowSize},
               iopmp_.get());
-
-    // Default memory map: 1 GiB of DRAM, an MMIO hole, and a protected
-    // region for the extended IOPMP table.
-    memmap_.add({"dram", {0x8000'0000, 0x4000'0000}, mem::RegionKind::Dram});
-    memmap_.add({"iopmp-mmio", {kIopmpMmioBase, iopmp::regmap::kWindowSize},
-                 mem::RegionKind::Mmio});
-    memmap_.add({"ext-iopmp-table", {0x7000'0000, 0x10'0000},
-                 mem::RegionKind::Protected});
 
     mem_link_ = std::make_unique<bus::Link>();
     for (unsigned i = 0; i < cfg.num_masters; ++i)
@@ -93,7 +85,7 @@ Soc::Soc(const SocConfig &cfg)
     }
 
     mem_node_ = std::make_unique<mem::MemoryNode>(
-        "memory", mem_link_.get(), &backing_, cfg.mem_timing);
+        "memory", mem_link_.get(), &backing_);
 
     // Tick order: checkers, xbar, memory, error nodes. Devices are
     // added by the caller. Order does not affect results (two-phase

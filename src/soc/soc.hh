@@ -26,7 +26,6 @@
 #include "bus/xbar.hh"
 #include "iopmp/checker_node.hh"
 #include "iopmp/siopmp.hh"
-#include "mem/memmap.hh"
 #include "mem/memory.hh"
 #include "mem/mmio.hh"
 #include "sim/simulator.hh"
@@ -49,9 +48,7 @@ struct SocConfig {
     iopmp::CheckerKind checker_kind = iopmp::CheckerKind::PipelineTree;
     unsigned checker_stages = 1;
     iopmp::ViolationPolicy policy = iopmp::ViolationPolicy::BusError;
-    mem::MemoryTiming mem_timing;
     bool centralized_checker = false;
-    Cycle mmio_access_cost = 2;
 };
 
 class Soc
@@ -64,7 +61,6 @@ class Soc
     iopmp::SIopmp &iopmp() { return *iopmp_; }
     bus::BusMonitor &monitor() { return monitor_; }
     mem::MmioBus &mmio() { return mmio_; }
-    mem::MemMap &memmap() { return memmap_; }
     const SocConfig &config() const { return cfg_; }
 
     /** Link a device plugs into for master port @p i. */
@@ -89,7 +85,6 @@ class Soc
     SocConfig cfg_;
     Simulator sim_;
     mem::Backing backing_;
-    mem::MemMap memmap_;
     mem::MmioBus mmio_;
     bus::BusMonitor monitor_;
 

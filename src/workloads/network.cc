@@ -43,7 +43,6 @@ class SiopmpCostSource
   public:
     SiopmpCostSource()
         : unit_(iopmp::IopmpConfig{}, iopmp::CheckerKind::PipelineTree, 2),
-          mmio_(2),
           monitor_(&unit_, &mmio_, 0x1000'0000, nullptr, nullptr),
           driver_(&monitor_, 0, 8)
     {

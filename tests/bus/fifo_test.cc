@@ -95,18 +95,6 @@ TEST(Fifo, OccupancyCountsReadyAndStaged)
     EXPECT_EQ(f.occupancy(), 2u);
 }
 
-TEST(Fifo, ResetClearsEverything)
-{
-    Fifo<int> f(2);
-    f.push(1);
-    f.clock();
-    f.push(2);
-    f.reset();
-    EXPECT_TRUE(f.empty());
-    EXPECT_EQ(f.occupancy(), 0u);
-    EXPECT_TRUE(f.canPush());
-}
-
 TEST(Fifo, SettledAndInTransitTrackStagedAndReadyItems)
 {
     // CheckerNode::quiescent() relies on both: a consumer may only
@@ -156,13 +144,6 @@ struct TwoDequeFifo {
         snapshot = ready.size();
     }
     std::size_t occupancy() const { return ready.size() + staged.size(); }
-    void
-    reset()
-    {
-        ready.clear();
-        staged.clear();
-        snapshot = 0;
-    }
 };
 
 /** Does nothing and parks whenever it may. */
@@ -177,7 +158,7 @@ class Parked : public Tickable
 
 TEST(FifoDifferential, RingMatchesTwoDequeModel)
 {
-    // Seeded random pushes, pops, clocks and resets against the model,
+    // Seeded random pushes, pops and clocks against the model,
     // at capacities where the ring wraps at sizes that are not powers
     // of two. A bound producer and consumer, parked on a simulator,
     // observe the wake-on-pop and wake-on-push.
@@ -218,13 +199,10 @@ TEST(FifoDifferential, RingMatchesTwoDequeModel)
                     f.pop();
                     producer_woken = ref.pop();
                 }
-            } else if (op < 63) {
+            } else {
                 f.clock();
                 ref.clock();
                 full_clocks += ref.snapshot == capacity;
-            } else {
-                f.reset();
-                ref.reset();
             }
             producer_wakes += producer_woken && !producer_was;
             ASSERT_EQ(producer.active(), producer_was || producer_woken)

@@ -58,15 +58,6 @@ TEST(BusMonitor, CountersAccumulate)
     EXPECT_EQ(m.inflight(1), 2u);
 }
 
-TEST(BusMonitor, ResetClearsState)
-{
-    BusMonitor m;
-    m.onRequestStart(1);
-    m.reset();
-    EXPECT_TRUE(m.allQuiesced());
-    EXPECT_EQ(m.totalStarted(), 0u);
-}
-
 } // namespace
 } // namespace bus
 } // namespace siopmp

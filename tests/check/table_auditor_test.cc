@@ -4,7 +4,8 @@
  * detached from a table (removeListener, then addListener) reaches
  * the live table without a callback, and the next audit must name it
  * — the lowest index first — while lock-bit-only changes, reported
- * changes and resets audit clean. Without these, an audit that never
+ * changes and a reset of both tables through their register writes
+ * audit clean. Without these, an audit that never
  * fires would look the same as one that cannot.
  */
 
@@ -119,8 +120,13 @@ TEST_F(TableAuditorTest, LockReportedChangesAndResetAuditClean)
     EXPECT_TRUE(mdcfg.setTop(0, 6));
     EXPECT_EQ(auditor.auditAndSync(), "");
 
-    entries.resetAll();
-    mdcfg.resetAll();
+    // A reset of both tables through the per-register writes: every
+    // entry cleared (the locked one in machine mode), then every top
+    // zeroed, lowest MD first.
+    for (unsigned j = 0; j < entries.size(); ++j)
+        EXPECT_TRUE(entries.clear(j, /*machine_mode=*/true));
+    for (MdIndex md = 0; md < mdcfg.numMds(); ++md)
+        EXPECT_TRUE(mdcfg.setTop(md, 0));
     EXPECT_EQ(auditor.auditAndSync(), "");
 }
 

@@ -42,7 +42,7 @@ TEST_P(MonitorFuzz, RandomLifecycleKeepsInvariants)
 {
     Rng rng(GetParam());
     iopmp::SIopmp unit(iopmp::IopmpConfig{}, iopmp::CheckerKind::Tree, 1);
-    mem::MmioBus mmio(2);
+    mem::MmioBus mmio;
     mem::Backing backing;
     iopmp::ExtendedTable ext(&backing, {kExtBase, 0x10000}, 8);
     SecureMonitor monitor(&unit, &mmio, kMmioBase, &ext, nullptr);

@@ -47,7 +47,6 @@ class LifecycleTest : public ::testing::Test
      * capacity-exhaustion failures: 0x200 holds two records). */
     explicit LifecycleTest(Addr ext_size = 0x10000)
         : unit(smallConfig(), iopmp::CheckerKind::Tree, 1),
-          mmio(2),
           ext_table(&backing, {kExtBase, ext_size}, 8),
           monitor(&unit, &mmio, kMmioBase, &ext_table, nullptr)
     {

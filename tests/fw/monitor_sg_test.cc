@@ -22,7 +22,6 @@ class MonitorSgTest : public ::testing::Test
   protected:
     MonitorSgTest()
         : unit(iopmp::IopmpConfig{}, iopmp::CheckerKind::Tree, 1),
-          mmio(2),
           monitor(&unit, &mmio, kMmioBase, nullptr, nullptr)
     {
         mmio.map("siopmp", {kMmioBase, iopmp::regmap::kWindowSize},

@@ -24,7 +24,6 @@ class MonitorTest : public ::testing::Test
   protected:
     MonitorTest()
         : unit(iopmp::IopmpConfig{}, iopmp::CheckerKind::Tree, 1),
-          mmio(2),
           ext_table(&backing, {kExtBase, 0x10000}, 8),
           monitor(&unit, &mmio, kMmioBase, &ext_table, nullptr)
     {

@@ -22,7 +22,6 @@ class SmodeDriverTest : public ::testing::Test
   protected:
     SmodeDriverTest()
         : unit(iopmp::IopmpConfig{}, iopmp::CheckerKind::Tree, 1),
-          mmio(2),
           monitor(&unit, &mmio, kMmioBase, nullptr, nullptr),
           driver(&monitor, 4, 8)
     {

@@ -76,10 +76,19 @@ randomizeEntry(EntryTable &entries, Rng &rng)
     ASSERT_TRUE(entries.set(idx, entry, /*machine_mode=*/true));
 }
 
+/** Zero every MDCFG top, lowest MD first: a zero top may not sit below
+ * a programmed one. */
+void
+clearTops(MdCfgTable &mdcfg)
+{
+    for (MdIndex md = 0; md < mdcfg.numMds(); ++md)
+        ASSERT_TRUE(mdcfg.setTop(md, 0));
+}
+
 void
 randomizeTops(MdCfgTable &mdcfg, Rng &rng, unsigned num_entries)
 {
-    mdcfg.resetAll();
+    clearTops(mdcfg);
     unsigned top = 0;
     for (MdIndex md = 0; md < mdcfg.numMds(); ++md) {
         top = std::min(num_entries,
@@ -412,12 +421,6 @@ INSTANTIATE_TEST_SUITE_P(
                      dut.mmioWrite(regmap::kBlockBitmap, 0x2);
                  },
                  true},
-        Mutation{"mount_api",
-                 [](SIopmp &dut) {
-                     // The monitor-facing mount API, not the register.
-                     dut.setMountedCold(kDevCold2);
-                 },
-                 true},
         Mutation{"direct_entry_set",
                  [](SIopmp &dut) {
                      // Machine-mode table write bypassing MMIO: the
@@ -428,9 +431,10 @@ INSTANTIATE_TEST_SUITE_P(
                  true},
         Mutation{"direct_mdcfg_reset",
                  [](SIopmp &dut) {
-                     // Direct wipe of the MD map: nothing is owned, all
-                     // checks default-deny.
-                     dut.mdcfg().resetAll();
+                     // Direct wipe of the MD map back to its reset
+                     // value, top by top: nothing is owned, all checks
+                     // default-deny.
+                     clearTops(dut.mdcfg());
                  },
                  true}),
     [](const ::testing::TestParamInfo<Mutation> &info) {
@@ -494,7 +498,6 @@ TEST(CheckAccel, CountersTrackHitsMissesAndFlushes)
     // program() itself churns the tables through MMIO, so flush
     // counters are already nonzero; snapshot and compare deltas.
     const std::uint64_t partial0 = accel.partialFlushes();
-    const std::uint64_t full0 = accel.fullFlushes();
 
     // First check compiles SID1's plan.
     EXPECT_EQ(dut.authorize(kDevHot, 0x1000, 8, Perm::Read).status,
@@ -509,12 +512,10 @@ TEST(CheckAccel, CountersTrackHitsMissesAndFlushes)
     EXPECT_EQ(accel.planCompiles(), compiles0);
     EXPECT_EQ(accel.planRecompiles(), 0u);
 
-    // A config write partially flushes (no full flush: only the owning
-    // MDs' plans go stale) and strands the plan: the next check
-    // recompiles it.
+    // A config write partially flushes (only the owning MDs' plans go
+    // stale) and strands the plan: the next check recompiles it.
     writeEntry(dut, 0, 0x1000, 0x1000, (1u << 2) | 0x1); // rw -> r-
     EXPECT_EQ(accel.partialFlushes(), partial0 + 1);
-    EXPECT_EQ(accel.fullFlushes(), full0);
     EXPECT_GE(accel.stalePlans(), 1u);
     EXPECT_FALSE(
         dut.authorize(kDevHot, 0x1000, 8, Perm::Write).status ==
@@ -573,7 +574,6 @@ TEST(CheckAccel, EntryMutationLeavesDisjointMdsValid)
     ASSERT_TRUE(rig.entries.set(
         1, Entry::range(0x1000, 0x1000, Perm::Read), true));
     EXPECT_EQ(rig.accel->partialFlushes(), 1u);
-    EXPECT_EQ(rig.accel->fullFlushes(), 0u);
     EXPECT_EQ(rig.accel->stalePlans(), 1u);
 
     // Disjoint bitmap: no plan work.
@@ -597,7 +597,6 @@ TEST(CheckAccel, MdcfgTopMoveLeavesDisjointMdsValid)
     // MD0 shrinks 4 -> 3: entry 3 moves from MD0 to MD1.
     ASSERT_TRUE(rig.mdcfg.setTop(0, 3));
     EXPECT_EQ(rig.accel->partialFlushes(), 1u);
-    EXPECT_EQ(rig.accel->fullFlushes(), 0u);
     EXPECT_EQ(rig.accel->stalePlans(), 1u);
 
     // MD2|MD3 is untouched by the boundary move.
@@ -637,23 +636,6 @@ TEST(CheckAccel, OverlappingBitmapSaltsAreIndependent)
 
     rig.accel->check(rig.req_b);
     EXPECT_EQ(rig.accel->planRecompiles(), 1u);
-    EXPECT_EQ(rig.accel->stalePlans(), 0u);
-}
-
-/** resetAll is the sledgehammer: everything stale, one full flush. */
-TEST(CheckAccel, TableResetFullyFlushes)
-{
-    MinimalityRig rig;
-
-    rig.entries.resetAll();
-    EXPECT_EQ(rig.accel->fullFlushes(), 1u);
-    EXPECT_EQ(rig.accel->partialFlushes(), 0u);
-    EXPECT_EQ(rig.accel->stalePlans(), 2u);
-
-    rig.accel->check(rig.req_a);
-    rig.accel->check(rig.req_b);
-    EXPECT_EQ(rig.accel->planRecompiles(), 2u);
-    EXPECT_EQ(rig.accel->planCompiles(), 2u);
     EXPECT_EQ(rig.accel->stalePlans(), 0u);
 }
 

@@ -23,10 +23,23 @@
 #include "sim/trace.hh"
 #include "soc/cpu_node.hh"
 #include "soc/soc.hh"
+#include "support/capture_sink.hh"
 
 namespace siopmp {
 namespace iopmp {
 namespace {
+
+//! Valid bit of the eSID register.
+constexpr std::uint64_t kEsidValid = std::uint64_t{1} << 63;
+
+/** Mount @p device cold as the monitor does: an ESID register write
+ * over the periphery bus. */
+void
+mountCold(soc::Soc &soc, DeviceId device)
+{
+    soc.mmio().write(soc::kIopmpMmioBase + regmap::kEsid,
+                     kEsidValid | device);
+}
 
 class CheckerNodeTest : public ::testing::Test
 {
@@ -93,7 +106,7 @@ TEST_F(CheckerNodeTest, StalledRequestProceedsAfterMount)
 
     // "Monitor" mounts the device: eSID register + cold row rules.
     auto &unit = soc.iopmp();
-    unit.setMountedCold(999);
+    unit.mmioWrite(regmap::kEsid, kEsidValid | 999);
     unit.src2md().setBitmap(unit.coldSid(),
                             std::uint64_t{1} << 62);
     unit.mdcfg().setTop(62, 17); // cold MD owns entry 16
@@ -414,7 +427,7 @@ TEST(CheckerNodeWake, EsidMount)
     expectParkedMatchesNaive([](ParkRig &rig) {
         rig.start(rig.ghost, dev::DmaKind::Read, kGhostBase, 256);
         rig.probe(300, 1);
-        rig.at(600, [&rig] { rig.soc.iopmp().setMountedCold(kGhost); });
+        rig.at(600, [&rig] { mountCold(rig.soc, kGhost); });
     });
 }
 
@@ -479,7 +492,7 @@ TEST(CheckerNodeWake, ConfigEpochRearmsPendingSidMiss)
                 soc::kIopmpMmioBase + regmap::kSrc2MdBase + 2 * 8, 0);
         });
         rig.probe(700, 1);
-        rig.at(800, [&rig] { rig.soc.iopmp().setMountedCold(kGhost); });
+        rig.at(800, [&rig] { mountCold(rig.soc, kGhost); });
     });
     EXPECT_EQ(ff.sid_miss_irqs, 2u);
 }
@@ -554,7 +567,7 @@ struct HoldRig {
         soc.add(&hog);
         SIopmp &unit = soc.iopmp();
         if (cold) {
-            unit.setMountedCold(kHot);
+            unit.mmioWrite(regmap::kEsid, kEsidValid | kHot);
             unit.src2md().associate(unit.coldSid(), 0);
         } else {
             unit.cam().set(0, kHot);
@@ -681,7 +694,10 @@ TEST(CheckerNodeHold, EntryTableResetDeniesHeldBeat)
 {
     HoldRig rig;
     rig.holdHead();
-    rig.soc.iopmp().entryTable().resetAll();
+    // No reset register: every entry is written Off.
+    EntryTable &table = rig.soc.iopmp().entryTable();
+    for (unsigned idx = 0; idx < table.size(); ++idx)
+        ASSERT_TRUE(table.clear(idx, /*machine_mode=*/true));
     rig.expectDeniedOnNextPoll();
 }
 
@@ -731,7 +747,10 @@ TEST(CheckerNodeHold, Src2MdResetDeniesHeldBeat)
 {
     HoldRig rig;
     rig.holdHead();
-    rig.soc.iopmp().src2md().resetAll();
+    // No reset register: every SID's bitmap is written empty.
+    Src2MdTable &src2md = rig.soc.iopmp().src2md();
+    for (Sid sid = 0; sid < src2md.numSids(); ++sid)
+        ASSERT_TRUE(src2md.setBitmap(sid, 0));
     rig.expectDeniedOnNextPoll();
 }
 
@@ -768,7 +787,7 @@ TEST(CheckerNodeHold, EsidUnmountRaisesSidMissing)
 {
     HoldRig rig(/*cold=*/true);
     rig.holdHead();
-    rig.soc.iopmp().setMountedCold(std::nullopt);
+    rig.soc.iopmp().mmioWrite(regmap::kEsid, 0);
     rig.expectSidMissOnNextPoll();
 }
 
@@ -836,7 +855,7 @@ TEST(CheckerNodeHold, HeldPollStampsInvalidationInstants)
     // checks.
     rig.start(rig.hot, dev::DmaKind::Read, kHotBase);
     rig.stepUntilHeld();
-    trace::RingBufferSink ring(16);
+    trace::CaptureSink ring;
     trace::tracer().setSink(&ring);
     rig.soc.iopmp().entryTable().set(15, Entry::off()); // in MD 1
     trace::tracer().setSink(nullptr);
@@ -869,7 +888,7 @@ TEST(CheckerNodeHold, ParkedHeldPollStampsInvalidationInstants)
         rig.holdHead();
         rig.soc.iopmp().blockBitmap().block(1);
         Probe probe;
-        trace::RingBufferSink ring(16);
+        trace::CaptureSink ring;
         const Cycle event = rig.soc.sim().now() + 200;
         rig.soc.sim().events().schedule(event, [&] {
             probe.parked = !rig.soc.checkerNode(0).active();

@@ -28,7 +28,7 @@ TEST_P(MmioFuzz, ArbitraryRegisterTrafficKeepsInvariants)
 {
     Rng rng(GetParam());
     SIopmp unit(IopmpConfig{}, CheckerKind::PipelineTree, 2);
-    mem::MmioBus bus(2);
+    mem::MmioBus bus;
     bus.map("siopmp", {0x0, regmap::kWindowSize}, &unit);
 
     // Pin one locked row up front; it must survive the fuzzing.

@@ -17,7 +17,7 @@ class RegmapTest : public ::testing::Test
 {
   protected:
     RegmapTest()
-        : unit(IopmpConfig{64, 64, 63}, CheckerKind::Tree, 1), bus(2)
+        : unit(IopmpConfig{64, 64, 63}, CheckerKind::Tree, 1)
     {
         bus.map("siopmp", {0x1000'0000, regmap::kWindowSize}, &unit);
     }
@@ -114,18 +114,23 @@ TEST_F(RegmapTest, EntryStagingIsPerEntryAndConsumedByCommit)
     wr(e5 + 16, range_rw);
     EXPECT_FALSE(table.get(5).enabled());
 
-    // A lock-rejected commit consumes its words too. Once a table
-    // reset drops the lock, a bare cfg write commits from zeroed
-    // words rather than the rejected ones.
+    // A lock-rejected commit leaves the entry as it was. The lock is
+    // sticky for the life of the table: a machine-mode rewrite turns
+    // the entry off but keeps it locked, so every later commit through
+    // the window is rejected too, whatever words it staged.
     wr(e3 + 0, 0x7000);
     wr(e3 + 8, 0x700);
     wr(e3 + 16, range_rw);
     EXPECT_EQ(unit.rejectedWrites(), 1u);
     EXPECT_EQ(table.get(3).base(), 0x3000u);
-    unit.entryTable().resetAll();
+    ASSERT_TRUE(unit.entryTable().set(3, Entry::off(), /*machine_mode=*/true));
+    EXPECT_FALSE(table.get(3).enabled());
+    EXPECT_TRUE(table.get(3).locked());
+    wr(e3 + 0, 0x7000);
+    wr(e3 + 8, 0x700);
     wr(e3 + 16, range_rw);
     EXPECT_FALSE(table.get(3).enabled());
-    EXPECT_EQ(unit.rejectedWrites(), 1u);
+    EXPECT_EQ(unit.rejectedWrites(), 2u);
 }
 
 TEST_F(RegmapTest, EntryOffModeDisables)
@@ -273,14 +278,14 @@ TEST_F(RegmapTest, BlockWindowDoesNotCollideWithControlRegisters)
 
 TEST_F(RegmapTest, DeterministicMmioCost)
 {
-    bus.resetAccounting();
+    const Cycle before = bus.totalCycles();
     const Addr e0 = regmap::kEntryBase;
     wr(e0 + 0, 0x1000);
     wr(e0 + 8, 0x100);
     wr(e0 + 16, 0x5);
     // Three register writes at 2 cycles each: fixed, synchronous cost
     // (the paper's contrast with the IOMMU's async command queue).
-    EXPECT_EQ(bus.totalCycles(), 6u);
+    EXPECT_EQ(bus.totalCycles() - before, 6u);
 }
 
 } // namespace

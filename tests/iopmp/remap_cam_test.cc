@@ -123,12 +123,16 @@ TEST(Cam, HotDeviceSurvivesManyInsertions)
 
 TEST(Cam, ResetInvalidatesAll)
 {
+    // There is no reset register: the monitor resets the CAM row by
+    // row, as a CAM-row MMIO write with the valid bit clear does.
     DeviceId2SidCam cam(4);
     cam.set(0, 1);
     cam.set(1, 2);
-    cam.reset();
+    for (Sid sid = 0; sid < cam.numRows(); ++sid)
+        cam.invalidateSid(sid);
     EXPECT_FALSE(cam.peek(1).has_value());
     EXPECT_FALSE(cam.peek(2).has_value());
+    EXPECT_FALSE(cam.deviceAt(0).has_value());
 }
 
 TEST(Cam, PaperSizing63Rows)

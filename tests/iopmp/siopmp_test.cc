@@ -14,6 +14,9 @@ namespace siopmp {
 namespace iopmp {
 namespace {
 
+//! Valid bit of the eSID register.
+constexpr std::uint64_t kEsidValid = std::uint64_t{1} << 63;
+
 class SIopmpTest : public ::testing::Test
 {
   protected:
@@ -69,7 +72,7 @@ TEST_F(SIopmpTest, UnknownDeviceRaisesSidMissing)
 TEST_F(SIopmpTest, MountedColdDeviceUsesColdSid)
 {
     // Simulate the monitor's cold switch: eSID register + cold row.
-    unit.setMountedCold(999);
+    unit.mmioWrite(regmap::kEsid, kEsidValid | 999);
     unit.src2md().setBitmap(unit.coldSid(), std::uint64_t{1} << 62);
     unit.entryTable().set(
         4, Entry::range(0xa000'0000, 0x1000, Perm::Read));
@@ -90,7 +93,7 @@ TEST_F(SIopmpTest, ResolveSidCoversHotAndCold)
 {
     EXPECT_EQ(unit.resolveSid(7), std::optional<Sid>(3));
     EXPECT_FALSE(unit.resolveSid(999).has_value());
-    unit.setMountedCold(999);
+    unit.mmioWrite(regmap::kEsid, kEsidValid | 999);
     EXPECT_EQ(unit.resolveSid(999), std::optional<Sid>(unit.coldSid()));
 }
 
@@ -123,7 +126,7 @@ TEST_F(SIopmpTest, ViolationRecordLatchesFirst)
     EXPECT_EQ(rec->addr, 0x9000'0000u);
     EXPECT_EQ(rec->attempted, Perm::Write);
     EXPECT_EQ(rec->when, 5u);
-    unit.clearViolationRecord();
+    unit.mmioWrite(regmap::kErrInfo, 0); // acknowledge
     EXPECT_FALSE(unit.violationRecord().has_value());
 }
 

@@ -46,12 +46,17 @@ TEST(EntryTable, LockBlocksNonMachineMode)
 
 TEST(EntryTable, ResetDisablesEverything)
 {
+    // There is no reset register: a machine-mode clear of every entry
+    // resets the table, a locked entry included (its lock stays).
     EntryTable t(4);
     t.set(1, Entry::range(0x0, 8, Perm::Read));
-    t.resetAll();
+    t.set(2, Entry::range(0x8, 8, Perm::Write));
+    t.lock(2);
+    for (unsigned i = 0; i < 4; ++i)
+        EXPECT_TRUE(t.clear(i, /*machine_mode=*/true));
     for (unsigned i = 0; i < 4; ++i)
         EXPECT_FALSE(t.get(i).enabled());
-    EXPECT_EQ(t.writeCount(), 0u);
+    EXPECT_TRUE(t.get(2).locked());
 }
 
 TEST(Src2Md, AssociateBitmap)
@@ -140,11 +145,21 @@ TEST(MdCfg, RejectsNonMonotonic)
 
 TEST(MdCfg, ResetZeroesTops)
 {
+    // There is no reset register: software resets the table with
+    // setTop(md, 0), lowest MD first, since a zero top may not sit
+    // below a programmed one.
     MdCfgTable t(3, 64);
-    t.setTop(0, 8);
-    t.resetAll();
-    EXPECT_EQ(t.top(0), 0u);
+    ASSERT_TRUE(t.setTop(0, 8));
+    ASSERT_TRUE(t.setTop(1, 16));
+    ASSERT_TRUE(t.setTop(2, 32));
+    EXPECT_FALSE(t.setTop(2, 0));
+    EXPECT_EQ(t.top(2), 32u);
+    for (MdIndex md = 0; md < 3; ++md)
+        EXPECT_TRUE(t.setTop(md, 0)) << md;
+    for (MdIndex md = 0; md < 3; ++md)
+        EXPECT_EQ(t.top(md), 0u) << md;
     EXPECT_EQ(t.mdOfEntry(0), -1);
+    EXPECT_EQ(t.mdOfEntry(31), -1);
 }
 
 TEST(MdCfg, OwnersOfUsesEffectiveWindows)
@@ -180,7 +195,8 @@ TEST(MdCfg, MdOfEntriesMatchesMdOfEntry)
 {
     // Seeded setTop sequences at 1, 8 and 63 MDs: accepted tops,
     // rejected (non-monotone or oversized) ones, zero tops left
-    // between programmed ones, and resets. After every write the
+    // between programmed ones, and whole-table clears (every top
+    // written to 0, lowest MD first). After every write the
     // sweep must equal mdOfEntry at every index, for an owners
     // vector shorter than the table and one running past its end.
     constexpr unsigned kEntries = 96;
@@ -188,11 +204,12 @@ TEST(MdCfg, MdOfEntriesMatchesMdOfEntry)
         MdCfgTable t(mds, kEntries);
         Rng rng(0x5eed + mds);
         std::vector<int> part(kEntries / 3), past(kEntries + 4);
-        unsigned accepted = 0, rejected = 0, resets = 0, gaps = 0;
+        unsigned accepted = 0, rejected = 0, clears = 0, gaps = 0;
         for (unsigned step = 0; step < 3000; ++step) {
             if (rng.chance(0.01)) {
-                t.resetAll();
-                ++resets;
+                for (MdIndex md = 0; md < mds; ++md)
+                    ASSERT_TRUE(t.setTop(md, 0));
+                ++clears;
             } else {
                 const MdIndex md = static_cast<MdIndex>(rng.below(mds));
                 const unsigned top =
@@ -218,7 +235,7 @@ TEST(MdCfg, MdOfEntriesMatchesMdOfEntry)
         }
         EXPECT_GT(accepted, 100u) << mds << " MDs";
         EXPECT_GT(rejected, 10u) << mds << " MDs";
-        EXPECT_GT(resets, 10u) << mds << " MDs";
+        EXPECT_GT(clears, 10u) << mds << " MDs";
         if (mds >= 3) {
             EXPECT_GT(gaps, 100u) << mds << " MDs";
         }
@@ -228,7 +245,7 @@ TEST(MdCfg, MdOfEntriesMatchesMdOfEntry)
 /** Records every TableListener callback for event-by-event assertions. */
 struct RecordingListener final : public TableListener {
     struct Event {
-        enum class Kind { Entries, Windows, Reset } kind;
+        enum class Kind { Entries, Windows } kind;
         std::uint64_t md_mask = 0;
         unsigned lo = 0;
         unsigned hi = 0;
@@ -245,12 +262,6 @@ struct RecordingListener final : public TableListener {
                        unsigned hi) override
     {
         events.push_back({Event::Kind::Windows, md_mask, lo, hi});
-    }
-
-    void
-    onTableReset() override
-    {
-        events.push_back({Event::Kind::Reset, 0, 0, 0});
     }
 
     std::vector<Event> events;
@@ -310,16 +321,22 @@ TEST(TableListenerTest, EntryResetAndRemoveListener)
     RecordingListener listener;
     t.addListener(&listener);
 
-    t.resetAll();
-    ASSERT_EQ(listener.events.size(), 1u);
-    EXPECT_EQ(listener.events[0].kind,
-              RecordingListener::Event::Kind::Reset);
+    // A reset is a machine-mode clear of every entry: one report each.
+    for (unsigned i = 0; i < 4; ++i)
+        EXPECT_TRUE(t.clear(i, /*machine_mode=*/true));
+    ASSERT_EQ(listener.events.size(), 4u);
+    for (unsigned i = 0; i < 4; ++i) {
+        EXPECT_EQ(listener.events[i].kind,
+                  RecordingListener::Event::Kind::Entries);
+        EXPECT_EQ(listener.events[i].lo, i);
+        EXPECT_EQ(listener.events[i].hi, i + 1);
+    }
 
     // After removal, mutations no longer reach the listener.
     t.removeListener(&listener);
     t.set(1, Entry::range(0x0, 0x8, Perm::Read));
-    t.resetAll();
-    EXPECT_EQ(listener.events.size(), 1u);
+    t.clear(2);
+    EXPECT_EQ(listener.events.size(), 4u);
 }
 
 TEST(TableListenerTest, EntryMultipleListenersAllNotified)
@@ -391,13 +408,25 @@ TEST(TableListenerTest, MdcfgResetReports)
 {
     MdCfgTable t(3, 64);
     t.setTop(0, 8);
+    t.setTop(1, 16);
 
     RecordingListener listener;
     t.addListener(&listener);
-    t.resetAll();
-    ASSERT_EQ(listener.events.size(), 1u);
+
+    // A reset zeroes the tops lowest MD first. Zeroing MD0 hands
+    // [0, 8) to MD1, whose window then starts at 0.
+    EXPECT_TRUE(t.setTop(0, 0));
+    // Zeroing MD1 leaves [0, 16) unowned.
+    EXPECT_TRUE(t.setTop(1, 0));
+    ASSERT_EQ(listener.events.size(), 2u);
     EXPECT_EQ(listener.events[0].kind,
-              RecordingListener::Event::Kind::Reset);
+              RecordingListener::Event::Kind::Windows);
+    EXPECT_EQ(listener.events[0].md_mask, 0x3u);
+    EXPECT_EQ(listener.events[0].lo, 0u);
+    EXPECT_EQ(listener.events[0].hi, 8u);
+    EXPECT_EQ(listener.events[1].md_mask, 0x2u);
+    EXPECT_EQ(listener.events[1].lo, 0u);
+    EXPECT_EQ(listener.events[1].hi, 16u);
     t.removeListener(&listener);
 }
 

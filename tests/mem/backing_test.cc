@@ -121,18 +121,6 @@ TEST(Backing, UnwrittenWordsReadZero)
     EXPECT_EQ(m.allocatedPages(), 1u);
 }
 
-TEST(Backing, BlockRoundTrip)
-{
-    Backing m;
-    std::array<std::uint8_t, 100> in{};
-    for (std::size_t i = 0; i < in.size(); ++i)
-        in[i] = static_cast<std::uint8_t>(i * 3);
-    m.writeBlock(0x5000, in.data(), in.size());
-    std::array<std::uint8_t, 100> out{};
-    m.readBlock(0x5000, out.data(), out.size());
-    EXPECT_EQ(in, out);
-}
-
 TEST(Backing, FillSetsRange)
 {
     Backing m;

@@ -48,22 +48,23 @@ TEST(EventQueue, EventsSortedByTimeNotInsertion)
     q.schedule(9, [&] { order.push_back(9); });
     q.schedule(3, [&] { order.push_back(3); });
     q.schedule(6, [&] { order.push_back(6); });
-    q.runAll();
+    q.runUntil(9);
     EXPECT_EQ(order, (std::vector<int>{3, 6, 9}));
 }
 
 TEST(EventQueue, CallbackMaySchedule)
 {
     EventQueue q;
-    int count = 0;
+    std::vector<Cycle> fired;
     std::function<void()> reschedule = [&] {
-        if (++count < 5)
-            q.scheduleIn(2, reschedule);
+        fired.push_back(q.now());
+        if (fired.size() < 5)
+            q.schedule(q.now() + 2, reschedule);
     };
     q.schedule(0, reschedule);
-    q.runAll();
-    EXPECT_EQ(count, 5);
-    EXPECT_EQ(q.now(), 8u); // 0, 2, 4, 6, 8
+    q.runUntil(100);
+    EXPECT_EQ(fired, (std::vector<Cycle>{0, 2, 4, 6, 8}));
+    EXPECT_TRUE(q.empty());
 }
 
 TEST(EventQueue, RunUntilStopsBeforeLaterEvents)
@@ -76,28 +77,6 @@ TEST(EventQueue, RunUntilStopsBeforeLaterEvents)
     EXPECT_EQ(q.size(), 1u);
     q.runUntil(100);
     EXPECT_TRUE(late_fired);
-}
-
-TEST(EventQueue, ScheduleInUsesCurrentTime)
-{
-    EventQueue q;
-    q.runUntil(7);
-    Cycle fired_at = 0;
-    q.scheduleIn(3, [&] { fired_at = q.now(); });
-    q.runAll();
-    EXPECT_EQ(fired_at, 10u);
-}
-
-TEST(EventQueue, ResetDropsEventsAndTime)
-{
-    EventQueue q;
-    bool fired = false;
-    q.schedule(4, [&] { fired = true; });
-    q.reset();
-    EXPECT_TRUE(q.empty());
-    EXPECT_EQ(q.now(), 0u);
-    q.runAll();
-    EXPECT_FALSE(fired);
 }
 
 TEST(EventQueueDeath, SchedulingInPastPanics)

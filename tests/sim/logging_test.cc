@@ -1,6 +1,6 @@
 /**
  * @file
- * Unit tests for the logger's trace-flag plumbing and severity split.
+ * Unit tests for the logger's quiet mode and severity split.
  */
 
 #include <gtest/gtest.h>
@@ -10,43 +10,11 @@
 namespace siopmp {
 namespace {
 
-TEST(Logger, EnableDisableByName)
-{
-    EXPECT_FALSE(Logger::enabled(TraceFlag::Bus));
-    EXPECT_TRUE(Logger::enable("bus"));
-    EXPECT_TRUE(Logger::enabled(TraceFlag::Bus));
-    EXPECT_TRUE(Logger::disable("bus"));
-    EXPECT_FALSE(Logger::enabled(TraceFlag::Bus));
-}
-
-TEST(Logger, NamesAreCaseInsensitive)
-{
-    EXPECT_TRUE(Logger::enable("IOPMP"));
-    EXPECT_TRUE(Logger::enabled(TraceFlag::Iopmp));
-    EXPECT_TRUE(Logger::disable("IoPmP"));
-}
-
-TEST(Logger, UnknownNameRejected)
-{
-    EXPECT_FALSE(Logger::enable("nonsense"));
-    EXPECT_FALSE(Logger::disable("nonsense"));
-}
-
-TEST(Logger, AllFlagNamesResolve)
-{
-    for (const char *name :
-         {"bus", "iopmp", "iommu", "device", "monitor", "workload"}) {
-        EXPECT_TRUE(Logger::enable(name)) << name;
-        EXPECT_TRUE(Logger::disable(name)) << name;
-    }
-}
-
 TEST(Logger, QuietModeToggles)
 {
     EXPECT_FALSE(Logger::quiet());
     Logger::setQuiet(true);
     EXPECT_TRUE(Logger::quiet());
-    inform("this inform is suppressed by quiet mode: %d", 1);
     warn("this warn is suppressed by quiet mode: %d", 2);
     Logger::setQuiet(false);
     EXPECT_FALSE(Logger::quiet());

@@ -89,18 +89,6 @@ TEST(Simulator, RunUntilHitsMaxCycles)
     EXPECT_EQ(ran, 50u);
 }
 
-TEST(Simulator, RemoveStopsTicking)
-{
-    Simulator sim;
-    std::vector<std::string> log;
-    Probe p(&log);
-    sim.add(&p);
-    sim.step();
-    sim.remove(&p);
-    sim.step();
-    EXPECT_EQ(log.size(), 2u); // only the first cycle's eval+adv
-}
-
 /** Counts its ticks; quiesces on demand. */
 class Sleeper : public Tickable
 {
@@ -144,62 +132,12 @@ class MutatorNode : public Tickable
     std::function<void()> action_;
 };
 
-TEST(Simulator, LegacyMidTickRemoveIsDeferred)
-{
-    // Regression: remove() from inside the naive loop's evaluate phase
-    // used to mutate the component list while tickOnce() iterated it.
-    // The victim registers after the remover, so an inline erase would
-    // have shifted the vector under the running loop.
-    Simulator sim;
-    sim.setFastForward(false);
-    Sleeper victim;
-    victim.sleepy = false;
-    MutatorNode remover("remover", 3, [&] { sim.remove(&victim); });
-    sim.add(&remover);
-    sim.add(&victim);
-    sim.run(10);
-
-    // The victim completes the cycle of its removal, then stops.
-    EXPECT_EQ(victim.evals, 4u);
-    EXPECT_EQ(victim.advs, 4u);
-    EXPECT_EQ(sim.components(), 1u);
-}
-
-TEST(FastForward, MidTickRemoveAndWakeLandInTickOrder)
-{
-    // A remove and a wake issued from inside evaluate(): the removal
-    // lands at the end of the cycle, and the wake puts the sleeper back
-    // on the active set without an evaluate in a cycle the loop has
-    // already passed it in.
-    Simulator sim;
-    sim.setFastForward(true);
-    Sleeper sleeper;
-    Sleeper victim;
-    victim.sleepy = false;
-    MutatorNode remover("remover", 6, [&] { sim.remove(&victim); });
-    MutatorNode waker("waker", 10, [&] { sim.wake(&sleeper); });
-    // The sleeper registers before its waker.
-    sim.add(&sleeper);
-    sim.add(&victim);
-    sim.add(&remover);
-    sim.add(&waker);
-    sim.run(20);
-
-    // The victim still completes the cycle the removal was issued in
-    // (cycles 0..6 inclusive).
-    EXPECT_EQ(victim.evals, 7u);
-    EXPECT_EQ(victim.advs, 7u);
-    // The sleeper ticks cycles 0-1, retires, and the cycle-10 wake buys
-    // it a same-cycle advance plus a full cycle-11 tick.
-    EXPECT_EQ(sleeper.evals, 3u);
-    EXPECT_EQ(sleeper.advs, 4u);
-}
-
 TEST(FastForward, WakeOfALaterComponentEvaluatesInTheSameCycle)
 {
-    // The complement of MidTickRemoveAndWakeLandInTickOrder: a sleeper
-    // registered after its waker is woken from the waker's evaluate(),
-    // and the evaluate pass reaches it in that same cycle.
+    // A sleeper registered after its waker is woken from the waker's
+    // evaluate(), and the evaluate pass reaches it in that same cycle.
+    // (A wake of an earlier component waits for the advance pass; the
+    // scripted scan-order test below covers both directions.)
     Simulator sim;
     sim.setFastForward(true);
     Sleeper sleeper;
@@ -332,21 +270,20 @@ TEST(FastForward, AdvancePhaseMatchesEvaluatePhase)
 }
 
 /**
- * A scripted schedule of wakes and removals for ScriptedNode, with the
- * reference it is checked against: a scan of the component list in
- * registration order, which is the order the active set must keep.
+ * A scripted schedule of wakes for ScriptedNode, with the reference it
+ * is checked against: a scan of the component list in registration
+ * order, which is the order the active set must keep.
  */
 struct Script {
     enum Phase { Eval, Adv };
 
-    /** At cycle @p when, during @p actor's @p phase, @p target is woken
-     * (or removed, if @p remove). */
+    /** At cycle @p when, during @p actor's @p phase, @p target is
+     * woken. */
     struct Action {
         Cycle when;
         Phase phase;
         std::size_t actor;
         std::size_t target;
-        bool remove = false;
     };
 
     struct Tick {
@@ -365,9 +302,8 @@ struct Script {
     std::vector<Tick>
     reference(Cycle cycles, std::size_t *fired) const
     {
-        std::vector<bool> active(nodes, true), removed(nodes, false);
+        std::vector<bool> active(nodes, true);
         std::vector<Cycle> wake_cycle(nodes, 0);
-        std::vector<std::size_t> pending_removes;
         std::vector<Tick> log;
         for (Cycle t = 0; t < cycles; ++t) {
             auto act = [&](Phase phase, std::size_t actor) {
@@ -376,23 +312,19 @@ struct Script {
                     if (a.when != t || a.phase != phase || a.actor != actor)
                         continue;
                     ++*fired;
-                    if (a.remove) {
-                        pending_removes.push_back(a.target);
-                    } else if (!removed[a.target]) {
-                        wake_cycle[a.target] = t;
-                        active[a.target] = true;
-                    }
+                    wake_cycle[a.target] = t;
+                    active[a.target] = true;
                 }
             };
             for (const auto &[when, target] : event_wakes) {
-                if (when == t && !removed[target]) {
+                if (when == t) {
                     wake_cycle[target] = t;
                     active[target] = true;
                 }
             }
             for (Phase phase : {Eval, Adv}) {
                 for (std::size_t i = 0; i < nodes; ++i) {
-                    if (active[i] && !removed[i])
+                    if (active[i])
                         act(phase, i);
                 }
             }
@@ -400,9 +332,6 @@ struct Script {
                 if (active[i] && wake_cycle[i] != t && t >= busy_until[i])
                     active[i] = false;
             }
-            for (std::size_t victim : pending_removes)
-                removed[victim] = true;
-            pending_removes.clear();
         }
         return log;
     }
@@ -412,11 +341,11 @@ struct Script {
 class ScriptedNode : public Tickable
 {
   public:
-    ScriptedNode(std::size_t id, const Script &script, Simulator &sim,
+    ScriptedNode(std::size_t id, const Script &script,
                  std::vector<ScriptedNode *> &all,
                  std::vector<Script::Tick> &log, std::size_t &fired)
         : Tickable("node" + std::to_string(id)), id_(id), script_(script),
-          simulator_(sim), all_(all), log_(log), fired_(fired)
+          all_(all), log_(log), fired_(fired)
     {
     }
 
@@ -438,16 +367,12 @@ class ScriptedNode : public Tickable
             if (a.when != now || a.phase != phase || a.actor != id_)
                 continue;
             ++fired_;
-            if (a.remove)
-                simulator_.remove(all_[a.target]);
-            else
-                all_[a.target]->wake();
+            all_[a.target]->wake();
         }
     }
 
     std::size_t id_;
     const Script &script_;
-    Simulator &simulator_;
     std::vector<ScriptedNode *> &all_;
     std::vector<Script::Tick> &log_;
     std::size_t &fired_;
@@ -465,7 +390,7 @@ expectScanOrder(const Script &script, Cycle cycles)
     std::vector<std::unique_ptr<ScriptedNode>> owned;
     std::vector<ScriptedNode *> all;
     for (std::size_t i = 0; i < script.nodes; ++i) {
-        owned.push_back(std::make_unique<ScriptedNode>(i, script, sim, all,
+        owned.push_back(std::make_unique<ScriptedNode>(i, script, all,
                                                        log, fired));
         all.push_back(owned.back().get());
         sim.add(all.back());
@@ -535,30 +460,6 @@ TEST(FastForward, ActiveSetSpanningThreeWordsTicksInRegistrationOrder)
         {40, P::Eval, 128, 129}, {40, P::Eval, 129, 1},
     };
     expectScanOrder(s, 60);
-}
-
-TEST(FastForward, MidTickRemoveRepacksTheActiveSet)
-{
-    // Node 10's removal, issued mid-tick, moves every later node down
-    // one bit, so node 64 crosses into the first word. Later wakes, by
-    // event and from evaluate and advance, must still reach the nodes
-    // they name, across the moved word edge.
-    Script s;
-    s.nodes = 70;
-    s.busy_until.assign(s.nodes, 0);
-    s.busy_until[2] = 8;
-    s.busy_until[66] = 12;
-    using P = Script::Phase;
-    s.event_wakes = {{9, 64}, {9, 69}, {15, 63}, {15, 11}};
-    s.actions = {
-        {5, P::Eval, 2, 10, true},
-        {5, P::Eval, 2, 10},    // the victim still runs this cycle
-        {9, P::Eval, 64, 65},   {9, P::Eval, 69, 63},
-        {10, P::Adv, 66, 64},   {10, P::Adv, 66, 67},
-        {15, P::Eval, 63, 64},  {15, P::Eval, 11, 9},
-        {16, P::Adv, 64, 68},
-    };
-    expectScanOrder(s, 30);
 }
 
 } // namespace

@@ -20,8 +20,6 @@ TEST(Scalar, IncrementAndAdd)
     ++s;
     s += 2.5;
     EXPECT_DOUBLE_EQ(s.value(), 3.5);
-    s.reset();
-    EXPECT_EQ(s.value(), 0.0);
 }
 
 TEST(Average, MeanOfSamples)
@@ -102,20 +100,6 @@ TEST(Group, SameNameReturnsSameStat)
     ++g.scalar("x");
     ++g.scalar("x");
     EXPECT_DOUBLE_EQ(g.scalar("x").value(), 2.0);
-}
-
-TEST(Group, ResetAllClearsEverything)
-{
-    Group g("unit");
-    g.scalar("a") += 5;
-    g.average("b").sample(1);
-    g.distribution("c").sample(2);
-    g.histogram("d", 0.0, 10.0, 4).sample(15);
-    g.resetAll();
-    EXPECT_EQ(g.scalar("a").value(), 0.0);
-    EXPECT_EQ(g.average("b").count(), 0u);
-    EXPECT_EQ(g.distribution("c").count(), 0u);
-    EXPECT_EQ(g.histogram("d", 0.0, 10.0, 4).totalSamples(), 0u);
 }
 
 TEST(Group, HistogramShapeAppliesOnFirstRegistrationOnly)
@@ -203,14 +187,6 @@ TEST(Registry, DetachedCopyDoesNotRegister)
     }
     EXPECT_EQ(reg.numLive(), live); // copy's dtor must not deregister g
     EXPECT_EQ(reg.liveGroups().back(), &g);
-}
-
-TEST(Registry, ResetAllCoversLiveGroups)
-{
-    Group g("reg-reset");
-    g.scalar("n") += 3;
-    Registry::global().resetAll();
-    EXPECT_DOUBLE_EQ(g.scalar("n").value(), 0.0);
 }
 
 TEST(JsonWriter, EmitsAllStatTypes)

@@ -1,8 +1,7 @@
 /**
  * @file
  * Unit tests for the tracing subsystem: the global tracer's on/off
- * behaviour, the ring-buffer sink and the Chrome trace-event JSON
- * sink. JSON validity is checked with a minimal recursive-descent
+ * behaviour and the Chrome trace-event JSON sink. JSON validity is checked with a minimal recursive-descent
  * parser rather than string matching, so structural regressions
  * (unbalanced arrays, missing commas, bad escapes) are caught.
  */
@@ -14,6 +13,7 @@
 #include <string>
 
 #include "sim/trace.hh"
+#include "support/capture_sink.hh"
 
 namespace siopmp {
 namespace trace {
@@ -213,7 +213,7 @@ TEST(Tracer, DisabledByDefaultAndEmitIsNoOp)
 
 TEST(Tracer, EnabledWhileSinkInstalled)
 {
-    RingBufferSink sink(4);
+    CaptureSink sink;
     tracer().setSink(&sink);
     EXPECT_TRUE(on());
     emit(makeEvent(5, Phase::Instant, "seen"));
@@ -221,59 +221,9 @@ TEST(Tracer, EnabledWhileSinkInstalled)
     EXPECT_FALSE(on());
     emit(makeEvent(6, Phase::Instant, "unseen"));
 
-    ASSERT_EQ(sink.size(), 1u);
+    ASSERT_EQ(sink.events().size(), 1u);
     EXPECT_STREQ(sink.events()[0].name, "seen");
     EXPECT_EQ(sink.events()[0].when, 5u);
-}
-
-TEST(RingBufferSink, KeepsArrivalOrder)
-{
-    RingBufferSink sink(8);
-    sink.record(makeEvent(1, Phase::SpanBegin, "a", 0x10));
-    sink.record(makeEvent(2, Phase::Instant, "b"));
-    sink.record(makeEvent(3, Phase::SpanEnd, "c", 0x10));
-    ASSERT_EQ(sink.size(), 3u);
-    const auto events = sink.events();
-    EXPECT_STREQ(events[0].name, "a");
-    EXPECT_STREQ(events[1].name, "b");
-    EXPECT_STREQ(events[2].name, "c");
-    EXPECT_EQ(sink.totalRecorded(), 3u);
-}
-
-TEST(RingBufferSink, WrapsKeepingTheMostRecent)
-{
-    RingBufferSink sink(3);
-    for (Cycle c = 0; c < 10; ++c)
-        sink.record(makeEvent(c, Phase::Instant, "tick"));
-    EXPECT_EQ(sink.size(), 3u);
-    EXPECT_EQ(sink.capacity(), 3u);
-    EXPECT_EQ(sink.totalRecorded(), 10u);
-    const auto events = sink.events();
-    ASSERT_EQ(events.size(), 3u);
-    EXPECT_EQ(events[0].when, 7u);
-    EXPECT_EQ(events[1].when, 8u);
-    EXPECT_EQ(events[2].when, 9u);
-}
-
-TEST(RingBufferSink, ClearEmptiesTheRing)
-{
-    RingBufferSink sink(4);
-    sink.record(makeEvent(1, Phase::Instant, "x"));
-    sink.clear();
-    EXPECT_EQ(sink.size(), 0u);
-    EXPECT_EQ(sink.totalRecorded(), 0u);
-    EXPECT_TRUE(sink.events().empty());
-}
-
-TEST(RingBufferSink, DumpIsHumanReadable)
-{
-    RingBufferSink sink(4);
-    sink.record(makeEvent(42, Phase::SpanBegin, "txn", 0xbeef));
-    std::ostringstream os;
-    sink.dump(os);
-    const std::string out = os.str();
-    EXPECT_NE(out.find("42 unit test.txn begin"), std::string::npos);
-    EXPECT_NE(out.find("id=0xbeef"), std::string::npos);
 }
 
 TEST(ChromeTraceSink, EmptyTraceIsValidJson)

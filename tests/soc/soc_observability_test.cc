@@ -21,6 +21,7 @@
 #include "devices/dma_engine.hh"
 #include "sim/trace.hh"
 #include "soc/soc.hh"
+#include "support/capture_sink.hh"
 
 namespace siopmp {
 namespace soc {
@@ -65,7 +66,7 @@ TEST(SocObservability, AllowedReadBurstEmitsNestedSpans)
     soc.add(&engine);
     allowWindow(soc);
 
-    trace::RingBufferSink sink(256);
+    trace::CaptureSink sink;
     trace::tracer().setSink(&sink);
 
     dev::DmaJob job;
@@ -152,7 +153,7 @@ TEST(SocObservability, ViolationEmitsVerdictAndViolationEvents)
     soc.add(&engine);
     allowWindow(soc);
 
-    trace::RingBufferSink sink(256);
+    trace::CaptureSink sink;
     trace::tracer().setSink(&sink);
 
     dev::DmaJob job;
@@ -190,7 +191,7 @@ TEST(SocObservability, BlockingWindowSpansAndHistogram)
     soc.add(&engine);
     allowWindow(soc);
 
-    trace::RingBufferSink sink(512);
+    trace::CaptureSink sink;
     trace::tracer().setSink(&sink);
 
     soc.iopmp().blockBitmap().block(0);
@@ -236,7 +237,7 @@ TEST(SocObservability, TracingIsAPureObserver)
         soc.add(&engine);
         allowWindow(soc);
 
-        trace::RingBufferSink sink(64);
+        trace::CaptureSink sink;
         if (traced)
             trace::tracer().setSink(&sink);
 

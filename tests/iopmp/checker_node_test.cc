@@ -33,7 +33,7 @@ namespace {
 constexpr std::uint64_t kEsidValid = std::uint64_t{1} << 63;
 
 /** Mount @p device cold as the monitor does: an ESID register write
- * over the periphery bus. */
+ * over the periphery bus (a write of 0 unmounts). */
 void
 mountCold(soc::Soc &soc, DeviceId device)
 {
@@ -106,7 +106,7 @@ TEST_F(CheckerNodeTest, StalledRequestProceedsAfterMount)
 
     // "Monitor" mounts the device: eSID register + cold row rules.
     auto &unit = soc.iopmp();
-    unit.mmioWrite(regmap::kEsid, kEsidValid | 999);
+    mountCold(soc, 999);
     unit.src2md().setBitmap(unit.coldSid(),
                             std::uint64_t{1} << 62);
     unit.mdcfg().setTop(62, 17); // cold MD owns entry 16
@@ -567,7 +567,7 @@ struct HoldRig {
         soc.add(&hog);
         SIopmp &unit = soc.iopmp();
         if (cold) {
-            unit.mmioWrite(regmap::kEsid, kEsidValid | kHot);
+            mountCold(soc, kHot);
             unit.src2md().associate(unit.coldSid(), 0);
         } else {
             unit.cam().set(0, kHot);
@@ -787,7 +787,7 @@ TEST(CheckerNodeHold, EsidUnmountRaisesSidMissing)
 {
     HoldRig rig(/*cold=*/true);
     rig.holdHead();
-    rig.soc.iopmp().mmioWrite(regmap::kEsid, 0);
+    rig.soc.mmio().write(soc::kIopmpMmioBase + regmap::kEsid, 0);
     rig.expectSidMissOnNextPoll();
 }
 

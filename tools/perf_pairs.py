@@ -3,7 +3,7 @@
 BENCHMARK.json.
 
     python3 tools/perf_pairs.py --parent DIR --change DIR --workload W \\
-        --pairs N --seconds S --seed K
+        --pairs N --seconds S --seed K [--out BENCH_pairs.json]
     python3 tools/perf_pairs.py --parent DIR --change DIR --workload W \\
         --traced --seconds S --seed K
 
@@ -23,7 +23,15 @@ of the parent's BENCHMARK.json, the summary gives:
   more than the bound.
 
 Per seed, it also checks that both runs report failed == 0 and the
-same counted-repetition fingerprints and sim_* values. The exit status
+same counted-repetition fingerprints and sim_* values.
+
+--out FILE appends the pairs as one record to FILE's "records" list
+(the file is created when missing): provenance (the parent's and the
+change's commit and source digest, build type, compiler, host cores),
+the workload, seeds and run length, and per end-to-end metric the
+medians, quartiles, ratio, wins/ties/losses and parent spread, plus
+the failed-op count, whether fingerprints and sim_* values matched, and
+the claim (null: pairs that claim no gain). The exit status
 is 1 when a run failed ops or a seed's fingerprints or sim_* values
 differ, 2 when a run could not be made, and 0 otherwise. perfbench/ and
 BENCHMARK.json are only read.
@@ -112,6 +120,19 @@ def traced(args, trees):
     sys.exit(1 if failed or differs else 0)
 
 
+def append_record(path, record):
+    """Append record to the "records" list of the JSON file at path,
+    creating the file when it is missing."""
+    document = {"records": []}
+    if os.path.exists(path):
+        with open(path) as f:
+            document = json.load(f)
+    document["records"].append(record)
+    with open(path, "w") as f:
+        json.dump(document, f, indent=1)
+        f.write("\n")
+
+
 def quartiles(values):
     """(q1, median, q3) by linear interpolation."""
     if len(values) < 2:
@@ -132,6 +153,8 @@ def main():
     parser.add_argument("--traced", action="store_true",
                         help="one traced run per tree at SEED; compare "
                              "the per-layer metrics")
+    parser.add_argument("--out", help="append the pairs as one record to "
+                                      "this JSON file")
     args = parser.parse_args()
     trees = {"parent": os.path.abspath(args.parent),
              "change": os.path.abspath(args.change)}
@@ -144,6 +167,8 @@ def main():
     names = [m["name"] for m in end_to_end]
 
     values = {side: {name: [] for name in names} for side in trees}
+    provenances, failed_ops = {}, {side: 0 for side in trees}
+    identical = True
     problems = []
     print("%-4s %-6s %-6s %6s  %s" % ("pair", "seed", "tree", "failed",
                                       "  ".join(names)))
@@ -153,6 +178,8 @@ def main():
         seen = {}
         for side in order:
             provenance, result = run(trees[side], args, seed)
+            provenances[side] = provenance
+            failed_ops[side] += result["failed"]
             metrics = {n: result["metrics"][n]["value"] for n in names}
             for name in names:
                 values[side][name].append(metrics[name])
@@ -166,6 +193,8 @@ def main():
                 problems.append("seed %d: %s run failed %d of %d ops"
                                 % (seed, side, result["failed"],
                                    result["attempted"]))
+        if seen["parent"] != seen["change"]:
+            identical = False
         if seen["parent"][0] != seen["change"][0]:
             problems.append("seed %d: counted fingerprints differ" % seed)
         if seen["parent"][1] != seen["change"][1]:
@@ -177,6 +206,7 @@ def main():
     print("%s, %d pairs of %d s, seeds %d-%d" % (
         args.workload, args.pairs, args.seconds, args.seed,
         args.seed + args.pairs - 1))
+    summary = {}
     for metric in end_to_end:
         name, bound = metric["name"], metric["bound"]
         higher = metric["better"] == "higher"
@@ -193,6 +223,12 @@ def main():
         spread = (pq[2] - pq[0]) / pq[1] if pq[1] else 0.0
         ratio = cq[1] / pq[1] if pq[1] else float("nan")
         worse = (1 - ratio) if higher else (ratio - 1)
+        summary[name] = {
+            "better": metric["better"], "bound": bound,
+            "parent": {"q1": pq[0], "median": pq[1], "q3": pq[2]},
+            "change": {"q1": cq[0], "median": cq[1], "q3": cq[2]},
+            "ratio": ratio, "wins": wins, "ties": ties, "losses": losses,
+            "parent_spread": spread}
         print("  %-21s parent %.6g [%.6g-%.6g]  change %.6g [%.6g-%.6g]  "
               "x%.3f  wins %d ties %d losses %d  parent spread %.3f "
               "(bound %.2f%s)%s" % (
@@ -205,6 +241,22 @@ def main():
     if not problems:
         print("failed 0 in every run; fingerprints and sim_* values "
               "identical per seed")
+    if args.out:
+        append_record(args.out, {
+            "provenance": {
+                side: {k: provenances[side][k]
+                       for k in ("commit", "build_type", "compiler",
+                                 "nproc")}
+                for side in trees},
+            "workload": args.workload,
+            "seeds": [args.seed, args.seed + args.pairs - 1],
+            "pairs": args.pairs,
+            "seconds": args.seconds,
+            "metrics": summary,
+            "failed": failed_ops,
+            "identical_per_seed": identical,
+            "claim": None,
+        })
     sys.exit(1 if problems else 0)
 
 

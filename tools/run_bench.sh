@@ -2,9 +2,11 @@
 # Smoke harness for the benchmarks: configure, build, run the tier-1
 # test suite, run sim_core_micro, checker_micro and churn_fleet with
 # small budgets, validate the BENCH_sim_core.json / BENCH_checker.json
-# / BENCH_churn.json schemas, diff a churn run's output and stats JSON
-# with fast-forward on and off, and validate the Chrome trace-event
-# schema of a traced dma_attack_demo run.
+# / BENCH_churn.json schemas and the committed BENCH_pairs.json schema,
+# diff a churn run's output and stats JSON with fast-forward on and
+# off, validate the Chrome trace-event schema of a traced
+# dma_attack_demo run, and run tools/reach.sh as an informational leg
+# that never fails the script.
 #
 # Usage: tools/run_bench.sh [build-dir] [iters] [mode]
 #        tools/run_bench.sh --sanitize [build-dir]
@@ -320,6 +322,64 @@ else
     echo "churn json schema OK (grep-only: python3 unavailable)"
 fi
 
+echo "== BENCH_pairs.json schema check =="
+# Parent/change perfbench pairs, one record per tools/perf_pairs.py
+# --out run; committed with the change they measure, not regenerated.
+PAIRS_JSON="$REPO_ROOT/BENCH_pairs.json"
+for key in \
+    '"records"' \
+    '"provenance"' \
+    '"workload"' \
+    '"seeds"' \
+    '"pairs"' \
+    '"seconds"' \
+    '"metrics"' \
+    '"parent_spread"' \
+    '"identical_per_seed"' \
+    '"claim"'; do
+    grep -q "$key" "$PAIRS_JSON" || {
+        echo "schema check FAILED: missing $key in $PAIRS_JSON" >&2
+        exit 1
+    }
+done
+
+if command -v python3 > /dev/null; then
+    python3 - "$PAIRS_JSON" "$REPO_ROOT/BENCHMARK.json" <<'EOF'
+import json, sys
+d = json.load(open(sys.argv[1]))
+bench = json.load(open(sys.argv[2]))
+workloads = {w["name"] for w in bench["workloads"]}
+records = d["records"]
+assert isinstance(records, list) and records, "no records"
+for r in records:
+    for side in ("parent", "change"):
+        p = r["provenance"][side]
+        for k in ("commit", "build_type", "compiler"):
+            assert isinstance(p[k], str) and p[k], (side, k)
+        assert isinstance(p["nproc"], int) and p["nproc"] > 0, side
+    assert r["workload"] in workloads, r["workload"]
+    first, last = r["seeds"]
+    assert isinstance(r["pairs"], int) and r["pairs"] == last - first + 1, r
+    assert r["seconds"] > 0, r
+    for name, m in r["metrics"].items():
+        assert m["better"] in ("higher", "lower"), name
+        assert m["bound"] > 0, name
+        for side in ("parent", "change"):
+            q = m[side]
+            assert q["q1"] <= q["median"] <= q["q3"], (name, side)
+        assert m["wins"] + m["ties"] + m["losses"] == r["pairs"], name
+        assert m["parent_spread"] >= 0, name
+    assert isinstance(r["failed"]["parent"], int), r["failed"]
+    assert isinstance(r["failed"]["change"], int), r["failed"]
+    assert isinstance(r["identical_per_seed"], bool), r
+    assert r["claim"] is None or r["claim"] in r["metrics"], r["claim"]
+print("pairs json schema OK (%d records: %s)" % (
+    len(records), ", ".join(r["workload"] for r in records)))
+EOF
+else
+    echo "pairs json schema OK (grep-only: python3 unavailable)"
+fi
+
 SCRATCH="$(mktemp -d /tmp/siopmp_bench.XXXXXX)"
 trap 'rm -rf "$SCRATCH"' EXIT
 
@@ -371,5 +431,10 @@ else
     done
     echo "trace schema OK (grep-only: python3 unavailable)"
 fi
+
+echo "== reach (informational) =="
+# Which src/ functions no product run reaches; never fails the script.
+"$REPO_ROOT/tools/reach.sh" ||
+    echo "reach: did not complete (informational, not a failure)"
 
 echo "run_bench: all checks passed"

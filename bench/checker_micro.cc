@@ -12,16 +12,16 @@
  *    baseline walk cost;
  *  - `--json OUT [--checks N]`: emit BENCH_checker.json — a saturated
  *    128-SID check stream replayed against every checker kind x entry
- *    count x {accel off: the kind's walk, accel plans: the compiled
- *    match plans an SIopmp authorizes through}, reporting ns/check,
+ *    count x {path walk: the kind's walk, path windows: the window
+ *    walk an SIopmp authorizes by (matchWindows)}, reporting ns/check,
  *    simulated seconds per million cycles (one check per simulated
- *    beat cycle) and the plans/walk speedup; plus a "churn" series
+ *    beat cycle) and the windows/walk speedup; plus a "churn" series
  *    where the entry table is rewritten every N checks (mutation:check
- *    ratios 1:10, 1:100, 1:1000) under sparse per-SID MD bitmaps — the
- *    workload per-MD incremental invalidation exists for. The file
- *    opens with the provenance header of provenance.hh and the run
- *    size ("checks_per_config"). Schema is validated by
- *    tools/run_bench.sh and documented in docs/PERFORMANCE.md.
+ *    ratios 1:10, 1:100, 1:1000) under sparse per-SID MD bitmaps, the
+ *    realistic sharing shape. The file opens with the provenance
+ *    header of provenance.hh and the run size ("checks_per_config").
+ *    Schema is validated by tools/run_bench.sh and documented in
+ *    docs/PERFORMANCE.md.
  */
 
 #include <benchmark/benchmark.h>
@@ -32,7 +32,6 @@
 #include <memory>
 #include <vector>
 
-#include "iopmp/accel.hh"
 #include "iopmp/checker.hh"
 #include "provenance.hh"
 #include "sim/random.hh"
@@ -109,7 +108,7 @@ BM_MtChecker3Stage(benchmark::State &state)
  * Saturated check stream at paper scale: 128 SIDs, each with its own
  * MD bitmap, issuing bursts over a bounded per-SID address pool (DMA
  * streams revisit their buffers). The stream is a pure function of
- * the seed, so the walk and plan runs replay identical requests.
+ * the seed, so the walk and window runs replay identical requests.
  */
 struct SidStream {
     static constexpr unsigned kSids = 128;
@@ -152,41 +151,43 @@ struct LegResult {
 
 /**
  * One leg's check path over @p fixture's tables: the kind's bare walk
- * (accel off), or the compiled match plans an SIopmp authorizes
- * through (accel plans).
+ * (path walk), or the window walk an SIopmp authorizes by (path
+ * windows).
  */
 class CheckPath
 {
   public:
     CheckPath(CheckerKind kind, unsigned stages, const Fixture &fixture,
-              bool plans)
-        : walk_(makeChecker(kind, stages, fixture.entries, fixture.mdcfg))
+              bool windows)
+        : fixture_(fixture),
+          walk_(makeChecker(kind, stages, fixture.entries, fixture.mdcfg)),
+          windows_(windows)
     {
-        if (plans)
-            accel_ = std::make_unique<CheckAccel>(fixture.entries,
-                                                  fixture.mdcfg);
     }
 
     CheckResult
-    check(const CheckRequest &req)
+    check(const CheckRequest &req) const
     {
-        return accel_ ? accel_->check(req) : walk_->check(req);
+        return windows_
+                   ? matchWindows(fixture_.entries, fixture_.mdcfg, req)
+                   : walk_->check(req);
     }
 
   private:
+    const Fixture &fixture_;
     std::unique_ptr<CheckerLogic> walk_;
-    std::unique_ptr<CheckAccel> accel_;
+    bool windows_;
 };
 
 LegResult
-runLeg(CheckerKind kind, unsigned stages, unsigned num_entries, bool plans,
-       std::uint64_t checks)
+runLeg(CheckerKind kind, unsigned stages, unsigned num_entries,
+       bool windows, std::uint64_t checks)
 {
     Fixture fixture(num_entries);
-    CheckPath path(kind, stages, fixture, plans);
+    const CheckPath path(kind, stages, fixture, windows);
     const SidStream stream(3);
 
-    // Warm-up: page in the tables, compile the plans.
+    // Warm-up: page in the tables.
     const std::uint64_t warmup = checks / 8 + 1;
     for (std::uint64_t i = 0; i < warmup; ++i)
         benchmark::DoNotOptimize(path.check(stream.request(i)));
@@ -205,11 +206,8 @@ runLeg(CheckerKind kind, unsigned stages, unsigned num_entries, bool plans,
 
 /**
  * Churn-workload stream: like SidStream, but each SID's MD bitmap is
- * sparse (2-3 of the 63 MDs). That is the realistic sharing shape —
- * a device sees a few domains, not half the machine — and it is what
- * makes per-MD invalidation pay: a mutation inside one MD's window
- * leaves the plans of disjoint bitmaps valid, where the old epoch
- * scheme flushed everything.
+ * sparse (2-3 of the 63 MDs). That is the realistic sharing shape: a
+ * device sees a few domains, not half the machine.
  */
 struct ChurnStream {
     static constexpr unsigned kSids = 128;
@@ -251,15 +249,15 @@ struct ChurnStream {
 /**
  * Churn leg: the check stream interleaved with an entry rewrite every
  * @p ratio checks (the monitor reprogramming rules under live
- * traffic). The mutation stream is identical for the walk and the
- * plans, so both replay the same work.
+ * traffic). The mutation stream is identical for the kind's walk and
+ * the window walk, so both replay the same work.
  */
 LegResult
 runChurnLeg(CheckerKind kind, unsigned stages, unsigned num_entries,
-            bool plans, std::uint64_t checks, std::uint64_t ratio)
+            bool windows, std::uint64_t checks, std::uint64_t ratio)
 {
     Fixture fixture(num_entries);
-    CheckPath path(kind, stages, fixture, plans);
+    const CheckPath path(kind, stages, fixture, windows);
     const ChurnStream stream(7);
     Rng mutate_rng(11);
 
@@ -330,32 +328,32 @@ jsonMain(const char *path, std::uint64_t checks)
     bool first = true;
     for (const KindSpec &spec : kKinds) {
         for (unsigned n : kEntryCounts) {
-            const LegResult off =
+            const LegResult walk =
                 runLeg(spec.kind, spec.stages, n, false, checks);
-            const LegResult on =
+            const LegResult windowed =
                 runLeg(spec.kind, spec.stages, n, true, checks);
             const double speedup =
-                on.ns_per_check > 0.0
-                    ? off.ns_per_check / on.ns_per_check
+                windowed.ns_per_check > 0.0
+                    ? walk.ns_per_check / windowed.ns_per_check
                     : 0.0;
-            for (int plans = 0; plans < 2; ++plans) {
-                const LegResult &leg = plans ? on : off;
+            for (int windows = 0; windows < 2; ++windows) {
+                const LegResult &leg = windows ? windowed : walk;
                 std::fprintf(
                     out,
                     "%s    {\"kind\": \"%s\", \"entries\": %u, "
-                    "\"accel\": \"%s\", \"ns_per_check\": %.3f, "
+                    "\"path\": \"%s\", \"ns_per_check\": %.3f, "
                     "\"s_per_mcycle\": %.6f, \"speedup\": %.3f}",
                     first ? "" : ",\n", spec.name, n,
-                    plans ? "plans" : "off", leg.ns_per_check,
+                    windows ? "windows" : "walk", leg.ns_per_check,
                     leg.ns_per_check / 1000.0 * 1e-3,
-                    plans ? speedup : 1.0);
+                    windows ? speedup : 1.0);
                 first = false;
             }
             std::fprintf(stderr,
-                         "checker_micro: %s entries=%u off=%.1fns "
-                         "plans=%.1fns speedup=%.2fx\n",
-                         spec.name, n, off.ns_per_check,
-                         on.ns_per_check, speedup);
+                         "checker_micro: %s entries=%u walk=%.1fns "
+                         "windows=%.1fns speedup=%.2fx\n",
+                         spec.name, n, walk.ns_per_check,
+                         windowed.ns_per_check, speedup);
         }
     }
     std::fprintf(out, "\n  ],\n  \"churn\": [\n");
@@ -367,35 +365,35 @@ jsonMain(const char *path, std::uint64_t checks)
     first = true;
     for (const KindSpec &spec : kKinds) {
         for (std::uint64_t ratio : kRatios) {
-            const LegResult off =
+            const LegResult walk =
                 runChurnLeg(spec.kind, spec.stages, 1024, false, checks,
                             ratio);
-            const LegResult on =
+            const LegResult windowed =
                 runChurnLeg(spec.kind, spec.stages, 1024, true, checks,
                             ratio);
             const double speedup =
-                on.ns_per_check > 0.0
-                    ? off.ns_per_check / on.ns_per_check
+                windowed.ns_per_check > 0.0
+                    ? walk.ns_per_check / windowed.ns_per_check
                     : 0.0;
-            for (int accel = 0; accel < 2; ++accel) {
-                const LegResult &leg = accel ? on : off;
+            for (int windows = 0; windows < 2; ++windows) {
+                const LegResult &leg = windows ? windowed : walk;
                 std::fprintf(
                     out,
                     "%s    {\"kind\": \"%s\", \"entries\": 1024, "
-                    "\"ratio\": %llu, \"accel\": \"%s\", "
+                    "\"ratio\": %llu, \"path\": \"%s\", "
                     "\"ns_per_check\": %.3f, \"speedup\": %.3f}",
                     first ? "" : ",\n", spec.name,
                     static_cast<unsigned long long>(ratio),
-                    accel ? "plans" : "off", leg.ns_per_check,
-                    accel ? speedup : 1.0);
+                    windows ? "windows" : "walk", leg.ns_per_check,
+                    windows ? speedup : 1.0);
                 first = false;
             }
             std::fprintf(stderr,
                          "checker_micro: churn %s ratio=1:%llu "
-                         "off=%.1fns plans=%.1fns speedup=%.2fx\n",
+                         "walk=%.1fns windows=%.1fns speedup=%.2fx\n",
                          spec.name,
                          static_cast<unsigned long long>(ratio),
-                         off.ns_per_check, on.ns_per_check, speedup);
+                         walk.ns_per_check, windowed.ns_per_check, speedup);
         }
     }
 

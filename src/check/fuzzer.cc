@@ -12,7 +12,6 @@
 #include <unordered_map>
 #include <utility>
 
-#include "check/table_auditor.hh"
 #include "sim/logging.hh"
 #include "sim/random.hh"
 #include "sim/trace.hh"
@@ -159,9 +158,9 @@ struct OpMix {
 
 constexpr OpMix kDefaultMix = {40, 54, 62, 71, 75, 81, 84, 91};
 
-/** Churn: invalidation-relevant mutations (entry commits, MDCFG top
- * moves) dominate, interleaved with ~25% checks, so every check runs
- * against freshly-dirtied plans. */
+/** Churn: verdict-relevant mutations (entry commits, MDCFG top moves)
+ * dominate, interleaved with ~25% checks, so every check runs against
+ * freshly moved tables. */
 constexpr OpMix kChurnMix = {35, 43, 58, 64, 66, 68, 70, 75};
 
 /** Decode a register offset for replayable trace printouts. Uses only
@@ -446,7 +445,6 @@ DifferentialFuzzer::replay(const std::vector<FuzzOp> &ops, bool emit_trace)
     icfg.num_mds = cfg_.num_mds;
     iopmp::SIopmp dut(icfg, cfg_.kind, cfg_.stages);
     ReferenceOracle oracle(cfg_.num_entries, cfg_.num_sids, cfg_.num_mds);
-    TableAuditor auditor(dut.entryTable(), dut.mdcfg());
 
     std::optional<Divergence> divergence;
     for (std::size_t i = 0; i < ops.size() && !divergence; ++i) {
@@ -501,9 +499,6 @@ DifferentialFuzzer::replay(const std::vector<FuzzOp> &ops, bool emit_trace)
                            std::to_string(*esid_evicted) +
                            " still in the eSID slot"};
             }
-            if (std::string audit = auditor.auditAndSync();
-                !audit.empty() && !divergence)
-                divergence = Divergence{i, op.toString() + ": " + audit};
             if (emit_trace && trace::on()) {
                 trace::Event event;
                 event.when = i;
@@ -578,9 +573,9 @@ DifferentialFuzzer::replay(const std::vector<FuzzOp> &ops, bool emit_trace)
                 divergence = Divergence{i, checkDetail(op, got, want)};
             } else if (got.status == iopmp::AuthStatus::Allow ||
                        got.status == iopmp::AuthStatus::Deny) {
-                // The unit decides through its compiled plans; the
-                // configured kind's own walk must reach the same
-                // verdict over the resolved SID's domains.
+                // The unit decides by its window walk; the configured
+                // kind's own walk must reach the same verdict over the
+                // resolved SID's domains.
                 iopmp::CheckRequest req;
                 req.addr = op.addr;
                 req.len = op.len;

@@ -10,7 +10,7 @@
  * (the device under test) and to the spec-direct ReferenceOracle,
  * and reports the first spot where the two disagree — on a check
  * verdict (status/SID/deciding entry) or a register read-back. The
- * DUT decides through its compiled match plans, so every Allow or
+ * DUT decides by its window walk (matchWindows), so every Allow or
  * Deny that agrees with the oracle is also re-decided by the
  * configured checker kind's own walk (SIopmp::checker()) over the
  * resolved SID's domains; a walk whose deciding entry or allowed bit
@@ -27,17 +27,6 @@
  * (e.g. the MMIO lock bypass or the >64-SID blocking hole) and prove
  * the fuzzer still catches them — the in-tree guarantee that future
  * checker or remapping changes get differential coverage for free.
- *
- * Beyond verdicts and read-backs, every replay also audits the
- * TableListener dirty-set contract (tables.hh): a TableAuditor
- * (table_auditor.hh) registered on the DUT's tables accumulates the
- * reported dirty entry ranges and MD sets, and after every write op
- * the live tables are diffed against a mirror — any entry value or MD
- * ownership change not covered by a callback is a divergence. The
- * incremental-invalidation machinery in CheckAccel is exactly as
- * sound as this contract, so the fuzzer exercises it under the same
- * op streams that stress the checker itself (see FuzzProfile::Churn
- * for the mutation-heavy mix).
  */
 
 #ifndef CHECK_FUZZER_HH
@@ -78,10 +67,9 @@ struct FuzzOp {
  *
  * Default leans toward a realistic boot-then-run mix (mostly
  * programming early, checks throughout). Churn models a monitor that
- * reprograms tables continuously at a high rate relative to traffic —
- * the regime the accelerator's per-MD incremental invalidation
- * exists for — so entry commits and MDCFG top moves dominate, with
- * checks interleaved to catch any stale plan.
+ * reprograms tables continuously at a high rate relative to traffic,
+ * so entry commits and MDCFG top moves dominate, with checks
+ * interleaved to catch a verdict that missed a change.
  */
 enum class FuzzProfile : std::uint8_t { Default, Churn };
 

@@ -242,8 +242,7 @@ DmaEngine::collectResponses(Cycle now)
         out.terminated = true;
         completed_bytes_ += burst_bytes;
         ++bursts_completed_;
-        stats_.average("burst_latency").sample(
-            static_cast<double>(now - out.issued_at));
+        burst_latency_.sample(static_cast<double>(now - out.issued_at));
         if (burst_observer_)
             burst_observer_(now - out.issued_at, true);
         outstanding_.erase(it);
@@ -253,8 +252,7 @@ DmaEngine::collectResponses(Cycle now)
         ++out.received;
         if (beat.last) {
             ++bursts_completed_;
-            stats_.average("burst_latency").sample(
-                static_cast<double>(now - out.issued_at));
+            burst_latency_.sample(static_cast<double>(now - out.issued_at));
             if (burst_observer_)
                 burst_observer_(now - out.issued_at, false);
             if (job_.kind == DmaKind::Copy && !aborted_) {
@@ -269,8 +267,7 @@ DmaEngine::collectResponses(Cycle now)
     } else if (beat.opcode == bus::Opcode::AccessAck) {
         completed_bytes_ += burst_bytes;
         ++bursts_completed_;
-        stats_.average("burst_latency").sample(
-            static_cast<double>(now - out.issued_at));
+        burst_latency_.sample(static_cast<double>(now - out.issued_at));
         if (burst_observer_)
             burst_observer_(now - out.issued_at, false);
         outstanding_.erase(it);

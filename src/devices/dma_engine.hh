@@ -136,6 +136,7 @@ class DmaEngine : public DmaMaster
 
     std::unordered_map<std::uint64_t, Outstanding> outstanding_;
     std::uint64_t bursts_completed_ = 0;
+    stats::LazyAverage burst_latency_{stats_, "burst_latency"};
 
     // Copy staging: read bursts that finished and await write-out.
     std::deque<Outstanding> write_queue_;

@@ -1,6 +1,6 @@
 /**
  * @file
- * Shared checker helpers and the factory.
+ * Shared checker helpers, the factory and the unit's window walk.
  */
 
 #include "iopmp/checker.hh"
@@ -38,6 +38,31 @@ CheckerLogic::firstMatch(const CheckRequest &req, unsigned lo,
         }
     }
     return {}; // no overlap in this window
+}
+
+CheckResult
+matchWindows(const EntryTable &entries, const MdCfgTable &mdcfg,
+             const CheckRequest &req)
+{
+    for (std::uint64_t mds = req.md_bitmap; mds != 0; mds &= mds - 1) {
+        const MdIndex md = static_cast<MdIndex>(__builtin_ctzll(mds));
+        if (md >= mdcfg.numMds())
+            break; // no entry belongs to an MD past the table
+        const MdCfgTable::Window window = mdcfg.window(md);
+        for (unsigned idx = window.lo; idx < window.hi; ++idx) {
+            const Entry &entry = entries.get(idx);
+            if (!entry.overlaps(req.addr, req.len))
+                continue;
+            CheckResult result;
+            result.entry = static_cast<int>(idx);
+            if (entry.matches(req.addr, req.len))
+                result.allowed = permits(entry.perm(), req.perm);
+            else
+                result.partial = true; // straddles the rule: deny
+            return result;
+        }
+    }
+    return {}; // no overlap in any window
 }
 
 const char *

@@ -26,10 +26,6 @@ struct CheckRequest {
     Addr len = 0;
     Perm perm = Perm::Read;
     std::uint64_t md_bitmap = 0; //!< memory domains of the requesting SID
-    //! Current cycle, used only to timestamp accelerator trace events
-    //! (the verdict is independent of it). 0 when the caller has no
-    //! cycle context (unit tests, fuzzing).
-    Cycle now = 0;
 };
 
 /** Outcome of a permission check. */
@@ -58,8 +54,8 @@ const char *checkerKindName(CheckerKind kind);
  * changes are visible immediately (the atomicity of such changes is
  * the job of the SID block bitmap). An SIopmp owns one, fixed when the
  * unit is built: its stages() set every CheckerNode's request delay,
- * and its walk is the reference the unit's CheckAccel is tested
- * against (the unit authorizes through the accelerator).
+ * and its walk is the reference the unit's window walk (matchWindows)
+ * is tested against.
  */
 class CheckerLogic
 {
@@ -118,6 +114,18 @@ class CheckerLogic
 std::unique_ptr<CheckerLogic>
 makeChecker(CheckerKind kind, unsigned stages, const EntryTable &entries,
             const MdCfgTable &mdcfg);
+
+/**
+ * The unit's check (SIopmp::authorize): priority first-match over the
+ * entry windows (MdCfgTable::window) of the MDs set in req.md_bitmap,
+ * visited in ascending MD order. The windows of ascending MDs ascend
+ * and never overlap, so the first overlapping entry found is the
+ * lowest-index one, and the verdict is every kind's: full containment
+ * checks the permission, partial overlap denies, no overlap leaves
+ * entry == -1 (default deny).
+ */
+CheckResult matchWindows(const EntryTable &entries, const MdCfgTable &mdcfg,
+                         const CheckRequest &req);
 
 } // namespace iopmp
 } // namespace siopmp

@@ -255,7 +255,7 @@ CheckerNode::dispatchRequests(Cycle now)
     AuthResult auth;
     if (held_) {
         auth = *held_;
-        unit_->creditPolls(AuthStatus::Allow, 1, now);
+        unit_->creditPolls(AuthStatus::Allow, 1);
     } else {
         auth = unit_->authorize(beat.device, beat.addr, len, perm, now);
     }
@@ -402,16 +402,16 @@ CheckerNode::forwardResponses(Cycle now)
 }
 
 void
-CheckerNode::creditPolls(std::uint64_t polls, Cycle last)
+CheckerNode::creditPolls(std::uint64_t polls)
 {
     // A block-bit poll also re-touches the head device's CAM use bit.
     // That touch is idempotent while parked: clearing the bit moves the
     // state version, which settles and wakes the node.
     if (stall_ == Stall::Blocked) {
         block_stalls_ += static_cast<double>(polls);
-        unit_->creditPolls(AuthStatus::Blocked, polls, last);
+        unit_->creditPolls(AuthStatus::Blocked, polls);
     } else {
-        unit_->creditPolls(AuthStatus::Allow, polls, last);
+        unit_->creditPolls(AuthStatus::Allow, polls);
     }
 }
 

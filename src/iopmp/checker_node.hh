@@ -41,10 +41,10 @@
  * evaluate, when Simulator::run()/runUntil() return, and before any
  * unit state change. So stats match the tick-every-cycle loop.
  *
- * A node is a port onto its SIopmp: all nodes of a unit check through
- * its one accelerator and share its plans and "check_accel" stats. The
- * unit's checker and the node's violation policy are fixed when they
- * are built, and so are the pipe delays they set.
+ * A node is a port onto its SIopmp: all nodes of a unit authorize
+ * through it and share its "siopmp" stats. The unit's checker and the
+ * node's violation policy are fixed when they are built, and so are
+ * the pipe delays they set.
  */
 
 #ifndef IOPMP_CHECKER_NODE_HH
@@ -196,9 +196,9 @@ class CheckerNode : public Tickable
     //! polls reuse it until the beat leaves or the version moves.
     std::optional<AuthResult> held_;
 
-    /** Credit @p polls skipped polls of the Blocked or Held head beat,
-     * the last at cycle @p last (Tickable::settle). */
-    void creditPolls(std::uint64_t polls, Cycle last) override;
+    /** Credit @p polls skipped polls of the Blocked or Held head beat
+     * (Tickable::settle). */
+    void creditPolls(std::uint64_t polls) override;
 
     //! Why the head beat did not leave in the last dispatch: a SID
     //! miss, a block bit or a held Allow behind a full downlink lets

@@ -37,16 +37,7 @@ SIopmp::SIopmp(IopmpConfig cfg, CheckerKind kind, unsigned stages)
       mdcfg_(cfg.num_mds, cfg.num_entries),
       cam_(cfg.num_sids - 1), // hot SIDs 0 .. num_sids-2; last is cold
       blocks_(cfg.num_sids),
-      // Listen to the tables before the accelerator does, so a
-      // mutation settles the stall waiters before the accelerator
-      // stamps its invalidation instant with the cycle of its last
-      // check.
-      checker_([&] {
-          entries_.addListener(this);
-          mdcfg_.addListener(this);
-          return makeChecker(kind, stages, entries_, mdcfg_);
-      }()),
-      accel_(entries_, mdcfg_),
+      checker_(makeChecker(kind, stages, entries_, mdcfg_)),
       stats_("siopmp"),
       entry_stage_(cfg_.num_entries)
 {
@@ -56,6 +47,8 @@ SIopmp::SIopmp(IopmpConfig cfg, CheckerKind kind, unsigned stages)
     st_allows_ = &stats_.scalar("allows");
     st_denies_ = &stats_.scalar("denies");
     st_write_rejects_ = &stats_.scalar("mmio_write_rejects");
+    entries_.setChangeHook([this] { stateChanged(); });
+    mdcfg_.setChangeHook([this] { stateChanged(); });
     cam_.setChangeHook([this] { stateChanged(); });
     src2md_.setChangeHook([this] { stateChanged(); });
     blocks_.setChangeHook([this] { stateChanged(); });
@@ -88,16 +81,14 @@ SIopmp::stateChanged()
 }
 
 void
-SIopmp::creditPolls(AuthStatus status, std::uint64_t polls, Cycle last)
+SIopmp::creditPolls(AuthStatus status, std::uint64_t polls)
 {
     const double n = static_cast<double>(polls);
     *st_checks_ += n;
-    if (status == AuthStatus::Blocked) {
+    if (status == AuthStatus::Blocked)
         *st_blocked_ += n;
-        return;
-    }
-    *st_allows_ += n;
-    accel_.creditRepeat(last);
+    else
+        *st_allows_ += n;
 }
 
 std::optional<Sid>
@@ -157,8 +148,7 @@ SIopmp::authorize(DeviceId device, Addr addr, Addr len, Perm perm,
     req.len = len;
     req.perm = perm;
     req.md_bitmap = src2md_.bitmap(sid);
-    req.now = now;
-    const CheckResult result = accel_.check(req);
+    const CheckResult result = matchWindows(entries_, mdcfg_, req);
 
     if (result.allowed) {
         ++*st_allows_;

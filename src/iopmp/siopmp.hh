@@ -12,11 +12,12 @@
  *  - an interrupt callback through which SID-missing and violation
  *    interrupts reach the CPU.
  *
- * The unit's check path is fixed when it is built: authorize() decides
- * through the unit's one CheckAccel (compiled match plans), and the
- * configured CheckerLogic is the microarchitecture model that sets
- * the pipeline depth. The bus-facing cycle model wrapping this object
- * is CheckerNode; every node of a unit authorizes through the unit.
+ * authorize() decides by one priority first-match over the requesting
+ * SID's MD windows (matchWindows); the configured CheckerLogic, fixed
+ * when the unit is built, is the microarchitecture model that sets the
+ * pipeline depth, and its walk is the reference the tests compare the
+ * unit against. The bus-facing cycle model wrapping this object is
+ * CheckerNode; every node of a unit authorizes through the unit.
  */
 
 #ifndef IOPMP_SIOPMP_HH
@@ -27,7 +28,6 @@
 #include <optional>
 #include <vector>
 
-#include "iopmp/accel.hh"
 #include "iopmp/block.hh"
 #include "iopmp/checker.hh"
 #include "iopmp/remap_cam.hh"
@@ -95,15 +95,15 @@ inline constexpr Addr kEntryStride = 32;     //!< base,size,cfg,pad
 inline constexpr Addr kWindowSize = 0x20000;
 } // namespace regmap
 
-class SIopmp : public mem::MmioDevice, private TableListener
+class SIopmp : public mem::MmioDevice
 {
   public:
     using IrqHandler = std::function<void(const Irq &)>;
 
     SIopmp(IopmpConfig cfg, CheckerKind kind, unsigned stages);
 
-    // The table listener and the CAM, SRC2MD and block-bitmap change
-    // hooks capture this object.
+    // The entry, MDCFG, SRC2MD, CAM and block-bitmap change hooks
+    // capture this object.
     SIopmp(const SIopmp &) = delete;
     SIopmp &operator=(const SIopmp &) = delete;
 
@@ -140,9 +140,6 @@ class SIopmp : public mem::MmioDevice, private TableListener
      * kind(), and its walk as the reference for authorize(). */
     const CheckerLogic &checker() const { return *checker_; }
 
-    /** The compiled-plan accelerator authorize() decides through. */
-    const CheckAccel &accel() const { return accel_; }
-
     /**
      * Monotone configuration epoch: bumped by every MMIO path that can
      * change an authorization outcome (entry commit, SRC2MD, MDCFG,
@@ -156,10 +153,9 @@ class SIopmp : public mem::MmioDevice, private TableListener
     /**
      * Monotone state version: moves on every change that can alter
      * any authorize() outcome, whether made through MMIO or by a
-     * direct call — each config-epoch bump, the entry and MDCFG
-     * tables (as their TableListener), and every
-     * CAM, SRC2MD and block-bitmap mutation (through change hooks in
-     * those structures). Each move first settles the stall waiters'
+     * direct call — each config-epoch bump and every entry, MDCFG,
+     * SRC2MD, CAM and block-bitmap mutation (through the change hooks
+     * of those structures). Each move first settles the stall waiters'
      * owed polls, then wakes them. A CheckerNode holds an allowed head
      * beat's verdict while the version stands still (creditPolls).
      */
@@ -196,13 +192,12 @@ class SIopmp : public mem::MmioDevice, private TableListener
      * @p status while its outcome cannot change (a stall waiter's head
      * beat, stateVersion() unmoved): the counter updates each repeat
      * would make. Blocked: "checks" and "blocked_stalls". Allow (a held
-     * verdict; no other status is credited): "checks" and "allows";
-     * @p last, the cycle of the last repeat, moves the accelerator's
-     * last-seen cycle (CheckAccel::creditRepeat). The CAM use bit
-     * needs no touch: every path that clears it moves the version. The
-     * one entry point for skipped-poll credit (see Tickable::settle()).
+     * verdict; no other status is credited): "checks" and "allows".
+     * The CAM use bit needs no touch: every path that clears it moves
+     * the version. The one entry point for skipped-poll credit (see
+     * Tickable::settle()).
      */
-    void creditPolls(AuthStatus status, std::uint64_t polls, Cycle last);
+    void creditPolls(AuthStatus status, std::uint64_t polls);
 
     stats::Group &statsGroup() { return stats_; }
 
@@ -226,18 +221,8 @@ class SIopmp : public mem::MmioDevice, private TableListener
     }
 
     /** Move the state version, then settle and wake the stall
-     * waiters: their owed polls are credited before the accelerator
-     * stamps an invalidation instant with its last-seen cycle. */
+     * waiters. */
     void stateChanged();
-
-    // ---- TableListener (entry and MDCFG tables) ------------------------
-
-    void onEntriesChanged(unsigned, unsigned) override { stateChanged(); }
-    void
-    onMdWindowsChanged(std::uint64_t, unsigned, unsigned) override
-    {
-        stateChanged();
-    }
 
     IopmpConfig cfg_;
     EntryTable entries_;
@@ -246,7 +231,6 @@ class SIopmp : public mem::MmioDevice, private TableListener
     DeviceId2SidCam cam_;
     SidBlockBitmap blocks_;
     std::unique_ptr<const CheckerLogic> checker_;
-    CheckAccel accel_;
     std::optional<DeviceId> esid_;
     std::optional<ViolationRecord> violation_;
     IrqHandler irq_;

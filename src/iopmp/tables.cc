@@ -5,33 +5,10 @@
 
 #include "iopmp/tables.hh"
 
-#include <algorithm>
-
 #include "sim/logging.hh"
 
 namespace siopmp {
 namespace iopmp {
-
-namespace {
-
-void
-registerListener(std::vector<TableListener *> &listeners,
-                 TableListener *listener)
-{
-    SIOPMP_ASSERT(listener != nullptr, "null table listener");
-    listeners.push_back(listener);
-}
-
-void
-unregisterListener(std::vector<TableListener *> &listeners,
-                   TableListener *listener)
-{
-    listeners.erase(
-        std::remove(listeners.begin(), listeners.end(), listener),
-        listeners.end());
-}
-
-} // namespace
 
 const char *
 IopmpConfig::validate() const
@@ -49,25 +26,6 @@ IopmpConfig::validate() const
 
 EntryTable::EntryTable(unsigned num_entries) : entries_(num_entries) {}
 
-void
-EntryTable::addListener(TableListener *listener) const
-{
-    registerListener(listeners_, listener);
-}
-
-void
-EntryTable::removeListener(TableListener *listener) const
-{
-    unregisterListener(listeners_, listener);
-}
-
-void
-EntryTable::notifyChanged(unsigned lo, unsigned hi)
-{
-    for (TableListener *listener : listeners_)
-        listener->onEntriesChanged(lo, hi);
-}
-
 bool
 EntryTable::set(unsigned idx, const Entry &entry, bool machine_mode)
 {
@@ -80,7 +38,7 @@ EntryTable::set(unsigned idx, const Entry &entry, bool machine_mode)
     if (was_locked)
         entries_[idx].lock();
     ++writes_;
-    notifyChanged(idx, idx + 1);
+    changed();
     return true;
 }
 
@@ -95,7 +53,7 @@ EntryTable::lock(unsigned idx)
 {
     SIOPMP_ASSERT(idx < entries_.size(), "entry index out of range");
     entries_[idx].lock();
-    // No listener callback: the lock bit never changes a verdict, only
+    // No change hook: the lock bit never changes a verdict, only
     // future writability.
 }
 
@@ -111,16 +69,6 @@ Src2MdTable::associate(Sid sid, MdIndex md)
     if (!validSid(sid) || md >= num_mds_ || rows_[sid].lock)
         return false;
     rows_[sid].md_bitmap |= std::uint64_t{1} << md;
-    changed();
-    return true;
-}
-
-bool
-Src2MdTable::deassociate(Sid sid, MdIndex md)
-{
-    if (!validSid(sid) || md >= num_mds_ || rows_[sid].lock)
-        return false;
-    rows_[sid].md_bitmap &= ~(std::uint64_t{1} << md);
     changed();
     return true;
 }
@@ -192,21 +140,10 @@ MdCfgTable::setTop(MdIndex md, unsigned top)
         if (tops_[higher] != 0 && top > tops_[higher])
             return false;
     }
-    const unsigned old_top = tops_[md];
-    if (top == old_top)
-        return true; // accepted but a no-op: listeners stay quiet
-
-    // Entries in [min, max) of the old/new top change owner. The MDs
-    // affected are those whose effective window intersects that range
-    // under the OLD tops (they lose entries) or the NEW tops (they
-    // gain entries) — a post-state-only diff would miss the loser when
-    // a window shrinks past another MD's boundary.
-    const unsigned range_lo = std::min(old_top, top);
-    const unsigned range_hi = std::max(old_top, top);
-    std::uint64_t md_mask = ownersOf(range_lo, range_hi);
+    if (top == tops_[md])
+        return true; // accepted but a no-op: the hook stays quiet
     tops_[md] = top;
-    md_mask |= ownersOf(range_lo, range_hi);
-    notifyWindows(md_mask, range_lo, range_hi);
+    changed();
     return true;
 }
 
@@ -217,74 +154,16 @@ MdCfgTable::top(MdIndex md) const
     return tops_[md];
 }
 
-unsigned
-MdCfgTable::lo(MdIndex md) const
-{
-    SIOPMP_ASSERT(md < tops_.size(), "MD index out of range");
-    return md == 0 ? 0 : tops_[md - 1];
-}
-
 int
 MdCfgTable::mdOfEntry(unsigned idx) const
 {
     // Every top before the first one above idx is <= idx, so idx is
-    // never below that MD's lo().
+    // never below that MD's window().lo.
     for (MdIndex md = 0; md < tops_.size(); ++md) {
         if (idx < tops_[md])
             return static_cast<int>(md);
     }
     return -1;
-}
-
-void
-MdCfgTable::mdOfEntries(std::vector<int> &owners) const
-{
-    const unsigned n = static_cast<unsigned>(owners.size());
-    unsigned covered = 0;
-    for (MdIndex md = 0; md < tops_.size() && covered < n; ++md) {
-        const unsigned top = std::min(tops_[md], n);
-        for (; covered < top; ++covered)
-            owners[covered] = static_cast<int>(md);
-    }
-    std::fill(owners.begin() + covered, owners.end(), -1);
-}
-
-std::uint64_t
-MdCfgTable::ownersOf(unsigned lo, unsigned hi) const
-{
-    if (lo >= hi)
-        return 0; // empty range intersects nothing
-    std::uint64_t mask = 0;
-    unsigned covered = 0;
-    for (MdIndex md = 0; md < tops_.size(); ++md) {
-        const unsigned top = tops_[md];
-        if (top <= covered)
-            continue; // unprogrammed or shadowed: empty window
-        // Effective window [covered, top).
-        if (covered < hi && lo < top)
-            mask |= std::uint64_t{1} << md;
-        covered = top;
-    }
-    return mask;
-}
-
-void
-MdCfgTable::addListener(TableListener *listener) const
-{
-    registerListener(listeners_, listener);
-}
-
-void
-MdCfgTable::removeListener(TableListener *listener) const
-{
-    unregisterListener(listeners_, listener);
-}
-
-void
-MdCfgTable::notifyWindows(std::uint64_t md_mask, unsigned lo, unsigned hi)
-{
-    for (TableListener *listener : listeners_)
-        listener->onMdWindowsChanged(md_mask, lo, hi);
 }
 
 } // namespace iopmp

@@ -9,12 +9,9 @@
  *                 memory domain m; entry j belongs to MD m iff
  *                 MD_{m-1}.T <= j < MD_m.T (MD 0 owns j < MD_0.T).
  *
- * Mutation observability: EntryTable and MdCfgTable accept
- * TableListener registrations and report *which* entries / memory
- * domains every successful mutation touched — the dirty-set contract
- * consumers with derived state (compiled match plans) build
- * incremental invalidation on. Src2MdTable reports every bitmap
- * change through a single change hook (its owning SIopmp's).
+ * Mutation observability: each table reports every change that can
+ * alter a verdict through one change hook, its owning SIopmp's, so
+ * direct calls are covered as well as the MMIO window.
  */
 
 #ifndef IOPMP_TABLES_HH
@@ -51,40 +48,6 @@ struct IopmpConfig {
 };
 
 /**
- * Observer of table mutations. The tables call back on every
- * *successful*, *verdict-relevant* mutation — rejected writes (locks,
- * monotonicity) and lock-bit changes report nothing, so a listener
- * sees exactly the events that can change an authorization outcome.
- *
- * Delivery guarantees:
- *  - callbacks fire synchronously inside the mutating call, after the
- *    table state has been updated (a callback reading the table sees
- *    the post-mutation state);
- *  - every MMIO path and every direct call routes through the same
- *    table mutators, so listening is complete by construction;
- *  - a callback must not register or unregister listeners.
- */
-class TableListener
-{
-  public:
-    virtual ~TableListener() = default;
-
-    /** Entries [lo, hi) of the EntryTable were successfully
-     * (re)written. Lock-bit-only changes are not reported: a lock
-     * never changes a verdict, only future writability. */
-    virtual void onEntriesChanged(unsigned lo, unsigned hi) = 0;
-
-    /**
-     * MDCFG top writes moved entries [lo, hi) between memory-domain
-     * windows. @p md_mask has a bit set for every MD whose effective
-     * entry window intersected the moved range before *or* after the
-     * write — i.e. every MD that may have gained or lost entries.
-     */
-    virtual void onMdWindowsChanged(std::uint64_t md_mask, unsigned lo,
-                                    unsigned hi) = 0;
-};
-
-/**
  * Hardware entry register file.
  */
 class EntryTable
@@ -100,15 +63,6 @@ class EntryTable
         SIOPMP_ASSERT(idx < entries_.size(), "entry index out of range");
         return entries_[idx];
     }
-
-    /**
-     * Register @p listener for mutation callbacks (see TableListener).
-     * Const because observer membership is not logical table state —
-     * read-only consumers (checkers, accelerators holding const refs)
-     * must be able to subscribe.
-     */
-    void addListener(TableListener *listener) const;
-    void removeListener(TableListener *listener) const;
 
     /**
      * Write entry @p idx. Fails (returns false) if the existing entry
@@ -128,12 +82,27 @@ class EntryTable
     /** Number of writes since construction (drives Fig 13 costs). */
     std::uint64_t writeCount() const { return writes_; }
 
+    /**
+     * Install @p hook, called after every accepted set() or clear() —
+     * not after a lock-rejected write or lock(), which never changes
+     * a verdict. The owning SIopmp moves its state version through it,
+     * so direct callers are covered too.
+     */
+    void setChangeHook(std::function<void()> hook)
+    {
+        on_change_ = std::move(hook);
+    }
+
   private:
-    void notifyChanged(unsigned lo, unsigned hi);
+    void changed()
+    {
+        if (on_change_)
+            on_change_();
+    }
 
     std::vector<Entry> entries_;
     std::uint64_t writes_ = 0;
-    mutable std::vector<TableListener *> listeners_;
+    std::function<void()> on_change_;
 };
 
 /**
@@ -148,9 +117,8 @@ class Src2MdTable
     unsigned numSids() const { return static_cast<unsigned>(rows_.size()); }
     unsigned numMds() const { return num_mds_; }
 
-    /** Associate/deassociate MD @p md with @p sid. Respects the lock. */
+    /** Associate MD @p md with @p sid. Respects the lock. */
     bool associate(Sid sid, MdIndex md);
-    bool deassociate(Sid sid, MdIndex md);
 
     /** Replace the whole bitmap (used by cold-device mounting). */
     bool setBitmap(Sid sid, std::uint64_t bitmap);
@@ -163,9 +131,9 @@ class Src2MdTable
 
     /**
      * Install @p hook, called after every successful bitmap change
-     * (associate, deassociate, setBitmap) — not after lock(),
-     * which never changes a verdict. The owning SIopmp moves its state
-     * version through it, so direct callers are covered too.
+     * (associate, setBitmap) — not after lock(), which never changes
+     * a verdict. The owning SIopmp moves its state version through it,
+     * so direct callers are covered too.
      */
     void setChangeHook(std::function<void()> hook)
     {
@@ -209,44 +177,58 @@ class MdCfgTable
 
     unsigned top(MdIndex md) const;
 
-    /** First entry index belonging to @p md. */
-    unsigned lo(MdIndex md) const;
+    /** Entries [lo, hi) of one memory domain. */
+    struct Window {
+        unsigned lo = 0;
+        unsigned hi = 0;
+    };
 
-    /** One past the last entry index belonging to @p md. */
-    unsigned hi(MdIndex md) const { return top(md); }
+    /**
+     * The entries MD @p md owns: hi is MD_m.T, and lo the nearest
+     * non-zero top below m (0 if none), so an unprogrammed MD_{m-1}
+     * opens no gap — the rule mdOfEntry applies per entry. Non-zero
+     * tops are monotone (setTop), so the windows of ascending MDs
+     * ascend and never overlap. Empty (lo == hi) while MD_m.T is 0 or
+     * equals lo.
+     */
+    Window
+    window(MdIndex md) const
+    {
+        SIOPMP_ASSERT(md < tops_.size(), "MD index out of range");
+        const unsigned hi = tops_[md];
+        if (hi == 0)
+            return {};
+        for (MdIndex below = md; below-- > 0;) {
+            if (tops_[below] != 0)
+                return {tops_[below], hi};
+        }
+        return {0, hi};
+    }
 
     /** Memory domain owning entry @p idx, or -1 if unassigned. */
     int mdOfEntry(unsigned idx) const;
 
     /**
-     * mdOfEntry for a whole table in one O(entries + mds) sweep:
-     * @p owners[j] becomes the MD owning entry j, or -1, for every
-     * j < owners.size(). Walking MDs in index order, MD m owns
-     * [covered, T_m) where covered is the highest top below m —
-     * the "first MD whose T exceeds the index" rule.
+     * Install @p hook, called after every accepted setTop() that moves
+     * a top — not after a rejected or same-value write, which moves
+     * no entry between windows. The owning SIopmp moves its state
+     * version through it, so direct callers are covered too.
      */
-    void mdOfEntries(std::vector<int> &owners) const;
-
-    /**
-     * Bitmap of MDs whose *effective* entry window intersects
-     * [lo, hi). The effective window accounts for unprogrammed (zero)
-     * tops between programmed ones: MD m owns [covered, T_m) where
-     * covered is the highest top below m — the same rule mdOfEntry
-     * applies per entry, evaluated for a whole range in O(mds).
-     */
-    std::uint64_t ownersOf(unsigned lo, unsigned hi) const;
-
-    /** Register a mutation listener (see TableListener and
-     * EntryTable::addListener for the const rationale). */
-    void addListener(TableListener *listener) const;
-    void removeListener(TableListener *listener) const;
+    void setChangeHook(std::function<void()> hook)
+    {
+        on_change_ = std::move(hook);
+    }
 
   private:
-    void notifyWindows(std::uint64_t md_mask, unsigned lo, unsigned hi);
+    void changed()
+    {
+        if (on_change_)
+            on_change_();
+    }
 
     std::vector<unsigned> tops_;
     unsigned num_entries_;
-    mutable std::vector<TableListener *> listeners_;
+    std::function<void()> on_change_;
 };
 
 } // namespace iopmp

@@ -22,6 +22,7 @@
 #include <mutex>
 #include <ostream>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 namespace siopmp {
@@ -196,37 +197,47 @@ class Group
 };
 
 /**
- * A named scalar of a group, registered on first use. Per-event call
- * sites hold one instead of calling Group::scalar(name) per event: the
- * first increment registers the stat, so a dump still lists only the
- * stats that were counted, in first-count order, and later increments
- * skip the name lookup. (Binding in the owner's constructor would list
- * never-counted stats and reorder the group.)
+ * A named Scalar or Average of a group, registered on first use.
+ * Per-event call sites hold one instead of calling Group::scalar(name)
+ * or Group::average(name) per event: the first update registers the
+ * stat, so a dump still lists only the stats that were updated, in
+ * first-update order, and later updates skip the name lookup. (Binding
+ * in the owner's constructor would list never-updated stats and
+ * reorder the group.)
  */
-class LazyScalar
+template <typename Stat>
+class LazyStat
 {
   public:
-    LazyScalar(Group &group, const char *stat_name)
+    LazyStat(Group &group, const char *stat_name)
         : group_(group), name_(stat_name)
     {
     }
 
-    LazyScalar &operator++() { ++get(); return *this; }
-    LazyScalar &operator+=(double v) { get() += v; return *this; }
+    LazyStat &operator++() { ++get(); return *this; }
+    LazyStat &operator+=(double v) { get() += v; return *this; }
+    void sample(double v) { get().sample(v); }
 
   private:
-    Scalar &
+    Stat &
     get()
     {
-        if (scalar_ == nullptr)
-            scalar_ = &group_.scalar(name_);
-        return *scalar_;
+        if (stat_ == nullptr) {
+            if constexpr (std::is_same_v<Stat, Average>)
+                stat_ = &group_.average(name_);
+            else
+                stat_ = &group_.scalar(name_);
+        }
+        return *stat_;
     }
 
     Group &group_;
     const char *name_;
-    Scalar *scalar_ = nullptr;
+    Stat *stat_ = nullptr;
 };
+
+using LazyScalar = LazyStat<Scalar>;
+using LazyAverage = LazyStat<Average>;
 
 /**
  * Process-wide registry of live stat groups, in construction order.

@@ -146,7 +146,7 @@ class Tickable
     settleThrough(Cycle through)
     {
         if (poll_cursor_ < through) {
-            creditPolls(through - poll_cursor_, through);
+            creditPolls(through - poll_cursor_);
             poll_cursor_ = through;
         } else {
             SIOPMP_ASSERT(poll_cursor_ == kNever || poll_cursor_ == through,
@@ -157,15 +157,14 @@ class Tickable
     }
 
     /**
-     * Count @p polls skipped polls, the last one at cycle @p last, as
-     * the counted poll would have counted each. Called only while a
-     * poll is owed (after pollCounted()).
+     * Count @p polls skipped polls as the counted poll would have
+     * counted each. Called only while a poll is owed (after
+     * pollCounted()).
      */
     virtual void
-    creditPolls(std::uint64_t polls, Cycle last)
+    creditPolls(std::uint64_t polls)
     {
         (void)polls;
-        (void)last;
     }
 
   private:

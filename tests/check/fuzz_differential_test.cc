@@ -2,8 +2,8 @@
  * @file
  * Differential fuzzing as a tier-1 test: bounded seeded campaigns of
  * the DifferentialFuzzer across every checker kind and stage count,
- * dense and 128-SID-wide. The DUT decides through its compiled plans
- * and every agreeing Allow or Deny is re-decided by the configured
+ * dense and 128-SID-wide. The DUT decides by its window walk and
+ * every agreeing Allow or Deny is re-decided by the configured
  * kind's walk, so each campaign covers its kind's model as well. Plus
  * proof that the harness detects deliberately re-introduced
  * historical bugs (MMIO lock bypass, >64-SID blocking hole) and
@@ -99,11 +99,9 @@ TEST(DifferentialFuzz, WideSidConfigClean)
 
 /**
  * Churn profile: continuous high-rate table mutation interleaved with
- * checks — every check runs against freshly-dirtied plans, so any
- * under-invalidation in the per-MD incremental machinery diverges
- * from the oracle. The replay-time listener audit additionally fails
- * the case if a table change escapes the dirty-set callbacks even
- * when no check happens to land on the stale state.
+ * checks — every check runs against freshly moved tables, so a window
+ * walk or a kind's walk that misreads a just-written entry or top
+ * diverges from the oracle.
  */
 TEST(DifferentialFuzz, ChurnProfileAccelClean)
 {

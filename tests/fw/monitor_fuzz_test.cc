@@ -99,8 +99,9 @@ TEST_P(MonitorFuzz, RandomLifecycleKeepsInvariants)
             const bool in_cam = unit.cam().peek(dev).has_value();
             const bool mounted = unit.mountedCold() == dev;
             EXPECT_EQ(sid.has_value(), in_cam || mounted) << dev;
-            if (in_cam)
+            if (in_cam) {
                 EXPECT_EQ(*sid, *unit.cam().peek(dev));
+            }
         }
     }
 

@@ -6,8 +6,8 @@
  * bursts; the wake sources of a node parked on a SID-miss or
  * block-bit stall, each checked against the tick-every-cycle loop;
  * each source of SIopmp state-version moves, which must void the held
- * verdict of a head beat waiting on backpressure; and the one
- * accelerator all nodes of a unit check through.
+ * verdict of a head beat waiting on backpressure; and the unit's
+ * counters of held polls, read inside a mutating event.
  */
 
 #include <gtest/gtest.h>
@@ -20,10 +20,8 @@
 
 #include "devices/dma_engine.hh"
 #include "fw/monitor.hh"
-#include "sim/trace.hh"
 #include "soc/cpu_node.hh"
 #include "soc/soc.hh"
-#include "support/capture_sink.hh"
 
 namespace siopmp {
 namespace iopmp {
@@ -552,14 +550,9 @@ liveStat(const std::string &group, const std::string &stat)
  * and checks that the very next poll sees the change.
  */
 struct HoldRig {
-    /** @p cold: reach kHot through the eSID register, not a CAM row.
-     * @p masters: master ports; kHot and kHog use ports 0 and 1. */
-    explicit HoldRig(bool cold = false, unsigned masters = 2)
-        : soc([masters] {
-              soc::SocConfig cfg = ParkRig::config();
-              cfg.num_masters = masters;
-              return cfg;
-          }()),
+    /** @p cold: reach kHot through the eSID register, not a CAM row. */
+    explicit HoldRig(bool cold = false)
+        : soc(ParkRig::config()),
           hot("hot", kHot, soc.masterLink(0)),
           hog("hog", kHog, soc.masterLink(1))
     {
@@ -641,11 +634,6 @@ struct HoldRig {
     void poll() { soc.sim().run(1); }
 
     double nodeStat(const char *stat) { return liveStat("checker0", stat); }
-    double
-    accelStat(const char *stat)
-    {
-        return liveStat(CheckAccel::kName, stat);
-    }
 
     /** The next poll denies the held beat: under BusError it goes to
      * the error node, and the violation interrupt fires. */
@@ -714,7 +702,9 @@ TEST(CheckerNodeHold, Src2MdDeassociateDeniesHeldBeat)
 {
     HoldRig rig;
     rig.holdHead();
-    ASSERT_TRUE(rig.soc.iopmp().src2md().deassociate(0, 0));
+    // SID 0's SRC2MD register written without MD 0.
+    rig.soc.mmio().write(soc::kIopmpMmioBase + regmap::kSrc2MdBase, 0);
+    ASSERT_EQ(rig.soc.iopmp().src2md().bitmap(0), 0u);
     rig.expectDeniedOnNextPoll();
 }
 
@@ -812,103 +802,79 @@ TEST(CheckerNodeHold, BlockBitOpensWindowThatCycle)
               static_cast<double>(left_at - blocked_at));
 }
 
-/**
- * One accelerator per unit: every node of a 4-master SoC checks
- * through the unit's accelerator, so the SoC registers one
- * "check_accel" stats group and no per-node one, and that accelerator
- * compiles one plan per distinct MD bitmap the nodes check (SID 0's
- * MD 0 and SID 1's MD 1), however many nodes and polls there are.
- */
-TEST(CheckerNodeUnit, NodesShareTheUnitsAccelerator)
-{
-    HoldRig rig(/*cold=*/false, /*masters=*/4);
-    unsigned unit_groups = 0;
-    unsigned node_groups = 0;
-    for (const stats::Group *group :
-         stats::Registry::global().liveGroups()) {
-        const std::string &name = group->name();
-        unit_groups += name == CheckAccel::kName;
-        node_groups += name.size() > 6 &&
-                       name.compare(name.size() - 6, 6, ".accel") == 0;
-    }
-    EXPECT_EQ(unit_groups, 1u);
-    EXPECT_EQ(node_groups, 0u);
+/** The unit's counters, read inside a mutating event. */
+struct MutationProbe {
+    double checks = 0;
+    double allows = 0;
+    bool parked = false; //!< checker 0 was parked when the event fired
+};
 
-    rig.holdHead();
-    rig.soc.sim().runUntil([&] { return rig.hot.done() && rig.hog.done(); },
-                           100'000);
-    ASSERT_TRUE(rig.hot.done() && rig.hog.done());
-    EXPECT_GT(liveStat("siopmp", "allows"), 0.0);
-    EXPECT_EQ(rig.accelStat("plan_compiles"), 2.0);
-    EXPECT_EQ(rig.accelStat("plan_recompiles"), 0.0);
+/**
+ * Schedule an entry rewrite in MD 1 (no verdict of kHot's changes)
+ * @p delay cycles from now and run through it. The probe reads the
+ * unit's "checks" and "allows" inside the event, right after the
+ * rewrite: the rewrite settles the stall waiters' owed polls first, so
+ * they must match the loop that polls every cycle.
+ */
+MutationProbe
+mutateInEvent(HoldRig &rig, Cycle delay)
+{
+    MutationProbe probe;
+    rig.soc.sim().events().schedule(rig.soc.sim().now() + delay, [&] {
+        probe.parked = !rig.soc.checkerNode(0).active();
+        rig.soc.iopmp().entryTable().set(15, Entry::off());
+        probe.checks = liveStat("siopmp", "checks");
+        probe.allows = liveStat("siopmp", "allows");
+    });
+    rig.soc.sim().run(delay + 1);
+    return probe;
 }
 
 /**
- * The unit's accelerator stamps its one invalidation trace instant per
- * mutation with the cycle of its last check, and a held poll counts as
- * one.
+ * Held polls count as the unit's checks and allows: read inside a
+ * mutating event after a stretch of them, the counts match the naive
+ * loop's. Memory's read interval alone backs checker 0 up; checker 1
+ * never checks.
  */
-TEST(CheckerNodeHold, HeldPollStampsInvalidationInstants)
+TEST(CheckerNodeHold, HeldPollCountsAtMutation)
 {
-    HoldRig rig;
-    // Memory's read interval alone backs checker 0 up; checker 1 never
-    // checks.
-    rig.start(rig.hot, dev::DmaKind::Read, kHotBase);
-    rig.stepUntilHeld();
-    trace::CaptureSink ring;
-    trace::tracer().setSink(&ring);
-    rig.soc.iopmp().entryTable().set(15, Entry::off()); // in MD 1
-    trace::tracer().setSink(nullptr);
-    std::vector<Cycle> stamps;
-    for (const trace::Event &ev : ring.events()) {
-        if (std::string(ev.name) == "partial_flush")
-            stamps.push_back(ev.when);
-    }
-    EXPECT_EQ(stamps, (std::vector<Cycle>{rig.soc.sim().now() - 1}));
-}
-
-/**
- * The same stamp while the held node is parked behind its full
- * downlink: a mutation from an event settles the node's skipped polls
- * before the accelerator stamps its instant (the unit listens to the
- * tables first), so the stamp is the cycle before the event, as in the
- * loop that polls every cycle. Blocking the hog's SID mid-burst keeps
- * the xbar locked on its port, so checker 0 holds its beat with no
- * other check in the unit.
- */
-TEST(CheckerNodeHold, ParkedHeldPollStampsInvalidationInstants)
-{
-    struct Probe {
-        std::vector<Cycle> stamps;
-        bool parked = false;
+    const auto run = [](bool fast_forward) {
+        HoldRig rig;
+        rig.soc.sim().setFastForward(fast_forward);
+        rig.start(rig.hot, dev::DmaKind::Read, kHotBase);
+        rig.stepUntilHeld();
+        return mutateInEvent(rig, 20);
     };
+    const MutationProbe ff = run(true);
+    const MutationProbe naive = run(false);
+    EXPECT_GT(naive.allows, 0.0);
+    EXPECT_EQ(ff.checks, naive.checks);
+    EXPECT_EQ(ff.allows, naive.allows);
+}
+
+/**
+ * The same counts while the held node is parked behind its full
+ * downlink: the mutation settles the node's skipped polls before the
+ * event reads the counters. Blocking the hog's SID mid-burst keeps the
+ * xbar locked on its port, so checker 0 holds its beat with no other
+ * check in the unit.
+ */
+TEST(CheckerNodeHold, ParkedHeldPollCountsAtMutation)
+{
     const auto run = [](bool fast_forward) {
         HoldRig rig;
         rig.soc.sim().setFastForward(fast_forward);
         rig.holdHead();
         rig.soc.iopmp().blockBitmap().block(1);
-        Probe probe;
-        trace::CaptureSink ring;
-        const Cycle event = rig.soc.sim().now() + 200;
-        rig.soc.sim().events().schedule(event, [&] {
-            probe.parked = !rig.soc.checkerNode(0).active();
-            trace::tracer().setSink(&ring);
-            rig.soc.iopmp().entryTable().set(15, Entry::off()); // MD 1
-            trace::tracer().setSink(nullptr);
-        });
-        rig.soc.sim().run(201);
-        for (const trace::Event &ev : ring.events()) {
-            if (std::string(ev.name) == "partial_flush")
-                probe.stamps.push_back(ev.when);
-        }
-        EXPECT_EQ(probe.stamps, (std::vector<Cycle>{event - 1}));
-        return probe;
+        return mutateInEvent(rig, 200);
     };
-    const Probe ff = run(true);
-    const Probe naive = run(false);
+    const MutationProbe ff = run(true);
+    const MutationProbe naive = run(false);
     EXPECT_TRUE(ff.parked);
     EXPECT_FALSE(naive.parked);
-    EXPECT_EQ(ff.stamps, naive.stamps);
+    EXPECT_GT(naive.allows, 0.0);
+    EXPECT_EQ(ff.checks, naive.checks);
+    EXPECT_EQ(ff.allows, naive.allows);
 }
 
 /**

@@ -5,7 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <vector>
 
 #include "iopmp/tables.hh"
@@ -69,8 +68,10 @@ TEST(Src2Md, AssociateBitmap)
     EXPECT_FALSE(t.associated(5, 1));
     EXPECT_EQ(t.bitmap(5),
               (std::uint64_t{1} << 0) | (std::uint64_t{1} << 62));
-    EXPECT_TRUE(t.deassociate(5, 0));
+    // Dropping one MD rewrites the row without it.
+    EXPECT_TRUE(t.setBitmap(5, t.bitmap(5) & ~std::uint64_t{1}));
     EXPECT_FALSE(t.associated(5, 0));
+    EXPECT_TRUE(t.associated(5, 62));
 }
 
 TEST(Src2Md, RejectsOutOfRange)
@@ -88,8 +89,7 @@ TEST(Src2Md, StickyLockFreezesRow)
     t.lock(3);
     EXPECT_TRUE(t.locked(3));
     EXPECT_FALSE(t.associate(3, 2));
-    EXPECT_FALSE(t.deassociate(3, 1));
-    EXPECT_FALSE(t.setBitmap(3, 0));
+    EXPECT_FALSE(t.setBitmap(3, 0)); // nor may MD 1 be dropped
     EXPECT_TRUE(t.associated(3, 1));
     // Lock is per-row.
     EXPECT_TRUE(t.associate(4, 2));
@@ -115,12 +115,12 @@ TEST(MdCfg, PartitionSemantics)
     EXPECT_TRUE(t.setTop(2, 10)); // empty MD
     EXPECT_TRUE(t.setTop(3, 16));
 
-    EXPECT_EQ(t.lo(0), 0u);
-    EXPECT_EQ(t.hi(0), 4u);
-    EXPECT_EQ(t.lo(1), 4u);
-    EXPECT_EQ(t.hi(1), 10u);
-    EXPECT_EQ(t.lo(2), 10u);
-    EXPECT_EQ(t.hi(2), 10u);
+    EXPECT_EQ(t.window(0).lo, 0u);
+    EXPECT_EQ(t.window(0).hi, 4u);
+    EXPECT_EQ(t.window(1).lo, 4u);
+    EXPECT_EQ(t.window(1).hi, 10u);
+    EXPECT_EQ(t.window(2).lo, 10u);
+    EXPECT_EQ(t.window(2).hi, 10u);
 
     EXPECT_EQ(t.mdOfEntry(0), 0);
     EXPECT_EQ(t.mdOfEntry(3), 0);
@@ -162,48 +162,50 @@ TEST(MdCfg, ResetZeroesTops)
     EXPECT_EQ(t.mdOfEntry(31), -1);
 }
 
-TEST(MdCfg, OwnersOfUsesEffectiveWindows)
-{
-    MdCfgTable t(4, 64);
-    t.setTop(0, 4);
-    t.setTop(1, 10);
-    t.setTop(2, 10); // empty MD
-    t.setTop(3, 16);
-
-    EXPECT_EQ(t.ownersOf(0, 4), 0x1u);
-    EXPECT_EQ(t.ownersOf(3, 5), 0x3u);
-    EXPECT_EQ(t.ownersOf(10, 16), 0x8u); // MD2's window is empty
-    EXPECT_EQ(t.ownersOf(0, 16), 0xbu);
-    EXPECT_EQ(t.ownersOf(16, 64), 0x0u); // past every programmed top
-    EXPECT_EQ(t.ownersOf(5, 5), 0x0u);   // empty query range
-}
-
-/** First index where the sweep disagrees with mdOfEntry, or -1. */
+/** First index whose owner disagrees with the MD windows, or -1:
+ * entry j must lie in window(m) exactly when mdOfEntry(j) == m. */
 int
-firstOwnerMismatch(const MdCfgTable &t, std::vector<int> &owners)
+firstWindowMismatch(const MdCfgTable &t, unsigned num_entries)
 {
-    std::fill(owners.begin(), owners.end(), 1000); // every slot rewritten
-    t.mdOfEntries(owners);
-    for (unsigned j = 0; j < owners.size(); ++j) {
-        if (owners[j] != t.mdOfEntry(j))
-            return static_cast<int>(j);
+    std::vector<MdCfgTable::Window> windows;
+    for (MdIndex md = 0; md < t.numMds(); ++md) {
+        windows.push_back(t.window(md));
+        EXPECT_LE(windows.back().lo, windows.back().hi) << "MD " << md;
+    }
+    for (unsigned j = 0; j < num_entries; ++j) {
+        const int owner = t.mdOfEntry(j);
+        for (MdIndex md = 0; md < t.numMds(); ++md) {
+            const bool inside = windows[md].lo <= j && j < windows[md].hi;
+            if (inside != (owner == static_cast<int>(md)))
+                return static_cast<int>(j);
+        }
     }
     return -1;
 }
 
-TEST(MdCfg, MdOfEntriesMatchesMdOfEntry)
+TEST(MdCfg, WindowMatchesMdOfEntry)
 {
+    // An unprogrammed MD between programmed ones owns nothing, and the
+    // next MD's window starts at the nearest programmed top below it.
+    MdCfgTable gap(4, 64);
+    ASSERT_TRUE(gap.setTop(0, 4));
+    ASSERT_TRUE(gap.setTop(2, 10));
+    EXPECT_EQ(gap.window(1).lo, gap.window(1).hi);
+    EXPECT_EQ(gap.window(2).lo, 4u);
+    EXPECT_EQ(gap.window(2).hi, 10u);
+    EXPECT_EQ(gap.window(3).lo, gap.window(3).hi);
+    EXPECT_EQ(firstWindowMismatch(gap, 64), -1);
+
     // Seeded setTop sequences at 1, 8 and 63 MDs: accepted tops,
     // rejected (non-monotone or oversized) ones, zero tops left
     // between programmed ones, and whole-table clears (every top
-    // written to 0, lowest MD first). After every write the
-    // sweep must equal mdOfEntry at every index, for an owners
-    // vector shorter than the table and one running past its end.
+    // written to 0, lowest MD first). After every write the windows
+    // must agree with mdOfEntry at every index, one past the table's
+    // end included.
     constexpr unsigned kEntries = 96;
     for (const unsigned mds : {1u, 8u, 63u}) {
         MdCfgTable t(mds, kEntries);
         Rng rng(0x5eed + mds);
-        std::vector<int> part(kEntries / 3), past(kEntries + 4);
         unsigned accepted = 0, rejected = 0, clears = 0, gaps = 0;
         for (unsigned step = 0; step < 3000; ++step) {
             if (rng.chance(0.01)) {
@@ -228,9 +230,7 @@ TEST(MdCfg, MdOfEntriesMatchesMdOfEntry)
                     break;
                 }
             }
-            ASSERT_EQ(firstOwnerMismatch(t, part), -1)
-                << mds << " MDs, step " << step;
-            ASSERT_EQ(firstOwnerMismatch(t, past), -1)
+            ASSERT_EQ(firstWindowMismatch(t, kEntries + 1), -1)
                 << mds << " MDs, step " << step;
         }
         EXPECT_GT(accepted, 100u) << mds << " MDs";
@@ -242,192 +242,76 @@ TEST(MdCfg, MdOfEntriesMatchesMdOfEntry)
     }
 }
 
-/** Records every TableListener callback for event-by-event assertions. */
-struct RecordingListener final : public TableListener {
-    struct Event {
-        enum class Kind { Entries, Windows } kind;
-        std::uint64_t md_mask = 0;
-        unsigned lo = 0;
-        unsigned hi = 0;
-    };
-
-    void
-    onEntriesChanged(unsigned lo, unsigned hi) override
-    {
-        events.push_back({Event::Kind::Entries, 0, lo, hi});
-    }
-
-    void
-    onMdWindowsChanged(std::uint64_t md_mask, unsigned lo,
-                       unsigned hi) override
-    {
-        events.push_back({Event::Kind::Windows, md_mask, lo, hi});
-    }
-
-    std::vector<Event> events;
-};
-
-TEST(TableListenerTest, EntrySetReportsExactRange)
+TEST(TableChangeHook, EntrySetAndClearFireOnce)
 {
     EntryTable t(8);
-    RecordingListener listener;
-    t.addListener(&listener);
+    std::vector<bool> seen; // entry 3 enabled, read inside the hook
+    t.setChangeHook([&] { seen.push_back(t.get(3).enabled()); });
 
     EXPECT_TRUE(t.set(3, Entry::range(0x1000, 0x10, Perm::Read)));
-    ASSERT_EQ(listener.events.size(), 1u);
-    EXPECT_EQ(listener.events[0].kind,
-              RecordingListener::Event::Kind::Entries);
-    EXPECT_EQ(listener.events[0].lo, 3u);
-    EXPECT_EQ(listener.events[0].hi, 4u);
+    EXPECT_EQ(seen, (std::vector<bool>{true})); // after the write
 
-    // clear() is a write of Entry::off() and must report too.
-    EXPECT_TRUE(t.clear(5));
-    ASSERT_EQ(listener.events.size(), 2u);
-    EXPECT_EQ(listener.events[1].lo, 5u);
-    EXPECT_EQ(listener.events[1].hi, 6u);
+    // clear() is a write of Entry::off() and fires too.
+    EXPECT_TRUE(t.clear(3));
+    EXPECT_EQ(seen, (std::vector<bool>{true, false}));
 
-    t.removeListener(&listener);
+    // A machine-mode rewrite of a locked entry is accepted and fires.
+    t.lock(3);
+    EXPECT_TRUE(t.set(3, Entry::range(0x2000, 0x10, Perm::Write),
+                      /*machine_mode=*/true));
+    EXPECT_EQ(seen.size(), 3u);
 }
 
-TEST(TableListenerTest, EntryLockAndRejectedWritesAreSilent)
+TEST(TableChangeHook, EntryLockAndRejectedWritesAreSilent)
 {
     EntryTable t(4);
     t.set(0, Entry::range(0x0, 0x10, Perm::Read));
+    unsigned fired = 0;
+    t.setChangeHook([&] { ++fired; });
 
-    RecordingListener listener;
-    t.addListener(&listener);
-
-    // Lock-bit changes never alter a verdict: no callback.
+    // Lock-bit changes never alter a verdict.
     t.lock(0);
-    EXPECT_TRUE(listener.events.empty());
+    EXPECT_EQ(fired, 0u);
 
-    // A rejected unprivileged write to the locked entry changes
-    // nothing and must not report.
+    // Rejected unprivileged writes to the locked entry change nothing.
     EXPECT_FALSE(t.set(0, Entry::range(0x2000, 0x10, Perm::ReadWrite)));
-    EXPECT_TRUE(listener.events.empty());
-
-    // The machine-mode override succeeds and reports.
-    EXPECT_TRUE(t.set(0, Entry::range(0x2000, 0x10, Perm::ReadWrite),
-                      /*machine_mode=*/true));
-    ASSERT_EQ(listener.events.size(), 1u);
-    EXPECT_EQ(listener.events[0].lo, 0u);
-
-    t.removeListener(&listener);
+    EXPECT_FALSE(t.clear(0));
+    EXPECT_EQ(fired, 0u);
+    EXPECT_TRUE(t.get(0).enabled());
 }
 
-TEST(TableListenerTest, EntryResetAndRemoveListener)
+TEST(TableChangeHook, MdcfgTopMoveFiresOnce)
 {
-    EntryTable t(4);
-    RecordingListener listener;
-    t.addListener(&listener);
+    MdCfgTable t(3, 64);
+    std::vector<unsigned> seen; // MD 1's top, read inside the hook
+    t.setChangeHook([&] { seen.push_back(t.top(1)); });
 
-    // A reset is a machine-mode clear of every entry: one report each.
-    for (unsigned i = 0; i < 4; ++i)
-        EXPECT_TRUE(t.clear(i, /*machine_mode=*/true));
-    ASSERT_EQ(listener.events.size(), 4u);
-    for (unsigned i = 0; i < 4; ++i) {
-        EXPECT_EQ(listener.events[i].kind,
-                  RecordingListener::Event::Kind::Entries);
-        EXPECT_EQ(listener.events[i].lo, i);
-        EXPECT_EQ(listener.events[i].hi, i + 1);
-    }
-
-    // After removal, mutations no longer reach the listener.
-    t.removeListener(&listener);
-    t.set(1, Entry::range(0x0, 0x8, Perm::Read));
-    t.clear(2);
-    EXPECT_EQ(listener.events.size(), 4u);
+    EXPECT_TRUE(t.setTop(0, 8));
+    EXPECT_TRUE(t.setTop(1, 16)); // grow
+    EXPECT_TRUE(t.setTop(1, 12)); // shrink
+    EXPECT_TRUE(t.setTop(0, 0));  // MD 0 back to unprogrammed
+    EXPECT_EQ(seen, (std::vector<unsigned>{0, 16, 12, 12}));
 }
 
-TEST(TableListenerTest, EntryMultipleListenersAllNotified)
-{
-    EntryTable t(4);
-    RecordingListener a, b;
-    t.addListener(&a);
-    t.addListener(&b);
-    t.set(2, Entry::range(0x0, 0x8, Perm::Read));
-    EXPECT_EQ(a.events.size(), 1u);
-    EXPECT_EQ(b.events.size(), 1u);
-    t.removeListener(&a);
-    t.removeListener(&b);
-}
-
-TEST(TableListenerTest, MdcfgTopWriteReportsMovedRangeAndOwners)
-{
-    MdCfgTable t(4, 64);
-    t.setTop(0, 4);
-    t.setTop(1, 10);
-
-    RecordingListener listener;
-    t.addListener(&listener);
-
-    // Growing MD1's window 10 -> 12 moves entries [10, 12) from
-    // unowned into MD1: only MD1 is affected.
-    EXPECT_TRUE(t.setTop(1, 12));
-    ASSERT_EQ(listener.events.size(), 1u);
-    EXPECT_EQ(listener.events[0].kind,
-              RecordingListener::Event::Kind::Windows);
-    EXPECT_EQ(listener.events[0].md_mask, 0x2u);
-    EXPECT_EQ(listener.events[0].lo, 10u);
-    EXPECT_EQ(listener.events[0].hi, 12u);
-
-    // Shrinking MD0 4 -> 2 hands entries [2, 4) from MD0 to MD1: the
-    // mask must include the loser AND the gainer (before∪after).
-    EXPECT_TRUE(t.setTop(0, 2));
-    ASSERT_EQ(listener.events.size(), 2u);
-    EXPECT_EQ(listener.events[1].md_mask, 0x3u);
-    EXPECT_EQ(listener.events[1].lo, 2u);
-    EXPECT_EQ(listener.events[1].hi, 4u);
-
-    t.removeListener(&listener);
-}
-
-TEST(TableListenerTest, MdcfgRejectedAndNoOpWritesAreSilent)
+TEST(TableChangeHook, MdcfgRejectedAndNoOpWritesAreSilent)
 {
     MdCfgTable t(3, 64);
     t.setTop(0, 8);
     t.setTop(1, 16);
+    unsigned fired = 0;
+    t.setChangeHook([&] { ++fired; });
 
-    RecordingListener listener;
-    t.addListener(&listener);
-
-    // Rejected (non-monotonic / out-of-range) writes change nothing.
+    // Rejected writes (non-monotone, past the entry count, no such
+    // MD) change nothing.
     EXPECT_FALSE(t.setTop(1, 4));
     EXPECT_FALSE(t.setTop(2, 12));
     EXPECT_FALSE(t.setTop(2, 65));
-    EXPECT_TRUE(listener.events.empty());
+    EXPECT_FALSE(t.setTop(3, 20));
+    EXPECT_EQ(fired, 0u);
 
-    // An accepted same-value write moves no entries between windows.
+    // An accepted same-value write moves no entry between windows.
     EXPECT_TRUE(t.setTop(1, 16));
-    EXPECT_TRUE(listener.events.empty());
-
-    t.removeListener(&listener);
-}
-
-TEST(TableListenerTest, MdcfgResetReports)
-{
-    MdCfgTable t(3, 64);
-    t.setTop(0, 8);
-    t.setTop(1, 16);
-
-    RecordingListener listener;
-    t.addListener(&listener);
-
-    // A reset zeroes the tops lowest MD first. Zeroing MD0 hands
-    // [0, 8) to MD1, whose window then starts at 0.
-    EXPECT_TRUE(t.setTop(0, 0));
-    // Zeroing MD1 leaves [0, 16) unowned.
-    EXPECT_TRUE(t.setTop(1, 0));
-    ASSERT_EQ(listener.events.size(), 2u);
-    EXPECT_EQ(listener.events[0].kind,
-              RecordingListener::Event::Kind::Windows);
-    EXPECT_EQ(listener.events[0].md_mask, 0x3u);
-    EXPECT_EQ(listener.events[0].lo, 0u);
-    EXPECT_EQ(listener.events[0].hi, 8u);
-    EXPECT_EQ(listener.events[1].md_mask, 0x2u);
-    EXPECT_EQ(listener.events[1].lo, 0u);
-    EXPECT_EQ(listener.events[1].hi, 16u);
-    t.removeListener(&listener);
+    EXPECT_EQ(fired, 0u);
 }
 
 } // namespace

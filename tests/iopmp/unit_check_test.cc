@@ -1,21 +1,17 @@
 /**
  * @file
- * Check-path accelerator tests (iopmp/accel.hh):
+ * Unit check-path tests (SIopmp::authorize, matchWindows):
  *
- *  - differential: CheckAccel::check() must return bit-identical
- *    results to the checker's own walk (CheckerLogic::check), across
- *    every checker kind, random programming, and direct table
- *    mutations mid-stream;
- *  - invalidation completeness: a parameterized walk over every MMIO
- *    write path (and the direct-mutation APIs) that can change an
- *    authorization outcome, comparing the unit's authorize() with a
- *    reference built from its own live state (SID resolution, block
- *    bit, the configured kind's walk);
- *  - invalidation minimality: a mutation confined to one MD must not
- *    invalidate plans of disjoint MD bitmaps (the point of the per-MD
- *    incremental scheme);
- *  - the factory: makeChecker builds the bare walk, no accelerator;
- *  - the check_accel observability counters.
+ *  - differential: the unit's authorize() must reach the verdict of
+ *    every checker kind's own walk (CheckerLogic::check), and
+ *    matchWindows its deciding entry, allowed and partial flags,
+ *    across random programming and direct table mutations mid-stream;
+ *  - invalidation completeness: for every kind, a parameterized walk
+ *    over every MMIO write path (and the direct-mutation APIs) that
+ *    can change an authorization outcome, comparing the unit's
+ *    authorize() with a reference built from its own live state (SID
+ *    resolution, block bit, the configured kind's walk);
+ *  - the factory: makeChecker builds the bare walk.
  */
 
 #include <gtest/gtest.h>
@@ -25,11 +21,9 @@
 #include <string>
 #include <vector>
 
-#include "iopmp/accel.hh"
 #include "iopmp/checker.hh"
 #include "iopmp/siopmp.hh"
 #include "sim/random.hh"
-#include "sim/stats.hh"
 
 namespace siopmp {
 namespace iopmp {
@@ -94,7 +88,10 @@ randomizeTops(MdCfgTable &mdcfg, Rng &rng, unsigned num_entries)
         top = std::min(num_entries,
                        top + static_cast<unsigned>(
                                  rng.below(num_entries / 2 + 1)));
-        ASSERT_TRUE(mdcfg.setTop(md, top));
+        // Some MDs stay unprogrammed (top 0) between programmed ones.
+        if (!rng.chance(0.2)) {
+            ASSERT_TRUE(mdcfg.setTop(md, top));
+        }
     }
 }
 
@@ -119,56 +116,68 @@ struct KindParam {
     unsigned stages;
 };
 
-class AccelDifferential : public ::testing::TestWithParam<KindParam>
+constexpr KindParam kKinds[] = {{CheckerKind::Linear, 1},
+                                {CheckerKind::Tree, 1},
+                                {CheckerKind::PipelineLinear, 3},
+                                {CheckerKind::PipelineTree, 2}};
+
+class UnitDifferential : public ::testing::TestWithParam<KindParam>
 {
 };
 
-/** The accelerated path must be bit-identical to the checker's own
- * reduction, including across direct table mutations mid-stream (the
- * TableListener callbacks, not the MMIO window, carry the
- * invalidation). */
-TEST_P(AccelDifferential, MatchesUncachedUnderMutation)
+/** The unit's authorize() must reach the verdict of its kind's own
+ * walk, and matchWindows the walk's whole result, including across
+ * direct (non-MMIO) table mutations mid-stream and unprogrammed MDs
+ * between programmed ones. One device bound to SID 0 checks each
+ * request through the request's bitmap. */
+TEST_P(UnitDifferential, MatchesKindWalkUnderMutation)
 {
     constexpr unsigned kEntries = 24;
     constexpr unsigned kMds = 8;
-    EntryTable entries(kEntries);
-    MdCfgTable mdcfg(kMds, kEntries);
+    constexpr DeviceId kDev = 1;
+    IopmpConfig cfg;
+    cfg.num_entries = kEntries;
+    cfg.num_sids = 4;
+    cfg.num_mds = kMds;
+    SIopmp dut(cfg, GetParam().kind, GetParam().stages);
+    EntryTable &entries = dut.entryTable();
+    MdCfgTable &mdcfg = dut.mdcfg();
+    dut.cam().set(0, kDev);
     Rng rng(0xacce1 + static_cast<unsigned>(GetParam().kind));
 
     randomizeTops(mdcfg, rng, kEntries);
     for (unsigned i = 0; i < kEntries; ++i)
         randomizeEntry(entries, rng);
 
-    auto checker =
-        makeChecker(GetParam().kind, GetParam().stages, entries, mdcfg);
-    CheckAccel accel(entries, mdcfg);
-
     for (unsigned i = 0; i < 4000; ++i) {
         if (i % 97 == 96) {
-            // Mutate behind the accelerator's back: entry rewrite or a
-            // whole-table MDCFG reshape, via the direct (non-MMIO) API.
+            // Mutate through the direct (non-MMIO) API: entry rewrite
+            // or a whole-table MDCFG reshape.
             if (rng.chance(0.7))
                 randomizeEntry(entries, rng);
             else
                 randomizeTops(mdcfg, rng, kEntries);
         }
         const CheckRequest req = randomRequest(rng, kMds);
-        const CheckResult fast = accel.check(req);
-        const CheckResult slow = checker->check(req);
-        ASSERT_EQ(fast.entry, slow.entry)
+        ASSERT_TRUE(dut.src2md().setBitmap(0, req.md_bitmap));
+        const AuthResult unit =
+            dut.authorize(kDev, req.addr, req.len, req.perm);
+        const CheckResult windows = matchWindows(entries, mdcfg, req);
+        const CheckResult walk = dut.checker().check(req);
+        ASSERT_EQ(unit.entry, walk.entry)
             << "iter " << i << " addr=" << std::hex << req.addr
             << " len=" << req.len << " bitmap=" << req.md_bitmap;
-        ASSERT_EQ(fast.allowed, slow.allowed) << "iter " << i;
-        ASSERT_EQ(fast.partial, slow.partial) << "iter " << i;
+        ASSERT_EQ(unit.status,
+                  walk.allowed ? AuthStatus::Allow : AuthStatus::Deny)
+            << "iter " << i;
+        ASSERT_EQ(windows.entry, walk.entry) << "iter " << i;
+        ASSERT_EQ(windows.allowed, walk.allowed) << "iter " << i;
+        ASSERT_EQ(windows.partial, walk.partial) << "iter " << i;
     }
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    AllKinds, AccelDifferential,
-    ::testing::Values(KindParam{CheckerKind::Linear, 1},
-                      KindParam{CheckerKind::Tree, 1},
-                      KindParam{CheckerKind::PipelineLinear, 3},
-                      KindParam{CheckerKind::PipelineTree, 2}),
+    AllKinds, UnitDifferential, ::testing::ValuesIn(kKinds),
     [](const ::testing::TestParamInfo<KindParam> &info) {
         // gtest names must be [A-Za-z0-9_]; kind names carry dashes.
         std::string name = checkerKindName(info.param.kind);
@@ -182,7 +191,7 @@ INSTANTIATE_TEST_SUITE_P(
 // ---- invalidation completeness over the MMIO surface --------------------
 
 /** One mutation scenario: a named state change that must become
- * visible through the accelerated path immediately. */
+ * visible through authorize() immediately. */
 struct Mutation {
     const char *name;
     std::function<void(SIopmp &)> apply;
@@ -265,9 +274,9 @@ probe(SIopmp &dut)
     });
 }
 
-/** The battery decided from @p dut's live state without its
- * accelerator: resolve the SID, test its block bit, then run the
- * configured kind's walk over the SID's domains. */
+/** The battery decided from @p dut's live state without authorize():
+ * resolve the SID, test its block bit, then run the configured kind's
+ * walk over the SID's domains. */
 std::vector<AuthResult>
 reference(SIopmp &dut)
 {
@@ -316,34 +325,34 @@ class InvalidationCompleteness : public ::testing::TestWithParam<Mutation>
 };
 
 /**
- * Drive program, probe, mutate, probe through a DUT and compare every
- * probe with the reference decided from the DUT's live state. Any
- * missing invalidation path shows up as the DUT serving a
- * pre-mutation verdict out of a stale plan.
+ * For every kind: drive program, probe, mutate, probe through a DUT
+ * and compare every probe with the reference decided from the DUT's
+ * live state. A mutation path the unit misses shows up as the DUT
+ * serving a pre-mutation verdict.
  */
 TEST_P(InvalidationCompleteness, CachedMatchesUncachedAcrossMutation)
 {
-    SIopmp dut(probeConfig(), CheckerKind::Tree, 1);
-    program(dut);
+    for (const KindParam kind : kKinds) {
+        SCOPED_TRACE(checkerKindName(kind.kind));
+        SIopmp dut(probeConfig(), kind.kind, kind.stages);
+        program(dut);
 
-    std::string why;
-    const std::vector<AuthResult> before = reference(dut);
-    ASSERT_TRUE(sameResults(probe(dut), before, &why)) << why;
-    // Probe again so every plan is compiled and clean: a stale
-    // post-mutation verdict can only come out of a stale plan.
-    probe(dut);
+        std::string why;
+        const std::vector<AuthResult> before = reference(dut);
+        ASSERT_TRUE(sameResults(probe(dut), before, &why)) << why;
 
-    GetParam().apply(dut);
+        GetParam().apply(dut);
 
-    const std::vector<AuthResult> after = reference(dut);
-    EXPECT_TRUE(sameResults(probe(dut), after, &why))
-        << GetParam().name << ": " << why;
+        const std::vector<AuthResult> after = reference(dut);
+        EXPECT_TRUE(sameResults(probe(dut), after, &why))
+            << GetParam().name << ": " << why;
 
-    if (GetParam().expect_change) {
-        EXPECT_FALSE(sameResults(before, after, &why))
-            << GetParam().name
-            << ": mutation did not change any probe verdict — the "
-               "scenario is vacuous";
+        if (GetParam().expect_change) {
+            EXPECT_FALSE(sameResults(before, after, &why))
+                << GetParam().name
+                << ": mutation did not change any probe verdict — the "
+                   "scenario is vacuous";
+        }
     }
 }
 
@@ -424,7 +433,7 @@ INSTANTIATE_TEST_SUITE_P(
         Mutation{"direct_entry_set",
                  [](SIopmp &dut) {
                      // Machine-mode table write bypassing MMIO: the
-                     // table listener must still catch it.
+                     // unit must still see it.
                      dut.entryTable().set(0, Entry::off(),
                                           /*machine_mode=*/true);
                  },
@@ -443,17 +452,8 @@ INSTANTIATE_TEST_SUITE_P(
 
 // ---- the factory --------------------------------------------------------
 
-unsigned
-liveAccelGroups()
-{
-    unsigned n = 0;
-    for (const stats::Group *group : stats::Registry::global().liveGroups())
-        n += group->name() == CheckAccel::kName;
-    return n;
-}
-
-/** makeChecker builds the kind's bare walk: nothing attached, so no
- * check_accel group goes live and check() is the walk itself. */
+/** makeChecker builds the kind's bare walk: check() is the walk
+ * itself. */
 TEST(CheckerFactory, BuildsBareWalkForEveryKind)
 {
     constexpr unsigned kEntries = 8;
@@ -468,199 +468,14 @@ TEST(CheckerFactory, BuildsBareWalkForEveryKind)
     req.perm = Perm::Read;
     req.md_bitmap = 0x1;
 
-    const unsigned before = liveAccelGroups();
-    for (const KindParam kind : {KindParam{CheckerKind::Linear, 1},
-                                 KindParam{CheckerKind::Tree, 1},
-                                 KindParam{CheckerKind::PipelineLinear, 3},
-                                 KindParam{CheckerKind::PipelineTree, 2}}) {
+    for (const KindParam kind : kKinds) {
         auto checker = makeChecker(kind.kind, kind.stages, entries, mdcfg);
         EXPECT_EQ(checker->kind(), kind.kind);
         EXPECT_EQ(checker->stages(), kind.stages);
         const CheckResult result = checker->check(req);
         EXPECT_TRUE(result.allowed) << checkerKindName(kind.kind);
         EXPECT_EQ(result.entry, 3) << checkerKindName(kind.kind);
-        EXPECT_EQ(liveAccelGroups(), before) << checkerKindName(kind.kind);
     }
-
-    // A unit owns exactly one accelerator.
-    SIopmp dut(probeConfig(), CheckerKind::Linear, 1);
-    EXPECT_EQ(liveAccelGroups(), before + 1);
-}
-
-// ---- observability counters ---------------------------------------------
-
-TEST(CheckAccel, CountersTrackHitsMissesAndFlushes)
-{
-    SIopmp dut(probeConfig(), CheckerKind::Linear, 1);
-    program(dut);
-    const CheckAccel &accel = dut.accel();
-
-    // program() itself churns the tables through MMIO, so flush
-    // counters are already nonzero; snapshot and compare deltas.
-    const std::uint64_t partial0 = accel.partialFlushes();
-
-    // First check compiles SID1's plan.
-    EXPECT_EQ(dut.authorize(kDevHot, 0x1000, 8, Perm::Read).status,
-              AuthStatus::Allow);
-    const std::uint64_t compiles0 = accel.planCompiles();
-    EXPECT_GE(compiles0, 1u);
-    EXPECT_EQ(accel.planRecompiles(), 0u);
-
-    // Identical repeats reuse the plan: no new plan work.
-    for (int i = 0; i < 5; ++i)
-        dut.authorize(kDevHot, 0x1000, 8, Perm::Read);
-    EXPECT_EQ(accel.planCompiles(), compiles0);
-    EXPECT_EQ(accel.planRecompiles(), 0u);
-
-    // A config write partially flushes (only the owning MDs' plans go
-    // stale) and strands the plan: the next check recompiles it.
-    writeEntry(dut, 0, 0x1000, 0x1000, (1u << 2) | 0x1); // rw -> r-
-    EXPECT_EQ(accel.partialFlushes(), partial0 + 1);
-    EXPECT_GE(accel.stalePlans(), 1u);
-    EXPECT_FALSE(
-        dut.authorize(kDevHot, 0x1000, 8, Perm::Write).status ==
-        AuthStatus::Allow);
-    EXPECT_GE(accel.planRecompiles(), 1u);
-    EXPECT_EQ(accel.planCompiles(), compiles0);
-}
-
-// ---- invalidation minimality --------------------------------------------
-
-/** Four-MD layout with one plan-warmed request per disjoint bitmap:
- * the shared scaffolding for the minimality tests. */
-struct MinimalityRig {
-    static constexpr unsigned kEntries = 16;
-
-    MinimalityRig() : entries(kEntries), mdcfg(4, kEntries)
-    {
-        // MD m owns entries [4m, 4m+4).
-        for (MdIndex md = 0; md < 4; ++md)
-            EXPECT_TRUE(mdcfg.setTop(md, (md + 1) * 4));
-        for (unsigned i = 0; i < kEntries; ++i) {
-            EXPECT_TRUE(entries.set(
-                i, Entry::range(Addr{0x1000} * i, 0x1000, Perm::ReadWrite),
-                /*machine_mode=*/true));
-        }
-        // req_a reads through MD0; req_b through MD2|MD3 — disjoint.
-        req_a.addr = 0x1000;
-        req_a.len = 8;
-        req_a.perm = Perm::Read;
-        req_a.md_bitmap = 0x1;
-        req_b = req_a;
-        req_b.addr = 0x9000;
-        req_b.md_bitmap = 0xc;
-
-        // Listen from here on, then compile both plans.
-        accel.emplace(entries, mdcfg);
-        accel->check(req_a);
-        accel->check(req_b);
-        EXPECT_EQ(accel->planCompiles(), 2u);
-    }
-
-    EntryTable entries;
-    MdCfgTable mdcfg;
-    std::optional<CheckAccel> accel;
-    CheckRequest req_a;
-    CheckRequest req_b;
-};
-
-/** An entry rewrite inside MD0 must leave MD2|MD3's plan compiled,
- * while MD0's plan goes stale. */
-TEST(CheckAccel, EntryMutationLeavesDisjointMdsValid)
-{
-    MinimalityRig rig;
-
-    // Entry 1 lives in MD0's window.
-    ASSERT_TRUE(rig.entries.set(
-        1, Entry::range(0x1000, 0x1000, Perm::Read), true));
-    EXPECT_EQ(rig.accel->partialFlushes(), 1u);
-    EXPECT_EQ(rig.accel->stalePlans(), 1u);
-
-    // Disjoint bitmap: no plan work.
-    rig.accel->check(rig.req_b);
-    EXPECT_EQ(rig.accel->planRecompiles(), 0u);
-    EXPECT_EQ(rig.accel->stalePlans(), 1u);
-
-    // Touched bitmap: the plan recompiles.
-    rig.accel->check(rig.req_a);
-    EXPECT_EQ(rig.accel->planRecompiles(), 1u);
-    EXPECT_EQ(rig.accel->planCompiles(), 2u);
-    EXPECT_EQ(rig.accel->stalePlans(), 0u);
-}
-
-/** An MDCFG top move on the MD0/MD1 boundary must dirty only bitmaps
- * intersecting {MD0, MD1}. */
-TEST(CheckAccel, MdcfgTopMoveLeavesDisjointMdsValid)
-{
-    MinimalityRig rig;
-
-    // MD0 shrinks 4 -> 3: entry 3 moves from MD0 to MD1.
-    ASSERT_TRUE(rig.mdcfg.setTop(0, 3));
-    EXPECT_EQ(rig.accel->partialFlushes(), 1u);
-    EXPECT_EQ(rig.accel->stalePlans(), 1u);
-
-    // MD2|MD3 is untouched by the boundary move.
-    rig.accel->check(rig.req_b);
-    EXPECT_EQ(rig.accel->planRecompiles(), 0u);
-
-    // MD0's plan is stale and recompiles.
-    rig.accel->check(rig.req_a);
-    EXPECT_EQ(rig.accel->planRecompiles(), 1u);
-    EXPECT_EQ(rig.accel->stalePlans(), 0u);
-}
-
-/** Overlapping bitmaps on both sides of a mutation: only those
- * intersecting the dirtied MD set pay for it. */
-TEST(CheckAccel, OverlappingBitmapSaltsAreIndependent)
-{
-    MinimalityRig rig;
-
-    // A third request spanning MD1|MD2 — overlaps neither req_a (MD0)
-    // nor the mutation target below (MD3).
-    CheckRequest req_c = rig.req_a;
-    req_c.addr = 0x5000;
-    req_c.md_bitmap = 0x6;
-    rig.accel->check(req_c);
-    EXPECT_EQ(rig.accel->planCompiles(), 3u);
-
-    // Mutate entry 13 (MD3): dirties req_b's plan (MD2|MD3 intersects
-    // {MD3}) but not req_a's or req_c's.
-    ASSERT_TRUE(rig.entries.set(
-        13, Entry::range(0xd000, 0x1000, Perm::Read), true));
-    EXPECT_EQ(rig.accel->stalePlans(), 1u);
-
-    rig.accel->check(rig.req_a);
-    rig.accel->check(req_c);
-    EXPECT_EQ(rig.accel->planRecompiles(), 0u);
-    EXPECT_EQ(rig.accel->stalePlans(), 1u);
-
-    rig.accel->check(rig.req_b);
-    EXPECT_EQ(rig.accel->planRecompiles(), 1u);
-    EXPECT_EQ(rig.accel->stalePlans(), 0u);
-}
-
-TEST(CheckAccel, ZeroLengthMatchesUncached)
-{
-    constexpr unsigned kEntries = 4;
-    EntryTable entries(kEntries);
-    MdCfgTable mdcfg(2, kEntries);
-    ASSERT_TRUE(mdcfg.setTop(0, kEntries));
-    ASSERT_TRUE(entries.set(0, Entry::range(0, ~Addr{0}, Perm::ReadWrite),
-                            true));
-    auto checker = makeChecker(CheckerKind::Linear, 1, entries, mdcfg);
-    CheckAccel accel(entries, mdcfg);
-    CheckRequest req;
-    req.addr = 0x1000;
-    req.len = 0;
-    req.perm = Perm::Read;
-    req.md_bitmap = 0x1;
-    const CheckResult fast = accel.check(req);
-    const CheckResult slow = checker->check(req);
-    EXPECT_EQ(fast.entry, slow.entry);
-    EXPECT_EQ(fast.allowed, slow.allowed);
-    EXPECT_EQ(fast.partial, slow.partial);
-    EXPECT_EQ(fast.entry, -1);
-    EXPECT_FALSE(fast.allowed);
 }
 
 } // namespace

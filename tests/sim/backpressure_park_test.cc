@@ -273,12 +273,11 @@ class BackpressureParkTest : public ::testing::TestWithParam<Shape>
 /**
  * Mutations land while nodes are parked on a held Allow or a block bit,
  * from an event, mid-tick (after the checker nodes' slots) and between
- * run() calls: entry rewrites that only invalidate (their trace instant
- * carries the cycle of the accelerator's last check), a revoke and
+ * run() calls: entry rewrites that change no verdict, a revoke and
  * restore of a read window, CAM and SRC2MD writes for a SID no engine
- * uses (they move the state version and change no verdict) and a block
- * window. Every dump, the final cycle and the trace must match the
- * naive loop, and under fast-forward parking must have engaged.
+ * uses (they too move the state version and change no verdict) and a
+ * block window. Every dump, the final cycle and the trace must match
+ * the naive loop, and under fast-forward parking must have engaged.
  */
 TEST_P(BackpressureParkTest, MatchesNaiveLoop)
 {

@@ -140,6 +140,26 @@ TEST(Group, HistogramDumpsInRegistrationOrder)
     EXPECT_LT(bucket, last);
 }
 
+TEST(Group, LazyStatsRegisterInFirstUpdateOrder)
+{
+    Group g("unit");
+    LazyScalar hits(g, "hits");
+    LazyAverage lat(g, "lat");
+    EXPECT_TRUE(g.empty());
+    lat.sample(4);
+    ++hits;
+    lat.sample(8);
+    hits += 2;
+    EXPECT_DOUBLE_EQ(g.scalar("hits").value(), 3.0);
+    EXPECT_EQ(g.average("lat").count(), 2u);
+    EXPECT_DOUBLE_EQ(g.average("lat").mean(), 6.0);
+    std::ostringstream os;
+    TextStatsWriter writer(os);
+    g.accept(writer);
+    const std::string out = os.str();
+    EXPECT_LT(out.find("unit.lat.mean"), out.find("unit.hits"));
+}
+
 TEST(Registry, TracksLiveGroups)
 {
     Registry &reg = Registry::global();

@@ -115,7 +115,7 @@ TEST_P(ConfigSweep, AuthorizeWorksAtEveryShape)
         ASSERT_TRUE(unit.src2md().associate(sid, md));
         unit.cam().set(sid, 1000 + sid);
         unit.entryTable().set(
-            unit.mdcfg().lo(md),
+            unit.mdcfg().window(md).lo,
             iopmp::Entry::range(0x8000'0000 + md * 0x10'0000, 0x10'0000,
                                 Perm::ReadWrite));
     }

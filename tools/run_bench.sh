@@ -17,20 +17,22 @@
 # nonzero on any DUT-vs-oracle divergence. The bounded version of the
 # same campaign already runs inside the tier-1 suite (test_check).
 #
+# The default leg builds with CMAKE_COMPILE_WARNING_AS_ERROR, so any
+# compiler warning fails it and the tree stays warning-free.
+#
 # --sanitize configures a separate ASan+UBSan-instrumented tree
 # (default build-asan/, matching the asan-ubsan CMake preset), then
-# runs the accelerator, invalidation and checker-factory tests and four
-# bounded differential-fuzz campaigns — the default and the
-# mutation-heavy churn profile (which stresses per-MD incremental
-# invalidation), each at seeds 1 and 2 — under the sanitizers. Every
-# campaign checks the plans against the oracle and each kind's walk
-# against the plans. It runs the tenant-churn tests and, whole, the
-# simulator, bus and fast-forward suites (test_sim, test_bus,
-# test_fastforward: the active-set bitmap, the fifo rings and the
-# parking differentials) and the table and differential-check suites
-# (test_iopmp_tables, test_check: the owner sweep, the listener audit
-# and its fire tests, the oracle and the bounded fuzz campaigns) in the
-# same tree. It then configures a second,
+# runs the unit-versus-walk differential, invalidation-completeness
+# and checker-factory tests and four bounded differential-fuzz
+# campaigns — the default and the mutation-heavy churn profile, each
+# at seeds 1 and 2 — under the sanitizers. Every campaign checks the
+# unit against the oracle and each kind's walk against the unit. It
+# runs the tenant-churn tests and, whole, the simulator, bus and
+# fast-forward suites (test_sim, test_bus, test_fastforward: the
+# active-set bitmap, the fifo rings and the parking differentials) and
+# the table and differential-check suites (test_iopmp_tables,
+# test_check: the MD windows, the change hooks, the oracle and the
+# bounded fuzz campaigns) in the same tree. It then configures a second,
 # TSan-instrumented tree (build-tsan/, matching the tsan preset) and
 # runs a bounded fuzz smoke sharded over 4 worker threads under
 # ThreadSanitizer — the data-race gate for siopmp_fuzz --jobs, the one
@@ -53,13 +55,13 @@ if [ "${1:-}" = "--sanitize" ]; then
     # Only the targets this mode runs — an instrumented build of the
     # whole tree is slow and buys nothing here.
     cmake --build "$ASAN_DIR" -j --target test_iopmp_checkers siopmp_fuzz
-    echo "== accelerator + invalidation tests (sanitized) =="
+    echo "== unit-versus-walk differential + invalidation tests (sanitized) =="
     "$ASAN_DIR/tests/test_iopmp_checkers" \
-        --gtest_filter='*CheckAccel*:*Invalidation*:*AccelDifferential*:*CheckerFactory*'
+        --gtest_filter='*UnitDifferential*:*Invalidation*:*CheckerFactory*'
     echo "== bounded fuzz campaign (sanitized) =="
     "$ASAN_DIR/tools/siopmp_fuzz" --cases 300 --seed 1
     "$ASAN_DIR/tools/siopmp_fuzz" --cases 300 --seed 2
-    echo "== churn-profile fuzz: incremental invalidation (sanitized) =="
+    echo "== churn-profile fuzz: mutation-heavy op mix (sanitized) =="
     "$ASAN_DIR/tools/siopmp_fuzz" --cases 300 --profile churn --seed 1
     "$ASAN_DIR/tools/siopmp_fuzz" --cases 300 --profile churn --seed 2
 
@@ -73,7 +75,7 @@ if [ "${1:-}" = "--sanitize" ]; then
     "$ASAN_DIR/tests/test_bus"
     "$ASAN_DIR/tests/test_fastforward"
 
-    echo "== tables, listener audit and differential-check suites (ASan+UBSan) =="
+    echo "== tables, change hooks and differential-check suites (ASan+UBSan) =="
     cmake --build "$ASAN_DIR" -j --target test_iopmp_tables test_check
     "$ASAN_DIR/tests/test_iopmp_tables"
     "$ASAN_DIR/tests/test_check"
@@ -95,8 +97,8 @@ MODE="${3:-bench}"
 OUT_JSON="$REPO_ROOT/BENCH_sim_core.json"
 CHECKER_JSON="$REPO_ROOT/BENCH_checker.json"
 
-echo "== configure + build =="
-cmake -B "$BUILD_DIR" -S "$REPO_ROOT"
+echo "== configure + build (warnings are errors) =="
+cmake -B "$BUILD_DIR" -S "$REPO_ROOT" -DCMAKE_COMPILE_WARNING_AS_ERROR=ON
 cmake --build "$BUILD_DIR" -j
 
 # gtest_discover_tests caches per-binary test lists in
@@ -194,6 +196,7 @@ for key in \
     '"configs"' \
     '"churn"' \
     '"ratio"' \
+    '"path"' \
     '"ns_per_check"' \
     '"s_per_mcycle"' \
     '"speedup"'; do
@@ -218,35 +221,33 @@ cfgs = d["configs"]
 kinds = {c["kind"] for c in cfgs}
 assert kinds == {"linear", "tree", "mt3"}, kinds
 for c in cfgs:
-    assert c["accel"] in ("off", "plans")
+    assert c["path"] in ("walk", "windows")
     assert c["entries"] in (64, 256, 1024)
     assert c["ns_per_check"] > 0 and c["s_per_mcycle"] > 0
-# Acceptance gate: saturated 128-SID throughput through the compiled
-# plans must be at least 3x the kind's walk, per kind and entry count.
+# Acceptance gate: saturated 128-SID throughput of the unit's window
+# walk must be at least 3x the kind's walk, per kind and entry count.
 for c in cfgs:
-    if c["accel"] == "plans":
+    if c["path"] == "windows":
         assert c["speedup"] >= 3.0, (c["kind"], c["entries"], c["speedup"])
-# Churn series: every kind at ratios 1:10/1:100/1:1000, walk and plans.
+# Churn series: every kind at ratios 1:10/1:100/1:1000, both paths.
 churn = d["churn"]
 ckinds = {c["kind"] for c in churn}
 assert ckinds == {"linear", "tree", "mt3"}, ckinds
 for c in churn:
-    assert c["accel"] in ("off", "plans"), c
+    assert c["path"] in ("walk", "windows"), c
     assert c["ratio"] in (10, 100, 1000), c
     assert c["ns_per_check"] > 0, c
-# Acceptance gate: with per-MD incremental invalidation, checks through
-# the plans under churn at a 1:100 mutation:check ratio must be at
-# least 5x the kind's walk, per kind. (The old epoch scheme flushed
-# every plan on every mutation; this gate is what it would fail.)
+# Acceptance gate: under churn at a 1:100 mutation:check ratio, the
+# window walk must be at least 5x the kind's walk, per kind.
 for c in churn:
-    if c["accel"] == "plans" and c["ratio"] == 100:
+    if c["path"] == "windows" and c["ratio"] == 100:
         assert c["speedup"] >= 5.0, (c["kind"], c["speedup"])
 print("checker json schema OK (%s, %s, %d cores; min speedup %.1fx; "
       "min churn@1:100 %.1fx)" %
       (d["commit"], d["build_type"], d["host_cores"],
-       min(c["speedup"] for c in cfgs if c["accel"] == "plans"),
+       min(c["speedup"] for c in cfgs if c["path"] == "windows"),
        min(c["speedup"] for c in churn
-           if c["accel"] == "plans" and c["ratio"] == 100)))
+           if c["path"] == "windows" and c["ratio"] == 100)))
 EOF
 else
     echo "checker json schema OK (grep-only: python3 unavailable)"

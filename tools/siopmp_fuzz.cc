@@ -26,15 +26,14 @@
  * workers join. Tracing (--trace-out) forces --jobs 1: the trace sink
  * serializes one event stream.
  *
- * The DUT decides through its compiled match plans
- * (docs/PERFORMANCE.md); every Allow or Deny it agrees with the oracle
- * on is re-decided by the configured checker kind's own walk, so each
- * leg covers its kind's microarchitecture model too.
+ * The DUT decides by its window walk (docs/PERFORMANCE.md); every
+ * Allow or Deny it agrees with the oracle on is re-decided by the
+ * configured checker kind's own walk, so each leg covers its kind's
+ * microarchitecture model too.
  *
  * --profile churn switches the op mix to continuous high-rate table
- * mutation interleaved with checks — the workload the accelerator's
- * per-MD incremental invalidation is built for. Every replay also
- * audits the TableListener dirty-set contract (see check/fuzzer.hh).
+ * mutation interleaved with checks, so every check runs against
+ * freshly moved tables.
  *
  *   --replay K  regenerate case K of the selected checker/sizing,
  *               print every op, and replay it (with trace emission if

@@ -677,9 +677,10 @@ FaultInjection
 makeLockBypassInjection()
 {
     // The hook owns the DUT's entry staging (the real staging is
-    // private), mirrors the commit logic exactly, and re-creates the
-    // original bug at the final step: EntryTable::set is called with
-    // machine-mode privilege, so entry locks are silently overridden.
+    // private), commits through the unit's own decode, and re-creates
+    // the original bug at the final step: EntryTable::set is called
+    // with machine-mode privilege, so entry locks are silently
+    // overridden.
     using Stage = std::pair<std::uint64_t, std::uint64_t>; // base, size
     auto staging =
         std::make_shared<std::unordered_map<unsigned, Stage>>();
@@ -704,34 +705,14 @@ makeLockBypassInjection()
             (*staging)[idx].second = op.value;
             break;
           case 2: {
-            const auto perm = static_cast<Perm>(op.value & 0x3);
-            const unsigned mode_bits = (op.value >> 2) & 0x3;
-            const bool lock = (op.value >> 7) & 1;
             const Stage stage = (*staging)[idx];
-            iopmp::Entry entry = iopmp::Entry::off();
-            if (mode_bits == kModeRange && stage.second > 0) {
-                entry = iopmp::Entry::range(stage.first, stage.second,
-                                            perm);
-            } else if (mode_bits == kModeNapot) {
-                if (isPow2(stage.second) && stage.second >= 8 &&
-                    (stage.first & (stage.second - 1)) == 0) {
-                    entry = iopmp::Entry::napot(stage.first,
-                                                stage.second, perm);
-                }
-            } else if (mode_bits == kModeTor) {
-                const Addr lo =
-                    idx == 0
-                        ? 0
-                        : dut.entryTable().get(idx - 1).base() +
-                              dut.entryTable().get(idx - 1).size();
-                if (stage.first > lo) {
-                    entry = iopmp::Entry::range(lo, stage.first - lo,
-                                                perm);
-                }
-            }
+            const iopmp::EntryCommit commit = iopmp::decodeEntryCommit(
+                dut.entryTable(), idx, stage.first, stage.second,
+                op.value);
             // The bug under test: privileged write from the MMIO path.
-            if (dut.entryTable().set(idx, entry, /*machine_mode=*/true)) {
-                if (lock)
+            if (dut.entryTable().set(idx, commit.entry,
+                                     /*machine_mode=*/true)) {
+                if (commit.lock)
                     dut.entryTable().lock(idx);
             }
             staging->erase(idx);

@@ -90,15 +90,10 @@ Accelerator::issue(Cycle)
         write_beat_ = 0;
         write_burst_open_ = true;
     }
-    const Addr addr = job_.outputs +
-                      static_cast<Addr>(tile_) * job_.tile_bytes +
-                      write_issued_ +
-                      static_cast<Addr>(write_beat_) * bus::kBeatBytes;
-    // Address is supplied per-beat by makePut from the burst base:
+    // makePut derives each beat's address from the burst base.
     const Addr burst_base = job_.outputs +
                             static_cast<Addr>(tile_) * job_.tile_bytes +
                             write_issued_;
-    (void)addr;
     if (!tryIssuePutBeat(burst_base, write_beat_, bus::kBurstBeats,
                          accumulator_ + write_beat_, write_txn_)) {
         return;

@@ -146,7 +146,6 @@ DmaEngine::issueNext(Cycle now)
         if (!tryIssueGet(addr, job_.burst_beats))
             return;
         Outstanding out;
-        out.kind = DmaKind::Read;
         out.addr = addr;
         out.beats = job_.burst_beats;
         out.issued_at = now;
@@ -166,7 +165,6 @@ DmaEngine::issueNext(Cycle now)
         write_txn_ = allocTxn();
         write_addr_ = streamAddr(job_.dst, issued_bytes_);
         Outstanding out;
-        out.kind = DmaKind::Write;
         out.addr = write_addr_;
         out.beats = job_.burst_beats;
         out.issued_at = now;
@@ -202,7 +200,6 @@ DmaEngine::issueWrites(Cycle now)
         write_txn_ = allocTxn();
         write_addr_ = job_.dst + (write_current_.addr - job_.src);
         Outstanding out;
-        out.kind = DmaKind::Write;
         out.addr = write_addr_;
         out.beats = write_current_.beats;
         out.issued_at = now;
@@ -239,7 +236,6 @@ DmaEngine::collectResponses(Cycle now)
 
     if (beat.denied) {
         // Bus-error termination: the burst is over immediately.
-        out.terminated = true;
         completed_bytes_ += burst_bytes;
         ++bursts_completed_;
         burst_latency_.sample(static_cast<double>(now - out.issued_at));
@@ -249,7 +245,6 @@ DmaEngine::collectResponses(Cycle now)
     } else if (beat.opcode == bus::Opcode::AccessAckData) {
         if (job_.kind == DmaKind::Copy)
             out.data.push_back(beat.data); // staged for the write-out
-        ++out.received;
         if (beat.last) {
             ++bursts_completed_;
             burst_latency_.sample(static_cast<double>(now - out.issued_at));

@@ -105,13 +105,10 @@ class DmaEngine : public DmaMaster
 
   private:
     struct Outstanding {
-        DmaKind kind;
         Addr addr;       //!< burst base
         unsigned beats;
-        unsigned received = 0; //!< data/ack beats so far
         Cycle issued_at = 0;
         std::vector<std::uint64_t> data; //!< read data (Copy jobs only)
-        bool terminated = false;        //!< denied/terminated early
     };
 
     void issueNext(Cycle now);

@@ -61,31 +61,31 @@ Nic::quiescent(Cycle) const
     return idle() && link_->d.settled();
 }
 
-void
+bool
 Nic::tickTx(Cycle)
 {
     switch (tx_state_) {
       case TxState::Idle:
         if (tx_posted_ == 0)
-            return;
+            return false;
         if (!tryIssueGet(txDescAddr(tx_head_), 2))
-            return;
+            return false;
         tx_desc_txn_ = last_get_txn_;
         tx_desc_ = NicDescriptor{};
         tx_state_ = TxState::FetchDesc;
-        return;
+        return true;
 
       case TxState::FetchDesc:
-        return; // waiting for descriptor beats in collect()
+        return false; // waiting for descriptor beats in collect()
 
       case TxState::FetchPayload: {
         if (tx_payload_remaining_ == 0)
-            return; // waiting for data in collect()
+            return false; // waiting for data in collect()
         const unsigned beats =
             std::min<std::uint64_t>(bus::kBurstBeats,
                                     beatsFor(tx_payload_remaining_));
         if (!tryIssueGet(tx_payload_next_, beats))
-            return;
+            return false;
         tx_payload_txns_.insert(last_get_txn_);
         ++tx_payload_outstanding_;
         const std::uint64_t burst_bytes =
@@ -93,12 +93,12 @@ Nic::tickTx(Cycle)
         tx_payload_next_ += burst_bytes;
         tx_payload_remaining_ -=
             std::min<std::uint64_t>(burst_bytes, tx_payload_remaining_);
-        return;
+        return true;
       }
 
       case TxState::WriteBack:
         if (tx_wb_sent_)
-            return; // waiting for the ack
+            return false; // waiting for the ack
         {
             const std::uint64_t done_word =
                 (tx_desc_.len & 0xffff'ffffULL) | (std::uint64_t{1} << 63) |
@@ -106,14 +106,15 @@ Nic::tickTx(Cycle)
             const std::uint64_t txn = next_txn_;
             if (!tryIssuePutBeat(txDescAddr(tx_head_) + 8, 0, 1, done_word,
                                  txn)) {
-                return;
+                return false;
             }
             ++next_txn_;
             tx_wb_txn_ = txn;
             tx_wb_sent_ = true;
         }
-        return;
+        return true;
     }
+    return false;
 }
 
 void
@@ -293,12 +294,7 @@ Nic::evaluate(Cycle now)
 {
     // One A beat per cycle total: TX and RX engines alternate priority
     // by simply trying TX first (RX writes dominate ack traffic).
-    const auto before = stats_.scalar("gets_issued").value() +
-                        stats_.scalar("put_beats_issued").value();
-    tickTx(now);
-    const auto after = stats_.scalar("gets_issued").value() +
-                       stats_.scalar("put_beats_issued").value();
-    if (after == before)
+    if (!tickTx(now))
         tickRx(now);
     collect(now);
 }

@@ -84,7 +84,8 @@ class Nic : public DmaMaster
     enum class TxState { Idle, FetchDesc, FetchPayload, WriteBack };
     enum class RxState { Idle, FetchDesc, WritePayload, WriteBack };
 
-    void tickTx(Cycle now);
+    /** Advance the TX engine; true iff it issued an A beat. */
+    bool tickTx(Cycle now);
     void tickRx(Cycle now);
     void collect(Cycle now);
 

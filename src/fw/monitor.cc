@@ -260,55 +260,7 @@ FwResult
 SecureMonitor::deviceMap(OwnerId owner, DeviceId device, mem::Range range,
                          Perm perm, Cycle now)
 {
-    FwResult result;
-    Tee *domain = tee(owner);
-    if (!domain)
-        return result;
-
-    // Ownership-chain validation: the TEE must own the device and a
-    // memory capability covering the range, both with Map rights.
-    if (!caps_.findDeviceCap(owner, device))
-        return result;
-    if (!caps_.findMemoryCap(owner, range.base, range.size,
-                             CapRights::Map)) {
-        return result;
-    }
-
-    // The device must be hot to get a private MD window.
-    auto sid = hotSid(device);
-    if (!sid) {
-        const FwResult promoted = promoteToHot(device, now);
-        if (!promoted.ok)
-            return result;
-        result.cost += promoted.cost;
-        sid = hotSid(device);
-    }
-
-    // Find a free entry in the SID's window.
-    auto [lo, hi] = mdWindow(*sid);
-    unsigned index = hi;
-    for (unsigned i = lo; i < hi; ++i) {
-        if (!entry_used_[i]) {
-            index = i;
-            break;
-        }
-    }
-    if (index == hi)
-        return result; // window full
-
-    // Atomic install under the per-SID block.
-    result.cost += blockSid(*sid, device);
-    result.cost += writeEntry(index,
-                              iopmp::Entry::range(range.base, range.size,
-                                                  perm));
-    result.cost += unblockSid(*sid);
-
-    entry_used_[index] = true;
-    domain->mappings().push_back(
-        DeviceMapping{device, *sid, index, range, perm});
-    result.ok = true;
-    result.entry_index = index;
-    return result;
+    return deviceMapSg(owner, device, {range}, perm, now);
 }
 
 FwResult
@@ -489,16 +441,7 @@ SecureMonitor::promoteToHot(DeviceId device, Cycle now)
         // table before the new occupant overwrites it. If the save
         // fails (table full) the promotion is rolled back — losing
         // the victim's rules would make it permanently unmountable.
-        auto [lo, hi] = mdWindow(sid);
-        iopmp::MountRecord record;
-        record.esid = *evicted;
-        record.md_bitmap = std::uint64_t{1}
-                           << (unit_->config().num_mds - 1);
-        for (unsigned i = lo; i < hi; ++i) {
-            if (entry_used_[i])
-                record.entries.push_back(unit_->entryTable().get(i));
-        }
-        if (!ext_table_ || !ext_table_->add(record)) {
+        if (!ext_table_ || !ext_table_->add(saveHotWindow(*evicted, sid))) {
             unit_->cam().set(sid, *evicted); // undo the row rebind
             ++*st_evict_save_failures_;
             return result;
@@ -507,12 +450,7 @@ SecureMonitor::promoteToHot(DeviceId device, Cycle now)
         // occupant cannot inherit stale rules when its own record
         // fills less of the window.
         result.cost += blockSid(sid, *evicted);
-        for (unsigned i = lo; i < hi; ++i) {
-            if (entry_used_[i]) {
-                result.cost += writeEntry(i, iopmp::Entry::off());
-                entry_used_[i] = false;
-            }
-        }
+        result.cost += clearHotWindow(sid);
         result.cost += unblockSid(sid);
         ++*st_cam_evictions_;
         ++result.cost; // bookkeeping marker; loads accounted on mount
@@ -568,15 +506,7 @@ SecureMonitor::demoteToCold(DeviceId device, Cycle now)
     // touching the hardware: if the table is full the demotion fails
     // cleanly instead of silently dropping the rules (which would
     // leave the device permanently unmountable).
-    auto [lo, hi] = mdWindow(*sid);
-    iopmp::MountRecord record;
-    record.esid = device;
-    record.md_bitmap = std::uint64_t{1} << (unit_->config().num_mds - 1);
-    for (unsigned i = lo; i < hi; ++i) {
-        if (entry_used_[i])
-            record.entries.push_back(unit_->entryTable().get(i));
-    }
-    if (!ext_table_ || !ext_table_->add(record)) {
+    if (!ext_table_ || !ext_table_->add(saveHotWindow(device, *sid))) {
         ++*st_demote_save_failures_;
         return result;
     }
@@ -591,19 +521,58 @@ SecureMonitor::demoteToCold(DeviceId device, Cycle now)
     return result;
 }
 
-Cycle
-SecureMonitor::evictHot(DeviceId device, Sid sid)
+iopmp::MountRecord
+SecureMonitor::saveHotWindow(DeviceId device, Sid sid) const
 {
-    Cycle cost = blockSid(sid, device);
     auto [lo, hi] = mdWindow(sid);
+    iopmp::MountRecord record;
+    record.esid = device;
+    record.md_bitmap = std::uint64_t{1} << (unit_->config().num_mds - 1);
+    for (unsigned i = lo; i < hi; ++i) {
+        if (entry_used_[i])
+            record.entries.push_back(unit_->entryTable().get(i));
+    }
+    return record;
+}
+
+Cycle
+SecureMonitor::clearHotWindow(Sid sid)
+{
+    auto [lo, hi] = mdWindow(sid);
+    Cycle cost = 0;
     for (unsigned i = lo; i < hi; ++i) {
         if (!entry_used_[i])
             continue;
         cost += writeEntry(i, iopmp::Entry::off());
         entry_used_[i] = false;
     }
+    return cost;
+}
+
+Cycle
+SecureMonitor::evictHot(DeviceId device, Sid sid)
+{
+    Cycle cost = blockSid(sid, device);
+    cost += clearHotWindow(sid);
     cost += mmioWrite(kCamBase + sid * 8, 0); // invalidate the row
     cost += unblockSid(sid);
+    return cost;
+}
+
+Cycle
+SecureMonitor::loadColdWindow(const std::vector<iopmp::Entry> &entries)
+{
+    auto [lo, hi] = mdWindow(unit_->coldSid());
+    Cycle cost = 0;
+    unsigned i = lo;
+    for (const auto &entry : entries) {
+        if (i >= hi)
+            break;
+        cost += writeEntry(i, entry);
+        ++i;
+    }
+    for (; i < hi; ++i)
+        cost += writeEntry(i, iopmp::Entry::off());
     return cost;
 }
 
@@ -615,9 +584,7 @@ SecureMonitor::flushMountedCold(DeviceId device)
     Cycle cost = 0;
     if (!was_blocked)
         cost += blockSid(cold_sid, device);
-    auto [lo, hi] = mdWindow(cold_sid);
-    for (unsigned i = lo; i < hi; ++i)
-        cost += writeEntry(i, iopmp::Entry::off());
+    cost += loadColdWindow({});
     cost += mmioWrite(kEsid, 0);
     if (!was_blocked)
         cost += unblockSid(cold_sid);
@@ -633,16 +600,7 @@ SecureMonitor::remountCold(const iopmp::MountRecord &record)
     Cycle cost = 0;
     if (!was_blocked)
         cost += blockSid(cold_sid, record.esid);
-    auto [lo, hi] = mdWindow(cold_sid);
-    unsigned i = lo;
-    for (const auto &entry : record.entries) {
-        if (i >= hi)
-            break;
-        cost += writeEntry(i, entry);
-        ++i;
-    }
-    for (; i < hi; ++i)
-        cost += writeEntry(i, iopmp::Entry::off());
+    cost += loadColdWindow(record.entries);
     if (!was_blocked)
         cost += unblockSid(cold_sid);
     return cost;
@@ -661,27 +619,16 @@ SecureMonitor::coldSwitch(DeviceId device, Cycle now)
     if (!record)
         return cost; // unknown device: leave it blocked forever
 
-    const Sid cold_sid = unit_->coldSid();
-    auto [lo, hi] = mdWindow(cold_sid);
-
-    // Evict the previously mounted cold device (flush MD62's window).
-    if (auto previous = unit_->mountedCold())
+    // A previously mounted cold device is evicted: its window is
+    // overwritten below.
+    if (unit_->mountedCold())
         ++cold_switches_;
 
-    // Install the record: entries into MD62's window, then the eSID
-    // register and the cold SRC2MD row.
-    unsigned i = lo;
-    for (const auto &entry : record->entries) {
-        if (i >= hi)
-            break;
-        cost += writeEntry(i, entry);
-        ++i;
-    }
-    for (; i < hi; ++i)
-        cost += writeEntry(i, iopmp::Entry::off()); // flush remainder
-
+    // Install the record: entries into MD62's window (the remainder
+    // flushed), then the eSID register and the cold SRC2MD row.
+    cost += loadColdWindow(record->entries);
     cost += mmioWrite(kEsid, (std::uint64_t{1} << 63) | device);
-    cost += mmioWrite(kSrc2MdBase + cold_sid * 8,
+    cost += mmioWrite(kSrc2MdBase + unit_->coldSid() * 8,
                       std::uint64_t{1} << (unit_->config().num_mds - 1));
     cost += cfg_.cold_switch_overhead;
 

@@ -117,7 +117,7 @@ class SecureMonitor
      * capability and a memory capability covering the range), ensures
      * the device is hot (promoting it if a CAM row is free), and
      * installs an IOPMP entry in the device's MD window under the
-     * per-SID block.
+     * per-SID block: deviceMapSg() with the one segment.
      */
     FwResult deviceMap(OwnerId owner, DeviceId device, mem::Range range,
                        Perm perm, Cycle now = 0);
@@ -224,6 +224,18 @@ class SecureMonitor
      * survives in the window for the next occupant to inherit.
      */
     Cycle evictHot(DeviceId device, Sid sid);
+
+    /** @p device's extended-table record of hot SID @p sid's used
+     * window entries, to be mounted through MD62. */
+    iopmp::MountRecord saveHotWindow(DeviceId device, Sid sid) const;
+
+    /** Write off hot SID @p sid's used window entries; the caller
+     * holds the SID's block. */
+    Cycle clearHotWindow(Sid sid);
+
+    /** Write @p entries into MD62's window from its base and write off
+     * the rest of the window. */
+    Cycle loadColdWindow(const std::vector<iopmp::Entry> &entries);
 
     /**
      * Clear the eSID slot while @p device is mounted there: write off

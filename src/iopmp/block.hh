@@ -58,9 +58,6 @@ class SidBlockBitmap
      * num_sids are ignored. */
     void setWord(unsigned k, std::uint64_t bits);
 
-    /** Legacy single-word view: word 0 (SIDs 0..63). */
-    std::uint64_t raw() const { return word(0); }
-
     unsigned numSids() const { return num_sids_; }
 
     /**

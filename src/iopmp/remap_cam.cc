@@ -42,7 +42,8 @@ DeviceId2SidCam::set(Sid sid, DeviceId device)
 {
     SIOPMP_ASSERT(sid < rows_.size(), "CAM row out of range");
     // A device must map to at most one SID; drop any stale binding.
-    invalidate(device);
+    // The move is one change: the hook fires once, below.
+    drop(device);
     std::optional<DeviceId> previous;
     if (rows_[sid].valid)
         previous = rows_[sid].device;
@@ -52,16 +53,24 @@ DeviceId2SidCam::set(Sid sid, DeviceId device)
 }
 
 bool
-DeviceId2SidCam::invalidate(DeviceId device)
+DeviceId2SidCam::drop(DeviceId device)
 {
     for (auto &row : rows_) {
         if (row.valid && row.device == device) {
             row = Row{};
-            changed();
             return true;
         }
     }
     return false;
+}
+
+bool
+DeviceId2SidCam::invalidate(DeviceId device)
+{
+    if (!drop(device))
+        return false;
+    changed();
+    return true;
 }
 
 bool

@@ -66,8 +66,8 @@ class DeviceId2SidCam
     bool useBit(Sid sid) const;
 
     /**
-     * Install @p hook, called after every call that can change a
-     * device's SID or clear a use bit (set, invalidate, invalidateSid,
+     * Install @p hook, called once after every call that can change
+     * a device's SID or clear a use bit (set, invalidate, invalidateSid,
      * insertLru) — not after lookup(), which only sets use
      * bits. The owning SIopmp wakes checker nodes parked on a
      * SID miss or a block bit through it: a mapping change decides
@@ -85,6 +85,9 @@ class DeviceId2SidCam
         if (on_change_)
             on_change_();
     }
+
+    /** Clear @p device's row, if it has one, without the hook. */
+    bool drop(DeviceId device);
 
     struct Row {
         bool valid = false;

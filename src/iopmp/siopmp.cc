@@ -30,6 +30,35 @@ validated(IopmpConfig cfg)
 
 } // namespace
 
+EntryCommit
+decodeEntryCommit(const EntryTable &entries, unsigned idx,
+                  std::uint64_t base, std::uint64_t size, std::uint64_t cfg)
+{
+    using namespace regmap;
+    const auto perm = static_cast<Perm>(cfg & 0x3);
+    const unsigned mode_bits = (cfg >> 2) & 0x3;
+    EntryCommit commit;
+    commit.lock = (cfg >> 7) & 1;
+    if (mode_bits == kModeRange && size > 0) {
+        commit.entry = Entry::range(base, size, perm);
+    } else if (mode_bits == kModeNapot) {
+        // NAPOT needs a power-of-two size >= 8 and an aligned base.
+        if (isPow2(size) && size >= 8 && (base & (size - 1)) == 0)
+            commit.entry = Entry::napot(base, size, perm);
+    } else if (mode_bits == kModeTor) {
+        // PMP-heritage top-of-range encoding: the region runs from the
+        // previous entry's end (0 for entry 0) up to this entry's
+        // staged ADDR. Resolved to a plain range at commit time, as
+        // hardware would.
+        const Addr lo = idx == 0 ? 0
+                                 : entries.get(idx - 1).base() +
+                                       entries.get(idx - 1).size();
+        if (base > lo)
+            commit.entry = Entry::range(lo, base - lo, perm);
+    }
+    return commit;
+}
+
 SIopmp::SIopmp(IopmpConfig cfg, CheckerKind kind, unsigned stages)
     : cfg_(validated(cfg)),
       entries_(cfg.num_entries),
@@ -233,6 +262,9 @@ void
 SIopmp::mmioWrite(Addr offset, std::uint64_t value)
 {
     using namespace regmap;
+    // Each accepted write moves the state version once: through the
+    // written structure's change hook, or else in bumpEpoch().
+    const std::uint64_t version = state_version_;
 
     if (offset >= kSrc2MdBase && offset < kSrc2MdBase + cfg_.num_sids * 8) {
         const Sid sid = static_cast<Sid>((offset - kSrc2MdBase) / 8);
@@ -242,7 +274,7 @@ SIopmp::mmioWrite(Addr offset, std::uint64_t value)
             // a rejected write must not freeze state it never set.
             if (lock)
                 src2md_.lock(sid);
-            bumpEpoch();
+            bumpEpoch(version);
         } else {
             rejectWrite(offset);
         }
@@ -251,7 +283,7 @@ SIopmp::mmioWrite(Addr offset, std::uint64_t value)
     if (offset >= kMdCfgBase && offset < kMdCfgBase + cfg_.num_mds * 8) {
         const MdIndex md = static_cast<MdIndex>((offset - kMdCfgBase) / 8);
         if (mdcfg_.setTop(md, static_cast<unsigned>(value)))
-            bumpEpoch();
+            bumpEpoch(version);
         else
             rejectWrite(offset);
         return;
@@ -260,7 +292,7 @@ SIopmp::mmioWrite(Addr offset, std::uint64_t value)
         offset < kBlockBitmap + blocks_.numWords() * 8) {
         blocks_.setWord(static_cast<unsigned>((offset - kBlockBitmap) / 8),
                         value);
-        bumpEpoch();
+        bumpEpoch(version);
         return;
     }
     if (offset == kWriteRejects) {
@@ -272,7 +304,7 @@ SIopmp::mmioWrite(Addr offset, std::uint64_t value)
             esid_ = value & ~(std::uint64_t{1} << 63);
         else
             esid_.reset();
-        bumpEpoch();
+        bumpEpoch(version);
         return;
     }
     if (offset == kErrInfo) {
@@ -286,7 +318,7 @@ SIopmp::mmioWrite(Addr offset, std::uint64_t value)
             cam_.set(sid, value & ~(std::uint64_t{1} << 63));
         else
             cam_.invalidateSid(sid);
-        bumpEpoch();
+        bumpEpoch(version);
         return;
     }
     if (offset >= kEntryBase &&
@@ -304,43 +336,17 @@ SIopmp::mmioWrite(Addr offset, std::uint64_t value)
             return;
           case 2: {
             // cfg write commits the staged entry atomically.
-            const auto perm = static_cast<Perm>(value & 0x3);
-            const unsigned mode_bits = (value >> 2) & 0x3;
-            const bool lock = (value >> 7) & 1;
             const EntryStage stage = entry_stage_[idx];
-            Entry entry = Entry::off();
-            if (mode_bits == kModeRange && stage.size > 0) {
-                entry = Entry::range(stage.base, stage.size, perm);
-            } else if (mode_bits == kModeNapot) {
-                // An invalid NAPOT encoding (size not a power of two
-                // >= 8, or misaligned base) leaves the entry disabled
-                // — hardware ignores malformed encodings rather than
-                // trapping.
-                if (isPow2(stage.size) && stage.size >= 8 &&
-                    (stage.base & (stage.size - 1)) == 0) {
-                    entry = Entry::napot(stage.base, stage.size, perm);
-                }
-            } else if (mode_bits == kModeTor) {
-                // PMP-heritage top-of-range encoding: the region runs
-                // from the previous entry's end (0 for entry 0) up to
-                // this entry's staged ADDR. Resolved to a plain range
-                // at commit time, as hardware would.
-                const Addr lo =
-                    idx == 0 ? 0
-                             : entries_.get(idx - 1).base() +
-                                   entries_.get(idx - 1).size();
-                if (stage.base > lo) {
-                    entry = Entry::range(lo, stage.base - lo, perm);
-                }
-            }
+            const EntryCommit commit = decodeEntryCommit(
+                entries_, idx, stage.base, stage.size, value);
             // The MMIO window is the S-mode-reachable path: it must
             // never override an entry lock, so the privilege flag is
             // explicit and false here (the monitor pins rules by
             // locking them and relies on exactly this).
-            if (entries_.set(idx, entry, /*machine_mode=*/false)) {
-                if (lock)
+            if (entries_.set(idx, commit.entry, /*machine_mode=*/false)) {
+                if (commit.lock)
                     entries_.lock(idx);
-                bumpEpoch();
+                bumpEpoch(version);
             } else {
                 rejectWrite(offset);
             }

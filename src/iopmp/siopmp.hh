@@ -95,6 +95,25 @@ inline constexpr Addr kEntryStride = 32;     //!< base,size,cfg,pad
 inline constexpr Addr kWindowSize = 0x20000;
 } // namespace regmap
 
+/** A write to an entry's cfg register, decoded. */
+struct EntryCommit {
+    Entry entry; //!< the entry the write commits
+    bool lock = false;
+};
+
+/**
+ * Decode a write of @p cfg to entry @p idx's cfg register, which
+ * commits the staged @p base and @p size as a Range, a NAPOT region or
+ * a TOR region (from entry idx-1's end in @p entries up to @p base).
+ * A malformed encoding (empty range, invalid NAPOT, empty TOR) commits
+ * an off entry: hardware ignores it rather than trapping. The unit's
+ * MMIO window commits through it, and so do fault injections that
+ * replay the commit.
+ */
+EntryCommit decodeEntryCommit(const EntryTable &entries, unsigned idx,
+                              std::uint64_t base, std::uint64_t size,
+                              std::uint64_t cfg);
+
 class SIopmp : public mem::MmioDevice
 {
   public:
@@ -141,23 +160,25 @@ class SIopmp : public mem::MmioDevice
     const CheckerLogic &checker() const { return *checker_; }
 
     /**
-     * Monotone configuration epoch: bumped by every MMIO path that can
-     * change an authorization outcome (entry commit, SRC2MD, MDCFG,
-     * CAM remap, block-bitmap word, eSID register) and by cold-device
-     * mount/unmount. A CheckerNode stalled on a SID miss re-arms when
-     * it moves without resolving the SID. Every bump also moves
-     * stateVersion().
+     * Monotone configuration epoch: moves once per accepted MMIO write
+     * that can change an authorization outcome (entry commit, SRC2MD,
+     * MDCFG, CAM remap, block-bitmap word, and the eSID register that
+     * mounts and unmounts the cold device). A CheckerNode stalled on a
+     * SID miss re-arms when it moves without resolving the SID. Each
+     * such write moves stateVersion() once as well.
      */
     std::uint64_t configEpoch() const { return config_epoch_; }
 
     /**
      * Monotone state version: moves on every change that can alter
      * any authorize() outcome, whether made through MMIO or by a
-     * direct call — each config-epoch bump and every entry, MDCFG,
-     * SRC2MD, CAM and block-bitmap mutation (through the change hooks
-     * of those structures). Each move first settles the stall waiters'
-     * owed polls, then wakes them. A CheckerNode holds an allowed head
-     * beat's verdict while the version stands still (creditPolls).
+     * direct call — every entry, MDCFG, SRC2MD, CAM and block-bitmap
+     * mutation (through the change hooks of those structures) and
+     * every config-epoch bump no hook covered; an accepted MMIO write
+     * moves it exactly once. Each move first settles the stall
+     * waiters' owed polls, then wakes them. A CheckerNode holds an
+     * allowed head beat's verdict while the version stands still
+     * (creditPolls).
      */
     std::uint64_t stateVersion() const { return state_version_; }
 
@@ -212,12 +233,15 @@ class SIopmp : public mem::MmioDevice
     /** Note one rejected MMIO config write at @p offset. */
     void rejectWrite(Addr offset);
 
-    /** Advance the configuration epoch after a mutating config path. */
+    /** Advance the configuration epoch after an accepted MMIO write,
+     * and move the state version unless the written structure's change
+     * hook already moved it from @p version. */
     void
-    bumpEpoch()
+    bumpEpoch(std::uint64_t version)
     {
         ++config_epoch_;
-        stateChanged();
+        if (state_version_ == version)
+            stateChanged();
     }
 
     /** Move the state version, then settle and wake the stall

@@ -271,12 +271,12 @@ runChurn(const ChurnConfig &cfg)
             const double gap = rng.exponential(cfg.arrival_mean);
             next_arrival += gap < 1.0 ? 1 : static_cast<Cycle>(gap);
             // Pin the arrival to the event queue: the fast-forward
-            // idle skip jumps to the next *event*, and the sequential
-            // and sharded engines retire components on slightly
-            // different cycles, so without an event near the arrival
-            // time the engines would hand control back at different
-            // `now` values and the tenant would activate at different
-            // times. The pin lands one cycle *before* the arrival:
+            // idle skip jumps to the next *event*, so without an event
+            // near the arrival time the fast-forward and naive loops
+            // would hand control back at different `now` values and
+            // the tenant would activate at different times, and the
+            // two loops' outputs would differ. The pin lands one cycle
+            // *before* the arrival:
             // step() processes the pinned cycle and returns with now
             // advanced past it, so the loop observes now ==
             // next_arrival — exactly when the naive per-cycle loop

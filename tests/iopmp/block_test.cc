@@ -16,7 +16,7 @@ TEST(BlockBitmap, StartsClear)
     SidBlockBitmap b(64);
     for (Sid sid = 0; sid < 64; ++sid)
         EXPECT_FALSE(b.blocked(sid));
-    EXPECT_EQ(b.raw(), 0u);
+    EXPECT_EQ(b.word(0), 0u);
 }
 
 TEST(BlockBitmap, BlockUnblockPerSid)
@@ -49,14 +49,14 @@ TEST(BlockBitmap, BlockAllAndUnblockAll)
     for (Sid sid = 0; sid < 64; ++sid)
         EXPECT_TRUE(b.blocked(sid));
     b.unblockAll();
-    EXPECT_EQ(b.raw(), 0u);
+    EXPECT_EQ(b.word(0), 0u);
 }
 
 TEST(BlockBitmap, SmallWidthBlockAll)
 {
     SidBlockBitmap b(8);
     b.blockAll();
-    EXPECT_EQ(b.raw(), 0xffu);
+    EXPECT_EQ(b.word(0), 0xffu);
     EXPECT_FALSE(b.blocked(9)); // out of range reads as unblocked
 }
 
@@ -65,7 +65,7 @@ TEST(BlockBitmap, RawMirrorsBits)
     SidBlockBitmap b(64);
     b.block(0);
     b.block(3);
-    EXPECT_EQ(b.raw(), 0b1001u);
+    EXPECT_EQ(b.word(0), 0b1001u);
 }
 
 TEST(BlockBitmap, MultiWordBlockingCoversHighSids)

@@ -201,7 +201,7 @@ TEST_F(RegmapTest, BlockBitmapWholeRegister)
     EXPECT_TRUE(unit.blockBitmap().blocked(2));
     EXPECT_EQ(rd(regmap::kBlockBitmap), 0b101u);
     wr(regmap::kBlockBitmap, 0);
-    EXPECT_EQ(unit.blockBitmap().raw(), 0u);
+    EXPECT_EQ(unit.blockBitmap().word(0), 0u);
 }
 
 TEST_F(RegmapTest, EsidRegisterValidBit)
@@ -222,6 +222,55 @@ TEST_F(RegmapTest, CamRowsViaMmio)
     EXPECT_EQ(rd(regmap::kCamBase + 9 * 8) & 0xffff, 777u);
     wr(regmap::kCamBase + 9 * 8, 0); // invalidate
     EXPECT_FALSE(unit.cam().peek(777).has_value());
+}
+
+// Every stateVersion() move settles and wakes each stall waiter, so an
+// accepted config write moves it exactly once, as it does
+// configEpoch(): through the written structure's change hook, or else
+// with the epoch. A rejected write, or a staging write, moves neither.
+TEST_F(RegmapTest, AcceptedWriteMovesVersionAndEpochOnce)
+{
+    constexpr std::uint64_t kValid = std::uint64_t{1} << 63;
+    const Addr e5 = regmap::kEntryBase + 5 * regmap::kEntryStride;
+    const std::uint64_t range_rw =
+        static_cast<std::uint64_t>(Perm::ReadWrite) |
+        (regmap::kModeRange << 2);
+    const std::uint64_t lock = std::uint64_t{1} << 7;
+
+    auto expectMoves = [&](const char *what, Addr offset,
+                           std::uint64_t value, std::uint64_t moves) {
+        const std::uint64_t version = unit.stateVersion();
+        const std::uint64_t epoch = unit.configEpoch();
+        wr(offset, value);
+        EXPECT_EQ(unit.stateVersion() - version, moves) << what;
+        EXPECT_EQ(unit.configEpoch() - epoch, moves) << what;
+    };
+
+    expectMoves("entry base", e5 + 0, 0x8000'0000, 0);
+    expectMoves("entry size", e5 + 8, 0x1000, 0);
+    expectMoves("entry cfg commit", e5 + 16, range_rw | lock, 1);
+    expectMoves("locked entry cfg", e5 + 16, range_rw, 0);
+
+    expectMoves("MDCFG top", regmap::kMdCfgBase + 0 * 8, 4, 1);
+    expectMoves("same-value MDCFG top", regmap::kMdCfgBase + 0 * 8, 4, 1);
+    expectMoves("MDCFG top above", regmap::kMdCfgBase + 1 * 8, 8, 1);
+    expectMoves("non-monotone MDCFG top", regmap::kMdCfgBase + 0 * 8, 9,
+                0);
+
+    expectMoves("SRC2MD row", regmap::kSrc2MdBase + 2 * 8, 0b11, 1);
+    expectMoves("SRC2MD row and lock", regmap::kSrc2MdBase + 2 * 8,
+                kValid | 0b1, 1);
+    expectMoves("locked SRC2MD row", regmap::kSrc2MdBase + 2 * 8, 0b10, 0);
+
+    expectMoves("fresh CAM row", regmap::kCamBase + 3 * 8, kValid | 77, 1);
+    expectMoves("CAM row move", regmap::kCamBase + 4 * 8, kValid | 77, 1);
+    EXPECT_EQ(unit.cam().peek(77), std::optional<Sid>(4));
+    expectMoves("CAM row invalidate", regmap::kCamBase + 4 * 8, 0, 1);
+    expectMoves("empty CAM row invalidate", regmap::kCamBase + 4 * 8, 0, 1);
+
+    expectMoves("block word", regmap::kBlockBitmap, 0b101, 1);
+    expectMoves("eSID mount", regmap::kEsid, kValid | 4242, 1);
+    expectMoves("eSID unmount", regmap::kEsid, 0, 1);
 }
 
 TEST_F(RegmapTest, ErrorRecordReadableAndAckable)

@@ -12,7 +12,7 @@
 #     with --stats-json and --trace-out;
 #   - siopmp_fuzz: a 2,000-case campaign and the three --inject
 #     campaigns;
-#   - sim_core_micro 4 and checker_micro with a small --checks budget.
+#   - sim_core_micro 4.
 # It then aggregates `gcov --json-format` per (source file, demangled
 # function name) across every product translation unit and prints the
 # src/ functions that some product unit emits but no product ran.
@@ -130,7 +130,6 @@ for injection in lock-bypass block-hole unbind-drop; do
     run "$FUZZ" --cases 200 --inject "$injection"
 done
 run "$B/bench/sim_core_micro" 4 "$SCRATCH/sim_core.json"
-run "$B/bench/checker_micro" --json "$SCRATCH/checker.json" --checks 2000
 collect "$SCRATCH/product.json" src bench examples tools
 
 echo "== pass 2: test runs =="

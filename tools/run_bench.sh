@@ -1,12 +1,13 @@
 #!/usr/bin/env bash
 # Smoke harness for the benchmarks: configure, build, run the tier-1
-# test suite, run sim_core_micro, checker_micro and churn_fleet with
-# small budgets, validate the BENCH_sim_core.json / BENCH_checker.json
-# / BENCH_churn.json schemas and the committed BENCH_pairs.json schema,
-# diff a churn run's output and stats JSON with fast-forward on and
-# off, validate the Chrome trace-event schema of a traced
-# dma_attack_demo run, and run tools/reach.sh as an informational leg
-# that never fails the script.
+# test suite, run sim_core_micro and churn_fleet with small budgets,
+# validate the BENCH_sim_core.json / BENCH_churn.json schemas and the
+# committed BENCH_pairs.json schema, diff a churn run's output and
+# stats JSON with fast-forward on and off, validate the Chrome
+# trace-event schema of a traced dma_attack_demo run, and run
+# tools/reach.sh as an informational leg that never fails the script.
+# The check path's host time is measured on the workloads' own traffic
+# by perfbench (BENCHMARK.json), not here.
 #
 # Usage: tools/run_bench.sh [build-dir] [iters] [mode]
 #        tools/run_bench.sh --sanitize [build-dir]
@@ -95,7 +96,6 @@ BUILD_DIR="${1:-$REPO_ROOT/build}"
 ITERS="${2:-4}"
 MODE="${3:-bench}"
 OUT_JSON="$REPO_ROOT/BENCH_sim_core.json"
-CHECKER_JSON="$REPO_ROOT/BENCH_checker.json"
 
 echo "== configure + build (warnings are errors) =="
 cmake -B "$BUILD_DIR" -S "$REPO_ROOT" -DCMAKE_COMPILE_WARNING_AS_ERROR=ON
@@ -179,78 +179,6 @@ print("json schema OK (%s, %s, %d cores; idle-heavy fast-forward %.1fx, "
 EOF
 else
     echo "json schema OK (grep-only: python3 unavailable)"
-fi
-
-echo "== checker_micro (BENCH_checker.json) =="
-"$BUILD_DIR/bench/checker_micro" --json "$CHECKER_JSON" --checks 100000
-
-echo "== BENCH_checker.json schema check =="
-for key in \
-    '"benchmark"' \
-    '"commit"' \
-    '"build_type"' \
-    '"compiler"' \
-    '"host_cores"' \
-    '"checks_per_config"' \
-    '"num_sids"' \
-    '"configs"' \
-    '"churn"' \
-    '"ratio"' \
-    '"path"' \
-    '"ns_per_check"' \
-    '"s_per_mcycle"' \
-    '"speedup"'; do
-    grep -q "$key" "$CHECKER_JSON" || {
-        echo "schema check FAILED: missing $key in $CHECKER_JSON" >&2
-        exit 1
-    }
-done
-
-if command -v python3 > /dev/null; then
-    python3 - "$CHECKER_JSON" <<'EOF'
-import json, sys
-d = json.load(open(sys.argv[1]))
-assert d["benchmark"] == "checker_micro"
-# Provenance header: what produced the numbers below.
-for k in ("commit", "build_type", "compiler"):
-    assert isinstance(d[k], str) and d[k], k
-assert isinstance(d["host_cores"], int) and d["host_cores"] > 0
-assert isinstance(d["checks_per_config"], int) and d["checks_per_config"] > 0
-assert d["num_sids"] == 128
-cfgs = d["configs"]
-kinds = {c["kind"] for c in cfgs}
-assert kinds == {"linear", "tree", "mt3"}, kinds
-for c in cfgs:
-    assert c["path"] in ("walk", "windows")
-    assert c["entries"] in (64, 256, 1024)
-    assert c["ns_per_check"] > 0 and c["s_per_mcycle"] > 0
-# Acceptance gate: saturated 128-SID throughput of the unit's window
-# walk must be at least 3x the kind's walk, per kind and entry count.
-for c in cfgs:
-    if c["path"] == "windows":
-        assert c["speedup"] >= 3.0, (c["kind"], c["entries"], c["speedup"])
-# Churn series: every kind at ratios 1:10/1:100/1:1000, both paths.
-churn = d["churn"]
-ckinds = {c["kind"] for c in churn}
-assert ckinds == {"linear", "tree", "mt3"}, ckinds
-for c in churn:
-    assert c["path"] in ("walk", "windows"), c
-    assert c["ratio"] in (10, 100, 1000), c
-    assert c["ns_per_check"] > 0, c
-# Acceptance gate: under churn at a 1:100 mutation:check ratio, the
-# window walk must be at least 5x the kind's walk, per kind.
-for c in churn:
-    if c["path"] == "windows" and c["ratio"] == 100:
-        assert c["speedup"] >= 5.0, (c["kind"], c["speedup"])
-print("checker json schema OK (%s, %s, %d cores; min speedup %.1fx; "
-      "min churn@1:100 %.1fx)" %
-      (d["commit"], d["build_type"], d["host_cores"],
-       min(c["speedup"] for c in cfgs if c["path"] == "windows"),
-       min(c["speedup"] for c in churn
-           if c["path"] == "windows" and c["ratio"] == 100)))
-EOF
-else
-    echo "checker json schema OK (grep-only: python3 unavailable)"
 fi
 
 echo "== churn_fleet (BENCH_churn.json) =="

@@ -7,9 +7,13 @@
  * is registered too: a pop frees its slot only at the next clock().
  *
  * Wake-on-push: the consumer component may bind itself with bindWake();
- * every push() then re-arms it on the simulator's active set, which is
- * what lets a quiescent consumer sleep between transfers without ever
- * missing an incoming beat (see sim/tickable.hh).
+ * a push() then re-arms it on the simulator's active set if it is
+ * parked, which is what lets a quiescent consumer sleep between
+ * transfers without ever missing an incoming beat (see
+ * sim/tickable.hh). An active consumer is left alone, which relies on
+ * one invariant: every bound consumer's quiescent() tests this fifo's
+ * settled() or inTransit(), so a staged item keeps it from retiring
+ * without the grace cycle a wake would give it.
  *
  * Wake-on-pop: the producer component may bind itself with
  * bindProducer(); a pop() from a fifo that was full at its last clock()
@@ -18,6 +22,11 @@
  * clock()), so a producer may park behind a full fifo. An active
  * producer is left alone: waking it would only restart its grace
  * cycle.
+ *
+ * Clock marks: a consumer that clocks many fifos may bind a bit of its
+ * own with bindClockMark(); push() and pop() set it, so the consumer
+ * clocks only the fifos marked since their last clock(). A clock() of
+ * an unmarked fifo is a no-op, so skipping it is exact.
  *
  * Storage is a fixed ring of capacity() slots, allocated once at
  * construction. canPush() caps the readable items plus the staged ones
@@ -31,6 +40,7 @@
 #define BUS_FIFO_HH
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "sim/logging.hh"
@@ -62,6 +72,15 @@ class Fifo
      * a full fifo (may be null to unbind). Wiring, like bindWake(). */
     void bindProducer(Tickable *producer) { producer_ = producer; }
 
+    /** Set @p bit in @p *word on every push() and pop() (see the file
+     * header); @p word must outlive the fifo's pushes and pops. */
+    void
+    bindClockMark(std::uint64_t *word, std::uint64_t bit)
+    {
+        mark_word_ = word;
+        mark_bit_ = bit;
+    }
+
     /** True iff a producer may push this cycle. */
     bool canPush() const { return snapshot_ + staged_ < capacity_; }
 
@@ -76,7 +95,9 @@ class Fifo
             slot -= capacity_;
         slots_[slot] = item;
         ++staged_;
-        if (wake_ != nullptr)
+        if (mark_word_ != nullptr)
+            *mark_word_ |= mark_bit_;
+        if (wake_ != nullptr && !wake_->active())
             wake_->wake();
     }
 
@@ -110,6 +131,8 @@ class Fifo
         if (++head_ == capacity_)
             head_ = 0;
         --ready_;
+        if (mark_word_ != nullptr)
+            *mark_word_ |= mark_bit_;
         if (snapshot_ == capacity_ && producer_ != nullptr &&
             !producer_->active())
             producer_->wake();
@@ -131,6 +154,8 @@ class Fifo
     std::size_t capacity_;
     Tickable *wake_ = nullptr;
     Tickable *producer_ = nullptr;
+    std::uint64_t *mark_word_ = nullptr;
+    std::uint64_t mark_bit_ = 0;
     std::vector<T> slots_;     //!< the ring: readable, then staged items
     std::size_t head_ = 0;     //!< slot of the oldest readable item
     std::size_t ready_ = 0;    //!< consumer-readable items

@@ -5,6 +5,7 @@
 
 #include "bus/xbar.hh"
 
+#include <bit>
 #include <utility>
 
 #include "sim/logging.hh"
@@ -29,11 +30,16 @@ Xbar::Xbar(std::string name, std::vector<Link *> uplinks, Link *downlink)
     : Tickable(std::move(name)),
       up_(std::move(uplinks)),
       down_(downlink),
+      up_marks_((up_.size() + 63) / 64),
       stats_(this->name())
 {
     SIOPMP_ASSERT(!up_.empty() && down_ != nullptr, "xbar needs ports");
-    for (auto *link : up_)
-        link->a.bindWake(this);
+    for (std::size_t i = 0; i < up_.size(); ++i) {
+        const std::uint64_t bit = std::uint64_t{1} << (i % 64);
+        up_[i]->a.bindWake(this);
+        up_[i]->a.bindClockMark(&up_marks_[i / 64], bit);
+        up_marks_[i / 64] |= bit; // whatever it holds gets one clock
+    }
     down_->d.bindWake(this);
 }
 
@@ -157,9 +163,13 @@ void
 Xbar::advance(Cycle)
 {
     // Consumer-clocks convention: the xbar consumes every uplink's A
-    // channel and the downlink's D channel.
-    for (auto *link : up_)
-        link->a.clock();
+    // channel and the downlink's D channel. An uplink nobody pushed or
+    // popped since its last clock would clock to the same state.
+    for (std::size_t w = 0; w < up_marks_.size(); ++w) {
+        for (std::uint64_t bits = std::exchange(up_marks_[w], 0); bits != 0;
+             bits &= bits - 1)
+            up_[w * 64 + std::countr_zero(bits)]->a.clock();
+    }
     down_->d.clock();
 }
 

@@ -48,6 +48,9 @@ class Xbar : public Tickable
 
     std::vector<Link *> up_;
     Link *down_;
+    //! Uplink A fifos pushed or popped since their last clock: bit i of
+    //! word i / 64 marks up_[i] (Fifo::bindClockMark).
+    std::vector<std::uint64_t> up_marks_;
     // A-channel arbitration state: which port holds the bus, and
     // whether a burst is mid-flight (beats must stay contiguous).
     std::size_t grant_ = 0;

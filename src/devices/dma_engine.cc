@@ -5,6 +5,7 @@
 
 #include "devices/dma_engine.hh"
 
+#include <algorithm>
 #include <utility>
 
 #include "sim/logging.hh"
@@ -44,6 +45,7 @@ DmaEngine::start(const DmaJob &job, Cycle now)
     issued_bytes_ = 0;
     completed_bytes_ = 0;
     outstanding_.clear();
+    outstanding_.reserve(job_.max_outstanding);
     write_queue_.clear();
     writing_ = false;
     write_beat_ = 0;
@@ -145,13 +147,10 @@ DmaEngine::issueNext(Cycle now)
         const Addr addr = streamAddr(job_.src, issued_bytes_);
         if (!tryIssueGet(addr, job_.burst_beats))
             return;
-        Outstanding out;
-        out.addr = addr;
-        out.beats = job_.burst_beats;
-        out.issued_at = now;
+        outstanding_.push_back(
+            {last_get_txn_, addr, job_.burst_beats, now, {}});
         if (job_.kind == DmaKind::Copy)
-            out.data.reserve(out.beats);
-        outstanding_.emplace(last_get_txn_, std::move(out));
+            outstanding_.back().data.reserve(job_.burst_beats);
         issued_bytes_ += burst_bytes;
         return;
     }
@@ -164,11 +163,8 @@ DmaEngine::issueNext(Cycle now)
         write_beat_ = 0;
         write_txn_ = allocTxn();
         write_addr_ = streamAddr(job_.dst, issued_bytes_);
-        Outstanding out;
-        out.addr = write_addr_;
-        out.beats = job_.burst_beats;
-        out.issued_at = now;
-        outstanding_.emplace(write_txn_, std::move(out));
+        outstanding_.push_back(
+            {write_txn_, write_addr_, job_.burst_beats, now, {}});
     }
     const std::uint64_t data =
         job_.fill_pattern + issued_bytes_ / burst_bytes + write_beat_;
@@ -199,11 +195,8 @@ DmaEngine::issueWrites(Cycle now)
         write_beat_ = 0;
         write_txn_ = allocTxn();
         write_addr_ = job_.dst + (write_current_.addr - job_.src);
-        Outstanding out;
-        out.addr = write_addr_;
-        out.beats = write_current_.beats;
-        out.issued_at = now;
-        outstanding_.emplace(write_txn_, std::move(out));
+        outstanding_.push_back(
+            {write_txn_, write_addr_, write_current_.beats, now, {}});
     }
     const std::uint64_t data = write_beat_ < write_current_.data.size()
                                    ? write_current_.data[write_beat_]
@@ -226,10 +219,17 @@ DmaEngine::collectResponses(Cycle now)
     link_->d.pop();
     accountResponse(beat);
 
-    auto it = outstanding_.find(beat.txn);
+    auto it = std::find_if(
+        outstanding_.begin(), outstanding_.end(),
+        [&beat](const Outstanding &o) { return o.txn == beat.txn; });
     if (it == outstanding_.end())
         return; // stale response for a reset job
-    Outstanding &out = it->second;
+    Outstanding &out = *it;
+    const auto release = [this, &it] {
+        if (&*it != &outstanding_.back())
+            *it = std::move(outstanding_.back());
+        outstanding_.pop_back();
+    };
 
     const std::uint64_t burst_bytes =
         static_cast<std::uint64_t>(out.beats) * bus::kBeatBytes;
@@ -241,7 +241,7 @@ DmaEngine::collectResponses(Cycle now)
         burst_latency_.sample(static_cast<double>(now - out.issued_at));
         if (burst_observer_)
             burst_observer_(now - out.issued_at, true);
-        outstanding_.erase(it);
+        release();
     } else if (beat.opcode == bus::Opcode::AccessAckData) {
         if (job_.kind == DmaKind::Copy)
             out.data.push_back(beat.data); // staged for the write-out
@@ -257,7 +257,7 @@ DmaEngine::collectResponses(Cycle now)
                 // the write-out never starts.
                 completed_bytes_ += burst_bytes;
             }
-            outstanding_.erase(it);
+            release();
         }
     } else if (beat.opcode == bus::Opcode::AccessAck) {
         completed_bytes_ += burst_bytes;
@@ -265,7 +265,7 @@ DmaEngine::collectResponses(Cycle now)
         burst_latency_.sample(static_cast<double>(now - out.issued_at));
         if (burst_observer_)
             burst_observer_(now - out.issued_at, false);
-        outstanding_.erase(it);
+        release();
     }
 
     if (jobActive() && completed_bytes_ >= job_.bytes) {

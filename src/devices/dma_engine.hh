@@ -20,7 +20,6 @@
 
 #include <deque>
 #include <functional>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -105,8 +104,9 @@ class DmaEngine : public DmaMaster
 
   private:
     struct Outstanding {
-        Addr addr;       //!< burst base
-        unsigned beats;
+        std::uint64_t txn = 0;
+        Addr addr = 0;   //!< burst base
+        unsigned beats = 0;
         Cycle issued_at = 0;
         std::vector<std::uint64_t> data; //!< read data (Copy jobs only)
     };
@@ -131,7 +131,10 @@ class DmaEngine : public DmaMaster
     std::uint64_t issued_bytes_ = 0;    //!< request stream progress
     std::uint64_t completed_bytes_ = 0; //!< fully-acknowledged bytes
 
-    std::unordered_map<std::uint64_t, Outstanding> outstanding_;
+    //! In-flight bursts, at most job_.max_outstanding, searched by txn;
+    //! a completed one is swapped out with the last. Reserved per job,
+    //! so a burst allocates nothing beyond a Copy burst's read data.
+    std::vector<Outstanding> outstanding_;
     std::uint64_t bursts_completed_ = 0;
     stats::LazyAverage burst_latency_{stats_, "burst_latency"};
 

@@ -46,10 +46,29 @@ class Entry
     /** True iff [addr, addr+len) lies entirely inside this entry's
      * region. Partial overlap does not match (a DMA burst must be
      * wholly covered by one rule). */
-    bool matches(Addr addr, Addr len) const;
+    bool
+    matches(Addr addr, Addr len) const
+    {
+        if (mode_ == EntryMode::Off || len == 0)
+            return false;
+        // Both modes reduce to full containment in [base, base+size).
+        return addr >= base_ && len <= size_ && addr - base_ <= size_ - len;
+    }
 
     /** True iff the entry's region overlaps [addr, addr+len) at all. */
-    bool overlaps(Addr addr, Addr len) const;
+    bool
+    overlaps(Addr addr, Addr len) const
+    {
+        if (mode_ == EntryMode::Off || len == 0)
+            return false;
+        // base_ + size_ and addr + len may both equal 2^64 (a region or
+        // burst ending at the top of the address space) and would wrap,
+        // so compare by subtraction like matches() does: when the burst
+        // starts at or above the base it overlaps iff it starts inside
+        // the region; otherwise iff the region's base is inside the
+        // burst.
+        return addr >= base_ ? addr - base_ < size_ : base_ - addr < len;
+    }
 
     bool enabled() const { return mode_ != EntryMode::Off; }
     EntryMode mode() const { return mode_; }

@@ -5,6 +5,8 @@
 
 #include "iopmp/remap_cam.hh"
 
+#include <bit>
+
 #include "sim/logging.hh"
 
 namespace siopmp {
@@ -13,28 +15,66 @@ namespace iopmp {
 DeviceId2SidCam::DeviceId2SidCam(unsigned num_sids) : rows_(num_sids)
 {
     SIOPMP_ASSERT(num_sids >= 1, "CAM needs at least one row");
+    const std::size_t slots = std::bit_ceil(2 * std::size_t{num_sids});
+    index_.resize(slots);
+    index_shift_ = 64 - static_cast<unsigned>(std::countr_zero(slots));
+}
+
+std::size_t
+DeviceId2SidCam::slotOf(DeviceId device) const
+{
+    const std::size_t mask = index_.size() - 1;
+    std::size_t slot = home(device);
+    while (index_[slot].row != kNoSid && index_[slot].device != device)
+        slot = (slot + 1) & mask;
+    return slot;
+}
+
+void
+DeviceId2SidCam::bind(Sid sid, DeviceId device, bool use)
+{
+    rows_[sid] = Row{true, use, device};
+    index_[slotOf(device)] = Slot{device, sid};
+}
+
+void
+DeviceId2SidCam::unbind(Sid sid)
+{
+    const std::size_t mask = index_.size() - 1;
+    std::size_t hole = slotOf(rows_[sid].device);
+    rows_[sid] = Row{};
+    // Backward-shift deletion: a later slot of the probe run moves into
+    // the hole when its home does not lie in (hole, slot], i.e. when
+    // the hole is on its probe path.
+    for (std::size_t slot = (hole + 1) & mask; index_[slot].row != kNoSid;
+         slot = (slot + 1) & mask) {
+        const std::size_t home_to_slot =
+            (slot - home(index_[slot].device)) & mask;
+        if (home_to_slot >= ((slot - hole) & mask)) {
+            index_[hole] = index_[slot];
+            hole = slot;
+        }
+    }
+    index_[hole] = Slot{};
 }
 
 std::optional<Sid>
 DeviceId2SidCam::lookup(DeviceId device)
 {
-    for (unsigned sid = 0; sid < rows_.size(); ++sid) {
-        if (rows_[sid].valid && rows_[sid].device == device) {
-            rows_[sid].use = true;
-            return sid;
-        }
-    }
-    return std::nullopt;
+    const Sid sid = index_[slotOf(device)].row;
+    if (sid == kNoSid)
+        return std::nullopt;
+    rows_[sid].use = true;
+    return sid;
 }
 
 std::optional<Sid>
 DeviceId2SidCam::peek(DeviceId device) const
 {
-    for (unsigned sid = 0; sid < rows_.size(); ++sid) {
-        if (rows_[sid].valid && rows_[sid].device == device)
-            return sid;
-    }
-    return std::nullopt;
+    const Sid sid = index_[slotOf(device)].row;
+    if (sid == kNoSid)
+        return std::nullopt;
+    return sid;
 }
 
 std::optional<DeviceId>
@@ -43,32 +83,25 @@ DeviceId2SidCam::set(Sid sid, DeviceId device)
     SIOPMP_ASSERT(sid < rows_.size(), "CAM row out of range");
     // A device must map to at most one SID; drop any stale binding.
     // The move is one change: the hook fires once, below.
-    drop(device);
+    if (const std::optional<Sid> stale = peek(device))
+        unbind(*stale);
     std::optional<DeviceId> previous;
-    if (rows_[sid].valid)
+    if (rows_[sid].valid) {
         previous = rows_[sid].device;
-    rows_[sid] = Row{true, true, device};
+        unbind(sid);
+    }
+    bind(sid, device, /*use=*/true);
     changed();
     return previous;
 }
 
 bool
-DeviceId2SidCam::drop(DeviceId device)
-{
-    for (auto &row : rows_) {
-        if (row.valid && row.device == device) {
-            row = Row{};
-            return true;
-        }
-    }
-    return false;
-}
-
-bool
 DeviceId2SidCam::invalidate(DeviceId device)
 {
-    if (!drop(device))
+    const std::optional<Sid> sid = peek(device);
+    if (!sid)
         return false;
+    unbind(*sid);
     changed();
     return true;
 }
@@ -79,7 +112,7 @@ DeviceId2SidCam::invalidateSid(Sid sid)
     SIOPMP_ASSERT(sid < rows_.size(), "CAM row out of range");
     if (!rows_[sid].valid)
         return false;
-    rows_[sid] = Row{};
+    unbind(sid);
     changed();
     return true;
 }
@@ -102,7 +135,7 @@ DeviceId2SidCam::insertLru(DeviceId device, std::optional<DeviceId> *evicted)
     // genuinely hot mapping (the clock would degenerate to FIFO).
     for (unsigned sid = 0; sid < rows_.size(); ++sid) {
         if (!rows_[sid].valid) {
-            rows_[sid] = Row{true, false, device};
+            bind(sid, device, /*use=*/false);
             changed();
             return sid;
         }
@@ -120,7 +153,8 @@ DeviceId2SidCam::insertLru(DeviceId device, std::optional<DeviceId> *evicted)
         }
         if (evicted)
             *evicted = row.device;
-        row = Row{true, false, device};
+        unbind(sid);
+        bind(sid, device, /*use=*/false);
         changed(); // covers the use bits the sweep cleared too
         return sid;
     }

@@ -6,6 +6,11 @@
  * row carries a use bit driving a clock-algorithm (second-chance) LRU
  * used by the implicit hot/cold switching policy; explicit switching
  * simply overwrites a chosen row.
+ *
+ * The content match is modelled by a device -> row index, an
+ * open-addressed hash table of at least twice as many slots as rows,
+ * allocated with the rows: lookup() and peek() probe it instead of
+ * scanning the rows. Every mutator keeps it in step with the rows.
  */
 
 #ifndef IOPMP_REMAP_CAM_HH
@@ -86,8 +91,23 @@ class DeviceId2SidCam
             on_change_();
     }
 
-    /** Clear @p device's row, if it has one, without the hook. */
-    bool drop(DeviceId device);
+    /** Bind @p device to row @p sid: fill the row and index it. */
+    void bind(Sid sid, DeviceId device, bool use);
+
+    /** Clear row @p sid (valid) and drop its device from the index. */
+    void unbind(Sid sid);
+
+    /** Index slot holding @p device, or the empty slot ending its probe
+     * sequence. */
+    std::size_t slotOf(DeviceId device) const;
+
+    std::size_t
+    home(DeviceId device) const
+    {
+        // Fibonacci hashing: the top bits of the golden-ratio product.
+        return static_cast<std::size_t>(
+            (device * 0x9e3779b97f4a7c15ull) >> index_shift_);
+    }
 
     struct Row {
         bool valid = false;
@@ -95,7 +115,18 @@ class DeviceId2SidCam
         DeviceId device = 0;
     };
 
+    //! One index slot: a valid row's device and its row, or empty.
+    struct Slot {
+        DeviceId device = 0;
+        Sid row = kNoSid; //!< kNoSid: empty
+    };
+
     std::vector<Row> rows_;
+    //! Device -> row: linear probing over a power-of-two table with
+    //! at most half its slots used, so every probe ends at an empty
+    //! slot; deletion shifts back the slots its hole would orphan.
+    std::vector<Slot> index_;
+    unsigned index_shift_ = 0; //!< 64 - log2(index_.size())
     unsigned hand_ = 0; //!< clock hand for the LRU sweep
     std::function<void()> on_change_;
 };

@@ -162,8 +162,9 @@ MemoryNode::armWake(Cycle now)
         at = std::min(at, acks_.front().ready_at);
     if (!reads_.empty())
         at = std::min(at, reads_.front().first_beat_at);
-    if (at == kNever || at <= now)
-        return; // nothing pending, or work already actionable now
+    if (at == kNever || at <= now || at == wake_at_)
+        return; // nothing pending, work actionable now, or already armed
+    wake_at_ = at;
     simulator()->events().scheduleWake(at, this);
 }
 

@@ -83,7 +83,8 @@ class MemoryNode : public Tickable
 
   private:
     /** Arm a timed wake when all pending work is in the future, so the
-     * controller can quiesce through its own access latencies. */
+     * controller can quiesce through its own access latencies. One
+     * wake per cycle: wakes at the same cycle act as one. */
     void armWake(Cycle now);
 
     struct PendingRead {
@@ -111,6 +112,7 @@ class MemoryNode : public Tickable
     std::deque<PendingRead> reads_;
     std::deque<PendingAck> acks_;
     Cycle next_read_start_ = 0; //!< initiation-interval gate
+    Cycle wake_at_ = kNever; //!< cycle of the last timed wake armed
     stats::Group stats_;
     stats::LazyScalar read_bursts_{stats_, "read_bursts"};
     stats::LazyScalar read_beats_{stats_, "read_beats"};

@@ -200,6 +200,83 @@ CheckerNode::traceResolved(const bus::Beat &beat, Cycle now,
     }
 }
 
+CheckerNode::Latch *
+CheckerNode::findLatch(const bus::Beat &beat)
+{
+    for (Latch &latch : latches_) {
+        if (latch.device == beat.device && latch.txn == beat.txn)
+            return &latch;
+    }
+    return nullptr;
+}
+
+void
+CheckerNode::openLatch(const bus::Beat &beat, Verdict verdict, int entry)
+{
+    const Latch latch{beat.device, beat.txn, beat.addr, beat.num_beats,
+                      verdict, entry};
+    // One open burst per device: a device that opens a new one before
+    // the last beat of the old leaves the old one's beats unlatched.
+    for (Latch &open : latches_) {
+        if (open.device == beat.device) {
+            open = latch;
+            return;
+        }
+    }
+    latches_.push_back(latch);
+}
+
+void
+CheckerNode::left(Latch *latch, const bus::Beat &beat, Verdict verdict,
+                  int entry)
+{
+    if (latch != nullptr) {
+        if (beat.last) {
+            *latch = latches_.back();
+            latches_.pop_back();
+        }
+    } else if (bus::isWrite(beat.opcode) && !beat.last &&
+               (verdict != Verdict::Allow || beat.beat_idx == 0)) {
+        // Only a head's Allow covers the burst's later beats: its
+        // check covered all of the burst's bytes.
+        openLatch(beat, verdict, entry);
+    }
+}
+
+void
+CheckerNode::streamLatched(Latch *latch, bus::Beat beat, Cycle now)
+{
+    const Verdict verdict = latch->verdict;
+    const int entry = latch->entry;
+    if (verdict == Verdict::Divert) {
+        if (!err_->a.canPush())
+            return;
+        err_->a.push(beat);
+    } else {
+        if (!down_->a.canPush()) {
+            // Parks like a held Allow, but the poll counts nothing.
+            stall_ = Stall::Held;
+            return;
+        }
+        if (verdict == Verdict::Mask) {
+            beat.strobe = 0;
+            beat.masked = true;
+        } else {
+            ++beats_forwarded_;
+        }
+        down_->a.push(beat);
+    }
+    req_pipe_.pop();
+    left(latch, beat, verdict, entry);
+    if (block_window_start_ || trace::on()) {
+        traceResolved(beat, now,
+                      verdict == Verdict::Allow  ? "allow"
+                      : verdict == Verdict::Mask ? "deny"
+                                                 : "deny-drain",
+                      entry);
+    }
+}
+
 void
 CheckerNode::dispatchRequests(Cycle now)
 {
@@ -209,21 +286,19 @@ CheckerNode::dispatchRequests(Cycle now)
         return;
     bus::Beat beat = req_pipe_.front();
 
-    // Finish draining a diverted write burst to the error node.
-    if (diverting_txn_ && *diverting_txn_ == beat.txn &&
-        bus::isWrite(beat.opcode)) {
-        if (!err_->a.canPush())
-            return;
-        err_->a.push(beat);
-        req_pipe_.pop();
-        if (beat.last)
-            diverting_txn_.reset();
-        if (block_window_start_ || trace::on())
-            traceResolved(beat, now, "deny-drain", -1);
+    // A later beat of a write burst streams on the verdict its head
+    // latched, unless it strays from the range the head was checked
+    // for: then it is authorized on its own, below.
+    const bool write = bus::isWrite(beat.opcode);
+    Latch *latch = write && beat.beat_idx != 0 ? findLatch(beat) : nullptr;
+    if (latch && (latch->verdict != Verdict::Allow || latch->covers(beat))) {
+        streamLatched(latch, beat, now);
         return;
     }
 
-    const Addr len = beat.opcode == bus::Opcode::Get
+    // A burst is checked once, at its head, over all its bytes; a write
+    // beat without a latch, on its own.
+    const Addr len = !write || beat.beat_idx == 0
                          ? static_cast<Addr>(beat.num_beats) *
                                bus::kBeatBytes
                          : bus::kBeatBytes;
@@ -303,26 +378,28 @@ CheckerNode::dispatchRequests(Cycle now)
 
       case AuthStatus::Deny:
         ++violations_;
-        if (policy_ == ViolationPolicy::BusError) {
+        if (policy_ == ViolationPolicy::BusError && latch == nullptr) {
             if (!err_->a.canPush())
                 return;
             err_->a.push(beat);
             req_pipe_.pop();
-            if (bus::isWrite(beat.opcode) && !beat.last)
-                diverting_txn_ = beat.txn;
+            left(latch, beat, Verdict::Divert, -1);
             if (block_window_start_ || trace::on())
                 traceResolved(beat, now, "deny", auth.entry);
             return;
         }
         // Packet masking: writes lose their strobe; reads are recorded
-        // as violating so the response data gets cleared.
-        if (bus::isWrite(beat.opcode)) {
+        // as violating so the response data gets cleared. A straying
+        // beat of a burst already downstream is masked whatever the
+        // policy: the fabric must see the burst's last beat.
+        if (write) {
             if (!down_->a.canPush())
                 return;
             beat.strobe = 0;
             beat.masked = true;
             down_->a.push(beat);
             req_pipe_.pop();
+            left(latch, beat, Verdict::Mask, auth.entry);
             if (block_window_start_ || trace::on())
                 traceResolved(beat, now, "deny", auth.entry);
             return;
@@ -353,6 +430,7 @@ CheckerNode::dispatchRequests(Cycle now)
         down_->a.push(beat);
         ++beats_forwarded_;
         req_pipe_.pop();
+        left(latch, beat, Verdict::Allow, auth.entry);
         if (block_window_start_ || trace::on())
             traceResolved(beat, now, "allow", auth.entry);
         return;

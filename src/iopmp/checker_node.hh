@@ -12,6 +12,18 @@
  *    transactions the SID2Addr table marked as violating (costing one
  *    extra cycle on each path for the table access).
  *
+ * Burst verdicts: a burst is authorized once, at its head beat, over
+ * all its bytes [addr, addr + num_beats x 8). A Get is one beat; a Put
+ * burst's head latches its verdict (forward, mask or divert) for the
+ * burst's later beats, keyed by (device, txn), so every write burst
+ * lands all or nothing and the fabric always sees its last beat. This
+ * is §4.1's bracket: a burst admitted before a block finishes under
+ * the rules it was admitted with. A latched beat makes no authorize()
+ * call and counts nothing. A later beat that strays from its head's
+ * range (its address is not head.addr + beat_idx x 8) is authorized on
+ * its own, and masked when denied, since the burst is already
+ * downstream; a write beat with no latch is authorized on its own too.
+ *
  * Pipeline timing: a checker with S stages delays each request beat by
  * S-1 cycles (the intermediate-result registers of Fig 3a) without
  * limiting throughput — one beat still enters per cycle. The block-
@@ -19,12 +31,12 @@
  * firmware's per-SID blocking can wait for pipeline drain.
  *
  * Stalls: a head beat stalled on a SID miss or a block bit, or holding
- * an Allow its full downlink cannot take, parks the node (quiescent())
- * once its response path is idle and its uplink cannot feed it. The
- * node is an SIopmp stall waiter, so every move of the unit's state
- * version wakes it to re-poll, and it is its downlink's bound producer
- * (bus::Fifo::bindProducer), so the pop that frees a slot wakes a held
- * beat.
+ * an Allow (or a latched mask) its full downlink cannot take, parks the
+ * node (quiescent()) once its response path is idle and its uplink
+ * cannot feed it. The node is an SIopmp stall waiter, so every move of
+ * the unit's state version wakes it to re-poll, and it is its
+ * downlink's bound producer (bus::Fifo::bindProducer), so the pop that
+ * frees a slot wakes a held beat.
  *
  * Held verdicts: a head beat held by backpressure (allowed, downlink
  * full) reuses its held Allow instead of re-running authorize() while
@@ -156,6 +168,46 @@ class CheckerNode : public Tickable
      * attribution); 0 for non-pipelined checkers or no-match denials. */
     unsigned decidingStage(int entry) const;
 
+    /** What a write burst's later beats do, as its head decided. */
+    enum class Verdict : std::uint8_t { Allow, Mask, Divert };
+
+    /** A write burst whose head left and whose last beat has not. */
+    struct Latch {
+        DeviceId device;
+        std::uint64_t txn;
+        Addr addr;        //!< the head's address
+        unsigned beats;   //!< the head's num_beats
+        Verdict verdict;
+        int entry;        //!< deciding entry, for the trace
+
+        /** True iff @p beat lies where the head's check covered it. */
+        bool
+        covers(const bus::Beat &beat) const
+        {
+            return beat.beat_idx < beats &&
+                   beat.addr ==
+                       addr + static_cast<Addr>(beat.beat_idx) *
+                                  bus::kBeatBytes;
+        }
+    };
+
+    /** Latch of @p beat's burst, by (device, txn); null if none. */
+    Latch *findLatch(const bus::Beat &beat);
+
+    /** Latch @p verdict for @p beat's burst, replacing any latch its
+     * device still holds. */
+    void openLatch(const bus::Beat &beat, Verdict verdict, int entry);
+
+    /** @p beat left with @p verdict: drop its burst's @p latch (null if
+     * none) after the last beat, or latch the verdict for the later
+     * beats of a write burst it leads. */
+    void left(Latch *latch, const bus::Beat &beat, Verdict verdict,
+              int entry);
+
+    /** Send @p beat, the request pipe's front, on by @p latch's
+     * verdict. */
+    void streamLatched(Latch *latch, bus::Beat beat, Cycle now);
+
     /** Emit the verdict instant (and span end on the last beat) for a
      * beat leaving the request pipe; closes an open blocking window
      * (window stats record even with tracing off). Call sites keep the
@@ -174,9 +226,8 @@ class CheckerNode : public Tickable
     DelayPipe resp_pipe_;
     Sid2AddrTable sid2addr_;
 
-    //! Divert latch: while a denied write burst drains under BusError,
-    //! its remaining beats must follow it to the error node.
-    std::optional<std::uint64_t> diverting_txn_;
+    //! Open write bursts, at most one per device (see Latch).
+    std::vector<Latch> latches_;
     //! Edge trigger for SID-missing: avoid re-raising the interrupt
     //! every cycle while the monitor services the mount.
     std::optional<DeviceId> pending_miss_;
@@ -201,9 +252,10 @@ class CheckerNode : public Tickable
     void creditPolls(std::uint64_t polls) override;
 
     //! Why the head beat did not leave in the last dispatch: a SID
-    //! miss, a block bit or a held Allow behind a full downlink lets
-    //! the node park (see quiescent()). Blocked and Held polls count,
-    //! so while either stands the node owes the polls it skips.
+    //! miss, a block bit or a held or latched Allow or mask behind a
+    //! full downlink lets the node park (see quiescent()). Blocked and
+    //! held polls count, so while either stands the node owes the
+    //! polls it skips; a latched beat's poll counts nothing.
     enum class Stall : std::uint8_t { None, SidMiss, Blocked, Held };
     Stall stall_ = Stall::None;
 

@@ -96,17 +96,6 @@ DeviceId2SidCam::set(Sid sid, DeviceId device)
 }
 
 bool
-DeviceId2SidCam::invalidate(DeviceId device)
-{
-    const std::optional<Sid> sid = peek(device);
-    if (!sid)
-        return false;
-    unbind(*sid);
-    changed();
-    return true;
-}
-
-bool
 DeviceId2SidCam::invalidateSid(Sid sid)
 {
     SIOPMP_ASSERT(sid < rows_.size(), "CAM row out of range");

@@ -50,9 +50,6 @@ class DeviceId2SidCam
      * device previously mapped there, if any. */
     std::optional<DeviceId> set(Sid sid, DeviceId device);
 
-    /** Remove the mapping for @p device if present. */
-    bool invalidate(DeviceId device);
-
     /** Remove the mapping in row @p sid if valid. */
     bool invalidateSid(Sid sid);
 
@@ -72,8 +69,8 @@ class DeviceId2SidCam
 
     /**
      * Install @p hook, called once after every call that can change
-     * a device's SID or clear a use bit (set, invalidate, invalidateSid,
-     * insertLru) — not after lookup(), which only sets use
+     * a device's SID or clear a use bit (set, invalidateSid, insertLru)
+     * — not after lookup(), which only sets use
      * bits. The owning SIopmp wakes checker nodes parked on a
      * SID miss or a block bit through it: a mapping change decides
      * their stall, and a cleared use bit is one their next poll would

@@ -748,7 +748,7 @@ TEST(CheckerNodeHold, CamInvalidateRaisesSidMissing)
 {
     HoldRig rig;
     rig.holdHead();
-    ASSERT_TRUE(rig.soc.iopmp().cam().invalidate(kHot));
+    ASSERT_TRUE(rig.soc.iopmp().cam().invalidateSid(0)); // kHot's row
     rig.expectSidMissOnNextPoll();
 }
 
@@ -855,17 +855,20 @@ TEST(CheckerNodeHold, HeldPollCountsAtMutation)
 /**
  * The same counts while the held node is parked behind its full
  * downlink: the mutation settles the node's skipped polls before the
- * event reads the counters. Blocking the hog's SID mid-burst keeps the
- * xbar locked on its port, so checker 0 holds its beat with no other
- * check in the unit.
+ * event reads the counters. The hog's port sends the head beat of a
+ * write burst and holds back the rest, so the xbar stays locked on
+ * that port and checker 0 holds its beat with no other check in the
+ * unit.
  */
 TEST(CheckerNodeHold, ParkedHeldPollCountsAtMutation)
 {
     const auto run = [](bool fast_forward) {
         HoldRig rig;
         rig.soc.sim().setFastForward(fast_forward);
-        rig.holdHead();
-        rig.soc.iopmp().blockBitmap().block(1);
+        rig.soc.masterLink(1)->a.push(
+            bus::makePut(kHogBase, 0, bus::kBurstBeats, 0, kHog, 1));
+        rig.start(rig.hot, dev::DmaKind::Read, kHotBase);
+        rig.stepUntilHeld();
         return mutateInEvent(rig, 200);
     };
     const MutationProbe ff = run(true);

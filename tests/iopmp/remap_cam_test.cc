@@ -5,7 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "iopmp/remap_cam.hh"
+#include "sim/random.hh"
 
 namespace siopmp {
 namespace iopmp {
@@ -52,8 +55,9 @@ TEST(Cam, InvalidateByDeviceAndRow)
     DeviceId2SidCam cam(4);
     cam.set(0, 5);
     cam.set(1, 6);
-    EXPECT_TRUE(cam.invalidate(5));
-    EXPECT_FALSE(cam.invalidate(5));
+    // By device: look its row up, then invalidate the row.
+    EXPECT_TRUE(cam.invalidateSid(*cam.peek(5)));
+    EXPECT_FALSE(cam.peek(5).has_value());
     EXPECT_TRUE(cam.invalidateSid(1));
     EXPECT_FALSE(cam.invalidateSid(1));
     EXPECT_FALSE(cam.peek(6).has_value());
@@ -144,6 +148,47 @@ TEST(Cam, PaperSizing63Rows)
         cam.insertLru(1000 + d, nullptr);
     for (DeviceId d = 0; d < 63; ++d)
         EXPECT_TRUE(cam.peek(1000 + d).has_value());
+}
+
+/**
+ * The device index answers as a scan of the rows would, through every
+ * mutator: random set, invalidateSid, insertLru and lookup calls over
+ * device ids that collide in the index (small ids and ids far apart),
+ * checked for every id after every call.
+ */
+TEST(Cam, IndexMatchesRowScan)
+{
+    Rng rng(24);
+    for (unsigned rows : {1u, 3u, 7u, 63u}) {
+        DeviceId2SidCam cam(rows);
+        std::vector<DeviceId> ids;
+        for (DeviceId d = 0; d < 2 * rows + 2; ++d) {
+            ids.push_back(d);
+            ids.push_back(d << 40 | 7);
+        }
+        for (unsigned step = 0; step < 4000; ++step) {
+            const DeviceId device = ids[rng.below(ids.size())];
+            const Sid row = static_cast<Sid>(rng.below(rows));
+            switch (rng.below(4)) {
+              case 0: cam.set(row, device); break;
+              case 1: cam.invalidateSid(row); break;
+              case 2: cam.insertLru(device, nullptr); break;
+              default: cam.lookup(device); break;
+            }
+            for (DeviceId id : ids) {
+                std::optional<Sid> scanned;
+                for (Sid sid = 0; sid < rows; ++sid) {
+                    if (cam.deviceAt(sid) == std::optional<DeviceId>(id)) {
+                        ASSERT_FALSE(scanned.has_value()) << "two rows";
+                        scanned = sid;
+                    }
+                }
+                ASSERT_EQ(cam.peek(id), scanned)
+                    << "rows " << rows << ", step " << step << ", id "
+                    << id;
+            }
+        }
+    }
 }
 
 } // namespace

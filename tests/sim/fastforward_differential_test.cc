@@ -147,9 +147,10 @@ runMixedWorkload(bool fast_forward)
     plan.probes = 24;
     evil.startAttack(plan, 0);
 
-    // Mid-run unmount/remount of the DMA device's SID, driven from the
-    // event queue so it lands on the same cycle in both modes.
-    soc.sim().events().schedule(400, [&] { unit.cam().invalidate(3); });
+    // Mid-run unmount/remount of the DMA device's SID (device 3, CAM
+    // row 2), driven from the event queue so it lands on the same
+    // cycle in both modes.
+    soc.sim().events().schedule(400, [&] { unit.cam().invalidateSid(2); });
     soc.sim().events().schedule(2600, [&] {
         unit.cam().set(2, 3);
         unit.src2md().associate(2, 2);

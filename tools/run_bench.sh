@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # Smoke harness for the benchmarks: configure, build, run the tier-1
-# test suite, run sim_core_micro and churn_fleet with small budgets,
-# validate the BENCH_sim_core.json / BENCH_churn.json schemas and the
+# test suite, run sim_core_micro and churn_fleet with small budgets
+# into the build directory (the committed BENCH files stay as they
+# are), validate the BENCH_sim_core.json / BENCH_churn.json schemas of
+# both those smoke outputs and the committed files, validate the
 # committed BENCH_pairs.json schema, diff a churn run's output and
 # stats JSON with fast-forward on and off, validate the Chrome
 # trace-event schema of a traced dma_attack_demo run, and run
@@ -95,7 +97,7 @@ fi
 BUILD_DIR="${1:-$REPO_ROOT/build}"
 ITERS="${2:-4}"
 MODE="${3:-bench}"
-OUT_JSON="$REPO_ROOT/BENCH_sim_core.json"
+OUT_JSON="$BUILD_DIR/BENCH_sim_core.json"
 
 echo "== configure + build (warnings are errors) =="
 cmake -B "$BUILD_DIR" -S "$REPO_ROOT" -DCMAKE_COMPILE_WARNING_AS_ERROR=ON
@@ -128,34 +130,32 @@ fi
 echo "== tier-1 tests =="
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j"$(nproc)"
 
-echo "== sim_core_micro (iters=$ITERS) =="
-"$BUILD_DIR/bench/sim_core_micro" "$ITERS" "$OUT_JSON"
+# Schema of a sim_core_micro output ($1): every required key present,
+# values parse as numbers, and the provenance header is filled in.
+check_sim_core() {
+    for key in \
+        '"benchmark"' \
+        '"commit"' \
+        '"build_type"' \
+        '"compiler"' \
+        '"host_cores"' \
+        '"iters"' \
+        '"idle_heavy"' \
+        '"saturated"' \
+        '"saturated16"' \
+        '"simulated_cycles"' \
+        '"fast_forward_s_per_mcycle"' \
+        '"naive_s_per_mcycle"' \
+        '"idle_cycles_skipped"' \
+        '"speedup"'; do
+        grep -q "$key" "$1" || {
+            echo "schema check FAILED: missing $key in $1" >&2
+            exit 1
+        }
+    done
 
-echo "== BENCH_sim_core.json schema check =="
-# Every required key must be present; values must parse as numbers.
-for key in \
-    '"benchmark"' \
-    '"commit"' \
-    '"build_type"' \
-    '"compiler"' \
-    '"host_cores"' \
-    '"iters"' \
-    '"idle_heavy"' \
-    '"saturated"' \
-    '"saturated16"' \
-    '"simulated_cycles"' \
-    '"fast_forward_s_per_mcycle"' \
-    '"naive_s_per_mcycle"' \
-    '"idle_cycles_skipped"' \
-    '"speedup"'; do
-    grep -q "$key" "$OUT_JSON" || {
-        echo "schema check FAILED: missing $key in $OUT_JSON" >&2
-        exit 1
-    }
-done
-
-if command -v python3 > /dev/null; then
-    python3 - "$OUT_JSON" <<'EOF'
+    if command -v python3 > /dev/null; then
+        python3 - "$1" <<'EOF'
 import json, sys
 d = json.load(open(sys.argv[1]))
 assert d["benchmark"] == "sim_core_micro"
@@ -170,51 +170,46 @@ for wl in ("idle_heavy", "saturated", "saturated16"):
     for k in ("fast_forward_s_per_mcycle", "naive_s_per_mcycle", "speedup"):
         assert isinstance(w[k], (int, float)), (wl, k)
     assert isinstance(w["idle_cycles_skipped"], int)
-print("json schema OK (%s, %s, %d cores; idle-heavy fast-forward %.1fx, "
-      "%d of %d cycles skipped)" % (d["commit"], d["build_type"],
-                                    d["host_cores"],
-                                    d["idle_heavy"]["speedup"],
-                                    d["idle_heavy"]["idle_cycles_skipped"],
-                                    d["idle_heavy"]["simulated_cycles"]))
+print("json schema OK: %s (%s, %s, %d cores; idle-heavy fast-forward "
+      "%.1fx, %d of %d cycles skipped)" % (
+          sys.argv[1], d["commit"], d["build_type"], d["host_cores"],
+          d["idle_heavy"]["speedup"],
+          d["idle_heavy"]["idle_cycles_skipped"],
+          d["idle_heavy"]["simulated_cycles"]))
 EOF
-else
-    echo "json schema OK (grep-only: python3 unavailable)"
-fi
+    else
+        echo "json schema OK: $1 (grep-only: python3 unavailable)"
+    fi
+}
 
-echo "== churn_fleet (BENCH_churn.json) =="
-CHURN_JSON="$REPO_ROOT/BENCH_churn.json"
-# The binary itself enforces the churn-rate and lifecycle gates
-# (exits nonzero if the headline point sustains < 1000 TEE/s, a
-# tenant does not complete or a lifecycle invariant is violated).
-"$BUILD_DIR/bench/churn_fleet" "$CHURN_JSON"
+# Schema of a churn_fleet output ($1), with its acceptance gates.
+check_churn() {
+    for key in \
+        '"benchmark"' \
+        '"commit"' \
+        '"build_type"' \
+        '"compiler"' \
+        '"host_cores"' \
+        '"points"' \
+        '"series"' \
+        '"churn_per_sim_s"' \
+        '"executed_cycles"' \
+        '"check_p50"' \
+        '"check_p99"' \
+        '"cold_switch_p99"' \
+        '"block_window_hist"' \
+        '"cam_evictions"' \
+        '"mounted_cold_flushes"' \
+        '"invariant_violations"' \
+        '"fingerprint"'; do
+        grep -q "$key" "$1" || {
+            echo "schema check FAILED: missing $key in $1" >&2
+            exit 1
+        }
+    done
 
-echo "== BENCH_churn.json schema check =="
-for key in \
-    '"benchmark"' \
-    '"commit"' \
-    '"build_type"' \
-    '"compiler"' \
-    '"host_cores"' \
-    '"points"' \
-    '"series"' \
-    '"churn_per_sim_s"' \
-    '"executed_cycles"' \
-    '"check_p50"' \
-    '"check_p99"' \
-    '"cold_switch_p99"' \
-    '"block_window_hist"' \
-    '"cam_evictions"' \
-    '"mounted_cold_flushes"' \
-    '"invariant_violations"' \
-    '"fingerprint"'; do
-    grep -q "$key" "$CHURN_JSON" || {
-        echo "schema check FAILED: missing $key in $CHURN_JSON" >&2
-        exit 1
-    }
-done
-
-if command -v python3 > /dev/null; then
-    python3 - "$CHURN_JSON" <<'EOF'
+    if command -v python3 > /dev/null; then
+        python3 - "$1" <<'EOF'
 import json, sys
 d = json.load(open(sys.argv[1]))
 assert d["benchmark"] == "churn_fleet"
@@ -243,13 +238,33 @@ assert head["churn_per_sim_s"] >= 1000.0, head
 # The all-hot contention cell must actually evict live CAM entries.
 assert any(p["cam_evictions"] > 0 for p in series), "no CAM churn"
 assert any(p["sid_misses"] > 0 for p in series), "no cold misses"
-print("churn json schema OK (%s, %s, %d cores; headline %.0f TEE/s over "
-      "%d points)" % (d["commit"], d["build_type"], d["host_cores"],
-                      head["churn_per_sim_s"], len(series)))
+print("churn json schema OK: %s (%s, %s, %d cores; headline %.0f TEE/s "
+      "over %d points)" % (sys.argv[1], d["commit"], d["build_type"],
+                           d["host_cores"], head["churn_per_sim_s"],
+                           len(series)))
 EOF
-else
-    echo "churn json schema OK (grep-only: python3 unavailable)"
-fi
+    else
+        echo "churn json schema OK: $1 (grep-only: python3 unavailable)"
+    fi
+}
+
+echo "== sim_core_micro (iters=$ITERS) =="
+"$BUILD_DIR/bench/sim_core_micro" "$ITERS" "$OUT_JSON"
+
+echo "== BENCH_sim_core.json schema check (smoke output, committed file) =="
+check_sim_core "$OUT_JSON"
+check_sim_core "$REPO_ROOT/BENCH_sim_core.json"
+
+echo "== churn_fleet (BENCH_churn.json) =="
+CHURN_JSON="$BUILD_DIR/BENCH_churn.json"
+# The binary itself enforces the churn-rate and lifecycle gates
+# (exits nonzero if the headline point sustains < 1000 TEE/s, a
+# tenant does not complete or a lifecycle invariant is violated).
+"$BUILD_DIR/bench/churn_fleet" "$CHURN_JSON"
+
+echo "== BENCH_churn.json schema check (smoke output, committed file) =="
+check_churn "$CHURN_JSON"
+check_churn "$REPO_ROOT/BENCH_churn.json"
 
 echo "== BENCH_pairs.json schema check =="
 # Parent/change perfbench pairs, one record per tools/perf_pairs.py

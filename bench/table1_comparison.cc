@@ -71,11 +71,9 @@ main()
 
     // Deferred mode leaves stale mappings reachable: no replay/rw
     // defense during the window.
-    iommu::IommuConfig defer_cfg;
-    defer_cfg.mode = iommu::UnmapMode::Deferred;
-    iommu::Iommu deferred(defer_cfg);
-    auto mapping = deferred.dmaMap(0x8000'0000, 1, Perm::ReadWrite, 0, 1, 0);
-    deferred.dmaUnmap(mapping.iova, 1, 0, 0);
+    iommu::Iommu deferred(iommu::UnmapMode::Deferred);
+    auto mapping = deferred.dmaMap(1, 0, 1);
+    deferred.dmaUnmap(mapping.iova, 0, 0);
     const char *defer_defends =
         deferred.attackWindowOpen() ? "No (window)" : "r/w/replay";
 

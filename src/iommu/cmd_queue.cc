@@ -16,12 +16,11 @@ CommandQueue::post(InvCommand kind, Addr iova, Cycle now)
     // Hardware services commands in order with a minimum gap; a burst
     // of invalidations queues up behind the service interval.
     const Cycle earliest =
-        std::max(now + costs_.service_latency,
-                 last_retire_at_ + costs_.service_interval);
+        std::max(now + kServiceLatency, last_retire_at_ + kServiceInterval);
     pending_.push_back(Pending{kind, iova, earliest});
     last_retire_at_ = earliest;
     ++posted_;
-    return costs_.post;
+    return kPost;
 }
 
 Cycle
@@ -29,14 +28,14 @@ CommandQueue::sync(Cycle now)
 {
     drain(now);
     if (pending_.empty())
-        return costs_.sync_poll; // one poll observes completion
+        return kSyncPoll; // one poll observes completion
     // Wait for the last command to retire, polling the wait
     // descriptor; the CPU burns the whole interval.
     const Cycle done_at = pending_.back().retire_at;
     const Cycle waited = done_at > now ? done_at - now : 0;
     retired_ += pending_.size();
     pending_.clear();
-    return waited + costs_.sync_poll;
+    return waited + kSyncPoll;
 }
 
 void

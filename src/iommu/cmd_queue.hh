@@ -20,20 +20,17 @@
 namespace siopmp {
 namespace iommu {
 
-struct CmdQueueCosts {
-    Cycle post = 40;           //!< write command descriptor + doorbell
-    Cycle service_latency = 450; //!< hardware dequeue-to-retire latency
-    Cycle service_interval = 120; //!< min gap between retirements
-    Cycle sync_poll = 60;      //!< one poll of the wait descriptor
-};
-
 /** Command kinds (subset sufficient for the model). */
 enum class InvCommand { Page, All, Sync };
 
 class CommandQueue
 {
   public:
-    explicit CommandQueue(CmdQueueCosts costs = {}) : costs_(costs) {}
+    static constexpr Cycle kPost = 40; //!< write descriptor + doorbell
+    //! Hardware dequeue-to-retire latency of one command.
+    static constexpr Cycle kServiceLatency = 450;
+    static constexpr Cycle kServiceInterval = 120; //!< min retire gap
+    static constexpr Cycle kSyncPoll = 60; //!< one wait-descriptor poll
 
     /**
      * Post an invalidation command at time @p now.
@@ -64,7 +61,6 @@ class CommandQueue
         Cycle retire_at;
     };
 
-    CmdQueueCosts costs_;
     std::deque<Pending> pending_;
     Cycle last_retire_at_ = 0;
     std::uint64_t posted_ = 0;

@@ -10,10 +10,8 @@
 namespace siopmp {
 namespace iommu {
 
-IovaAllocator::IovaAllocator(Addr base, Addr size, IovaCosts costs)
-    : costs_(costs),
-      base_(base),
-      limit_(base + size),
+IovaAllocator::IovaAllocator(Addr base, Addr size)
+    : limit_(base + size),
       bump_(base),
       magazines_(kMaxCpus)
 {
@@ -33,16 +31,16 @@ IovaAllocator::alloc(unsigned pages, unsigned cpu, unsigned contending_cores,
     if (pages == 1 && !magazines_[cpu].free_iovas.empty()) {
         iova = magazines_[cpu].free_iovas.back();
         magazines_[cpu].free_iovas.pop_back();
-        cost = costs_.cached_alloc;
+        cost = kCachedAlloc;
         ++cache_hits_;
     } else {
         // Global tree under the domain lock: serialized across cores.
-        cost = costs_.tree_alloc;
+        cost = kTreeAlloc;
         if (contending_cores > 1)
-            cost += (contending_cores - 1) * costs_.contention_per_core;
+            cost += (contending_cores - 1) * kContentionPerCore;
         ++tree_allocs_;
 
-        // Best-fit over recycled ranges.
+        // First fit over recycled ranges, lowest IOVA first.
         for (auto it = tree_free_.begin(); it != tree_free_.end(); ++it) {
             if (it->second >= pages) {
                 iova = it->first;
@@ -76,12 +74,12 @@ IovaAllocator::alloc(unsigned pages, unsigned cpu, unsigned contending_cores,
     return iova;
 }
 
-bool
+unsigned
 IovaAllocator::free(Addr iova, unsigned cpu)
 {
     auto it = live_.find(iova);
     if (it == live_.end())
-        return false;
+        return 0;
     const unsigned pages = it->second;
     live_.erase(it);
 
@@ -91,7 +89,7 @@ IovaAllocator::free(Addr iova, unsigned cpu)
     } else {
         tree_free_.emplace(iova, pages);
     }
-    return true;
+    return pages;
 }
 
 } // namespace iommu

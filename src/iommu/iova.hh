@@ -5,7 +5,8 @@
  * scalability cost the paper cites — IOVA allocation contention with
  * multiple cores and devices — is modelled by a per-allocation cycle
  * cost that grows with the number of contending cores when the
- * per-CPU cache misses.
+ * per-CPU cache misses. Its live map is the IOMMU model's one record
+ * of what is mapped.
  */
 
 #ifndef IOMMU_IOVA_HH
@@ -15,26 +16,29 @@
 #include <map>
 #include <vector>
 
-#include "iommu/page_table.hh"
 #include "sim/types.hh"
 
 namespace siopmp {
 namespace iommu {
 
-struct IovaCosts {
-    Cycle cached_alloc = 30;    //!< per-CPU magazine hit
-    Cycle tree_alloc = 180;     //!< global tree under the lock
-    Cycle contention_per_core = 90; //!< extra serialization per core
-};
+inline constexpr Addr kPageShift = 12;
+inline constexpr Addr kPageSize = Addr{1} << kPageShift;
 
 class IovaAllocator
 {
   public:
+    //! CPUs with a magazine of their own: valid @p cpu values are below.
+    static constexpr unsigned kMaxCpus = 64;
+    static constexpr Cycle kCachedAlloc = 30;  //!< per-CPU magazine hit
+    static constexpr Cycle kTreeAlloc = 180;   //!< global tree under the lock
+    //! Extra serialization per contending core on a tree allocation.
+    static constexpr Cycle kContentionPerCore = 90;
+
     /**
      * @param base  first allocatable address (page aligned)
      * @param size  size of the IOVA space
      */
-    IovaAllocator(Addr base, Addr size, IovaCosts costs = {});
+    IovaAllocator(Addr base, Addr size);
 
     /**
      * Allocate @p pages contiguous pages for @p cpu.
@@ -44,23 +48,23 @@ class IovaAllocator
     Addr alloc(unsigned pages, unsigned cpu, unsigned contending_cores,
                Cycle *cost_out = nullptr);
 
-    /** Free a previous allocation (returns false if unknown). */
-    bool free(Addr iova, unsigned cpu);
+    /**
+     * Free a previous allocation.
+     * @return its page count, or 0 if @p iova is not a live allocation
+     */
+    unsigned free(Addr iova, unsigned cpu);
 
     std::uint64_t allocated() const { return allocated_; }
     std::uint64_t cacheHits() const { return cache_hits_; }
     std::uint64_t treeAllocs() const { return tree_allocs_; }
 
   private:
-    static constexpr unsigned kMaxCpus = 64;
     static constexpr unsigned kMagazineSize = 32;
 
     struct Magazine {
         std::vector<Addr> free_iovas; //!< single-page entries only
     };
 
-    IovaCosts costs_;
-    Addr base_;
     Addr limit_;
     Addr bump_; //!< simple bump pointer over virgin space
     std::map<Addr, unsigned> live_; //!< iova -> pages

@@ -51,7 +51,7 @@ struct Event {
     Cycle when = 0;            //!< timestamp, in simulated cycles
     Phase phase = Phase::Instant;
     const char *track = "";    //!< component name (one Perfetto track)
-    const char *category = ""; //!< subsystem: bus/checker/mem/iommu...
+    const char *category = ""; //!< subsystem: bus, checker, mem, fuzz
     const char *name = "";     //!< event name within the category
     std::uint64_t id = 0;      //!< span correlation id (0 for instants)
     DeviceId device = 0;       //!< originating device (SID source)

@@ -92,14 +92,10 @@ runNetwork(Protection scheme, const NetworkConfig &cfg)
     // Scheme state.
     std::unique_ptr<iommu::Iommu> mmu;
     if (scheme == Protection::IommuStrict) {
-        iommu::IommuConfig icfg;
-        icfg.mode = iommu::UnmapMode::Strict;
-        mmu = std::make_unique<iommu::Iommu>(icfg);
+        mmu = std::make_unique<iommu::Iommu>(iommu::UnmapMode::Strict);
     } else if (scheme == Protection::IommuDeferred ||
                scheme == Protection::SiopmpPlusIommu) {
-        iommu::IommuConfig icfg;
-        icfg.mode = iommu::UnmapMode::Deferred;
-        mmu = std::make_unique<iommu::Iommu>(icfg);
+        mmu = std::make_unique<iommu::Iommu>(iommu::UnmapMode::Deferred);
     }
     std::unique_ptr<SiopmpCostSource> siopmp;
     if (scheme == Protection::Siopmp ||
@@ -137,11 +133,10 @@ runNetwork(Protection scheme, const NetworkConfig &cfg)
               case Protection::IommuStrict:
               case Protection::IommuDeferred: {
                 const unsigned cpu_idx = p % cfg.cores;
-                auto map = mmu->dmaMap(buf, 1, Perm::ReadWrite, cpu_idx,
-                                       cfg.cores, now);
+                auto map = mmu->dmaMap(1, cpu_idx, cfg.cores);
                 cpu += map.cost;
                 Cycle unmap_wait = 0;
-                const Cycle unmap = mmu->dmaUnmap(map.iova, 1, cpu_idx,
+                const Cycle unmap = mmu->dmaUnmap(map.iova, cpu_idx,
                                                   now + cpu, &unmap_wait);
                 cpu += unmap - unmap_wait;
                 wait += unmap_wait;
@@ -151,11 +146,10 @@ runNetwork(Protection scheme, const NetworkConfig &cfg)
                 // IOMMU translates (deferred, cheap); sIOPMP closes the
                 // window with its synchronous entry reset.
                 const unsigned cpu_idx = p % cfg.cores;
-                auto map = mmu->dmaMap(buf, 1, Perm::ReadWrite, cpu_idx,
-                                       cfg.cores, now);
+                auto map = mmu->dmaMap(1, cpu_idx, cfg.cores);
                 cpu += map.cost;
                 Cycle unmap_wait = 0;
-                const Cycle unmap = mmu->dmaUnmap(map.iova, 1, cpu_idx,
+                const Cycle unmap = mmu->dmaUnmap(map.iova, cpu_idx,
                                                   now + cpu, &unmap_wait);
                 cpu += unmap - unmap_wait;
                 wait += unmap_wait;

@@ -13,57 +13,53 @@ namespace {
 
 TEST(CmdQueue, PostCostIsFixed)
 {
-    CmdQueueCosts costs;
-    CommandQueue q(costs);
-    EXPECT_EQ(q.post(InvCommand::Page, 0x1000, 100), costs.post);
+    CommandQueue q;
+    EXPECT_EQ(q.post(InvCommand::Page, 0x1000, 100), CommandQueue::kPost);
     EXPECT_EQ(q.pending(), 1u);
     EXPECT_EQ(q.posted(), 1u);
 }
 
 TEST(CmdQueue, SyncWaitsForServiceLatency)
 {
-    CmdQueueCosts costs;
-    CommandQueue q(costs);
+    CommandQueue q;
     q.post(InvCommand::Page, 0x1000, 1000);
     // Sync right after posting: wait out the full service latency.
     const Cycle waited = q.sync(1000);
-    EXPECT_GE(waited, costs.service_latency);
+    EXPECT_GE(waited, CommandQueue::kServiceLatency);
     EXPECT_EQ(q.pending(), 0u);
     EXPECT_EQ(q.retired(), 1u);
 }
 
 TEST(CmdQueue, SyncCheapWhenAlreadyRetired)
 {
-    CmdQueueCosts costs;
-    CommandQueue q(costs);
+    CommandQueue q;
     q.post(InvCommand::Page, 0x1000, 0);
     // Long after retirement, sync is a single poll.
-    EXPECT_EQ(q.sync(100'000), costs.sync_poll);
+    EXPECT_EQ(q.sync(100'000), CommandQueue::kSyncPoll);
 }
 
 TEST(CmdQueue, BurstsQueueBehindServiceInterval)
 {
-    CmdQueueCosts costs;
-    CommandQueue q(costs);
+    CommandQueue q;
     for (int i = 0; i < 10; ++i)
         q.post(InvCommand::Page, 0x1000 + i, 0);
     // The last command retires no earlier than 9 intervals after the
     // first's retirement.
-    EXPECT_GE(q.lastRetireAt(),
-              costs.service_latency + 9 * costs.service_interval);
+    EXPECT_GE(q.lastRetireAt(), CommandQueue::kServiceLatency +
+                                    9 * CommandQueue::kServiceInterval);
     const Cycle waited = q.sync(0);
-    EXPECT_GE(waited, q.lastRetireAt() > 0 ? costs.service_latency : 0);
+    EXPECT_GE(waited,
+              q.lastRetireAt() > 0 ? CommandQueue::kServiceLatency : 0);
     EXPECT_EQ(q.retired(), 10u);
 }
 
 TEST(CmdQueue, DrainRetiresDueCommands)
 {
-    CmdQueueCosts costs;
-    CommandQueue q(costs);
+    CommandQueue q;
     q.post(InvCommand::Page, 0x1000, 0);
-    q.drain(costs.service_latency - 1);
+    q.drain(CommandQueue::kServiceLatency - 1);
     EXPECT_EQ(q.pending(), 1u);
-    q.drain(costs.service_latency + 1);
+    q.drain(CommandQueue::kServiceLatency + 1);
     EXPECT_EQ(q.pending(), 0u);
 }
 

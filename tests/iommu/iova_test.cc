@@ -26,13 +26,12 @@ TEST(Iova, FreeAndMagazineReuse)
 {
     IovaAllocator alloc(0x10'0000, 1 << 24);
     Addr a = alloc.alloc(1, /*cpu=*/2, 1);
-    EXPECT_TRUE(alloc.free(a, 2));
+    EXPECT_EQ(alloc.free(a, 2), 1u);
     // Same CPU reuses the magazine entry: cheap path.
     Cycle cost = 0;
     Addr b = alloc.alloc(1, 2, 1, &cost);
     EXPECT_EQ(b, a);
-    IovaCosts costs;
-    EXPECT_EQ(cost, costs.cached_alloc);
+    EXPECT_EQ(cost, IovaAllocator::kCachedAlloc);
     EXPECT_EQ(alloc.cacheHits(), 1u);
 }
 
@@ -41,18 +40,16 @@ TEST(Iova, TreeAllocCostsMore)
     IovaAllocator alloc(0x10'0000, 1 << 24);
     Cycle cost = 0;
     alloc.alloc(1, 0, 1, &cost);
-    IovaCosts costs;
-    EXPECT_EQ(cost, costs.tree_alloc); // no magazine yet
+    EXPECT_EQ(cost, IovaAllocator::kTreeAlloc); // no magazine yet
 }
 
 TEST(Iova, ContentionGrowsWithCores)
 {
     IovaAllocator alloc(0x10'0000, 1 << 24);
-    IovaCosts costs;
     Cycle c1 = 0, c4 = 0;
     alloc.alloc(1, 0, 1, &c1);
     alloc.alloc(1, 1, 4, &c4);
-    EXPECT_EQ(c4 - c1, 3 * costs.contention_per_core);
+    EXPECT_EQ(c4 - c1, 3 * IovaAllocator::kContentionPerCore);
 }
 
 TEST(Iova, MultiPageAllocations)
@@ -63,9 +60,9 @@ TEST(Iova, MultiPageAllocations)
     EXPECT_NE(a, kNoAddr);
     // Ranges must not overlap.
     EXPECT_GE(b > a ? b - a : a - b, 8 * kPageSize);
-    EXPECT_TRUE(alloc.free(a, 0));
+    EXPECT_EQ(alloc.free(a, 0), 8u);
     // Multi-page frees go to the tree, not the magazine; they are
-    // found again by best-fit.
+    // found again by first fit.
     Addr c = alloc.alloc(8, 0, 1);
     EXPECT_EQ(c, a);
 }
@@ -74,9 +71,9 @@ TEST(Iova, DoubleFreeRejected)
 {
     IovaAllocator alloc(0x10'0000, 1 << 24);
     Addr a = alloc.alloc(1, 0, 1);
-    EXPECT_TRUE(alloc.free(a, 0));
-    EXPECT_FALSE(alloc.free(a, 0));
-    EXPECT_FALSE(alloc.free(0xdead'0000, 0));
+    EXPECT_EQ(alloc.free(a, 0), 1u);
+    EXPECT_EQ(alloc.free(a, 0), 0u);
+    EXPECT_EQ(alloc.free(0xdead'0000, 0), 0u);
 }
 
 TEST(Iova, ExhaustionReturnsNoAddr)
@@ -96,8 +93,7 @@ TEST(Iova, PerCpuMagazinesIndependent)
     Cycle cost = 0;
     Addr b = alloc.alloc(1, 1, 1, &cost);
     EXPECT_NE(b, a);
-    IovaCosts costs;
-    EXPECT_EQ(cost, costs.tree_alloc);
+    EXPECT_EQ(cost, IovaAllocator::kTreeAlloc);
 }
 
 } // namespace

@@ -11,13 +11,13 @@ namespace siopmp {
 namespace iommu {
 
 Cycle
-CommandQueue::post(InvCommand kind, Addr iova, Cycle now)
+CommandQueue::post(Cycle now)
 {
     // Hardware services commands in order with a minimum gap; a burst
     // of invalidations queues up behind the service interval.
     const Cycle earliest =
         std::max(now + kServiceLatency, last_retire_at_ + kServiceInterval);
-    pending_.push_back(Pending{kind, iova, earliest});
+    retire_at_.push_back(earliest);
     last_retire_at_ = earliest;
     ++posted_;
     return kPost;
@@ -27,22 +27,22 @@ Cycle
 CommandQueue::sync(Cycle now)
 {
     drain(now);
-    if (pending_.empty())
+    if (retire_at_.empty())
         return kSyncPoll; // one poll observes completion
     // Wait for the last command to retire, polling the wait
     // descriptor; the CPU burns the whole interval.
-    const Cycle done_at = pending_.back().retire_at;
+    const Cycle done_at = retire_at_.back();
     const Cycle waited = done_at > now ? done_at - now : 0;
-    retired_ += pending_.size();
-    pending_.clear();
+    retired_ += retire_at_.size();
+    retire_at_.clear();
     return waited + kSyncPoll;
 }
 
 void
 CommandQueue::drain(Cycle now)
 {
-    while (!pending_.empty() && pending_.front().retire_at <= now) {
-        pending_.pop_front();
+    while (!retire_at_.empty() && retire_at_.front() <= now) {
+        retire_at_.pop_front();
         ++retired_;
     }
 }

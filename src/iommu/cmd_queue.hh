@@ -20,9 +20,6 @@
 namespace siopmp {
 namespace iommu {
 
-/** Command kinds (subset sufficient for the model). */
-enum class InvCommand { Page, All, Sync };
-
 class CommandQueue
 {
   public:
@@ -33,10 +30,11 @@ class CommandQueue
     static constexpr Cycle kSyncPoll = 60; //!< one wait-descriptor poll
 
     /**
-     * Post an invalidation command at time @p now.
+     * Post an invalidation command at time @p now. A page and a global
+     * invalidation are timed alike.
      * @return the cycle cost of posting (CPU side).
      */
-    Cycle post(InvCommand kind, Addr iova, Cycle now);
+    Cycle post(Cycle now);
 
     /**
      * Block until every previously posted command has retired
@@ -47,7 +45,7 @@ class CommandQueue
     /** Retire commands whose service time has passed. */
     void drain(Cycle now);
 
-    std::size_t pending() const { return pending_.size(); }
+    std::size_t pending() const { return retire_at_.size(); }
     std::uint64_t posted() const { return posted_; }
     std::uint64_t retired() const { return retired_; }
 
@@ -55,13 +53,8 @@ class CommandQueue
     Cycle lastRetireAt() const { return last_retire_at_; }
 
   private:
-    struct Pending {
-        InvCommand kind;
-        Addr iova;
-        Cycle retire_at;
-    };
-
-    std::deque<Pending> pending_;
+    //! Retire cycle of each pending command, in post order.
+    std::deque<Cycle> retire_at_;
     Cycle last_retire_at_ = 0;
     std::uint64_t posted_ = 0;
     std::uint64_t retired_ = 0;

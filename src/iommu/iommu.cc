@@ -16,7 +16,7 @@ constexpr Cycle kMapSetup = 70; //!< per dma_map bookkeeping
 //! One page-table memory access; a dma_map installs each page's PTE at
 //! a quarter of it.
 constexpr Cycle kPageTableAccess = 90;
-//! Driver-side CPU work per strictly unmapped page: invalidation
+//! Kernel CPU work per strictly unmapped page: invalidation
 //! descriptor setup, per-page IOTLB flush bookkeeping, completion
 //! handling.
 constexpr Cycle kStrictUnmapCpu = 220;
@@ -56,8 +56,7 @@ Iommu::dmaUnmap(Addr iova, unsigned cpu, Cycle now, Cycle *wait_out)
             // Post the page's invalidation; the sync below waits for
             // its retirement before the IOVA may be reused.
             cost += kStrictUnmapCpu;
-            cost += cmdq_.post(InvCommand::Page, iova + p * kPageSize,
-                               now + cost);
+            cost += cmdq_.post(now + cost);
         } else {
             // Deferred: the page stays reachable through the IOTLB
             // until the batched flush.
@@ -71,7 +70,7 @@ Iommu::dmaUnmap(Addr iova, unsigned cpu, Cycle now, Cycle *wait_out)
         cost += wait;
     } else if (stale_mappings_ >= kDeferredBatch) {
         // Batched global invalidation: one command for the whole batch.
-        cost += cmdq_.post(InvCommand::All, 0, now + cost);
+        cost += cmdq_.post(now + cost);
         wait = cmdq_.sync(now + cost);
         cost += wait;
         stale_mappings_ = 0;

@@ -38,7 +38,6 @@ IovaAllocator::alloc(unsigned pages, unsigned cpu, unsigned contending_cores,
         cost = kTreeAlloc;
         if (contending_cores > 1)
             cost += (contending_cores - 1) * kContentionPerCore;
-        ++tree_allocs_;
 
         // First fit over recycled ranges, lowest IOVA first.
         for (auto it = tree_free_.begin(); it != tree_free_.end(); ++it) {
@@ -68,7 +67,6 @@ IovaAllocator::alloc(unsigned pages, unsigned cpu, unsigned contending_cores,
     }
 
     live_.emplace(iova, pages);
-    ++allocated_;
     if (cost_out)
         *cost_out = cost;
     return iova;

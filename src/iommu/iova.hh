@@ -54,9 +54,7 @@ class IovaAllocator
      */
     unsigned free(Addr iova, unsigned cpu);
 
-    std::uint64_t allocated() const { return allocated_; }
     std::uint64_t cacheHits() const { return cache_hits_; }
-    std::uint64_t treeAllocs() const { return tree_allocs_; }
 
   private:
     static constexpr unsigned kMagazineSize = 32;
@@ -70,9 +68,7 @@ class IovaAllocator
     std::map<Addr, unsigned> live_; //!< iova -> pages
     std::map<Addr, unsigned> tree_free_; //!< recycled ranges
     std::vector<Magazine> magazines_;
-    std::uint64_t allocated_ = 0;
     std::uint64_t cache_hits_ = 0;
-    std::uint64_t tree_allocs_ = 0;
 };
 
 } // namespace iommu

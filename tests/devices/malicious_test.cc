@@ -9,6 +9,7 @@
 #include "devices/malicious.hh"
 #include "devices/nic.hh"
 #include "soc/soc.hh"
+#include "support/policy_printer.hh"
 
 namespace siopmp {
 namespace dev {

@@ -14,7 +14,7 @@ namespace {
 TEST(CmdQueue, PostCostIsFixed)
 {
     CommandQueue q;
-    EXPECT_EQ(q.post(InvCommand::Page, 0x1000, 100), CommandQueue::kPost);
+    EXPECT_EQ(q.post(100), CommandQueue::kPost);
     EXPECT_EQ(q.pending(), 1u);
     EXPECT_EQ(q.posted(), 1u);
 }
@@ -22,7 +22,7 @@ TEST(CmdQueue, PostCostIsFixed)
 TEST(CmdQueue, SyncWaitsForServiceLatency)
 {
     CommandQueue q;
-    q.post(InvCommand::Page, 0x1000, 1000);
+    q.post(1000);
     // Sync right after posting: wait out the full service latency.
     const Cycle waited = q.sync(1000);
     EXPECT_GE(waited, CommandQueue::kServiceLatency);
@@ -33,7 +33,7 @@ TEST(CmdQueue, SyncWaitsForServiceLatency)
 TEST(CmdQueue, SyncCheapWhenAlreadyRetired)
 {
     CommandQueue q;
-    q.post(InvCommand::Page, 0x1000, 0);
+    q.post(0);
     // Long after retirement, sync is a single poll.
     EXPECT_EQ(q.sync(100'000), CommandQueue::kSyncPoll);
 }
@@ -42,7 +42,7 @@ TEST(CmdQueue, BurstsQueueBehindServiceInterval)
 {
     CommandQueue q;
     for (int i = 0; i < 10; ++i)
-        q.post(InvCommand::Page, 0x1000 + i, 0);
+        q.post(0);
     // The last command retires no earlier than 9 intervals after the
     // first's retirement.
     EXPECT_GE(q.lastRetireAt(), CommandQueue::kServiceLatency +
@@ -56,7 +56,7 @@ TEST(CmdQueue, BurstsQueueBehindServiceInterval)
 TEST(CmdQueue, DrainRetiresDueCommands)
 {
     CommandQueue q;
-    q.post(InvCommand::Page, 0x1000, 0);
+    q.post(0);
     q.drain(CommandQueue::kServiceLatency - 1);
     EXPECT_EQ(q.pending(), 1u);
     q.drain(CommandQueue::kServiceLatency + 1);
@@ -68,7 +68,7 @@ TEST(CmdQueue, AsyncLatencyDwarfsSiopmpEntryWrite)
     // The paper's headline contrast: an IOPMP entry modification takes
     // 14 cycles, an IOTLB invalidation takes hundreds.
     CommandQueue q;
-    q.post(InvCommand::Page, 0x1000, 0);
+    q.post(0);
     EXPECT_GT(q.sync(0), 14u * 10);
 }
 

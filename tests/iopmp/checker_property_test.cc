@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <tuple>
 
 #include "iopmp/checker.hh"
@@ -27,6 +28,20 @@ struct RandomConfig {
     unsigned mds;
     std::uint64_t seed;
 };
+
+std::string
+configName(const RandomConfig &cfg)
+{
+    return "e" + std::to_string(cfg.entries) + "_md" +
+           std::to_string(cfg.mds) + "_s" + std::to_string(cfg.seed);
+}
+
+/** Names the config in test output (gtest would print its bytes). */
+void
+PrintTo(const RandomConfig &cfg, std::ostream *os)
+{
+    *os << configName(cfg);
+}
 
 /** Build a random but valid table configuration. */
 void
@@ -110,9 +125,7 @@ INSTANTIATE_TEST_SUITE_P(
                       RandomConfig{1024, 63, 7}, RandomConfig{7, 3, 8},
                       RandomConfig{33, 5, 9}, RandomConfig{100, 10, 10}),
     [](const ::testing::TestParamInfo<RandomConfig> &info) {
-        return "e" + std::to_string(info.param.entries) + "_md" +
-               std::to_string(info.param.mds) + "_s" +
-               std::to_string(info.param.seed);
+        return configName(info.param);
     });
 
 /** Default-deny property: requests outside every region are denied

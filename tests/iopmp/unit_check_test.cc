@@ -116,6 +116,25 @@ struct KindParam {
     unsigned stages;
 };
 
+std::string
+kindParamName(const KindParam &param)
+{
+    // gtest names must be [A-Za-z0-9_]; kind names carry dashes.
+    std::string name = checkerKindName(param.kind);
+    for (char &c : name) {
+        if (c == '-')
+            c = '_';
+    }
+    return name + "x" + std::to_string(param.stages);
+}
+
+/** Names the kind in test output (gtest would print its bytes). */
+void
+PrintTo(const KindParam &param, std::ostream *os)
+{
+    *os << kindParamName(param);
+}
+
 constexpr KindParam kKinds[] = {{CheckerKind::Linear, 1},
                                 {CheckerKind::Tree, 1},
                                 {CheckerKind::PipelineLinear, 3},
@@ -179,13 +198,7 @@ TEST_P(UnitDifferential, MatchesKindWalkUnderMutation)
 INSTANTIATE_TEST_SUITE_P(
     AllKinds, UnitDifferential, ::testing::ValuesIn(kKinds),
     [](const ::testing::TestParamInfo<KindParam> &info) {
-        // gtest names must be [A-Za-z0-9_]; kind names carry dashes.
-        std::string name = checkerKindName(info.param.kind);
-        for (char &c : name) {
-            if (c == '-')
-                c = '_';
-        }
-        return name + "x" + std::to_string(info.param.stages);
+        return kindParamName(info.param);
     });
 
 // ---- invalidation completeness over the MMIO surface --------------------
@@ -199,6 +212,14 @@ struct Mutation {
     //! (proving the invalidation is load-bearing, not vacuous).
     bool expect_change;
 };
+
+/** Names the mutation in test output (gtest would print its bytes,
+ * code and heap addresses included). */
+void
+PrintTo(const Mutation &mutation, std::ostream *os)
+{
+    *os << mutation.name;
+}
 
 constexpr DeviceId kDevHot = 1;
 constexpr DeviceId kDevHot2 = 2;

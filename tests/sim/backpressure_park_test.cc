@@ -60,6 +60,24 @@ struct Shape {
     unsigned masters;
 };
 
+std::string
+shapeName(const Shape &s)
+{
+    return std::string(s.policy == ViolationPolicy::BusError
+                           ? "BusError"
+                           : "PacketMasking") +
+           (s.centralized ? "_Centralized_" : "_PerDevice_") +
+           std::to_string(s.masters);
+}
+
+/** Names the shape in test output (gtest would print its bytes,
+ * padding included). */
+void
+PrintTo(const Shape &shape, std::ostream *os)
+{
+    *os << shapeName(shape);
+}
+
 /**
  * A SoC with one DMA engine per master port, each bound to its own SID,
  * MD and window. Engine i runs Read, Write or Copy jobs (by i % 3) with
@@ -364,17 +382,6 @@ TEST_P(BackpressureParkTest, MatchesNaiveLoop)
                                   static_cast<double>(ff.components));
 }
 
-std::string
-shapeName(const ::testing::TestParamInfo<Shape> &info)
-{
-    const Shape &s = info.param;
-    return std::string(s.policy == ViolationPolicy::BusError
-                           ? "BusError"
-                           : "PacketMasking") +
-           (s.centralized ? "_Centralized_" : "_PerDevice_") +
-           std::to_string(s.masters);
-}
-
 INSTANTIATE_TEST_SUITE_P(
     Shapes, BackpressureParkTest,
     ::testing::Values(Shape{ViolationPolicy::BusError, false, 2},
@@ -385,7 +392,9 @@ INSTANTIATE_TEST_SUITE_P(
                       Shape{ViolationPolicy::PacketMasking, false, 8},
                       Shape{ViolationPolicy::PacketMasking, true, 2},
                       Shape{ViolationPolicy::PacketMasking, true, 8}),
-    shapeName);
+    [](const ::testing::TestParamInfo<Shape> &info) {
+        return shapeName(info.param);
+    });
 
 } // namespace
 } // namespace soc

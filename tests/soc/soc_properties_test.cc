@@ -90,6 +90,20 @@ struct Shape {
     unsigned mds;
 };
 
+std::string
+shapeName(const Shape &shape)
+{
+    return "e" + std::to_string(shape.entries) + "_s" +
+           std::to_string(shape.sids) + "_m" + std::to_string(shape.mds);
+}
+
+/** Names the shape in test output (gtest would print its bytes). */
+void
+PrintTo(const Shape &shape, std::ostream *os)
+{
+    *os << shapeName(shape);
+}
+
 class ConfigSweep : public ::testing::TestWithParam<Shape>
 {
 };
@@ -149,9 +163,7 @@ INSTANTIATE_TEST_SUITE_P(
                       Shape{1024, 64, 63}, Shape{2048, 32, 16},
                       Shape{1024, 16, 63}),
     [](const ::testing::TestParamInfo<Shape> &info) {
-        return "e" + std::to_string(info.param.entries) + "_s" +
-               std::to_string(info.param.sids) + "_m" +
-               std::to_string(info.param.mds);
+        return shapeName(info.param);
     });
 
 } // namespace

@@ -4,8 +4,8 @@
  * value` or a bare `--name` switch. The caller names every flag the
  * command reads (Args::Spec). A token that is none of them, a valued
  * flag with nothing after it, and a value that does not parse
- * (choice(), number(), real()) exit with status 2 and a message that
- * names the flag — never silently replaced by a default.
+ * (choice(), number(), count(), real()) exit with status 2 and a
+ * message that names the flag — never silently replaced by a default.
  */
 
 #ifndef TOOLS_ARGS_HH
@@ -101,6 +101,18 @@ class Args
             reject(name, v, "a whole non-negative number");
         if (errno == ERANGE || n > max)
             reject(name, v, "at most " + std::to_string(max));
+        return n;
+    }
+
+    /** A whole number from 1 to @p max: a count the run cannot do
+     * without (a divisor, a per-CPU index bound, a population). */
+    std::uint64_t
+    count(const char *name, std::uint64_t fallback,
+          std::uint64_t max = std::numeric_limits<unsigned>::max()) const
+    {
+        const std::uint64_t n = number(name, fallback, max);
+        if (n == 0)
+            reject(name, value(name, ""), "at least 1");
         return n;
     }
 

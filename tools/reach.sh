@@ -15,7 +15,10 @@
 #   - sim_core_micro 4.
 # It then aggregates `gcov --json-format` per (source file, demangled
 # function name) across every product translation unit and prints the
-# src/ functions that some product unit emits but no product ran.
+# src/ functions that some product unit emits but no product ran. A
+# unit that names a repository source which no longer exists (the
+# notes of a deleted file, left in an incremental tree) is skipped, so
+# an incremental run prints what a fresh build directory would.
 #
 # Pass 2 deletes the .gcda files, runs every tests/test_* binary and
 # prints the src/ functions the tests run that no product translation
@@ -79,8 +82,15 @@ for d in dirs:
             for line in proc.stdout.splitlines():
                 if not line.startswith("{"):
                     continue
-                for f in json.loads(line)["files"]:
-                    path = os.path.normpath(os.path.join(dirpath, f["file"]))
+                files = json.loads(line)["files"]
+                paths = [os.path.normpath(os.path.join(dirpath, f["file"]))
+                         for f in files]
+                # The notes of a deleted source outlive it in an
+                # incremental tree; all its functions would read unrun.
+                if any(p.startswith(root + os.sep) and not os.path.exists(p)
+                       for p in paths):
+                    continue
+                for f, path in zip(files, paths):
                     if not path.startswith(src):
                         continue
                     rel = os.path.relpath(path, root)

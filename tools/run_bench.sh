@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Smoke harness for the benchmarks: configure, build, run the tier-1
-# test suite, run sim_core_micro and churn_fleet with small budgets
+# test suite (and fail when a ctest name prints a test parameter's raw
+# bytes), run sim_core_micro and churn_fleet with small budgets
 # into the build directory (the committed BENCH files stay as they
 # are), validate the BENCH_sim_core.json / BENCH_churn.json schemas of
 # both those smoke outputs and the committed files, validate the
@@ -129,6 +130,15 @@ fi
 
 echo "== tier-1 tests =="
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j"$(nproc)"
+# gtest prints a test parameter it has no PrintTo for as raw bytes
+# ("12-byte object <...>", padding and pointers included), and those
+# bytes land in the ctest name, which then changes from one discovery
+# to the next. Every parameter type must name itself.
+if ctest --test-dir "$BUILD_DIR" -N | grep -F -- '-byte object <'; then
+    echo "run_bench: the ctest names above print a test parameter's" \
+         "raw bytes; give its type a PrintTo" >&2
+    exit 1
+fi
 
 # Schema of a sim_core_micro output ($1): every required key present,
 # values parse as numbers, and the provenance header is filled in.

@@ -26,8 +26,10 @@
  * Every command prints a single result line plus the key parameters,
  * suitable for scripting sweeps. A flag the command does not read, a
  * flag value outside its list, or a number that is not a whole
- * non-negative integer (a non-negative real for --arrival and --cold)
- * exits with status 2 and a message naming the flag (tools/args.hh).
+ * non-negative integer (a non-negative real for --arrival and --cold;
+ * at least 1 for network's --cores, at most 64, and --packets, churn's
+ * --devices and --ports, and freq's --stages) exits with status 2 and
+ * a message naming the flag (tools/args.hh).
  */
 
 #include <cstdint>
@@ -40,6 +42,7 @@
 #include <string>
 
 #include "args.hh"
+#include "iommu/iova.hh"
 #include "sim/stats.hh"
 #include "sim/trace.hh"
 #include "timing/frequency.hh"
@@ -100,8 +103,10 @@ cmdNetwork(const Args &args)
 {
     wl::NetworkConfig cfg;
     cfg.rx = !args.flag("--tx");
-    cfg.cores = static_cast<unsigned>(args.number("--cores", 1));
-    cfg.packets = static_cast<unsigned>(args.number("--packets", 10000));
+    // The IOMMU's IOVA allocator keeps one magazine per CPU.
+    cfg.cores = static_cast<unsigned>(
+        args.count("--cores", 1, iommu::IovaAllocator::kMaxCpus));
+    cfg.packets = static_cast<unsigned>(args.count("--packets", 10000));
     std::printf("network (%s, %u core%s):\n", cfg.rx ? "RX" : "TX",
                 cfg.cores, cfg.cores == 1 ? "" : "s");
     for (const auto &result : wl::runNetworkSweep(cfg)) {
@@ -154,8 +159,8 @@ cmdChurn(const Args &args)
 {
     wl::ChurnConfig cfg;
     cfg.tenants = static_cast<unsigned>(args.number("--tenants", 400));
-    cfg.devices = static_cast<unsigned>(args.number("--devices", 64));
-    cfg.ports = static_cast<unsigned>(args.number("--ports", 4));
+    cfg.devices = static_cast<unsigned>(args.count("--devices", 64));
+    cfg.ports = static_cast<unsigned>(args.count("--ports", 4));
     cfg.seed = args.number("--seed", 1,
                            std::numeric_limits<std::uint64_t>::max());
     cfg.arrival_mean = args.real("--arrival", cfg.arrival_mean);
@@ -185,7 +190,7 @@ cmdFreq(const Args &args)
 {
     timing::CheckerGeometry geometry;
     geometry.entries = static_cast<unsigned>(args.number("--entries", 1024));
-    geometry.stages = static_cast<unsigned>(args.number("--stages", 3));
+    geometry.stages = static_cast<unsigned>(args.count("--stages", 3));
     geometry.arity = static_cast<unsigned>(args.number("--arity", 2));
     const std::string kind = args.choice("--kind", "tree", {"lin", "tree"});
     geometry.kind = kind == "lin"

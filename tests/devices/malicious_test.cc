@@ -9,7 +9,6 @@
 #include "devices/malicious.hh"
 #include "devices/nic.hh"
 #include "soc/soc.hh"
-#include "support/policy_printer.hh"
 
 namespace siopmp {
 namespace dev {

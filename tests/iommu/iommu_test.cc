@@ -116,10 +116,12 @@ TEST(Iommu, StrictCostExceedsDeferred)
               5 * deferred.dmaUnmap(md.iova, 0, 0));
 }
 
-TEST(Iommu, RecycledIovaRemapsCheaper)
+TEST(Iommu, IovaReuseOnlyAfterStrictUnmap)
 {
     Iommu mmu(UnmapMode::Strict);
     const MapResult first = mmu.dmaMap(1, 0, 1);
+    // A live IOVA is never handed out again.
+    EXPECT_NE(mmu.dmaMap(1, 0, 1).iova, first.iova);
     mmu.dmaUnmap(first.iova, 0, 0);
     const MapResult again = mmu.dmaMap(1, 0, 1);
     EXPECT_EQ(again.iova, first.iova); // recycled through the magazine

@@ -9,7 +9,6 @@
 
 #include "devices/dma_engine.hh"
 #include "soc/soc.hh"
-#include "support/policy_printer.hh"
 
 namespace siopmp {
 namespace soc {

@@ -1,14 +1,15 @@
 #!/usr/bin/env bash
 # Smoke harness for the benchmarks: configure, build, run the tier-1
-# test suite (and fail when a ctest name prints a test parameter's raw
-# bytes), run sim_core_micro and churn_fleet with small budgets
-# into the build directory (the committed BENCH files stay as they
-# are), validate the BENCH_sim_core.json / BENCH_churn.json schemas of
-# both those smoke outputs and the committed files, validate the
-# committed BENCH_pairs.json schema, diff a churn run's output and
-# stats JSON with fast-forward on and off, validate the Chrome
-# trace-event schema of a traced dma_attack_demo run, and run
-# tools/reach.sh as an informational leg that never fails the script.
+# test suite (and fail when a ctest name prints the raw bytes of a test
+# parameter wider than 4 bytes), run sim_core_micro and churn_fleet
+# with small budgets into the build directory (the committed BENCH
+# files stay as they are), validate the BENCH_sim_core.json /
+# BENCH_churn.json schemas of both those smoke outputs and the
+# committed files, validate the committed BENCH_pairs.json schema,
+# diff a churn run's output and stats JSON with fast-forward on and
+# off, validate the Chrome trace-event schema of a traced
+# dma_attack_demo run, and run tools/reach.sh as an informational leg
+# that never fails the script.
 # The check path's host time is measured on the workloads' own traffic
 # by perfbench (BENCHMARK.json), not here.
 #
@@ -130,11 +131,14 @@ fi
 
 echo "== tier-1 tests =="
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j"$(nproc)"
-# gtest prints a test parameter it has no PrintTo for as raw bytes
-# ("12-byte object <...>", padding and pointers included), and those
-# bytes land in the ctest name, which then changes from one discovery
-# to the next. Every parameter type must name itself.
-if ctest --test-dir "$BUILD_DIR" -N | grep -F -- '-byte object <'; then
+# gtest prints a test parameter it has no PrintTo for as raw bytes,
+# and those bytes land in the ctest name. A type wider than 4 bytes
+# ("12-byte object <...>") may carry padding and pointers, so the name
+# changes from one discovery to the next; such a type must name
+# itself. An enum (iopmp::ViolationPolicy: "4-byte object <01-00
+# 00-00>") prints only its value and keeps its name.
+if ctest --test-dir "$BUILD_DIR" -N |
+        grep -E -- '([5-9]|[1-9][0-9]+)-byte object <'; then
     echo "run_bench: the ctest names above print a test parameter's" \
          "raw bytes; give its type a PrintTo" >&2
     exit 1

@@ -16,7 +16,7 @@
 #include <cstdio>
 
 #include "devices/dma_engine.hh"
-#include "fw/monitor.hh"
+#include "soc/firmware.hh"
 #include "soc/soc.hh"
 #include "timing/frequency.hh"
 
@@ -42,10 +42,8 @@ run(unsigned segments)
     fw::MonitorConfig mcfg;
     mcfg.entries_per_hot_md = 1536;
     mcfg.cold_window_entries = 8;
-    fw::SecureMonitor monitor(&soc.iopmp(), &soc.mmio(),
-                              soc::kIopmpMmioBase, nullptr,
-                              &soc.monitor(), mcfg);
-    monitor.init({0x8000'0000, 0x4000'0000}, {0x7000'0000, 0x1000});
+    soc::Firmware firmware(soc, mcfg);
+    fw::SecureMonitor &monitor = firmware.monitor();
 
     fw::CapId dev_cap = monitor.registerDevice(1);
     const fw::OwnerId tee =

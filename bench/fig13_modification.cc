@@ -14,7 +14,7 @@
 #include <cstdio>
 #include <vector>
 
-#include "fw/monitor.hh"
+#include "soc/firmware.hh"
 #include "soc/soc.hh"
 #include "workloads/hotcold.hh"
 
@@ -33,10 +33,7 @@ modificationCost(unsigned entries, bool atomic)
     soc::Soc soc(cfg);
     fw::MonitorConfig mcfg;
     mcfg.entries_per_hot_md = 128;
-    fw::SecureMonitor monitor(&soc.iopmp(), &soc.mmio(),
-                              soc::kIopmpMmioBase, nullptr,
-                              &soc.monitor(), mcfg);
-    monitor.init({0x8000'0000, 0x4000'0000}, {0x7000'0000, 0x1000});
+    soc::Firmware firmware(soc, mcfg);
     soc.iopmp().cam().set(0, /*device=*/1);
 
     std::vector<iopmp::Entry> rules;
@@ -44,7 +41,7 @@ modificationCost(unsigned entries, bool atomic)
         rules.push_back(iopmp::Entry::range(0x8000'0000 + i * 0x1000,
                                             0x1000, Perm::ReadWrite));
     }
-    auto result = monitor.modifyEntries(1, rules, atomic);
+    auto result = firmware.monitor().modifyEntries(1, rules, atomic);
     return result.ok ? result.cost : 0;
 }
 

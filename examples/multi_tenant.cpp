@@ -21,8 +21,7 @@
 
 #include "devices/accelerator.hh"
 #include "devices/dma_engine.hh"
-#include "fw/monitor.hh"
-#include "soc/cpu_node.hh"
+#include "soc/firmware.hh"
 #include "soc/soc.hh"
 
 using namespace siopmp;
@@ -45,13 +44,8 @@ main()
     cfg.num_masters = 3; // accel, dma, one port shared by cold VFs
     soc::Soc soc(cfg);
 
-    iopmp::ExtendedTable ext_table(&soc.memory(), {0x7000'0000, 0x10'0000});
-    fw::SecureMonitor monitor(&soc.iopmp(), &soc.mmio(),
-                              soc::kIopmpMmioBase, &ext_table,
-                              &soc.monitor());
-    monitor.init({0x8000'0000, 0x4000'0000}, {0x7000'0000, 0x10'0000});
-    soc::CpuNode cpu("cpu0", &monitor, &soc.iopmp(), &soc.sim());
-    soc.add(&cpu);
+    soc::Firmware firmware(soc);
+    fw::SecureMonitor &monitor = firmware.monitor();
 
     // --- Tenant A: accelerator; Tenant B: DMA engine -------------------
     fw::CapId accel_cap = monitor.registerDevice(kAccelDevice);

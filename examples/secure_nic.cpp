@@ -14,8 +14,7 @@
 
 #include "devices/malicious.hh"
 #include "devices/nic.hh"
-#include "fw/monitor.hh"
-#include "soc/cpu_node.hh"
+#include "soc/firmware.hh"
 #include "soc/soc.hh"
 
 using namespace siopmp;
@@ -50,13 +49,8 @@ main()
     soc::Soc soc(cfg);
 
     // Secure monitor with extended table + interrupt service.
-    iopmp::ExtendedTable ext_table(&soc.memory(), {0x7000'0000, 0x10000});
-    fw::SecureMonitor monitor(&soc.iopmp(), &soc.mmio(),
-                              soc::kIopmpMmioBase, &ext_table,
-                              &soc.monitor());
-    monitor.init({0x8000'0000, 0x4000'0000}, {0x7000'0000, 0x10000});
-    soc::CpuNode cpu("cpu0", &monitor, &soc.iopmp(), &soc.sim());
-    soc.add(&cpu);
+    soc::Firmware firmware(soc);
+    fw::SecureMonitor &monitor = firmware.monitor();
 
     // Devices.
     dev::NicConfig nic_cfg;

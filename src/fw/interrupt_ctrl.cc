@@ -35,7 +35,7 @@ InterruptController::service(Cycle now)
     while (!queue_.empty()) {
         const iopmp::Irq irq = queue_.front();
         queue_.pop_front();
-        cost += trap_cost_;
+        cost += kTrapCost;
         const Handler &handler = irq.kind == iopmp::IrqKind::Violation
                                      ? violation_handler_
                                      : sid_missing_handler_;

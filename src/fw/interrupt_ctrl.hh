@@ -27,11 +27,9 @@ class InterruptController
   public:
     using Handler = std::function<Cycle(const iopmp::Irq &, Cycle now)>;
 
-    /** @param trap_cost cycles to enter/exit the M-mode trap handler */
-    explicit InterruptController(Cycle trap_cost = 80)
-        : trap_cost_(trap_cost)
-    {
-    }
+    //! Cycles to enter and leave the M-mode trap handler, charged once
+    //! per serviced interrupt.
+    static constexpr Cycle kTrapCost = 80;
 
     /** Register the handler for one interrupt kind. */
     void setHandler(iopmp::IrqKind kind, Handler handler);
@@ -54,10 +52,8 @@ class InterruptController
     bool pending() const { return !queue_.empty(); }
     std::uint64_t raised() const { return raised_; }
     std::uint64_t serviced() const { return serviced_; }
-    Cycle trapCost() const { return trap_cost_; }
 
   private:
-    Cycle trap_cost_;
     Tickable *wake_target_ = nullptr;
     std::deque<iopmp::Irq> queue_;
     Handler violation_handler_;

@@ -23,6 +23,24 @@ using iopmp::regmap::kEsid;
 using iopmp::regmap::kMdCfgBase;
 using iopmp::regmap::kSrc2MdBase;
 
+namespace {
+
+// Software costs on top of the MMIO accesses (2 cycles each), fitted
+// to the paper's §6.3 numbers: blocking adds 35 cycles (block write +
+// drain + unblock write), each entry 14 (three writes + overhead), and
+// an 8-entry cold switch 341.
+
+//! Per 64-bit load of an extended-table record.
+constexpr Cycle kExtLoadCost = 4;
+//! Per entry write, beyond its three MMIO writes.
+constexpr Cycle kEntrySwOverhead = 8;
+//! Pipeline drain and bookkeeping inside a per-SID block bracket.
+constexpr Cycle kBlockOverhead = 31;
+//! Cold-switch bookkeeping beyond its loads and writes.
+constexpr Cycle kColdSwitchOverhead = 37;
+
+} // namespace
+
 SecureMonitor::SecureMonitor(iopmp::SIopmp *unit, mem::MmioBus *mmio,
                              Addr mmio_base,
                              iopmp::ExtendedTable *ext_table,
@@ -221,7 +239,7 @@ SecureMonitor::writeEntry(unsigned index, const iopmp::Entry &entry)
     std::uint64_t cfg_word = static_cast<std::uint64_t>(entry.perm()) |
                              (static_cast<std::uint64_t>(entry.mode()) << 2);
     cost += mmioWrite(base + 16, cfg_word);
-    return cost + cfg_.entry_sw_overhead;
+    return cost + kEntrySwOverhead;
 }
 
 Cycle
@@ -236,14 +254,14 @@ SecureMonitor::blockSid(Sid sid, DeviceId device)
                       (std::uint64_t{1} << (sid % 64)));
     // Wait for the checker pipeline and bus to drain this device's
     // transactions. With a live bus monitor we poll it; the polling
-    // and bookkeeping cost is the configured overhead.
+    // and bookkeeping cost is kBlockOverhead.
     if (bus_monitor_) {
         // In this functional call context the fabric cannot make
         // progress, so in-flight transactions are accounted by the
         // caller; the quiesce state is still validated.
         (void)bus_monitor_->quiesced(device);
     }
-    cost += cfg_.block_overhead;
+    cost += kBlockOverhead;
     return cost;
 }
 
@@ -314,7 +332,7 @@ SecureMonitor::deviceUnmap(OwnerId owner, DeviceId device,
         // currently mounted through the eSID slot.
         unsigned loads = 0;
         if (auto record = ext_table_->find(device, &loads)) {
-            result.cost += loads * cfg_.ext_load_cost;
+            result.cost += loads * kExtLoadCost;
             auto &entries = record->entries;
             auto match = std::find_if(
                 entries.begin(), entries.end(),
@@ -432,40 +450,35 @@ SecureMonitor::promoteToHot(DeviceId device, Cycle now)
         return result;
     }
 
-    // Pick a row via the clock algorithm; evicted occupants demote to
-    // the extended table (their rules must be preserved).
-    std::optional<DeviceId> evicted;
-    const Sid sid = unit_->cam().insertLru(device, &evicted);
-    if (evicted) {
-        // Save the evicted device's current window to the extended
-        // table before the new occupant overwrites it. If the save
-        // fails (table full) the promotion is rolled back — losing
-        // the victim's rules would make it permanently unmountable.
-        if (!ext_table_ || !ext_table_->add(saveHotWindow(*evicted, sid))) {
-            unit_->cam().set(sid, *evicted); // undo the row rebind
+    // The CAM's clock chooses the row: a free one, or a victim whose
+    // rules demote to the extended table. Nothing is bound until the
+    // row write below.
+    const Sid sid = unit_->cam().chooseVictim();
+    const std::optional<DeviceId> victim = unit_->cam().deviceAt(sid);
+    if (victim) {
+        // Save the victim's window before any register write: on a
+        // full table the promotion fails with the victim's row and
+        // window untouched — losing its rules would make it
+        // permanently unmountable.
+        if (!ext_table_ || !ext_table_->add(saveHotWindow(*victim, sid))) {
             ++*st_evict_save_failures_;
             return result;
         }
-        // Flush the victim's entries under its block so the new
-        // occupant cannot inherit stale rules when its own record
-        // fills less of the window.
-        result.cost += blockSid(sid, *evicted);
+        // The whole handover sits under the victim SID's block: its
+        // entries are written off so the new occupant cannot inherit
+        // stale rules when its own record fills less of the window.
+        result.cost += blockSid(sid, *victim);
         result.cost += clearHotWindow(sid);
-        result.cost += unblockSid(sid);
         ++*st_cam_evictions_;
         ++result.cost; // bookkeeping marker; loads accounted on mount
     }
 
-    // Program the CAM row over MMIO.
-    result.cost += mmioWrite(kCamBase + sid * 8,
-                             (std::uint64_t{1} << 63) | device);
-
-    // If the device had a mounted/extended record, install its rules
-    // into the window now.
+    // Install the device's extended-table record, if it has one, into
+    // the window before the row resolves the device to it.
     if (ext_table_) {
         unsigned loads = 0;
         auto record = ext_table_->find(device, &loads);
-        result.cost += loads * cfg_.ext_load_cost;
+        result.cost += loads * kExtLoadCost;
         if (record) {
             auto [lo, hi] = mdWindow(sid);
             unsigned i = lo;
@@ -479,6 +492,12 @@ SecureMonitor::promoteToHot(DeviceId device, Cycle now)
             ext_table_->remove(device);
         }
     }
+
+    // Program the CAM row over MMIO, then end the victim's bracket.
+    result.cost += mmioWrite(kCamBase + sid * 8,
+                             (std::uint64_t{1} << 63) | device);
+    if (victim)
+        result.cost += unblockSid(sid);
 
     // A device promoted out of the eSID slot leaves the slot and
     // MD62's window stale: the cold copy of its rules would outlive
@@ -615,7 +634,7 @@ SecureMonitor::coldSwitch(DeviceId device, Cycle now)
 
     unsigned loads = 0;
     auto record = ext_table_->find(device, &loads);
-    cost += loads * cfg_.ext_load_cost;
+    cost += loads * kExtLoadCost;
     if (!record)
         return cost; // unknown device: leave it blocked forever
 
@@ -630,7 +649,7 @@ SecureMonitor::coldSwitch(DeviceId device, Cycle now)
     cost += mmioWrite(kEsid, (std::uint64_t{1} << 63) | device);
     cost += mmioWrite(kSrc2MdBase + unit_->coldSid() * 8,
                       std::uint64_t{1} << (unit_->config().num_mds - 1));
-    cost += cfg_.cold_switch_overhead;
+    cost += kColdSwitchOverhead;
 
     // Implicit switching: a device that keeps cold-missing becomes a
     // promotion candidate.

@@ -21,7 +21,8 @@
  *
  * Every operation returns its CPU cycle cost, assembled from actual
  * MMIO accesses on the periphery bus, extended-table memory loads and
- * documented software overheads.
+ * documented software overheads (named constants in monitor.cc). The
+ * monitor writes the unit's registers only through its MMIO window.
  */
 
 #ifndef FW_MONITOR_HH
@@ -45,13 +46,14 @@
 namespace siopmp {
 namespace fw {
 
+/**
+ * The monitor's policy: how it partitions the entry table and when it
+ * promotes a cold device. Its cycle costs are fixed, not configured.
+ */
 struct MonitorConfig {
     unsigned entries_per_hot_md = 8; //!< entry window per hot device
-    unsigned cold_window_entries = 8; //!< MD62's entry window
-    Cycle ext_load_cost = 4;       //!< per 64-bit extended-table load
-    Cycle entry_sw_overhead = 8;   //!< per-entry cost beyond 3 MMIO writes
-    Cycle block_overhead = 31;     //!< pipeline drain + bookkeeping
-    Cycle cold_switch_overhead = 37; //!< cold-switch bookkeeping
+    //! MD62's entry window, and so an extended-table record's size.
+    unsigned cold_window_entries = 8;
     unsigned promote_threshold = 3; //!< SID misses before implicit promote
 };
 
@@ -70,8 +72,11 @@ class SecureMonitor
      * @param mmio        periphery bus carrying the register window
      * @param mmio_base   base address of the sIOPMP window
      * @param ext_table   extended IOPMP table in protected memory
+     *                    (may be null: no cold devices, and a
+     *                    promotion that must evict fails)
      * @param bus_monitor block-state monitor (may be null: the drain
-     *                    wait is then charged as block_overhead only)
+     *                    wait is a fixed cost either way)
+     * @param cfg         entry partition and promotion policy
      */
     SecureMonitor(iopmp::SIopmp *unit, mem::MmioBus *mmio, Addr mmio_base,
                   iopmp::ExtendedTable *ext_table,
@@ -156,7 +161,14 @@ class SecureMonitor
      */
     bool registerColdDevice(const iopmp::MountRecord &record);
 
-    /** Explicit switching: force @p device into a hot CAM row. */
+    /**
+     * Explicit switching: force @p device into a hot CAM row, the one
+     * the CAM's clock chooses. A victim's window is saved to the
+     * extended table first (on a full table the promotion fails with
+     * no register written), then, under the victim SID's block, its
+     * entries are written off, @p device's record is loaded and the
+     * row is rewritten. A free row is loaded before its row write.
+     */
     FwResult promoteToHot(DeviceId device, Cycle now = 0);
 
     /** Explicit switching: demote a hot device to the extended table. */
@@ -183,7 +195,6 @@ class SecureMonitor
     CapSpace &caps() { return caps_; }
     Pmp &pmp() { return pmp_; }
     InterruptController &irqController() { return irq_ctrl_; }
-    const MonitorConfig &config() const { return cfg_; }
     std::uint64_t coldSwitches() const { return cold_switches_; }
     std::uint64_t violationsHandled() const { return violations_; }
 

@@ -31,9 +31,9 @@ DeviceId2SidCam::slotOf(DeviceId device) const
 }
 
 void
-DeviceId2SidCam::bind(Sid sid, DeviceId device, bool use)
+DeviceId2SidCam::bind(Sid sid, DeviceId device)
 {
-    rows_[sid] = Row{true, use, device};
+    rows_[sid] = Row{true, true, device};
     index_[slotOf(device)] = Slot{device, sid};
 }
 
@@ -90,7 +90,7 @@ DeviceId2SidCam::set(Sid sid, DeviceId device)
         previous = rows_[sid].device;
         unbind(sid);
     }
-    bind(sid, device, /*use=*/true);
+    bind(sid, device);
     changed();
     return previous;
 }
@@ -107,45 +107,27 @@ DeviceId2SidCam::invalidateSid(Sid sid)
 }
 
 Sid
-DeviceId2SidCam::insertLru(DeviceId device, std::optional<DeviceId> *evicted)
+DeviceId2SidCam::chooseVictim()
 {
-    if (evicted)
-        evicted->reset();
-
-    // Re-binding an already-present device is a no-op hit.
-    if (auto sid = peek(device)) {
-        rows_[*sid].use = true;
-        return *sid;
-    }
-
-    // Prefer an invalid (free) row. New rows start with the use bit
-    // clear: a device must prove it is hot by being looked up again,
-    // otherwise a burst of one-off cold devices would flush every
-    // genuinely hot mapping (the clock would degenerate to FIFO).
     for (unsigned sid = 0; sid < rows_.size(); ++sid) {
-        if (!rows_[sid].valid) {
-            bind(sid, device, /*use=*/false);
-            changed();
+        if (!rows_[sid].valid)
             return sid;
-        }
     }
 
     // Clock sweep: clear use bits until a row without one is found.
     // Bounded by 2 * rows (first pass clears, second pass must hit).
+    bool cleared = false;
     for (unsigned step = 0; step < 2 * rows_.size(); ++step) {
         Row &row = rows_[hand_];
         const unsigned sid = hand_;
         hand_ = (hand_ + 1) % rows_.size();
-        if (row.use) {
-            row.use = false; // second chance
-            continue;
+        if (!row.use) {
+            if (cleared)
+                changed();
+            return sid;
         }
-        if (evicted)
-            *evicted = row.device;
-        unbind(sid);
-        bind(sid, device, /*use=*/false);
-        changed(); // covers the use bits the sweep cleared too
-        return sid;
+        row.use = false; // second chance
+        cleared = true;
     }
     panic("clock algorithm failed to find a victim");
 }

@@ -3,9 +3,11 @@
  * DeviceID2SID content-addressable memory (§4.3, Fig 5). The SID is
  * the CAM address and the device ID is the stored content, so a DMA
  * request's device ID resolves to a hot SID in a single cycle. Each
- * row carries a use bit driving a clock-algorithm (second-chance) LRU
- * used by the implicit hot/cold switching policy; explicit switching
- * simply overwrites a chosen row.
+ * row carries a use bit driving a clock-algorithm (second-chance) LRU:
+ * chooseVictim() picks the row an implicit promotion takes, and the
+ * row register's write (set) is the one way to bind a device, for
+ * implicit and explicit switching alike. A bound row starts with its
+ * use bit set.
  *
  * The content match is modelled by a device -> row index, an
  * open-addressed hash table of at least twice as many slots as rows,
@@ -46,20 +48,25 @@ class DeviceId2SidCam
     /** Lookup without touching the use bit (diagnostics/tests). */
     std::optional<Sid> peek(DeviceId device) const;
 
-    /** Explicit switching: bind @p device to row @p sid. Returns the
-     * device previously mapped there, if any. */
+    /**
+     * The row register's write, and the only bind: bind @p device to
+     * row @p sid with its use bit set, dropping any other row that
+     * held @p device. Returns the device previously mapped there, if
+     * any.
+     */
     std::optional<DeviceId> set(Sid sid, DeviceId device);
 
     /** Remove the mapping in row @p sid if valid. */
     bool invalidateSid(Sid sid);
 
     /**
-     * Implicit switching: find a victim row with the clock algorithm
-     * (sweep the hand clearing use bits until a clear one is found)
-     * and bind @p device there. Prefers free rows. Returns the chosen
-     * SID and reports any evicted device via @p evicted.
+     * The row the next implicit promotion takes; binds nothing. The
+     * first free row if there is one, else the clock algorithm's
+     * victim: the hand sweeps the rows, clearing each use bit it
+     * passes (second chance), and stops at the first row whose bit is
+     * clear, which stays bound until the caller rewrites it (set).
      */
-    Sid insertLru(DeviceId device, std::optional<DeviceId> *evicted);
+    Sid chooseVictim();
 
     /** Device currently bound to @p sid, if any. */
     std::optional<DeviceId> deviceAt(Sid sid) const;
@@ -69,9 +76,9 @@ class DeviceId2SidCam
 
     /**
      * Install @p hook, called once after every call that can change
-     * a device's SID or clear a use bit (set, invalidateSid, insertLru)
-     * — not after lookup(), which only sets use
-     * bits. The owning SIopmp wakes checker nodes parked on a
+     * a device's SID (set, invalidateSid) and after a chooseVictim()
+     * whose sweep cleared a use bit — not after lookup(), which only
+     * sets use bits. The owning SIopmp wakes checker nodes parked on a
      * SID miss or a block bit through it: a mapping change decides
      * their stall, and a cleared use bit is one their next poll would
      * set again.
@@ -88,8 +95,9 @@ class DeviceId2SidCam
             on_change_();
     }
 
-    /** Bind @p device to row @p sid: fill the row and index it. */
-    void bind(Sid sid, DeviceId device, bool use);
+    /** Bind @p device to row @p sid: fill the row, its use bit set,
+     * and index it. */
+    void bind(Sid sid, DeviceId device);
 
     /** Clear row @p sid (valid) and drop its device from the index. */
     void unbind(Sid sid);

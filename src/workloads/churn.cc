@@ -18,7 +18,7 @@
 #include "sim/logging.hh"
 #include "sim/random.hh"
 #include "sim/stats.hh"
-#include "soc/cpu_node.hh"
+#include "soc/firmware.hh"
 #include "soc/soc.hh"
 
 namespace siopmp {
@@ -26,10 +26,6 @@ namespace wl {
 
 namespace {
 
-constexpr Addr kDramBase = 0x8000'0000;
-constexpr Addr kDramSize = 0x4000'0000;
-constexpr Addr kExtTableBase = 0x7000'0000;
-constexpr Addr kExtTableSize = 0x10000;
 constexpr Addr kTenantWindow = 0x10'0000; //!< 1 MiB per device id
 
 constexpr std::uint64_t kBurstBytes =
@@ -86,14 +82,8 @@ runChurn(const ChurnConfig &cfg)
     scfg.checker_stages = 2;
     soc::Soc soc(scfg);
 
-    iopmp::ExtendedTable ext_table(&soc.memory(),
-                                   {kExtTableBase, kExtTableSize}, 8);
-    fw::SecureMonitor monitor(&soc.iopmp(), &soc.mmio(),
-                              soc::kIopmpMmioBase, &ext_table,
-                              &soc.monitor());
-    monitor.init({kDramBase, kDramSize}, {kExtTableBase, kExtTableSize});
-    soc::CpuNode cpu("cpu0", &monitor, &soc.iopmp(), &soc.sim());
-    soc.add(&cpu);
+    soc::Firmware firmware(soc);
+    fw::SecureMonitor &monitor = firmware.monitor();
 
     std::vector<std::unique_ptr<dev::DmaEngine>> engines;
     std::vector<PortState> ports(cfg.ports);
@@ -118,7 +108,7 @@ runChurn(const ChurnConfig &cfg)
     Rng rng(cfg.seed);
 
     const auto windowOf = [&](DeviceId device) {
-        return mem::Range{kDramBase + device * kTenantWindow,
+        return mem::Range{soc::kDram.base + device * kTenantWindow,
                           kTenantWindow};
     };
 
@@ -257,7 +247,7 @@ runChurn(const ChurnConfig &cfg)
             ++result.invariant_violations;
         if (soc.iopmp().mountedCold() == port.device)
             ++result.invariant_violations;
-        if (ext_table.contains(port.device))
+        if (firmware.extTable().contains(port.device))
             ++result.invariant_violations;
         port.busy = false;
         ++result.tenants_destroyed;

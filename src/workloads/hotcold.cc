@@ -10,7 +10,7 @@
 
 #include "devices/dma_engine.hh"
 #include "fw/monitor.hh"
-#include "soc/cpu_node.hh"
+#include "soc/firmware.hh"
 #include "soc/soc.hh"
 
 namespace siopmp {
@@ -23,20 +23,13 @@ constexpr DeviceId kColdDevice = 2;
 constexpr Addr kHotWindow = 0x8000'0000;
 constexpr Addr kColdWindow = 0x8100'0000;
 constexpr Addr kWindowSize = 0x0100'0000;
-constexpr Addr kExtTableBase = 0x7000'0000;
 
 struct Bench {
-    explicit Bench(unsigned masters, fw::MonitorConfig mcfg = {},
-                   unsigned ext_record_entries = 8)
+    explicit Bench(unsigned masters, fw::MonitorConfig mcfg = {})
         : soc(makeConfig(masters)),
-          ext_table(&soc.memory(), {kExtTableBase, 0x10000},
-                    ext_record_entries),
-          monitor(&soc.iopmp(), &soc.mmio(), soc::kIopmpMmioBase,
-                  &ext_table, &soc.monitor(), mcfg),
-          cpu("cpu0", &monitor, &soc.iopmp(), &soc.sim())
+          firmware(soc, mcfg),
+          monitor(firmware.monitor())
     {
-        monitor.init({0x8000'0000, 0x4000'0000}, {kExtTableBase, 0x10000});
-        soc.add(&cpu);
     }
 
     static soc::SocConfig
@@ -76,9 +69,8 @@ struct Bench {
     }
 
     soc::Soc soc;
-    iopmp::ExtendedTable ext_table;
-    fw::SecureMonitor monitor;
-    soc::CpuNode cpu;
+    soc::Firmware firmware;
+    fw::SecureMonitor &monitor;
 };
 
 constexpr std::uint64_t kBurstBytes =
@@ -166,11 +158,11 @@ runArm(const HotColdConfig &cfg, Arm arm, std::uint64_t *switches,
 Cycle
 coldSwitchCost(unsigned entries)
 {
-    // Size the cold window and extended-table records to fit the
-    // requested entry count.
+    // Size the cold window, and with it the extended-table records, to
+    // fit the requested entry count.
     fw::MonitorConfig mcfg;
     mcfg.cold_window_entries = std::max(8u, entries);
-    Bench bench(1, mcfg, /*ext_record_entries=*/std::max(8u, entries));
+    Bench bench(1, mcfg);
     iopmp::MountRecord record;
     record.esid = kColdDevice;
     record.md_bitmap = std::uint64_t{1}

@@ -15,7 +15,7 @@ namespace {
 
 TEST(IrqCtrl, RaiseAndService)
 {
-    InterruptController ctrl(80);
+    InterruptController ctrl;
     std::vector<DeviceId> handled;
     ctrl.setHandler(iopmp::IrqKind::SidMissing,
                     [&](const iopmp::Irq &irq, Cycle) {
@@ -27,6 +27,7 @@ TEST(IrqCtrl, RaiseAndService)
     EXPECT_TRUE(ctrl.pending());
     const Cycle cost = ctrl.service(0);
     EXPECT_EQ(cost, 180u); // trap 80 + handler 100
+    EXPECT_EQ(InterruptController::kTrapCost, 80u);
     EXPECT_FALSE(ctrl.pending());
     ASSERT_EQ(handled.size(), 1u);
     EXPECT_EQ(handled[0], 42u);
@@ -34,7 +35,7 @@ TEST(IrqCtrl, RaiseAndService)
 
 TEST(IrqCtrl, MultiplePendingServicedInOrder)
 {
-    InterruptController ctrl(10);
+    InterruptController ctrl;
     std::vector<DeviceId> order;
     ctrl.setHandler(iopmp::IrqKind::SidMissing,
                     [&](const iopmp::Irq &irq, Cycle) {
@@ -44,14 +45,14 @@ TEST(IrqCtrl, MultiplePendingServicedInOrder)
     ctrl.raise({iopmp::IrqKind::SidMissing, 1, 0, Perm::Read});
     ctrl.raise({iopmp::IrqKind::SidMissing, 2, 0, Perm::Read});
     ctrl.raise({iopmp::IrqKind::SidMissing, 3, 0, Perm::Read});
-    EXPECT_EQ(ctrl.service(0), 30u);
+    EXPECT_EQ(ctrl.service(0), 3 * InterruptController::kTrapCost);
     EXPECT_EQ(order, (std::vector<DeviceId>{1, 2, 3}));
     EXPECT_EQ(ctrl.serviced(), 3u);
 }
 
 TEST(IrqCtrl, KindsDispatchToDifferentHandlers)
 {
-    InterruptController ctrl(0);
+    InterruptController ctrl;
     int violations = 0, misses = 0;
     ctrl.setHandler(iopmp::IrqKind::Violation,
                     [&](const iopmp::Irq &, Cycle) {
@@ -72,9 +73,10 @@ TEST(IrqCtrl, KindsDispatchToDifferentHandlers)
 
 TEST(IrqCtrl, MissingHandlerStillConsumes)
 {
-    InterruptController ctrl(25);
+    InterruptController ctrl;
     ctrl.raise({iopmp::IrqKind::Violation, 1, 0, Perm::Read});
-    EXPECT_EQ(ctrl.service(0), 25u); // trap cost only
+    // Trap cost only.
+    EXPECT_EQ(ctrl.service(0), InterruptController::kTrapCost);
     EXPECT_FALSE(ctrl.pending());
 }
 

@@ -3,9 +3,10 @@
  * Lifecycle regression tests for the secure monitor: TEE destruction
  * vs the mounted-cold (eSID) slot and in-flight blocking windows,
  * unmap of evicted/remounted devices, clean failure of demotion and
- * eviction saves on a full extended table, and the implicit
+ * eviction saves on a full extended table, the implicit
  * hot-promotion policy (miss-counter hygiene, CAM-full eviction,
- * destroyed-TEE devices).
+ * destroyed-TEE devices), and the order of a promotion's register
+ * writes, read off a recording proxy in front of the unit.
  *
  * The destroy-path tests fail on the pre-fix monitor, which tore down
  * a TEE's hot CAM rows but left a mounted cold device's rules live in
@@ -15,10 +16,14 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "fw/monitor.hh"
 #include "iopmp/siopmp.hh"
 #include "mem/memory.hh"
 #include "mem/mmio.hh"
+#include "support/recording_mmio.hh"
 
 namespace siopmp {
 namespace fw {
@@ -40,6 +45,39 @@ smallConfig()
     return cfg;
 }
 
+/**
+ * The writes @p window recorded, each named by what it programs:
+ * "block W" (block-bitmap word 0 written as W), "row S" (SID S's CAM
+ * row), "set I" or "off I" (entry I committed on, or written off, by
+ * its cfg word; the base and size words it commits are left out).
+ */
+std::vector<std::string>
+registerWrites(const mem::RecordingMmio &window)
+{
+    using namespace iopmp::regmap;
+    std::vector<std::string> names;
+    for (const auto &write : window.writes()) {
+        if (write.offset >= kEntryBase) {
+            const Addr index = (write.offset - kEntryBase) / kEntryStride;
+            if ((write.offset - kEntryBase) % kEntryStride != 16)
+                continue;
+            const bool off = ((write.value >> 2) & 0x3) ==
+                             static_cast<std::uint64_t>(
+                                 iopmp::EntryMode::Off);
+            names.push_back((off ? "off " : "set ") +
+                            std::to_string(index));
+        } else if (write.offset >= kCamBase) {
+            names.push_back("row " +
+                            std::to_string((write.offset - kCamBase) / 8));
+        } else if (write.offset == kBlockBitmap) {
+            names.push_back("block " + std::to_string(write.value));
+        } else {
+            names.push_back("offset " + std::to_string(write.offset));
+        }
+    }
+    return names;
+}
+
 class LifecycleTest : public ::testing::Test
 {
   protected:
@@ -47,11 +85,12 @@ class LifecycleTest : public ::testing::Test
      * capacity-exhaustion failures: 0x200 holds two records). */
     explicit LifecycleTest(Addr ext_size = 0x10000)
         : unit(smallConfig(), iopmp::CheckerKind::Tree, 1),
+          window(unit),
           ext_table(&backing, {kExtBase, ext_size}, 8),
           monitor(&unit, &mmio, kMmioBase, &ext_table, nullptr)
     {
         mmio.map("siopmp", {kMmioBase, iopmp::regmap::kWindowSize},
-                 &unit);
+                 &window);
         monitor.init(kDram, {kExtBase, ext_size});
     }
 
@@ -112,7 +151,21 @@ class LifecycleTest : public ::testing::Test
         return monitor.statsGroup().scalar(name).value();
     }
 
+    /** Map a hot device into each of the three CAM rows. */
+    void
+    fillCam()
+    {
+        for (DeviceId d : {1, 2, 3}) {
+            const OwnerId tee = makeTee(d);
+            ASSERT_TRUE(monitor
+                            .deviceMap(tee, d, {windowOf(d).base, 0x1000},
+                                       Perm::ReadWrite)
+                            .ok);
+        }
+    }
+
     iopmp::SIopmp unit;
+    mem::RecordingMmio window; //!< the unit's register window
     mem::MmioBus mmio;
     mem::Backing backing;
     iopmp::ExtendedTable ext_table;
@@ -278,14 +331,7 @@ TEST_F(LifecycleTest, MissCounterResetsOnDemotion)
 
 TEST_F(LifecycleTest, CamFullImplicitPromotionEvictsOneVictim)
 {
-    // Fill all three CAM rows with mapped hot devices.
-    for (DeviceId d : {1, 2, 3}) {
-        const OwnerId tee = makeTee(d);
-        ASSERT_TRUE(monitor
-                        .deviceMap(tee, d, {windowOf(d).base, 0x1000},
-                                   Perm::ReadWrite)
-                        .ok);
-    }
+    fillCam();
     makeColdTee(9);
     makeColdTee(10);
     missAndService(9);
@@ -307,6 +353,60 @@ TEST_F(LifecycleTest, CamFullImplicitPromotionEvictsOneVictim)
         }
     }
     EXPECT_EQ(still_hot, 2u);
+}
+
+/**
+ * An evicting promotion hands the row over inside one bracket under
+ * the victim's SID: block, write off the victim's entry, load the new
+ * device's record, rewrite the row, unblock. No DMA can resolve either
+ * device to a window that holds the other's rules.
+ */
+TEST_F(LifecycleTest, EvictingPromotionHandsRowOverUnderVictimBlock)
+{
+    fillCam();
+    makeColdTee(9);
+    window.clear();
+    ASSERT_TRUE(monitor.promoteToHot(9).ok);
+
+    // Every row's use bit was set: the sweep clears them all and
+    // stops at row 0, device 1's.
+    ASSERT_EQ(monitor.hotSid(9), std::optional<Sid>(0));
+    EXPECT_TRUE(ext_table.contains(1));
+    EXPECT_EQ(registerWrites(window),
+              (std::vector<std::string>{"block 1", "off 0", "set 0",
+                                        "row 0", "block 0"}));
+    EXPECT_EQ(probe(9), iopmp::AuthStatus::Allow);
+    EXPECT_EQ(probe(1), iopmp::AuthStatus::SidMiss);
+}
+
+/** A free-row promotion loads the window before the row write that
+ * makes it reachable. */
+TEST_F(LifecycleTest, FreeRowPromotionWritesRowLast)
+{
+    makeColdTee(9);
+    window.clear();
+    ASSERT_TRUE(monitor.promoteToHot(9).ok);
+    ASSERT_EQ(monitor.hotSid(9), std::optional<Sid>(0));
+    EXPECT_EQ(registerWrites(window),
+              (std::vector<std::string>{"set 0", "row 0"}));
+    EXPECT_EQ(probe(9), iopmp::AuthStatus::Allow);
+}
+
+/**
+ * The row write is a free-row promotion's one bind: with no record to
+ * load it moves the config epoch and the state version once each, and
+ * leaves the row's use bit set.
+ */
+TEST_F(LifecycleTest, FreeRowPromotionMovesVersionsOnce)
+{
+    const std::uint64_t epoch = unit.configEpoch();
+    const std::uint64_t version = unit.stateVersion();
+    ASSERT_TRUE(monitor.promoteToHot(5).ok);
+    const std::optional<Sid> sid = monitor.hotSid(5);
+    ASSERT_TRUE(sid.has_value());
+    EXPECT_EQ(unit.configEpoch(), epoch + 1);
+    EXPECT_EQ(unit.stateVersion(), version + 1);
+    EXPECT_TRUE(unit.cam().useBit(*sid));
 }
 
 TEST_F(LifecycleTest, NoImplicitPromotionForDestroyedTee)
@@ -385,24 +485,31 @@ TEST_F(FullTableTest, DemoteFailsCleanlyWhenTableFull)
 
 TEST_F(FullTableTest, PromotionRollsBackWhenEvictionSaveFails)
 {
-    for (DeviceId d : {1, 2, 3}) {
-        const OwnerId tee = makeTee(d);
-        ASSERT_TRUE(monitor
-                        .deviceMap(tee, d, {windowOf(d).base, 0x1000},
-                                   Perm::ReadWrite)
-                        .ok);
-    }
+    fillCam();
     fillTable(100, 2);
 
     // Promoting a fourth device needs a CAM row, the victim's rules
     // need a table slot, and there is none: the whole promotion (and
-    // the deviceMap driving it) must fail with the victim restored.
+    // the deviceMap driving it) must fail before any register write,
+    // every row and window as it was.
     const double promotions_before = scalar("promotions");
+    std::vector<std::optional<DeviceId>> rows;
+    for (Sid sid = 0; sid < unit.cam().numRows(); ++sid)
+        rows.push_back(unit.cam().deviceAt(sid));
+    std::vector<iopmp::Entry> entries;
+    for (unsigned i = 0; i < unit.config().num_entries; ++i)
+        entries.push_back(unit.entryTable().get(i));
     const OwnerId tee = makeTee(4);
+    window.clear();
     EXPECT_FALSE(monitor
                      .deviceMap(tee, 4, {windowOf(4).base, 0x1000},
                                 Perm::ReadWrite)
                      .ok);
+    EXPECT_EQ(registerWrites(window), std::vector<std::string>{});
+    for (Sid sid = 0; sid < unit.cam().numRows(); ++sid)
+        EXPECT_EQ(unit.cam().deviceAt(sid), rows[sid]) << sid;
+    for (unsigned i = 0; i < unit.config().num_entries; ++i)
+        EXPECT_EQ(unit.entryTable().get(i), entries[i]) << i;
     EXPECT_FALSE(monitor.hotSid(4).has_value());
     for (DeviceId d : {1, 2, 3}) {
         EXPECT_TRUE(monitor.hotSid(d).has_value()) << d;

@@ -438,13 +438,18 @@ TEST(CheckerNodeWake, CamSet)
     });
 }
 
-TEST(CheckerNodeWake, CamInsertLru)
+/** An implicit promotion's bind: the CAM chooses a free row, which
+ * wakes nobody, and the row write binds the ghost there. */
+TEST(CheckerNodeWake, CamChosenRowWrite)
 {
     expectParkedMatchesNaive([](ParkRig &rig) {
         rig.start(rig.ghost, dev::DmaKind::Read, kGhostBase, 256);
         rig.probe(300, 1);
         rig.at(600, [&rig] {
-            EXPECT_EQ(rig.soc.iopmp().cam().insertLru(kGhost, nullptr), 1u);
+            DeviceId2SidCam &cam = rig.soc.iopmp().cam();
+            const Sid row = cam.chooseVictim();
+            EXPECT_EQ(row, 1u);
+            cam.set(row, kGhost);
         });
     });
 }
@@ -459,23 +464,27 @@ TEST(CheckerNodeWake, ClockSweepClearingParkedUseBit)
 {
     const ParkOutcome ff = expectParkedMatchesNaive([](ParkRig &rig) {
         DeviceId2SidCam &cam = rig.soc.iopmp().cam();
-        cam.insertLru(2, nullptr); // rows 1 and 2, use bits clear
-        cam.insertLru(3, nullptr);
+        cam.set(1, 2);
+        cam.set(2, 3);
+        // Three choices with no bind take the hand once round: every
+        // use bit clear, the hand back at row 0.
+        for (Sid row = 0; row < cam.numRows(); ++row)
+            EXPECT_EQ(cam.chooseVictim(), row);
         rig.soc.iopmp().blockBitmap().block(0);
         rig.start(rig.hot, dev::DmaKind::Read, kHotBase, 512);
         rig.probe(300, 0);
         rig.at(500, [&rig] {
-            std::optional<DeviceId> evicted;
-            // The sweep clears row 0's use bit, then evicts row 1.
-            rig.soc.iopmp().cam().insertLru(4, &evicted);
-            ASSERT_TRUE(evicted.has_value());
-            EXPECT_EQ(*evicted, 2u);
+            DeviceId2SidCam &cam = rig.soc.iopmp().cam();
+            // The sweep clears row 0's use bit, then stops at row 1.
+            const Sid row = cam.chooseVictim();
+            EXPECT_EQ(row, 1u);
+            EXPECT_EQ(cam.set(row, 4), std::optional<DeviceId>(2));
         });
         rig.probe(700, 0); // re-parked, use bit set again
         rig.at(900, [&rig] { rig.soc.iopmp().blockBitmap().unblock(0); });
     });
     ASSERT_EQ(ff.snapshots.size(), 2u);
-    EXPECT_EQ(ff.snapshots[1].substr(ff.snapshots[1].find(' ')), " 1 0 0");
+    EXPECT_EQ(ff.snapshots[1].substr(ff.snapshots[1].find(' ')), " 1 1 0");
 }
 
 TEST(CheckerNodeWake, ConfigEpochRearmsPendingSidMiss)
@@ -760,16 +769,16 @@ TEST(CheckerNodeHold, CamSetRaisesSidMissing)
     rig.expectSidMissOnNextPoll();
 }
 
-TEST(CheckerNodeHold, CamInsertLruRaisesSidMissing)
+TEST(CheckerNodeHold, CamEvictionRaisesSidMissing)
 {
     HoldRig rig;
-    rig.soc.iopmp().cam().set(2, 3); // every row valid, use bits set
+    DeviceId2SidCam &cam = rig.soc.iopmp().cam();
+    cam.set(2, 3); // every row valid, use bits set
     rig.holdHead();
-    // The clock sweep clears rows 0-2 and evicts row 0 on its second
-    // pass.
-    std::optional<DeviceId> evicted;
-    EXPECT_EQ(rig.soc.iopmp().cam().insertLru(4, &evicted), 0u);
-    ASSERT_EQ(evicted, std::optional<DeviceId>(kHot));
+    // The clock sweep clears rows 0-2 and stops at row 0 on its second
+    // pass; the row write rebinds it.
+    EXPECT_EQ(cam.chooseVictim(), 0u);
+    EXPECT_EQ(cam.set(0, 4), std::optional<DeviceId>(kHot));
     rig.expectSidMissOnNextPoll();
 }
 

@@ -63,66 +63,99 @@ TEST(Cam, InvalidateByDeviceAndRow)
     EXPECT_FALSE(cam.peek(6).has_value());
 }
 
-TEST(Cam, InsertStartsWithUseBitClearLookupSetsIt)
+/**
+ * A bound row starts with its use bit set: set() is the only bind, and
+ * it sets the bit as a lookup does. This is the bit every promotion
+ * has always left on its row (the monitor's row write); whether a row
+ * should instead earn its bit by a lookup is left to the scalability
+ * sweep, which can measure it.
+ */
+TEST(Cam, BoundRowStartsWithUseBitSet)
 {
-    // New rows start cold (use=0): a device must be looked up again to
-    // prove it is hot, otherwise one-off devices would flush the CAM.
     DeviceId2SidCam cam(2);
-    cam.insertLru(10, nullptr);
     EXPECT_FALSE(cam.useBit(0));
-    EXPECT_TRUE(cam.lookup(10).has_value());
+    cam.set(0, 10);
     EXPECT_TRUE(cam.useBit(0));
+
+    // The sweep clears the bit it passes; a lookup sets it again.
+    cam.set(1, 11);
+    EXPECT_EQ(cam.chooseVictim(), 0u);
+    EXPECT_FALSE(cam.useBit(1));
+    EXPECT_TRUE(cam.lookup(11).has_value());
+    EXPECT_TRUE(cam.useBit(1));
 }
 
 TEST(Cam, InsertPrefersFreeRows)
 {
     DeviceId2SidCam cam(3);
-    std::optional<DeviceId> evicted;
-    EXPECT_EQ(cam.insertLru(100, &evicted), 0u);
-    EXPECT_FALSE(evicted.has_value());
-    EXPECT_EQ(cam.insertLru(101, &evicted), 1u);
-    EXPECT_EQ(cam.insertLru(102, &evicted), 2u);
-    EXPECT_FALSE(evicted.has_value());
+    for (Sid row = 0; row < 3; ++row) {
+        EXPECT_EQ(cam.chooseVictim(), row);
+        EXPECT_FALSE(cam.deviceAt(row).has_value());
+        cam.set(row, 100 + row);
+    }
+    // A row freed behind the hand is taken before any sweep.
+    cam.invalidateSid(1);
+    EXPECT_EQ(cam.chooseVictim(), 1u);
+    for (Sid row = 0; row < 3; ++row)
+        EXPECT_EQ(cam.useBit(row), row != 1) << row;
 }
 
+/** Choosing binds nothing, so choosing again without a bind gives the
+ * same free row, and rewriting a device's own row changes nothing. */
 TEST(Cam, InsertExistingIsIdempotent)
 {
     DeviceId2SidCam cam(3);
-    Sid first = cam.insertLru(100, nullptr);
-    Sid second = cam.insertLru(100, nullptr);
-    EXPECT_EQ(first, second);
+    const Sid first = cam.chooseVictim();
+    EXPECT_EQ(cam.chooseVictim(), first);
+    EXPECT_FALSE(cam.deviceAt(first).has_value());
+    cam.set(first, 100);
+    cam.set(first, 100);
+    EXPECT_EQ(cam.peek(100), std::optional<Sid>(first));
+    EXPECT_TRUE(cam.useBit(first));
+    EXPECT_EQ(cam.chooseVictim(), first + 1);
 }
 
 TEST(Cam, ClockEvictsUnusedFirst)
 {
     DeviceId2SidCam cam(3);
-    cam.insertLru(100, nullptr);
-    cam.insertLru(101, nullptr);
-    cam.insertLru(102, nullptr);
+    cam.set(0, 100);
+    cam.set(1, 101);
+    cam.set(2, 102);
     // All use bits set; first sweep clears them all, then row 0 (the
-    // hand's second pass start) is the victim.
-    std::optional<DeviceId> evicted;
-    cam.insertLru(103, &evicted);
-    ASSERT_TRUE(evicted.has_value());
-    EXPECT_EQ(*evicted, 100u);
+    // hand's second pass start) is the victim. It stays bound until
+    // its row is rewritten.
+    EXPECT_EQ(cam.chooseVictim(), 0u);
+    EXPECT_EQ(cam.deviceAt(0), std::optional<DeviceId>(100));
+    EXPECT_EQ(cam.set(0, 103), std::optional<DeviceId>(100));
 
     // Touch 101 (sets its use bit); next eviction must skip it.
     EXPECT_TRUE(cam.lookup(101).has_value());
-    cam.insertLru(104, &evicted);
-    ASSERT_TRUE(evicted.has_value());
-    EXPECT_NE(*evicted, 101u);
+    const Sid victim = cam.chooseVictim();
+    EXPECT_NE(cam.deviceAt(victim), std::optional<DeviceId>(101));
+    cam.set(victim, 104);
     EXPECT_TRUE(cam.peek(101).has_value());
 }
 
-TEST(Cam, HotDeviceSurvivesManyInsertions)
+/**
+ * What the bound row's set use bit does to the clock: a device looked
+ * up before every insertion is still evicted once the rows bound after
+ * it fill the CAM, because every fresh row holds its bit too and the
+ * sweep clears them all before it returns to the device's row. (With
+ * rows bound with a clear bit, the device would survive every
+ * insertion.)
+ */
+TEST(Cam, FullSweepEvictsTouchedHotDevice)
 {
     DeviceId2SidCam cam(4);
-    cam.insertLru(1, nullptr);
-    for (DeviceId cold = 100; cold < 120; ++cold) {
+    cam.set(cam.chooseVictim(), 1);
+    unsigned insertions = 0;
+    for (DeviceId cold = 100; cold < 120 && cam.peek(1); ++cold) {
         EXPECT_TRUE(cam.lookup(1).has_value()); // keep device 1 hot
-        cam.insertLru(cold, nullptr);
+        cam.set(cam.chooseVictim(), cold);
+        ++insertions;
     }
-    EXPECT_TRUE(cam.peek(1).has_value());
+    EXPECT_FALSE(cam.peek(1).has_value());
+    EXPECT_EQ(insertions, cam.numRows());
 }
 
 TEST(Cam, ResetInvalidatesAll)
@@ -145,16 +178,16 @@ TEST(Cam, PaperSizing63Rows)
     EXPECT_EQ(cam.numRows(), 63u);
     // Fill every row and verify each maps uniquely.
     for (DeviceId d = 0; d < 63; ++d)
-        cam.insertLru(1000 + d, nullptr);
+        cam.set(cam.chooseVictim(), 1000 + d);
     for (DeviceId d = 0; d < 63; ++d)
         EXPECT_TRUE(cam.peek(1000 + d).has_value());
 }
 
 /**
  * The device index answers as a scan of the rows would, through every
- * mutator: random set, invalidateSid, insertLru and lookup calls over
- * device ids that collide in the index (small ids and ids far apart),
- * checked for every id after every call.
+ * mutator: random set, invalidateSid, chooseVictim-then-set and lookup
+ * calls over device ids that collide in the index (small ids and ids
+ * far apart), checked for every id after every call.
  */
 TEST(Cam, IndexMatchesRowScan)
 {
@@ -172,7 +205,7 @@ TEST(Cam, IndexMatchesRowScan)
             switch (rng.below(4)) {
               case 0: cam.set(row, device); break;
               case 1: cam.invalidateSid(row); break;
-              case 2: cam.insertLru(device, nullptr); break;
+              case 2: cam.set(cam.chooseVictim(), device); break;
               default: cam.lookup(device); break;
             }
             for (DeviceId id : ids) {

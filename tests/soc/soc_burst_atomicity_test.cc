@@ -22,7 +22,7 @@
 #include <vector>
 
 #include "devices/dma_engine.hh"
-#include "fw/monitor.hh"
+#include "soc/firmware.hh"
 #include "soc/soc.hh"
 
 namespace siopmp {
@@ -204,14 +204,11 @@ TEST_P(BurstAtomicityTest, PartlyCoveredWriteLandsNothing)
  */
 TEST_P(BurstAtomicityTest, UnmapMidBurstLandsAdmittedBurst)
 {
-    constexpr Addr kExtBase = 0x7000'0000;
     for (unsigned k = 1; k < bus::kBurstBeats; ++k) {
         SCOPED_TRACE("k = " + std::to_string(k));
         Soc soc(config(GetParam()));
-        iopmp::ExtendedTable ext(&soc.memory(), {kExtBase, 0x10000});
-        fw::SecureMonitor monitor(&soc.iopmp(), &soc.mmio(),
-                                  kIopmpMmioBase, &ext, &soc.monitor());
-        monitor.init({0x8000'0000, 0x4000'0000}, {kExtBase, 0x10000});
+        Firmware firmware(soc);
+        fw::SecureMonitor &monitor = firmware.monitor();
         const fw::CapId cap = monitor.registerDevice(kDev0);
         const fw::OwnerId tee =
             monitor.createTee("tee", {kBase0, 0x10000}, {cap});

@@ -25,6 +25,10 @@ of the parent's BENCHMARK.json, the summary gives:
 Per seed, it also checks that both runs report failed == 0 and the
 same counted-repetition fingerprints and sim_* values.
 
+The two checkouts' real paths must have the same length (exit 2
+otherwise): source paths reach the binaries through __FILE__, and a
+longer path shifts the layout of otherwise identical code.
+
 --out FILE appends the pairs as one record to FILE's "records" list
 (the file is created when missing): provenance (the parent's and the
 change's commit and source digest, build type, compiler, host cores),
@@ -33,7 +37,8 @@ medians, quartiles, ratio, wins/ties/losses and parent spread, plus
 the failed-op count, whether fingerprints and sim_* values matched, and
 the claim (null: pairs that claim no gain). The exit status
 is 1 when a run failed ops or a seed's fingerprints or sim_* values
-differ, 2 when a run could not be made, and 0 otherwise. perfbench/ and
+differ, 2 when a run could not be made or the checkout paths differ
+in length, and 0 otherwise. perfbench/ and
 BENCHMARK.json are only read.
 
 --traced makes one `--trace 1` run per tree at seed K instead, and
@@ -158,6 +163,15 @@ def main():
     args = parser.parse_args()
     trees = {"parent": os.path.abspath(args.parent),
              "change": os.path.abspath(args.change)}
+    # SIOPMP_ASSERT's messages carry __FILE__, so a checkout's path
+    # length shifts the binary's data layout, and with it the host time
+    # of identical code.
+    real = {side: os.path.realpath(tree) for side, tree in trees.items()}
+    if len(real["parent"]) != len(real["change"]):
+        fail("checkout paths differ in length (parent %s, %d characters; "
+             "change %s, %d): check the trees out at paths of equal "
+             "length" % (real["parent"], len(real["parent"]),
+                         real["change"], len(real["change"])))
     if args.traced:
         traced(args, trees)
     if args.pairs is None or args.pairs < 1:

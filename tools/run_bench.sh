@@ -8,8 +8,10 @@
 # committed files, validate the committed BENCH_pairs.json schema,
 # diff a churn run's output and stats JSON with fast-forward on and
 # off, validate the Chrome trace-event schema of a traced
-# dma_attack_demo run, and run tools/reach.sh as an informational leg
-# that never fails the script.
+# dma_attack_demo run, build perfbench (it compiles src/ on its own, so
+# this is the leg that pins the API it uses) and run its self-test and
+# a 2-s churn run, failing on a nonzero exit or a failed op, and run
+# tools/reach.sh as an informational leg that never fails the script.
 # The check path's host time is measured on the workloads' own traffic
 # by perfbench (BENCHMARK.json), not here.
 #
@@ -388,6 +390,28 @@ else
         }
     done
     echo "trace schema OK (grep-only: python3 unavailable)"
+fi
+
+echo "== perfbench: build, self-test, churn smoke =="
+# The tier-1 build never compiles perfbench/src, and --self-test runs
+# only the fuzz and soc_saturated16 workloads, so churn gets its own
+# short run. perfbench/run.py builds into $CARGO_TARGET_DIR, here
+# inside the build directory.
+if command -v python3 > /dev/null; then
+    PERFBENCH_TARGET="$(cd "$BUILD_DIR" && pwd)/perfbench"
+    CARGO_TARGET_DIR="$PERFBENCH_TARGET" \
+        python3 "$REPO_ROOT/perfbench/run.py" --self-test
+    CARGO_TARGET_DIR="$PERFBENCH_TARGET" \
+        python3 "$REPO_ROOT/perfbench/run.py" --workload churn --seed 1 \
+        --seconds 2 --trace 0 > "$SCRATCH/perfbench_churn.txt"
+    python3 - "$SCRATCH/perfbench_churn.txt" <<'EOF'
+import json, sys
+result = json.loads(open(sys.argv[1]).read().splitlines()[-1])
+assert result["failed"] == 0 and result["correct"], result
+print("perfbench churn OK: %d ops, none failed" % result["attempted"])
+EOF
+else
+    echo "perfbench leg skipped: python3 unavailable"
 fi
 
 echo "== reach (informational) =="

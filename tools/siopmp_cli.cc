@@ -27,9 +27,10 @@
  * suitable for scripting sweeps. A flag the command does not read, a
  * flag value outside its list, or a number that is not a whole
  * non-negative integer (a non-negative real for --arrival and --cold;
- * at least 1 for network's --cores, at most 64, and --packets, churn's
- * --devices and --ports, and freq's --stages) exits with status 2 and
- * a message naming the flag (tools/args.hh).
+ * at least 1 for latency's --stages and --bursts, bandwidth's --stages
+ * and --outstanding, network's --cores, at most 64, and --packets,
+ * churn's --devices and --ports, and freq's --stages) exits with
+ * status 2 and a message naming the flag (tools/args.hh).
  */
 
 #include <cstdint>
@@ -63,13 +64,13 @@ int
 cmdLatency(const Args &args)
 {
     wl::BurstLatencyConfig cfg;
-    cfg.stages = static_cast<unsigned>(args.number("--stages", 2));
+    cfg.stages = static_cast<unsigned>(args.count("--stages", 2));
     cfg.policy = args.choice("--policy", "be", {"be", "mask"}) == "mask"
                      ? iopmp::ViolationPolicy::PacketMasking
                      : iopmp::ViolationPolicy::BusError;
     cfg.write = args.flag("--write");
     cfg.violating = args.flag("--violating");
-    cfg.bursts = static_cast<unsigned>(args.number("--bursts", 64));
+    cfg.bursts = static_cast<unsigned>(args.count("--bursts", 64));
     const Cycle cycles = wl::runBurstLatency(cfg);
     std::printf("latency: %llu cycles (%u bursts, %u stages, %s, %s%s)\n",
                 static_cast<unsigned long long>(cycles), cfg.bursts,
@@ -88,9 +89,9 @@ cmdBandwidth(const Args &args)
     cfg.scenario = scenario == "ww" ? wl::BandwidthScenario::WriteWrite
                    : scenario == "rw" ? wl::BandwidthScenario::ReadWrite
                                       : wl::BandwidthScenario::ReadRead;
-    cfg.stages = static_cast<unsigned>(args.number("--stages", 2));
+    cfg.stages = static_cast<unsigned>(args.count("--stages", 2));
     cfg.max_outstanding =
-        static_cast<unsigned>(args.number("--outstanding", 8));
+        static_cast<unsigned>(args.count("--outstanding", 8));
     const double bpc = wl::runBandwidth(cfg);
     std::printf("bandwidth: %.2f bytes/cycle (%s, %u stages, %u "
                 "outstanding)\n",

@@ -281,7 +281,6 @@ void
 CheckerNode::dispatchRequests(Cycle now)
 {
     stall_ = Stall::None;
-    noPollsOwed();
     if (!req_pipe_.ready(now))
         return;
     bus::Beat beat = req_pipe_.front();
@@ -326,14 +325,11 @@ CheckerNode::dispatchRequests(Cycle now)
     }
 
     // A held verdict is this head beat's, and acceptRequests() dropped
-    // it if the version moved since: re-polling would repeat it.
-    AuthResult auth;
-    if (held_) {
-        auth = *held_;
-        unit_->creditPolls(AuthStatus::Allow, 1);
-    } else {
-        auth = unit_->authorize(beat.device, beat.addr, len, perm, now);
-    }
+    // it if the version moved since: authorize() would repeat it.
+    const bool held = held_.has_value();
+    const AuthResult auth =
+        held ? *held_
+             : unit_->authorize(beat.device, beat.addr, len, perm, now);
 
     switch (auth.status) {
       case AuthStatus::SidMiss:
@@ -355,7 +351,9 @@ CheckerNode::dispatchRequests(Cycle now)
 
       case AuthStatus::Blocked:
         stall_ = Stall::Blocked;
-        pollCounted(now);
+        if (held)
+            return;
+        held_ = auth;
         ++block_stalls_;
         // Edge: open the §4.1 blocking window on the first stalled
         // cycle; traceResolved() closes it when the head resolves.
@@ -417,7 +415,6 @@ CheckerNode::dispatchRequests(Cycle now)
       case AuthStatus::Allow:
         if (!down_->a.canPush()) {
             stall_ = Stall::Held;
-            pollCounted(now);
             held_ = auth;
             return;
         }
@@ -480,25 +477,8 @@ CheckerNode::forwardResponses(Cycle now)
 }
 
 void
-CheckerNode::creditPolls(std::uint64_t polls)
-{
-    // A block-bit poll also re-touches the head device's CAM use bit.
-    // That touch is idempotent while parked: clearing the bit moves the
-    // state version, which settles and wakes the node.
-    if (stall_ == Stall::Blocked) {
-        block_stalls_ += static_cast<double>(polls);
-        unit_->creditPolls(AuthStatus::Blocked, polls);
-    } else {
-        unit_->creditPolls(AuthStatus::Allow, polls);
-    }
-}
-
-void
 CheckerNode::evaluate(Cycle now)
 {
-    // Back from a park: the tick-every-cycle loop would have re-polled
-    // the stalled head on each skipped cycle.
-    settleThrough(now - 1);
     acceptRequests(now);
     dispatchRequests(now);
     forwardResponses(now);

@@ -38,20 +38,19 @@
  * downlink's bound producer (bus::Fifo::bindProducer), so the pop that
  * frees a slot wakes a held beat.
  *
- * Held verdicts: a head beat held by backpressure (allowed, downlink
- * full) reuses its held Allow instead of re-running authorize() while
- * SIopmp::stateVersion() stands still, crediting the counters the call
- * would have made (SIopmp::creditPolls). The version moves on every
- * change that can alter a verdict: config-epoch bumps (eSID and every
- * MMIO path), entry and MDCFG table mutations, and CAM, SRC2MD and
- * block-bitmap mutations, direct calls included.
- *
- * Skipped-poll credit: a block-bit poll and a held poll only count, so
- * a node parked on either owes its skipped polls from the last one it
- * counted (Tickable::pollCounted). settle() credits them, per-poll
- * delta times polls, through SIopmp::creditPolls: at the node's next
- * evaluate, when Simulator::run()/runUntil() return, and before any
- * unit state change. So stats match the tick-every-cycle loop.
+ * Held verdicts: a head beat stalled on its block bit, or allowed and
+ * held by backpressure (downlink full), keeps the verdict authorize()
+ * gave it while SIopmp::stateVersion() stands still, and its polls do
+ * not call authorize() again. The version moves on every change that
+ * can alter a verdict: config-epoch bumps (eSID and every MMIO path),
+ * entry and MDCFG table mutations, and CAM, SRC2MD and block-bitmap
+ * mutations, direct calls included. So the unit's "checks", "allows"
+ * and "blocked_stalls" and the node's "block_stalls" count authorize()
+ * calls, made only when their answer can change: a head beat parked on
+ * its block bit counts one however long it waits, and one more per
+ * version move that leaves it blocked. How long it waited is the
+ * block window (bus::BusMonitor). A denied head its error link or
+ * downlink cannot take re-authorizes on every poll.
  *
  * A node is a port onto its SIopmp: all nodes of a unit authorize
  * through it and share its "siopmp" stats. The unit's checker and the
@@ -97,6 +96,10 @@ class CheckerNode : public Tickable
     bool quiescent(Cycle now) const override;
 
     ViolationPolicy policy() const { return policy_; }
+
+    /** The verdict the head beat holds (see "Held verdicts" above);
+     * empty when none is held. */
+    const std::optional<AuthResult> &heldVerdict() const { return held_; }
 
     stats::Group &statsGroup() { return stats_; }
 
@@ -243,19 +246,14 @@ class CheckerNode : public Tickable
     //! SIopmp::stateVersion() when the held verdict was last checked
     //! against it: the verdict stands while the version does.
     std::uint64_t version_ = 0;
-    //! Allow verdict of a head beat the downlink could not take; its
-    //! polls reuse it until the beat leaves or the version moves.
+    //! Blocked verdict of the head beat, or the Allow of one the
+    //! downlink could not take; its polls reuse it until the beat
+    //! leaves or the version moves.
     std::optional<AuthResult> held_;
-
-    /** Credit @p polls skipped polls of the Blocked or Held head beat
-     * (Tickable::settle). */
-    void creditPolls(std::uint64_t polls) override;
 
     //! Why the head beat did not leave in the last dispatch: a SID
     //! miss, a block bit or a held or latched Allow or mask behind a
-    //! full downlink lets the node park (see quiescent()). Blocked and
-    //! held polls count, so while either stands the node owes the
-    //! polls it skips; a latched beat's poll counts nothing.
+    //! full downlink lets the node park (see quiescent()).
     enum class Stall : std::uint8_t { None, SidMiss, Blocked, Held };
     Stall stall_ = Stall::None;
 

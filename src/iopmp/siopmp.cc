@@ -103,21 +103,8 @@ SIopmp::stateChanged()
     ++state_version_;
     // Active waiters are woken too: the wake keeps one that evaluated
     // earlier this cycle (and saw the old state) from parking on it.
-    for (Tickable *node : stall_waiters_) {
-        node->settle();
+    for (Tickable *node : stall_waiters_)
         node->wake();
-    }
-}
-
-void
-SIopmp::creditPolls(AuthStatus status, std::uint64_t polls)
-{
-    const double n = static_cast<double>(polls);
-    *st_checks_ += n;
-    if (status == AuthStatus::Blocked)
-        *st_blocked_ += n;
-    else
-        *st_allows_ += n;
 }
 
 std::optional<Sid>

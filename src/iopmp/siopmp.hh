@@ -175,10 +175,9 @@ class SIopmp : public mem::MmioDevice
      * direct call — every entry, MDCFG, SRC2MD, CAM and block-bitmap
      * mutation (through the change hooks of those structures) and
      * every config-epoch bump no hook covered; an accepted MMIO write
-     * moves it exactly once. Each move first settles the stall
-     * waiters' owed polls, then wakes them. A CheckerNode holds an
-     * allowed head beat's verdict while the version stands still
-     * (creditPolls).
+     * moves it exactly once. Each move wakes the stall waiters. A
+     * CheckerNode holds its head beat's Blocked verdict, or an Allow its
+     * downlink cannot take, while the version stands still.
      */
     std::uint64_t stateVersion() const { return state_version_; }
 
@@ -202,23 +201,11 @@ class SIopmp : public mem::MmioDevice
      * Register @p node as a stall waiter: a component that may park on
      * a beat stalled on a SID miss or a block bit, or holding an Allow
      * behind a full downlink (CheckerNode). Every stateVersion() move
-     * settles and wakes all waiters, so every change that can decide
-     * such a stall does. A waiter unregisters before it is destroyed.
+     * wakes all waiters, so every change that can decide such a stall
+     * does. A waiter unregisters before it is destroyed.
      */
     void addStallWaiter(Tickable *node);
     void removeStallWaiter(Tickable *node);
-
-    /**
-     * Count @p polls repeats of a poll that authorize() answered with
-     * @p status while its outcome cannot change (a stall waiter's head
-     * beat, stateVersion() unmoved): the counter updates each repeat
-     * would make. Blocked: "checks" and "blocked_stalls". Allow (a held
-     * verdict; no other status is credited): "checks" and "allows".
-     * The CAM use bit needs no touch: every path that clears it moves
-     * the version. The one entry point for skipped-poll credit (see
-     * Tickable::settle()).
-     */
-    void creditPolls(AuthStatus status, std::uint64_t polls);
 
     stats::Group &statsGroup() { return stats_; }
 
@@ -244,8 +231,7 @@ class SIopmp : public mem::MmioDevice
             stateChanged();
     }
 
-    /** Move the state version, then settle and wake the stall
-     * waiters. */
+    /** Move the state version and wake the stall waiters. */
     void stateChanged();
 
     IopmpConfig cfg_;

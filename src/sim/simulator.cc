@@ -21,13 +21,6 @@ Tickable::wakeSlow()
     sim_->wake(this);
 }
 
-void
-Tickable::settleSlow()
-{
-    if (sim_ != nullptr)
-        settleThrough(sim_->settleHorizon());
-}
-
 bool
 Simulator::defaultFastForward()
 {
@@ -99,7 +92,6 @@ void
 Simulator::tickOnce()
 {
     events_.runUntil(now_);
-    ticking_ = true;
     if (!fast_forward_) {
         // Naive reference loop: tick everything, never retire.
         for (auto *c : components_)
@@ -121,7 +113,6 @@ Simulator::tickOnce()
             }
         });
     }
-    ticking_ = false;
     ++now_;
 }
 
@@ -160,7 +151,6 @@ Simulator::run(Cycle n)
         }
         tickOnce();
     }
-    settleAll();
 }
 
 Cycle
@@ -190,15 +180,7 @@ Simulator::runUntil(const std::function<bool()> &done, Cycle max_cycles)
         }
         tickOnce();
     }
-    settleAll();
     return now_ - start;
-}
-
-void
-Simulator::settleAll()
-{
-    for (auto *c : components_)
-        c->settle();
 }
 
 } // namespace siopmp

@@ -64,8 +64,7 @@ class Simulator
      */
     void step();
 
-    /** Run @p n cycles, then settle every component (Tickable::settle),
-     * so stats read after the call match the naive loop's. */
+    /** Run @p n cycles. */
     void run(Cycle n);
 
     /**
@@ -75,22 +74,13 @@ class Simulator
      * Under fast-forward, @p done is only evaluated at cycles where
      * something can happen (active components or a fired event), so it
      * must be a function of simulation state — not of now() alone. A
-     * pure time bound belongs in run(). Settles every component on
-     * return, as run() does; inside @p done, skipped polls may still
-     * be owed.
+     * pure time bound belongs in run().
      */
     Cycle runUntil(const std::function<bool()> &done,
                    Cycle max_cycles = 100'000'000);
 
     Cycle now() const { return now_; }
     EventQueue &events() { return events_; }
-
-    /**
-     * Last cycle whose polls a settle covers: now() mid-tick, since the
-     * components that owe polls (checker nodes) are registered, and so
-     * tick, first; now() - 1 between cycles and at event time.
-     */
-    Cycle settleHorizon() const { return ticking_ ? now_ : now_ - 1; }
 
     /** Re-arm @p component onto the active set (see Tickable::wake). */
     void wake(Tickable *component);
@@ -116,9 +106,6 @@ class Simulator
     /** Execute exactly one cycle at now_ (no idle jump). */
     void tickOnce();
 
-    /** Settle every component through settleHorizon(). */
-    void settleAll();
-
     /** Call @p fn on every component whose active bit is set, in
      * registration order, re-reading the bitmap after each call. */
     template <typename Fn> void forEachActive(Fn fn);
@@ -134,9 +121,6 @@ class Simulator
     bool fast_forward_;
     std::size_t num_active_ = 0;
     Cycle idle_cycles_skipped_ = 0;
-
-    //! True while tickOnce runs the evaluate/advance passes.
-    bool ticking_ = false;
 };
 
 } // namespace siopmp

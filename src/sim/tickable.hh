@@ -8,12 +8,11 @@
  * Quiescence protocol (fast-forward scheduling): a component may opt in
  * by overriding quiescent(). Returning true is a promise that both
  * evaluate() and advance() are exact no-ops at the given cycle AND will
- * stay no-ops until the component is woken — or, for a poll whose only
- * effect is counting, that the component owes the skipped polls (see
- * settle() below). The simulator then drops the component from the hot
- * active set (one bit per component, indexed by registration order) and
- * stops ticking it; when all components are quiescent it fast-forwards
- * time to the next pending event. A quiescent component is re-armed by:
+ * stay no-ops until the component is woken. The simulator then drops
+ * the component from the hot active set (one bit per component, indexed
+ * by registration order) and stops ticking it; when all components are
+ * quiescent it fast-forwards time to the next pending event. A
+ * quiescent component is re-armed by:
  *
  *  - a push into any bus::Fifo bound to it via Fifo::bindWake()
  *    (the consumer-side channels it clocks in advance());
@@ -35,26 +34,14 @@
  * ticked cycle. A wake issued while a phase is running reaches the
  * woken component in that phase exactly when it registered after the
  * component running (see Simulator).
- *
- * Skipped-poll credit: a poll that only counts (a CheckerNode's head
- * beat stalled on a block bit, or holding an Allow behind a full
- * downlink) may be skipped if it is counted later. The component marks
- * each such poll with pollCounted(); every later poll it skips is owed
- * until settleThrough() credits them, "per-poll delta x polls", through
- * creditPolls(). settle() is the inline gate callers use: the simulator
- * settles every component when run()/runUntil() return, a unit settles
- * its stall waiters before any state change, and the component settles
- * at its next evaluate. See docs/SIMULATION.md for the full contract.
  */
 
 #ifndef SIM_TICKABLE_HH
 #define SIM_TICKABLE_HH
 
 #include <cstddef>
-#include <cstdint>
 #include <string>
 
-#include "sim/logging.hh"
 #include "sim/types.hh"
 
 namespace siopmp {
@@ -110,19 +97,6 @@ class Tickable
             wakeSlow();
     }
 
-    /**
-     * Credit the polls this component skipped while parked, through the
-     * last cycle the simulator has polled (Simulator::settleHorizon()).
-     * A no-op unless a counted poll is owed; the test is inline, so
-     * callers may settle on every pass.
-     */
-    void
-    settle()
-    {
-        if (poll_cursor_ != kNever)
-            settleSlow();
-    }
-
     /** Simulator this component is registered with (null if none). */
     Simulator *simulator() const { return sim_; }
 
@@ -131,47 +105,10 @@ class Tickable
 
     const std::string &name() const { return name_; }
 
-  protected:
-    /** The poll at @p now counted, and every later poll would count the
-     * same until the next call or noPollsOwed(): skipped ones are owed
-     * from here. */
-    void pollCounted(Cycle now) { poll_cursor_ = now; }
-
-    /** Later polls count nothing: none are owed. */
-    void noPollsOwed() { poll_cursor_ = kNever; }
-
-    /** Credit the owed polls after the last counted one, through cycle
-     * @p through, and move the cursor there. */
-    void
-    settleThrough(Cycle through)
-    {
-        if (poll_cursor_ < through) {
-            creditPolls(through - poll_cursor_);
-            poll_cursor_ = through;
-        } else {
-            SIOPMP_ASSERT(poll_cursor_ == kNever || poll_cursor_ == through,
-                          "a poll was credited before it ran: state "
-                          "changed mid-tick from a component that ticks "
-                          "before the one that owes it");
-        }
-    }
-
-    /**
-     * Count @p polls skipped polls as the counted poll would have
-     * counted each. Called only while a poll is owed (after
-     * pollCounted()).
-     */
-    virtual void
-    creditPolls(std::uint64_t polls)
-    {
-        (void)polls;
-    }
-
   private:
     friend class Simulator;
 
     void wakeSlow();
-    void settleSlow();
 
     std::string name_;
     Simulator *sim_ = nullptr;
@@ -183,8 +120,6 @@ class Tickable
     //! a wake during the advance phase (whose cause is still invisible
     //! to quiescent(), e.g. a staged fifo push) is never lost.
     Cycle wake_cycle_ = 0;
-    //! Cycle of the last poll counted, kNever when none is owed.
-    Cycle poll_cursor_ = kNever;
 };
 
 } // namespace siopmp

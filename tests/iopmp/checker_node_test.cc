@@ -6,13 +6,15 @@
  * bursts; the wake sources of a node parked on a SID-miss or
  * block-bit stall, each checked against the tick-every-cycle loop;
  * each source of SIopmp state-version moves, which must void the held
- * verdict of a head beat waiting on backpressure; and the unit's
- * counters of held polls, read inside a mutating event.
+ * verdict of a head beat waiting on backpressure; and the counters of a
+ * stalled head beat, which count authorize() calls, not polls, read
+ * inside a mutating event and between bare step() calls.
  */
 
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <map>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -600,32 +602,23 @@ struct HoldRig {
         stepUntilHeld();
     }
 
-    /** Step until checker 0 has polled an allowed head beat it could
-     * not forward on two cycles in a row: each cycle the unit counted
-     * one allow more than the nodes forwarded beats. The hog's checker
-     * forwards its write burst meanwhile, so the beat left waiting is
-     * checker 0's. */
+    /** Step until checker 0 has held an allowed head beat it could not
+     * forward on two cycles in a row: a beat that leaves drops its
+     * verdict, so the second poll reused the first one's. */
     void
     stepUntilHeld()
     {
         unsigned held_polls = 0;
         while (held_polls < 2 && soc.sim().now() < 10'000) {
-            const double waiting = allowsNotForwarded();
             poll();
-            held_polls =
-                allowsNotForwarded() == waiting + 1 ? held_polls + 1 : 0;
+            const std::optional<AuthResult> &held =
+                soc.checkerNode(0).heldVerdict();
+            held_polls = held && held->status == AuthStatus::Allow
+                             ? held_polls + 1
+                             : 0;
         }
         ASSERT_EQ(held_polls, 2u);
         ASSERT_EQ(sid_miss_irqs + violation_irqs, 0u);
-    }
-
-    /** Allowed polls so far that forwarded no beat. */
-    double
-    allowsNotForwarded()
-    {
-        return liveStat("siopmp", "allows") -
-               liveStat("checker0", "beats_forwarded") -
-               liveStat("checker1", "beats_forwarded");
     }
 
     void
@@ -822,8 +815,7 @@ struct MutationProbe {
  * Schedule an entry rewrite in MD 1 (no verdict of kHot's changes)
  * @p delay cycles from now and run through it. The probe reads the
  * unit's "checks" and "allows" inside the event, right after the
- * rewrite: the rewrite settles the stall waiters' owed polls first, so
- * they must match the loop that polls every cycle.
+ * rewrite: they must match the loop that polls every cycle.
  */
 MutationProbe
 mutateInEvent(HoldRig &rig, Cycle delay)
@@ -840,10 +832,9 @@ mutateInEvent(HoldRig &rig, Cycle delay)
 }
 
 /**
- * Held polls count as the unit's checks and allows: read inside a
- * mutating event after a stretch of them, the counts match the naive
- * loop's. Memory's read interval alone backs checker 0 up; checker 1
- * never checks.
+ * Read inside a mutating event after a stretch of held polls, the
+ * unit's checks and allows match the naive loop's. Memory's read
+ * interval alone backs checker 0 up; checker 1 never checks.
  */
 TEST(CheckerNodeHold, HeldPollCountsAtMutation)
 {
@@ -863,11 +854,9 @@ TEST(CheckerNodeHold, HeldPollCountsAtMutation)
 
 /**
  * The same counts while the held node is parked behind its full
- * downlink: the mutation settles the node's skipped polls before the
- * event reads the counters. The hog's port sends the head beat of a
- * write burst and holds back the rest, so the xbar stays locked on
- * that port and checker 0 holds its beat with no other check in the
- * unit.
+ * downlink. The hog's port sends the head beat of a write burst and
+ * holds back the rest, so the xbar stays locked on that port and
+ * checker 0 holds its beat with no other check in the unit.
  */
 TEST(CheckerNodeHold, ParkedHeldPollCountsAtMutation)
 {
@@ -887,6 +876,125 @@ TEST(CheckerNodeHold, ParkedHeldPollCountsAtMutation)
     EXPECT_GT(naive.allows, 0.0);
     EXPECT_EQ(ff.checks, naive.checks);
     EXPECT_EQ(ff.allows, naive.allows);
+}
+
+// ---- counts of a stalled head beat -----------------------------------
+
+/** The unit's checks, allows and blocked stalls, then checker 0's
+ * block stalls. */
+std::vector<double>
+stallCounts()
+{
+    return {liveStat("siopmp", "checks"), liveStat("siopmp", "allows"),
+            liveStat("siopmp", "blocked_stalls"),
+            liveStat("checker0", "block_stalls")};
+}
+
+/** stallCounts() after each step, by the cycle the step ended at. */
+using CountsByCycle = std::map<Cycle, std::vector<double>>;
+
+/** Step @p sim with bare step() calls (no run()) until cycle @p end,
+ * reading stallCounts() after every step. */
+CountsByCycle
+stepReading(Simulator &sim, Cycle end)
+{
+    CountsByCycle counts;
+    while (sim.now() < end) {
+        sim.step();
+        counts[sim.now()] = stallCounts();
+    }
+    return counts;
+}
+
+/** At every cycle the fast-forward loop stopped at, the naive loop read
+ * the same counts. */
+void
+expectCountsMatch(const CountsByCycle &ff, const CountsByCycle &naive)
+{
+    ASSERT_FALSE(ff.empty());
+    for (const auto &[cycle, counts] : ff) {
+        ASSERT_EQ(naive.count(cycle), 1u) << "cycle " << cycle;
+        EXPECT_EQ(counts, naive.at(cycle)) << "cycle " << cycle;
+    }
+}
+
+/**
+ * A head beat parked on its block bit counts one check and one blocked
+ * stall (the unit's and its node's) however many cycles it waits, one
+ * more for a state-version move that leaves it blocked, and one allow
+ * when the unblock lets it leave. Read between bare step() calls, the
+ * counts match the naive loop's.
+ */
+TEST(CheckerNodeCounts, BlockedHeadCountsOncePerVersion)
+{
+    const auto run = [](bool fast_forward) {
+        ParkRig rig(fast_forward);
+        rig.soc.iopmp().blockBitmap().block(0);
+        rig.start(rig.hot, dev::DmaKind::Read, kHotBase, 64); // one burst
+        // SID 2's block moves the version and leaves kHot blocked.
+        rig.at(300, [&rig] { rig.soc.iopmp().blockBitmap().block(2); });
+        rig.at(600, [&rig] { rig.soc.iopmp().blockBitmap().unblock(0); });
+        const CountsByCycle counts = stepReading(rig.soc.sim(), 1'000);
+        EXPECT_TRUE(rig.hot.done());
+        EXPECT_EQ(liveStat("busmon", "block_windows"), 1.0);
+        return counts;
+    };
+    const CountsByCycle ff = run(true);
+    const CountsByCycle naive = run(false);
+    expectCountsMatch(ff, naive);
+
+    // A step ending at cycle c ran cycle c - 1, and events run first.
+    const std::vector<double> parked{1, 0, 1, 1};
+    const std::vector<double> moved{2, 0, 2, 2};
+    const std::vector<double> left{3, 1, 2, 2};
+    unsigned parked_cycles = 0;
+    for (const auto &[cycle, counts] : naive) {
+        if (counts[0] == 0)
+            continue; // the head beat has not reached its check yet
+        parked_cycles += cycle <= 300;
+        EXPECT_EQ(counts, cycle <= 300   ? parked
+                          : cycle <= 600 ? moved
+                                         : left)
+            << "cycle " << cycle;
+    }
+    EXPECT_GT(parked_cycles, 250u);
+}
+
+/**
+ * A held Allow counts once however long its downlink stays full:
+ * ParkedHeldPollCountsAtMutation's locked xbar holds checker 0's beat,
+ * and no count moves while it waits. Read between bare step() calls,
+ * the counts match the naive loop's.
+ */
+TEST(CheckerNodeCounts, HeldAllowCountsOnce)
+{
+    struct Run {
+        std::vector<double> at_hold;
+        CountsByCycle counts;
+    };
+    const auto run = [](bool fast_forward) {
+        HoldRig rig;
+        rig.soc.sim().setFastForward(fast_forward);
+        rig.soc.masterLink(1)->a.push(
+            bus::makePut(kHogBase, 0, bus::kBurstBeats, 0, kHog, 1));
+        rig.start(rig.hot, dev::DmaKind::Read, kHotBase);
+        rig.stepUntilHeld();
+        Run r;
+        r.at_hold = stallCounts();
+        r.counts = stepReading(rig.soc.sim(), rig.soc.sim().now() + 500);
+        EXPECT_EQ(rig.nodeStat("beats_forwarded"), r.at_hold[1] - 2);
+        return r;
+    };
+    const Run ff = run(true);
+    const Run naive = run(false);
+    EXPECT_EQ(ff.at_hold, naive.at_hold);
+    expectCountsMatch(ff.counts, naive.counts);
+    // Every check an allow: the hog's head, each read checker 0 forwarded
+    // and the held one.
+    EXPECT_EQ(naive.at_hold[0], naive.at_hold[1]);
+    EXPECT_EQ(naive.at_hold[2], 0.0);
+    for (const auto &[cycle, counts] : naive.counts)
+        EXPECT_EQ(counts, naive.at_hold) << "cycle " << cycle;
 }
 
 /**

@@ -104,15 +104,17 @@ class Args
         return n;
     }
 
-    /** A whole number from 1 to @p max: a count the run cannot do
-     * without (a divisor, a per-CPU index bound, a population). */
+    /** A whole number from @p min to @p max: a count the run cannot do
+     * without (a divisor, a per-CPU index bound, a population, a tree
+     * arity). */
     std::uint64_t
     count(const char *name, std::uint64_t fallback,
-          std::uint64_t max = std::numeric_limits<unsigned>::max()) const
+          std::uint64_t max = std::numeric_limits<unsigned>::max(),
+          std::uint64_t min = 1) const
     {
         const std::uint64_t n = number(name, fallback, max);
-        if (n == 0)
-            reject(name, value(name, ""), "at least 1");
+        if (n < min)
+            reject(name, value(name, ""), "at least " + std::to_string(min));
         return n;
     }
 

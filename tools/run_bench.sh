@@ -1,17 +1,19 @@
 #!/usr/bin/env bash
 # Smoke harness for the benchmarks: configure, build, run the tier-1
-# test suite (and fail when a ctest name prints the raw bytes of a test
-# parameter wider than 4 bytes), run sim_core_micro and churn_fleet
-# with small budgets into the build directory (the committed BENCH
-# files stay as they are), validate the BENCH_sim_core.json /
-# BENCH_churn.json schemas of both those smoke outputs and the
-# committed files, validate the committed BENCH_pairs.json schema,
-# diff a churn run's output and stats JSON with fast-forward on and
-# off, validate the Chrome trace-event schema of a traced
-# dma_attack_demo run, build perfbench (it compiles src/ on its own, so
-# this is the leg that pins the API it uses) and run its self-test and
-# a 2-s churn run, failing on a nonzero exit or a failed op, and run
-# tools/reach.sh as an informational leg that never fails the script.
+# test suite twice, the second time on the tick-every-cycle loop
+# (SIOPMP_NO_FAST_FORWARD=1), and fail when a ctest name prints the
+# raw bytes of a test parameter wider than 4 bytes, run sim_core_micro
+# and churn_fleet with small budgets into the build directory (the
+# committed BENCH files stay as they are), validate the
+# BENCH_sim_core.json / BENCH_churn.json schemas of both those smoke
+# outputs and the committed files, validate the committed
+# BENCH_pairs.json schema, diff a churn run's output and stats JSON
+# with fast-forward on and off, validate the Chrome trace-event schema
+# of a traced dma_attack_demo run, build perfbench (it compiles src/ on
+# its own, so this is the leg that pins the API it uses) and run its
+# self-test and a 2-s churn run, failing on a nonzero exit or a failed
+# op, and run tools/reach.sh as an informational leg that never fails
+# the script.
 # The check path's host time is measured on the workloads' own traffic
 # by perfbench (BENCHMARK.json), not here.
 #
@@ -133,6 +135,12 @@ fi
 
 echo "== tier-1 tests =="
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j"$(nproc)"
+echo "== tier-1 tests, naive loop =="
+# The same suite with fast-forward off: a counter counts authorize()
+# calls, not polls, so both loops must pass every test (tests that
+# count fast-forward events pin it on; the golden legs unset it).
+SIOPMP_NO_FAST_FORWARD=1 ctest --test-dir "$BUILD_DIR" \
+    --output-on-failure -j"$(nproc)"
 # gtest prints a test parameter it has no PrintTo for as raw bytes,
 # and those bytes land in the ctest name. A type wider than 4 bytes
 # ("12-byte object <...>") may carry padding and pointers, so the name

@@ -29,8 +29,9 @@
  * non-negative integer (a non-negative real for --arrival and --cold;
  * at least 1 for latency's --stages and --bursts, bandwidth's --stages
  * and --outstanding, network's --cores, at most 64, and --packets,
- * churn's --devices and --ports, and freq's --stages) exits with
- * status 2 and a message naming the flag (tools/args.hh).
+ * hotcold's --ratio and --bursts, churn's --devices and --ports, and
+ * freq's --entries and --stages; at least 2 for freq's --arity) exits
+ * with status 2 and a message naming the flag (tools/args.hh).
  */
 
 #include <cstdint>
@@ -141,10 +142,9 @@ int
 cmdHotCold(const Args &args)
 {
     wl::HotColdConfig cfg;
-    cfg.ratio = static_cast<unsigned>(args.number("--ratio", 100));
+    cfg.ratio = static_cast<unsigned>(args.count("--ratio", 100));
     cfg.matched = !args.flag("--mismatched");
-    cfg.hot_bursts =
-        static_cast<unsigned>(args.number("--bursts", 2000));
+    cfg.hot_bursts = static_cast<unsigned>(args.count("--bursts", 2000));
     const auto result = wl::runHotCold(cfg);
     std::printf("hotcold 1:%u (%s): hot throughput %.1f%%, %llu SID "
                 "misses, switch cost %llu cycles\n",
@@ -190,9 +190,11 @@ int
 cmdFreq(const Args &args)
 {
     timing::CheckerGeometry geometry;
-    geometry.entries = static_cast<unsigned>(args.number("--entries", 1024));
+    geometry.entries = static_cast<unsigned>(args.count("--entries", 1024));
     geometry.stages = static_cast<unsigned>(args.count("--stages", 3));
-    geometry.arity = static_cast<unsigned>(args.number("--arity", 2));
+    // A tree reduces by log(arity) per level: arity 1 never reduces.
+    geometry.arity = static_cast<unsigned>(args.count(
+        "--arity", 2, std::numeric_limits<unsigned>::max(), 2));
     const std::string kind = args.choice("--kind", "tree", {"lin", "tree"});
     geometry.kind = kind == "lin"
                         ? (geometry.stages > 1

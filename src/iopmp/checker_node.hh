@@ -46,11 +46,11 @@
  * entry and MDCFG table mutations, and CAM, SRC2MD and block-bitmap
  * mutations, direct calls included. So the unit's "checks", "allows"
  * and "blocked_stalls" and the node's "block_stalls" count authorize()
- * calls, made only when their answer can change: a head beat parked on
- * its block bit counts one however long it waits, and one more per
- * version move that leaves it blocked. How long it waited is the
- * block window (bus::BusMonitor). A denied head its error link or
- * downlink cannot take re-authorizes on every poll.
+ * calls, not polls: a head beat parked on its block bit counts one
+ * however long it waits, and one more per version move that leaves it
+ * blocked. How long it waited is the block window (bus::BusMonitor).
+ * Only a denied head its error link or downlink cannot take
+ * re-authorizes on every poll.
  *
  * A node is a port onto its SIopmp: all nodes of a unit authorize
  * through it and share its "siopmp" stats. The unit's checker and the

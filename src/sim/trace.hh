@@ -3,8 +3,8 @@
  * Event tracing subsystem. Components emit timestamped events — async
  * spans correlated by id (a bus transaction crossing the fabric, a
  * read burst inside the memory controller, a blocking window draining
- * the checker pipeline) and instants (a check verdict, a violation, an
- * IOTLB walk) — through a process-wide Tracer into a pluggable Sink.
+ * the checker pipeline) and instants (a check verdict, a violation, a
+ * SID miss) — through a process-wide Tracer into a pluggable Sink.
  *
  * Cost model: tracing is OFF unless a sink is installed, and the off
  * path is a single inline null-pointer test — no virtual call, no

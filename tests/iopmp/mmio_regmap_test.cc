@@ -224,7 +224,7 @@ TEST_F(RegmapTest, CamRowsViaMmio)
     EXPECT_FALSE(unit.cam().peek(777).has_value());
 }
 
-// Every stateVersion() move settles and wakes each stall waiter, so an
+// Every stateVersion() move wakes each stall waiter, so an
 // accepted config write moves it exactly once, as it does
 // configEpoch(): through the written structure's change hook, or else
 // with the epoch. A rejected write, or a staging write, moves neither.

@@ -106,8 +106,8 @@ statsOf(const ChurnConfig &cfg, ChurnResult *result)
  * skip return one cycle late, and a retired port with a backlogged
  * tenant slept until the next event instead of re-activating at the
  * retire cycle. The whole stats dump must match too: the fingerprint
- * does not cover the check and block-stall counters that checker
- * nodes credit after parking on a stall.
+ * does not cover the check and block-stall counters of the checker
+ * nodes.
  */
 TEST(Churn, BitIdenticalWithoutFastForward)
 {

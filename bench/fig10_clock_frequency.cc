@@ -13,7 +13,7 @@
 #include "timing/frequency.hh"
 
 using namespace siopmp;
-using timing::CheckerGeometry;
+using iopmp::CheckerGeometry;
 using iopmp::CheckerKind;
 
 namespace {

@@ -11,7 +11,7 @@
 #include "timing/resource.hh"
 
 using namespace siopmp;
-using timing::CheckerGeometry;
+using iopmp::CheckerGeometry;
 using iopmp::CheckerKind;
 
 int

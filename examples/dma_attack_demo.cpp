@@ -19,7 +19,8 @@
  *
  * With a path argument, the whole run is traced as Chrome trace-event
  * JSON (load in Perfetto / chrome://tracing); see
- * docs/OBSERVABILITY.md.
+ * docs/OBSERVABILITY.md. An argument that starts with '-', or a second
+ * argument, prints the usage line and exits 2 without running.
  */
 
 #include <cstdio>
@@ -138,6 +139,13 @@ runScenario(iopmp::ViolationPolicy policy)
 int
 main(int argc, char **argv)
 {
+    // One optional argument, the trace path: a flag (--help included)
+    // or a second argument is refused before any file is written.
+    if (argc > 2 || (argc == 2 && argv[1][0] == '-')) {
+        std::fprintf(stderr, "usage: dma_attack_demo [trace.json]\n");
+        return 2;
+    }
+
     std::ofstream trace_file;
     std::unique_ptr<trace::ChromeTraceSink> sink;
     if (argc > 1) {

@@ -399,23 +399,6 @@ checkDetail(const FuzzOp &op, const iopmp::AuthResult &dut,
 }
 
 std::string
-walkDetail(const FuzzOp &op, const iopmp::AuthResult &dut,
-           const iopmp::CheckerLogic &checker,
-           const iopmp::CheckResult &walk)
-{
-    char buf[256];
-    std::snprintf(buf, sizeof(buf),
-                  "%s: dut={%s sid=%d entry=%d} %s x%u walk={%s "
-                  "entry=%d}",
-                  op.toString().c_str(),
-                  statusName(static_cast<unsigned>(dut.status)),
-                  static_cast<int>(dut.sid), dut.entry,
-                  iopmp::checkerKindName(checker.kind()), checker.stages(),
-                  walk.allowed ? "allow" : "deny", walk.entry);
-    return buf;
-}
-
-std::string
 readDetail(const FuzzOp &op, std::uint64_t dut, std::uint64_t oracle)
 {
     char buf[192];
@@ -569,26 +552,8 @@ DifferentialFuzzer::replay(const std::vector<FuzzOp> &ops, bool emit_trace)
                     trace::emit(bad);
                 }
             }
-            if (!same) {
+            if (!same)
                 divergence = Divergence{i, checkDetail(op, got, want)};
-            } else if (got.status == iopmp::AuthStatus::Allow ||
-                       got.status == iopmp::AuthStatus::Deny) {
-                // The unit decides by its window walk; the configured
-                // kind's own walk must reach the same verdict over the
-                // resolved SID's domains.
-                iopmp::CheckRequest req;
-                req.addr = op.addr;
-                req.len = op.len;
-                req.perm = op.perm;
-                req.md_bitmap = dut.src2md().bitmap(got.sid);
-                const iopmp::CheckResult walk = dut.checker().check(req);
-                if (walk.entry != got.entry ||
-                    walk.allowed !=
-                        (got.status == iopmp::AuthStatus::Allow)) {
-                    divergence = Divergence{
-                        i, walkDetail(op, got, dut.checker(), walk)};
-                }
-            }
             break;
           }
         }

@@ -10,11 +10,10 @@
  * (the device under test) and to the spec-direct ReferenceOracle,
  * and reports the first spot where the two disagree — on a check
  * verdict (status/SID/deciding entry) or a register read-back. The
- * DUT decides by its window walk (matchWindows), so every Allow or
- * Deny that agrees with the oracle is also re-decided by the
- * configured checker kind's own walk (SIopmp::checker()) over the
- * resolved SID's domains; a walk whose deciding entry or allowed bit
- * differs is a divergence too.
+ * DUT decides by its window walk (matchWindows); the oracle decides
+ * by its own serial walk over its own tables, so every check compares
+ * two independent implementations. The checker kind and stage count
+ * set only the DUT's geometry, which no verdict depends on.
  *
  * A divergence is minimized by ddmin-style chunk removal into the
  * shortest op trace that still reproduces, and every case is fully
@@ -73,7 +72,9 @@ struct FuzzOp {
  */
 enum class FuzzProfile : std::uint8_t { Default, Churn };
 
-/** Per-case shape: architecture sizing + checker flavour + op count. */
+/** Per-case shape: architecture sizing + checker geometry + op count.
+ * The kind and stages must form a valid CheckerGeometry; they set the
+ * DUT's geometry and nothing a replay compares. */
 struct FuzzCaseConfig {
     unsigned num_entries = 24;
     unsigned num_sids = 16;

@@ -1,43 +1,48 @@
 /**
  * @file
- * Shared checker helpers, the factory and the unit's window walk.
+ * The two walks and the checker geometry.
  */
 
 #include "iopmp/checker.hh"
 
-#include "iopmp/linear_checker.hh"
-#include "iopmp/pipelined_checker.hh"
-#include "iopmp/tree_checker.hh"
+#include <algorithm>
+
 #include "sim/logging.hh"
 
 namespace siopmp {
 namespace iopmp {
 
+namespace {
+
+/** The verdict of entry @p idx, which overlaps @p req: full
+ * containment checks the permission, partial overlap denies. */
 CheckResult
-CheckerLogic::firstMatch(const CheckRequest &req, unsigned lo,
-                         unsigned hi) const
+decide(const Entry &entry, unsigned idx, const CheckRequest &req)
 {
-    for (unsigned idx = lo; idx < hi && idx < entries_.size(); ++idx) {
-        if (!entryEnabledFor(idx, req.md_bitmap))
+    CheckResult result;
+    result.entry = static_cast<int>(idx);
+    if (entry.matches(req.addr, req.len))
+        result.allowed = permits(entry.perm(), req.perm);
+    else
+        result.partial = true; // straddles the rule: deny (PMP heritage)
+    return result;
+}
+
+} // namespace
+
+CheckResult
+firstMatch(const EntryTable &entries, const MdCfgTable &mdcfg,
+           const CheckRequest &req)
+{
+    for (unsigned idx = 0; idx < entries.size(); ++idx) {
+        const int md = mdcfg.mdOfEntry(idx);
+        if (md < 0 || !((req.md_bitmap >> md) & 1))
             continue;
-        const Entry &entry = entries_.get(idx);
-        if (entry.matches(req.addr, req.len)) {
-            CheckResult result;
-            result.entry = static_cast<int>(idx);
-            result.allowed = permits(entry.perm(), req.perm);
-            return result;
-        }
-        if (entry.overlaps(req.addr, req.len)) {
-            // Partial coverage: a burst straddling a rule boundary is
-            // always rejected (PMP heritage).
-            CheckResult result;
-            result.entry = static_cast<int>(idx);
-            result.allowed = false;
-            result.partial = true;
-            return result;
-        }
+        const Entry &entry = entries.get(idx);
+        if (entry.overlaps(req.addr, req.len))
+            return decide(entry, idx, req);
     }
-    return {}; // no overlap in this window
+    return {}; // no overlap: default deny
 }
 
 CheckResult
@@ -51,15 +56,8 @@ matchWindows(const EntryTable &entries, const MdCfgTable &mdcfg,
         const MdCfgTable::Window window = mdcfg.window(md);
         for (unsigned idx = window.lo; idx < window.hi; ++idx) {
             const Entry &entry = entries.get(idx);
-            if (!entry.overlaps(req.addr, req.len))
-                continue;
-            CheckResult result;
-            result.entry = static_cast<int>(idx);
-            if (entry.matches(req.addr, req.len))
-                result.allowed = permits(entry.perm(), req.perm);
-            else
-                result.partial = true; // straddles the rule: deny
-            return result;
+            if (entry.overlaps(req.addr, req.len))
+                return decide(entry, idx, req);
         }
     }
     return {}; // no overlap in any window
@@ -77,30 +75,37 @@ checkerKindName(CheckerKind kind)
     return "?";
 }
 
-std::unique_ptr<CheckerLogic>
-makeChecker(CheckerKind kind, unsigned stages, const EntryTable &entries,
-            const MdCfgTable &mdcfg)
+const char *
+CheckerGeometry::validate() const
 {
-    std::unique_ptr<CheckerLogic> checker;
-    switch (kind) {
-      case CheckerKind::Linear:
-        checker = std::make_unique<LinearChecker>(entries, mdcfg);
-        break;
-      case CheckerKind::Tree:
-        checker = std::make_unique<TreeChecker>(entries, mdcfg);
-        break;
-      case CheckerKind::PipelineLinear:
-        checker = std::make_unique<PipelinedChecker>(entries, mdcfg, stages,
-                                                     /*tree_units=*/false);
-        break;
-      case CheckerKind::PipelineTree:
-        checker = std::make_unique<PipelinedChecker>(entries, mdcfg, stages,
-                                                     /*tree_units=*/true);
-        break;
+    if (stages < 1)
+        return "stages must be >= 1";
+    if (stages > 1 && kind != CheckerKind::PipelineLinear &&
+        kind != CheckerKind::PipelineTree) {
+        return "more than one stage requires a pipelined checker kind "
+               "(PipelineLinear or PipelineTree)";
     }
-    if (!checker)
-        panic("unknown checker kind");
-    return checker;
+    return nullptr;
+}
+
+unsigned
+CheckerGeometry::widestStageWindow() const
+{
+    SIOPMP_ASSERT(stages >= 1, "checker geometry without a stage");
+    return (entries + stages - 1) / stages;
+}
+
+unsigned
+CheckerGeometry::treeNodeInputs() const
+{
+    return std::max(2u, std::min(arity, widestStageWindow()));
+}
+
+unsigned
+CheckerGeometry::stageOf(unsigned entry) const
+{
+    SIOPMP_ASSERT(entry < entries, "entry outside the checker");
+    return entry / widestStageWindow();
 }
 
 } // namespace iopmp

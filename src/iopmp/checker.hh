@@ -1,18 +1,21 @@
 /**
  * @file
- * Permission checker interface shared by the baseline linear checker,
- * the tree-arbitration checker and the Multi-stage-Tree (MT) pipelined
- * checker (§4.1). All checkers implement identical *functional*
- * semantics — priority first-match over the entries of the requesting
- * SID's memory domains — and differ in microarchitecture: combinational
- * depth (clock frequency), pipeline stages (added latency) and area.
+ * The permission check and the checker geometry (§4.1). The baseline
+ * linear checker, the tree-arbitration checker and the Multi-stage-Tree
+ * (MT) pipelined checker implement one function — priority first-match
+ * over the entries of the requesting SID's memory domains — and differ
+ * only in microarchitecture: combinational depth (clock frequency),
+ * pipeline stages (added latency) and area. So the check is two free
+ * functions, the unit's window walk (matchWindows) and the serial
+ * reference walk it is tested against (firstMatch), and the
+ * microarchitecture is one value, CheckerGeometry, which the checker
+ * node and the timing models read.
  */
 
 #ifndef IOPMP_CHECKER_HH
 #define IOPMP_CHECKER_HH
 
 #include <cstdint>
-#include <memory>
 
 #include "iopmp/tables.hh"
 #include "sim/types.hh"
@@ -49,78 +52,68 @@ enum class CheckerKind {
 const char *checkerKindName(CheckerKind kind);
 
 /**
- * Abstract checker: the microarchitecture model. Holds references to
- * the shared hardware tables; it never copies them, so configuration
- * changes are visible immediately (the atomicity of such changes is
- * the job of the SID block bitmap). An SIopmp owns one, fixed when the
- * unit is built: its stages() set every CheckerNode's request delay,
- * and its walk is the reference the unit's window walk (matchWindows)
- * is tested against.
+ * The shape of one checker. The entry table is split into @c stages
+ * windows of widestStageWindow() entries (the last may be shorter),
+ * stage 0 holding the lowest-index, highest-priority entries. Each
+ * stage decides its window with a serial priority chain (linear kinds)
+ * or a priority tree of @c arity-input nodes (tree kinds) and forwards
+ * its verdict in a register, so every stage after the first adds one
+ * cycle of latency and none costs throughput (Fig 3a).
  */
-class CheckerLogic
-{
-  public:
-    CheckerLogic(const EntryTable &entries, const MdCfgTable &mdcfg)
-        : entries_(entries), mdcfg_(mdcfg)
-    {
-    }
+struct CheckerGeometry {
+    CheckerKind kind = CheckerKind::Linear;
+    unsigned entries = 64;
+    unsigned stages = 1; //!< pipeline stages (1 = combinational)
+    unsigned arity = 2;  //!< tree reduction arity
 
-    virtual ~CheckerLogic() = default;
-
-    CheckerLogic(const CheckerLogic &) = delete;
-    CheckerLogic &operator=(const CheckerLogic &) = delete;
-
-    /** Authorize one access with this microarchitecture's own walk.
-     * Pure function of tables + request. */
-    virtual CheckResult check(const CheckRequest &req) const = 0;
-
-    /** Pipeline stages; 1 means fully combinational (no extra cycles). */
-    virtual unsigned stages() const = 0;
-
-    virtual CheckerKind kind() const = 0;
-
-    /** Extra bus cycles this checker adds to a request beat. */
-    Cycle extraLatency() const { return stages() - 1; }
-
-    const EntryTable &entries() const { return entries_; }
-
-  protected:
     /**
-     * Reference semantics: priority first-match over the entry window
-     * [lo, hi). The first (lowest-index) entry that overlaps the
-     * request decides: full containment checks the permission, partial
-     * overlap denies. No overlap leaves entry == -1 (default deny at
-     * the top level).
+     * nullptr when the hardware could build this checker, or the first
+     * problem: fewer than one stage, or more than one stage on a kind
+     * that is not pipelined.
      */
-    CheckResult firstMatch(const CheckRequest &req, unsigned lo,
-                           unsigned hi) const;
+    const char *validate() const;
 
-    /** True iff entry @p idx belongs to an MD selected by the bitmap. */
+    /** True for the tree-arbitrated kinds. */
     bool
-    entryEnabledFor(unsigned idx, std::uint64_t md_bitmap) const
+    tree() const
     {
-        const int md = mdcfg_.mdOfEntry(idx);
-        if (md < 0)
-            return false;
-        return (md_bitmap >> md) & 1;
+        return kind == CheckerKind::Tree || kind == CheckerKind::PipelineTree;
     }
 
-    const EntryTable &entries_;
-    const MdCfgTable &mdcfg_;
+    /** Entries the widest pipeline stage evaluates. */
+    unsigned widestStageWindow() const;
+
+    /**
+     * Inputs of one tree node: the arity, but no more than the widest
+     * stage window (a wider node has nothing to merge) and no fewer
+     * than 2, so a one-entry window still has a binary node.
+     */
+    unsigned treeNodeInputs() const;
+
+    /** Pipeline stage whose window holds entry @p entry. */
+    unsigned stageOf(unsigned entry) const;
+
+    /** Extra bus cycles the pipeline adds to a request beat. */
+    Cycle extraLatency() const { return stages - 1; }
 };
 
-/** Factory covering every evaluated configuration: the bare walk of
- * @p kind, nothing attached. */
-std::unique_ptr<CheckerLogic>
-makeChecker(CheckerKind kind, unsigned stages, const EntryTable &entries,
-            const MdCfgTable &mdcfg);
+/**
+ * The reference walk: the baseline checker's serial priority chain,
+ * ported from the CPU-side PMP. Visits every entry in index order,
+ * skipping those outside the domains set in req.md_bitmap; the first
+ * entry that overlaps the request decides: full containment checks the
+ * permission, partial overlap denies, no overlap leaves entry == -1
+ * (default deny). Tables are read, never copied.
+ */
+CheckResult firstMatch(const EntryTable &entries, const MdCfgTable &mdcfg,
+                       const CheckRequest &req);
 
 /**
  * The unit's check (SIopmp::authorize): priority first-match over the
  * entry windows (MdCfgTable::window) of the MDs set in req.md_bitmap,
  * visited in ascending MD order. The windows of ascending MDs ascend
  * and never overlap, so the first overlapping entry found is the
- * lowest-index one, and the verdict is every kind's: full containment
+ * lowest-index one, and the verdict is firstMatch's: full containment
  * checks the permission, partial overlap denies, no overlap leaves
  * entry == -1 (default deny).
  */

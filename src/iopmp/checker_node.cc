@@ -85,7 +85,7 @@ CheckerNode::requestDelay() const
 {
     // Pipeline registers only; the SID2Addr record under packet
     // masking happens in parallel with the forwarded request.
-    return unit_->checker().extraLatency();
+    return unit_->geometry().extraLatency();
 }
 
 Cycle
@@ -122,7 +122,7 @@ CheckerNode::acceptRequests(Cycle now)
             ev.id = checkSpanId(beat);
             ev.device = beat.device;
             ev.addr = beat.addr;
-            ev.arg0 = unit_->checker().stages();
+            ev.arg0 = unit_->geometry().stages;
             ev.arg1 = beat.num_beats;
             ev.label = bus::opcodeName(beat.opcode);
             trace::emit(ev);
@@ -130,17 +130,6 @@ CheckerNode::acceptRequests(Cycle now)
     }
     req_pipe_.push(beat, now);
     up_->a.pop();
-}
-
-unsigned
-CheckerNode::decidingStage(int entry) const
-{
-    const unsigned stages = unit_->checker().stages();
-    if (entry < 0 || stages <= 1)
-        return 0;
-    const unsigned total = unit_->checker().entries().size();
-    const unsigned per_stage = (total + stages - 1) / stages;
-    return per_stage == 0 ? 0 : static_cast<unsigned>(entry) / per_stage;
 }
 
 void
@@ -180,7 +169,8 @@ CheckerNode::traceResolved(const bus::Beat &beat, Cycle now,
     ev.name = "verdict";
     ev.device = beat.device;
     ev.addr = beat.addr;
-    ev.arg0 = decidingStage(entry);
+    // The pipeline stage whose window decided; 0 for a no-match deny.
+    ev.arg0 = entry < 0 ? 0 : unit_->geometry().stageOf(entry);
     ev.arg1 = static_cast<std::uint64_t>(entry < 0 ? ~0ull : entry);
     ev.label = verdict;
     trace::emit(ev);

@@ -53,9 +53,9 @@
  * re-authorizes on every poll.
  *
  * A node is a port onto its SIopmp: all nodes of a unit authorize
- * through it and share its "siopmp" stats. The unit's checker and the
- * node's violation policy are fixed when they are built, and so are
- * the pipe delays they set.
+ * through it and share its "siopmp" stats. The unit's checker
+ * geometry and the node's violation policy are fixed when they are
+ * built, and so are the pipe delays they set.
  */
 
 #ifndef IOPMP_CHECKER_NODE_HH
@@ -81,7 +81,7 @@ class CheckerNode : public Tickable
      * @param down     link toward the xbar/memory
      * @param err      link toward the error node (BusError policy);
      *                 may be null under PacketMasking
-     * @param unit     the sIOPMP functional state and checker logic;
+     * @param unit     the sIOPMP functional state and checker geometry;
      *                 must outlive the node (it holds the node as a
      *                 stall waiter)
      * @param monitor  block-state consistency monitor (may be null)
@@ -166,10 +166,6 @@ class CheckerNode : public Tickable
 
     Cycle requestDelay() const;
     Cycle responseDelay() const;
-
-    /** Pipeline stage whose entry window decided the check (trace
-     * attribution); 0 for non-pipelined checkers or no-match denials. */
-    unsigned decidingStage(int entry) const;
 
     /** What a write burst's later beats do, as its head decided. */
     enum class Verdict : std::uint8_t { Allow, Mask, Divert };

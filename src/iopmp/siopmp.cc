@@ -28,6 +28,18 @@ validated(IopmpConfig cfg)
     return cfg;
 }
 
+/** Reject a checker the hardware could not build, the same way. */
+CheckerGeometry
+validated(CheckerGeometry geometry)
+{
+    if (const char *error = geometry.validate()) {
+        fatal("invalid checker geometry{kind=%s, entries=%u, stages=%u}: %s",
+              checkerKindName(geometry.kind), geometry.entries,
+              geometry.stages, error);
+    }
+    return geometry;
+}
+
 } // namespace
 
 EntryCommit
@@ -61,12 +73,12 @@ decodeEntryCommit(const EntryTable &entries, unsigned idx,
 
 SIopmp::SIopmp(IopmpConfig cfg, CheckerKind kind, unsigned stages)
     : cfg_(validated(cfg)),
+      geometry_(validated(CheckerGeometry{kind, cfg.num_entries, stages})),
       entries_(cfg.num_entries),
       src2md_(cfg.num_sids, cfg.num_mds),
       mdcfg_(cfg.num_mds, cfg.num_entries),
       cam_(cfg.num_sids - 1), // hot SIDs 0 .. num_sids-2; last is cold
       blocks_(cfg.num_sids),
-      checker_(makeChecker(kind, stages, entries_, mdcfg_)),
       stats_("siopmp"),
       entry_stage_(cfg_.num_entries)
 {

@@ -3,7 +3,7 @@
  * SIopmp: the functional top of the sIOPMP extension. Owns every
  * architectural structure — entry table, SRC2MD, MDCFG, DeviceID2SID
  * CAM, eSID register, SID block bitmap, violation record — plus the
- * configured checker logic, and exposes:
+ * configured checker geometry, and exposes:
  *
  *  - authorize(): the data-path decision for one DMA access, including
  *    CAM lookup, cold (eSID) matching and SID-missing detection;
@@ -13,18 +13,17 @@
  *    interrupts reach the CPU.
  *
  * authorize() decides by one priority first-match over the requesting
- * SID's MD windows (matchWindows); the configured CheckerLogic, fixed
- * when the unit is built, is the microarchitecture model that sets the
- * pipeline depth, and its walk is the reference the tests compare the
- * unit against. The bus-facing cycle model wrapping this object is
- * CheckerNode; every node of a unit authorizes through the unit.
+ * SID's MD windows (matchWindows), whatever the checker kind: kinds
+ * differ only in geometry (CheckerGeometry), fixed when the unit is
+ * built, which sets the pipeline depth. The bus-facing cycle model
+ * wrapping this object is CheckerNode; every node of a unit authorizes
+ * through the unit.
  */
 
 #ifndef IOPMP_SIOPMP_HH
 #define IOPMP_SIOPMP_HH
 
 #include <functional>
-#include <memory>
 #include <optional>
 #include <vector>
 
@@ -119,6 +118,9 @@ class SIopmp : public mem::MmioDevice
   public:
     using IrqHandler = std::function<void(const Irq &)>;
 
+    /** A unit of @p cfg's sizing whose checker has @p kind and
+     * @p stages pipeline stages; an invalid sizing or a checker the
+     * hardware could not build (CheckerGeometry::validate) is fatal. */
     SIopmp(IopmpConfig cfg, CheckerKind kind, unsigned stages);
 
     // The entry, MDCFG, SRC2MD, CAM and block-bitmap change hooks
@@ -155,9 +157,8 @@ class SIopmp : public mem::MmioDevice
     /** Currently mounted cold device (eSID register), if any. */
     std::optional<DeviceId> mountedCold() const { return esid_; }
 
-    /** The configured microarchitecture model: its stages() and
-     * kind(), and its walk as the reference for authorize(). */
-    const CheckerLogic &checker() const { return *checker_; }
+    /** The checker's geometry: its kind, stages and entry count. */
+    const CheckerGeometry &geometry() const { return geometry_; }
 
     /**
      * Monotone configuration epoch: moves once per accepted MMIO write
@@ -235,12 +236,12 @@ class SIopmp : public mem::MmioDevice
     void stateChanged();
 
     IopmpConfig cfg_;
+    CheckerGeometry geometry_;
     EntryTable entries_;
     Src2MdTable src2md_;
     MdCfgTable mdcfg_;
     DeviceId2SidCam cam_;
     SidBlockBitmap blocks_;
-    std::unique_ptr<const CheckerLogic> checker_;
     std::optional<DeviceId> esid_;
     std::optional<ViolationRecord> violation_;
     IrqHandler irq_;

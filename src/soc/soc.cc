@@ -10,35 +10,10 @@
 namespace siopmp {
 namespace soc {
 
-namespace {
-
-bool
-isPipelined(iopmp::CheckerKind kind)
-{
-    return kind == iopmp::CheckerKind::PipelineLinear ||
-           kind == iopmp::CheckerKind::PipelineTree;
-}
-
-/** Reject checker knob combinations the hardware could not build. */
-void
-validateChecker(const SocConfig &cfg)
-{
-    if (cfg.checker_stages < 1)
-        fatal("invalid checker config: stages must be >= 1 (got %u)",
-              cfg.checker_stages);
-    if (cfg.checker_stages > 1 && !isPipelined(cfg.checker_kind))
-        fatal("invalid checker config: %u pipeline stages requires a "
-              "pipelined checker kind (PipelineLinear or PipelineTree)",
-              cfg.checker_stages);
-}
-
-} // namespace
-
 Soc::Soc(const SocConfig &cfg)
     : cfg_(cfg)
 {
     SIOPMP_ASSERT(cfg.num_masters >= 1, "SoC needs at least one master");
-    validateChecker(cfg);
 
     iopmp_ = std::make_unique<iopmp::SIopmp>(
         cfg.iopmp, cfg.checker_kind, cfg.checker_stages);

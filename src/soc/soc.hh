@@ -39,8 +39,8 @@ inline constexpr Addr kIopmpMmioBase = 0x1000'0000;
 
 /**
  * What to build. The checker knobs (kind, stages, policy) are fixed for
- * the life of the Soc; the constructor rejects a combination the
- * hardware could not build (e.g. stages > 1 with a non-pipelined kind).
+ * the life of the Soc; the sIOPMP unit rejects a kind and stage count
+ * the hardware could not build (iopmp::CheckerGeometry::validate).
  */
 struct SocConfig {
     unsigned num_masters = 1;

@@ -9,7 +9,7 @@ namespace siopmp {
 namespace timing {
 
 double
-achievableFrequencyMhz(const CheckerGeometry &geometry,
+achievableFrequencyMhz(const iopmp::CheckerGeometry &geometry,
                        const FrequencyParams &params)
 {
     const double ns = criticalPathNs(geometry, params.gate);
@@ -22,7 +22,7 @@ achievableFrequencyMhz(const CheckerGeometry &geometry,
 }
 
 bool
-meetsPlatformCap(const CheckerGeometry &geometry,
+meetsPlatformCap(const iopmp::CheckerGeometry &geometry,
                  const FrequencyParams &params)
 {
     return achievableFrequencyMhz(geometry, params) >=

@@ -23,11 +23,11 @@ struct FrequencyParams {
 };
 
 /** Achievable frequency in MHz; 0.0 means timing closure failed. */
-double achievableFrequencyMhz(const CheckerGeometry &geometry,
+double achievableFrequencyMhz(const iopmp::CheckerGeometry &geometry,
                               const FrequencyParams &params = {});
 
 /** True iff the configuration meets the platform cap exactly. */
-bool meetsPlatformCap(const CheckerGeometry &geometry,
+bool meetsPlatformCap(const iopmp::CheckerGeometry &geometry,
                       const FrequencyParams &params = {});
 
 } // namespace timing

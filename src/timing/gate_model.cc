@@ -6,9 +6,10 @@
  *  - match unit: fixed depth (parallel for all entries);
  *  - linear arbitration: synthesis packs an 8-entry priority mux into
  *    one LUT level, so the chain contributes window/8 levels;
- *  - tree arbitration: one reduction level per log_arity step (each
- *    level costs ~2 LUT levels for the verdict merge) plus a small
- *    fan-in/wiring term that grows with the window.
+ *  - tree arbitration: one reduction level per log_k step, where a
+ *    node has k = min(arity, window) inputs (each level costs ~2 LUT
+ *    levels for the verdict merge), plus a small fan-in/wiring term
+ *    that grows with the window.
  *
  * Past ~40 levels the router must insert buffers and the chain leaves
  * the local region, so each additional level costs more. These
@@ -20,40 +21,29 @@
 
 #include <cmath>
 
-#include "sim/logging.hh"
-
 namespace siopmp {
 namespace timing {
 
-unsigned
-widestStageEntries(const CheckerGeometry &geometry)
-{
-    SIOPMP_ASSERT(geometry.stages >= 1, "bad stage count");
-    return (geometry.entries + geometry.stages - 1) / geometry.stages;
-}
-
 double
-criticalPathLevels(const CheckerGeometry &geometry)
+criticalPathLevels(const iopmp::CheckerGeometry &geometry)
 {
     const GateModelParams params;
-    const unsigned window = widestStageEntries(geometry);
-    const bool tree = geometry.kind == iopmp::CheckerKind::Tree ||
-                      geometry.kind == iopmp::CheckerKind::PipelineTree;
+    const unsigned window = geometry.widestStageWindow();
 
     double levels = params.match_levels;
     if (window <= 1)
         return levels;
 
-    if (tree) {
+    if (geometry.tree()) {
+        const unsigned k = geometry.treeNodeInputs();
         const double depth =
             std::ceil(std::log(static_cast<double>(window)) /
-                      std::log(static_cast<double>(geometry.arity)));
+                      std::log(static_cast<double>(k)));
         // A k-ary priority merge still resolves priority among its k
         // inputs, so the per-node logic deepens with arity; binary
         // nodes minimize total delay ("binary tree for timing").
         const double node_levels =
-            params.tree_levels_per_node *
-            (1.0 + 0.6 * (geometry.arity - 2));
+            params.tree_levels_per_node * (1.0 + 0.6 * (k - 2));
         levels += depth * node_levels;
         // Wire/fan-in growth of the physical tree.
         levels += static_cast<double>(window) / 320.0;
@@ -64,7 +54,7 @@ criticalPathLevels(const CheckerGeometry &geometry)
 }
 
 double
-criticalPathNs(const CheckerGeometry &geometry,
+criticalPathNs(const iopmp::CheckerGeometry &geometry,
                const GateModelParams &params)
 {
     const double levels = criticalPathLevels(geometry);

@@ -10,7 +10,8 @@
  *  - Linear priority arbitration chains one priority mux per entry:
  *    depth grows linearly in the window size.
  *  - Tree arbitration reduces verdicts pair-wise: depth grows with
- *    log_arity of the window size.
+ *    log_arity of the window size (a node has at most as many inputs
+ *    as the window has entries).
  *  - Pipelining splits the entry table into S windows, shrinking the
  *    per-stage window by S.
  *
@@ -31,14 +32,6 @@
 namespace siopmp {
 namespace timing {
 
-/** Checker configuration being synthesized. */
-struct CheckerGeometry {
-    iopmp::CheckerKind kind = iopmp::CheckerKind::Linear;
-    unsigned entries = 64;
-    unsigned stages = 1;  //!< pipeline stages (1 = combinational)
-    unsigned arity = 2;   //!< tree reduction arity
-};
-
 /** Delay-model constants (ns per level and fixed overheads). */
 struct GateModelParams {
     double match_levels = 6.0;      //!< comparator + perm mux depth
@@ -52,14 +45,11 @@ struct GateModelParams {
 };
 
 /** Logic levels on the critical path of one pipeline stage. */
-double criticalPathLevels(const CheckerGeometry &geometry);
+double criticalPathLevels(const iopmp::CheckerGeometry &geometry);
 
 /** Critical path delay in nanoseconds. */
-double criticalPathNs(const CheckerGeometry &geometry,
+double criticalPathNs(const iopmp::CheckerGeometry &geometry,
                       const GateModelParams &params = {});
-
-/** Entries evaluated by the widest pipeline stage. */
-unsigned widestStageEntries(const CheckerGeometry &geometry);
 
 } // namespace timing
 } // namespace siopmp

@@ -11,13 +11,11 @@ namespace siopmp {
 namespace timing {
 
 ResourceUsage
-estimateResources(const CheckerGeometry &geometry,
+estimateResources(const iopmp::CheckerGeometry &geometry,
                   const ResourceParams &params)
 {
-    const bool tree = geometry.kind == iopmp::CheckerKind::Tree ||
-                      geometry.kind == iopmp::CheckerKind::PipelineTree;
     const double entries = geometry.entries;
-    const double window = widestStageEntries(geometry);
+    const double window = geometry.widestStageWindow();
 
     ResourceUsage usage;
 
@@ -25,19 +23,18 @@ estimateResources(const CheckerGeometry &geometry,
     usage.luts = entries * params.match_luts_per_entry;
     usage.ffs = entries * params.storage_ffs_per_entry;
 
-    if (tree) {
-        // An arity-k tree over W leaves has ceil((W-1)/(k-1)) internal
-        // nodes; a k-ary merge costs about (k-1) binary merges' logic
-        // but amortizes per-node overhead, which is why wide trees
-        // save area ("N-ary tree for area").
-        const double k = geometry.arity;
+    if (geometry.tree()) {
+        // A tree of k-input nodes over W leaves has ceil((W-1)/(k-1))
+        // internal nodes; a k-ary merge costs about (k-1) binary
+        // merges' logic but amortizes per-node overhead, which is why
+        // wide trees save area ("N-ary tree for area").
+        const double k = geometry.treeNodeInputs();
         const double nodes =
             geometry.stages *
             std::ceil(std::max(0.0, window - 1.0) / (k - 1.0));
         const double node_luts =
-            geometry.arity == 2
-                ? params.tree_luts_per_node
-                : params.tree_luts_per_node * (k - 1.0) * 0.85;
+            k == 2 ? params.tree_luts_per_node
+                   : params.tree_luts_per_node * (k - 1.0) * 0.85;
         usage.luts += nodes * node_luts;
         usage.ffs += nodes * params.tree_ffs_per_node;
     } else {

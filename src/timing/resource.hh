@@ -51,7 +51,7 @@ struct ResourceUsage {
     double ff_pct = 0.0;  //!< percentage of device FFs
 };
 
-ResourceUsage estimateResources(const CheckerGeometry &geometry,
+ResourceUsage estimateResources(const iopmp::CheckerGeometry &geometry,
                                 const ResourceParams &params = {});
 
 } // namespace timing

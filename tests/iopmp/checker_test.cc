@@ -1,19 +1,31 @@
 /**
  * @file
- * Unit tests for the checker implementations: priority semantics,
- * memory-domain masking and pipeline/window behaviour.
+ * Unit tests for the two walks and the checker geometry: priority
+ * semantics and memory-domain masking, decided by both walks, and the
+ * stage windows, latency and validity the geometry derives.
  */
 
 #include <gtest/gtest.h>
 
 #include "iopmp/checker.hh"
-#include "iopmp/linear_checker.hh"
-#include "iopmp/pipelined_checker.hh"
-#include "iopmp/tree_checker.hh"
 
 namespace siopmp {
 namespace iopmp {
 namespace {
+
+/** firstMatch's verdict on @p req, after checking that matchWindows
+ * reaches the same one. */
+CheckResult
+bothWalks(const EntryTable &entries, const MdCfgTable &mdcfg,
+          const CheckRequest &req)
+{
+    const CheckResult walk = firstMatch(entries, mdcfg, req);
+    const CheckResult windows = matchWindows(entries, mdcfg, req);
+    EXPECT_EQ(walk.allowed, windows.allowed) << "addr=" << req.addr;
+    EXPECT_EQ(walk.entry, windows.entry) << "addr=" << req.addr;
+    EXPECT_EQ(walk.partial, windows.partial) << "addr=" << req.addr;
+    return walk;
+}
 
 /** Table fixture: 8 entries split across 3 memory domains. */
 class CheckerFixture : public ::testing::Test
@@ -37,10 +49,10 @@ class CheckerFixture : public ::testing::Test
         entries.set(5, Entry::range(0x3100, 0x100, Perm::Read));
     }
 
-    CheckRequest
-    req(Addr addr, Addr len, Perm perm, std::uint64_t mds) const
+    CheckResult
+    check(Addr addr, Addr len, Perm perm, std::uint64_t mds) const
     {
-        return CheckRequest{addr, len, perm, mds};
+        return bothWalks(entries, mdcfg, CheckRequest{addr, len, perm, mds});
     }
 
     EntryTable entries;
@@ -49,43 +61,39 @@ class CheckerFixture : public ::testing::Test
 
 TEST_F(CheckerFixture, HigherPriorityEntryWins)
 {
-    LinearChecker c(entries, mdcfg);
     // Entry 0 (None) shadows entry 1 (Read) inside [0x1000,0x1100).
-    auto r = c.check(req(0x1000, 8, Perm::Read, 0b001));
+    auto r = check(0x1000, 8, Perm::Read, 0b001);
     EXPECT_FALSE(r.allowed);
     EXPECT_EQ(r.entry, 0);
     // Outside entry 0's window, entry 1 grants read.
-    r = c.check(req(0x1100, 8, Perm::Read, 0b001));
+    r = check(0x1100, 8, Perm::Read, 0b001);
     EXPECT_TRUE(r.allowed);
     EXPECT_EQ(r.entry, 1);
 }
 
 TEST_F(CheckerFixture, MdBitmapMasksEntries)
 {
-    LinearChecker c(entries, mdcfg);
     // MD1's buffer is invisible to a SID associated only with MD0.
-    auto r = c.check(req(0x2000, 8, Perm::Read, 0b001));
+    auto r = check(0x2000, 8, Perm::Read, 0b001);
     EXPECT_FALSE(r.allowed);
     EXPECT_EQ(r.entry, -1);
     // With MD1 selected it is visible.
-    r = c.check(req(0x2000, 8, Perm::Read, 0b010));
+    r = check(0x2000, 8, Perm::Read, 0b010);
     EXPECT_TRUE(r.allowed);
     EXPECT_EQ(r.entry, 2);
 }
 
 TEST_F(CheckerFixture, DefaultDenyWhenNothingMatches)
 {
-    LinearChecker c(entries, mdcfg);
-    auto r = c.check(req(0x9000, 8, Perm::Read, 0b111));
+    auto r = check(0x9000, 8, Perm::Read, 0b111);
     EXPECT_FALSE(r.allowed);
     EXPECT_EQ(r.entry, -1);
 }
 
 TEST_F(CheckerFixture, PartialOverlapDenies)
 {
-    LinearChecker c(entries, mdcfg);
     // Burst straddles the boundary of entry 2's region.
-    auto r = c.check(req(0x27f8, 16, Perm::Read, 0b010));
+    auto r = check(0x27f8, 16, Perm::Read, 0b010);
     EXPECT_FALSE(r.allowed);
     EXPECT_TRUE(r.partial);
     EXPECT_EQ(r.entry, 2);
@@ -93,107 +101,58 @@ TEST_F(CheckerFixture, PartialOverlapDenies)
 
 TEST_F(CheckerFixture, WritePermissionEnforced)
 {
-    LinearChecker c(entries, mdcfg);
-    EXPECT_TRUE(c.check(req(0x3000, 8, Perm::Write, 0b100)).allowed);
-    EXPECT_FALSE(c.check(req(0x3000, 8, Perm::Read, 0b100)).allowed);
-    EXPECT_TRUE(c.check(req(0x3100, 8, Perm::Read, 0b100)).allowed);
-    EXPECT_FALSE(c.check(req(0x3100, 8, Perm::Write, 0b100)).allowed);
-}
-
-TEST_F(CheckerFixture, TreeMatchesLinearOnFixture)
-{
-    LinearChecker lin(entries, mdcfg);
-    TreeChecker tree(entries, mdcfg);
-    const std::uint64_t mds[] = {0b001, 0b010, 0b100, 0b111, 0b000};
-    for (Addr addr = 0x0f00; addr < 0x3400; addr += 0x40) {
-        for (auto md : mds) {
-            for (Perm p : {Perm::Read, Perm::Write}) {
-                auto a = lin.check(req(addr, 16, p, md));
-                auto b = tree.check(req(addr, 16, p, md));
-                EXPECT_EQ(a.allowed, b.allowed) << "addr=" << addr;
-                EXPECT_EQ(a.entry, b.entry) << "addr=" << addr;
-            }
-        }
-    }
-}
-
-TEST_F(CheckerFixture, PipelinedMatchesLinear)
-{
-    LinearChecker lin(entries, mdcfg);
-    for (unsigned stages : {1u, 2u, 3u, 4u}) {
-        for (bool tree_units : {false, true}) {
-            PipelinedChecker pipe(entries, mdcfg, stages, tree_units);
-            for (Addr addr = 0x0f00; addr < 0x3400; addr += 0x80) {
-                auto a = lin.check(req(addr, 8, Perm::Read, 0b111));
-                auto b = pipe.check(req(addr, 8, Perm::Read, 0b111));
-                EXPECT_EQ(a.allowed, b.allowed);
-                EXPECT_EQ(a.entry, b.entry);
-            }
-        }
-    }
+    EXPECT_TRUE(check(0x3000, 8, Perm::Write, 0b100).allowed);
+    EXPECT_FALSE(check(0x3000, 8, Perm::Read, 0b100).allowed);
+    EXPECT_TRUE(check(0x3100, 8, Perm::Read, 0b100).allowed);
+    EXPECT_FALSE(check(0x3100, 8, Perm::Write, 0b100).allowed);
 }
 
 TEST_F(CheckerFixture, StageWindowsPartitionTable)
 {
-    PipelinedChecker pipe(entries, mdcfg, 3, true);
-    unsigned covered = 0;
-    unsigned prev_hi = 0;
-    for (unsigned s = 0; s < 3; ++s) {
-        auto [lo, hi] = pipe.stageWindow(s);
-        EXPECT_EQ(lo, prev_hi);
-        prev_hi = hi;
-        covered += hi - lo;
+    // Three stages over 8 entries: windows of 3, 3 and 2, in priority
+    // order, covering every entry once.
+    const CheckerGeometry pipe{CheckerKind::PipelineTree, entries.size(), 3};
+    EXPECT_EQ(pipe.widestStageWindow(), 3u);
+    unsigned held[3] = {};
+    unsigned prev = 0;
+    for (unsigned idx = 0; idx < entries.size(); ++idx) {
+        const unsigned stage = pipe.stageOf(idx);
+        ASSERT_LT(stage, 3u);
+        EXPECT_TRUE(stage == prev || stage == prev + 1) << "entry " << idx;
+        prev = stage;
+        ++held[stage];
     }
-    EXPECT_EQ(covered, 8u);
-    EXPECT_EQ(prev_hi, 8u);
+    EXPECT_EQ(held[0], 3u);
+    EXPECT_EQ(held[1], 3u);
+    EXPECT_EQ(held[2], 2u);
 }
 
 TEST_F(CheckerFixture, ExtraLatencyFollowsStages)
 {
-    LinearChecker lin(entries, mdcfg);
-    TreeChecker tree(entries, mdcfg);
-    PipelinedChecker p2(entries, mdcfg, 2, true);
-    PipelinedChecker p3(entries, mdcfg, 3, true);
-    EXPECT_EQ(lin.extraLatency(), 0u);
-    EXPECT_EQ(tree.extraLatency(), 0u);
-    EXPECT_EQ(p2.extraLatency(), 1u);
-    EXPECT_EQ(p3.extraLatency(), 2u);
+    const unsigned n = entries.size();
+    EXPECT_EQ((CheckerGeometry{CheckerKind::Linear, n, 1}.extraLatency()),
+              0u);
+    EXPECT_EQ((CheckerGeometry{CheckerKind::Tree, n, 1}.extraLatency()), 0u);
+    EXPECT_EQ(
+        (CheckerGeometry{CheckerKind::PipelineTree, n, 2}.extraLatency()),
+        1u);
+    EXPECT_EQ(
+        (CheckerGeometry{CheckerKind::PipelineLinear, n, 3}.extraLatency()),
+        2u);
 }
 
-TEST_F(CheckerFixture, FactoryProducesRequestedKinds)
+TEST(CheckerGeometryTest, ValidateNeedsPipelinedKindForStages)
 {
-    auto lin = makeChecker(CheckerKind::Linear, 1, entries, mdcfg);
-    auto tree = makeChecker(CheckerKind::Tree, 1, entries, mdcfg);
-    auto pt = makeChecker(CheckerKind::PipelineTree, 2, entries, mdcfg);
-    auto pl = makeChecker(CheckerKind::PipelineLinear, 3, entries, mdcfg);
-    EXPECT_EQ(lin->kind(), CheckerKind::Linear);
-    EXPECT_EQ(tree->kind(), CheckerKind::Tree);
-    EXPECT_EQ(pt->kind(), CheckerKind::PipelineTree);
-    EXPECT_EQ(pt->stages(), 2u);
-    EXPECT_EQ(pl->stages(), 3u);
-}
-
-TEST(TreeChecker, AritiesAgree)
-{
-    EntryTable entries(16);
-    MdCfgTable mdcfg(1, 16);
-    mdcfg.setTop(0, 16);
-    for (unsigned i = 0; i < 16; ++i) {
-        entries.set(i, Entry::range(0x1000 * i, 0x800,
-                                    i % 2 ? Perm::Read : Perm::ReadWrite));
+    for (CheckerKind kind : {CheckerKind::Linear, CheckerKind::Tree}) {
+        EXPECT_EQ((CheckerGeometry{kind, 8, 1}.validate()), nullptr);
+        EXPECT_NE((CheckerGeometry{kind, 8, 2}.validate()), nullptr);
+        EXPECT_NE((CheckerGeometry{kind, 8, 0}.validate()), nullptr);
     }
-    TreeChecker binary(entries, mdcfg, 2);
-    TreeChecker quad(entries, mdcfg, 4);
-    TreeChecker wide(entries, mdcfg, 8);
-    for (Addr addr = 0; addr < 0x10000; addr += 0x400) {
-        CheckRequest r{addr, 8, Perm::Write, 0b1};
-        auto a = binary.check(r);
-        auto b = quad.check(r);
-        auto c = wide.check(r);
-        EXPECT_EQ(a.allowed, b.allowed);
-        EXPECT_EQ(a.entry, b.entry);
-        EXPECT_EQ(a.allowed, c.allowed);
-        EXPECT_EQ(a.entry, c.entry);
+    for (CheckerKind kind :
+         {CheckerKind::PipelineLinear, CheckerKind::PipelineTree}) {
+        EXPECT_EQ((CheckerGeometry{kind, 8, 1}.validate()), nullptr);
+        EXPECT_EQ((CheckerGeometry{kind, 8, 4}.validate()), nullptr);
+        EXPECT_NE((CheckerGeometry{kind, 8, 0}.validate()), nullptr);
     }
 }
 
@@ -202,11 +161,8 @@ TEST(Checker, EmptyTableDeniesEverything)
     EntryTable entries(4);
     MdCfgTable mdcfg(1, 4);
     mdcfg.setTop(0, 4);
-    LinearChecker lin(entries, mdcfg);
-    TreeChecker tree(entries, mdcfg);
-    CheckRequest r{0x1000, 8, Perm::Read, 0b1};
-    EXPECT_FALSE(lin.check(r).allowed);
-    EXPECT_FALSE(tree.check(r).allowed);
+    EXPECT_FALSE(
+        bothWalks(entries, mdcfg, {0x1000, 8, Perm::Read, 0b1}).allowed);
 }
 
 } // namespace

@@ -179,6 +179,29 @@ TEST(IopmpConfigValidate, MinimalTwoSidConfigWorks)
               AuthStatus::Allow);
 }
 
+TEST(SIopmpGeometryDeath, UnbuildableCheckerFailsFastWithReason)
+{
+    // A kind that is not pipelined has one stage, and every kind has
+    // at least one.
+    const IopmpConfig cfg{16, 16, 8};
+    EXPECT_DEATH(SIopmp(cfg, CheckerKind::Tree, 3), "pipelined checker kind");
+    EXPECT_DEATH(SIopmp(cfg, CheckerKind::Linear, 2),
+                 "pipelined checker kind");
+    EXPECT_DEATH(SIopmp(cfg, CheckerKind::Linear, 0), "stages must be >= 1");
+    EXPECT_DEATH(SIopmp(cfg, CheckerKind::PipelineTree, 0),
+                 "stages must be >= 1");
+}
+
+TEST(SIopmpGeometry, UnitHoldsRequestedGeometry)
+{
+    const SIopmp unit(IopmpConfig{48, 16, 8}, CheckerKind::PipelineLinear,
+                      3);
+    EXPECT_EQ(unit.geometry().kind, CheckerKind::PipelineLinear);
+    EXPECT_EQ(unit.geometry().entries, 48u);
+    EXPECT_EQ(unit.geometry().stages, 3u);
+    EXPECT_EQ(unit.geometry().extraLatency(), 2u);
+}
+
 } // namespace
 } // namespace iopmp
 } // namespace siopmp

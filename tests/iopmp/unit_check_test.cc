@@ -1,17 +1,17 @@
 /**
  * @file
- * Unit check-path tests (SIopmp::authorize, matchWindows):
+ * Unit check-path tests (SIopmp::authorize, matchWindows), run on a
+ * unit of every checker kind:
  *
  *  - differential: the unit's authorize() must reach the verdict of
- *    every checker kind's own walk (CheckerLogic::check), and
- *    matchWindows its deciding entry, allowed and partial flags,
- *    across random programming and direct table mutations mid-stream;
- *  - invalidation completeness: for every kind, a parameterized walk
- *    over every MMIO write path (and the direct-mutation APIs) that
- *    can change an authorization outcome, comparing the unit's
- *    authorize() with a reference built from its own live state (SID
- *    resolution, block bit, the configured kind's walk);
- *  - the factory: makeChecker builds the bare walk.
+ *    the serial reference walk (firstMatch), and matchWindows its
+ *    deciding entry, allowed and partial flags, across random
+ *    programming and direct table mutations mid-stream;
+ *  - invalidation completeness: a parameterized walk over every MMIO
+ *    write path (and the direct-mutation APIs) that can change an
+ *    authorization outcome, comparing the unit's authorize() with a
+ *    reference built from its own live state (SID resolution, block
+ *    bit, the reference walk).
  */
 
 #include <gtest/gtest.h>
@@ -29,7 +29,7 @@ namespace siopmp {
 namespace iopmp {
 namespace {
 
-// ---- differential vs the microarchitectural walk ------------------------
+// ---- differential vs the reference walk ---------------------------------
 
 /** Address pool shared by entries and probes so they actually collide;
  * includes the extremes that historically broke interval arithmetic. */
@@ -144,7 +144,7 @@ class UnitDifferential : public ::testing::TestWithParam<KindParam>
 {
 };
 
-/** The unit's authorize() must reach the verdict of its kind's own
+/** The unit's authorize() must reach the verdict of the reference
  * walk, and matchWindows the walk's whole result, including across
  * direct (non-MMIO) table mutations mid-stream and unprogrammed MDs
  * between programmed ones. One device bound to SID 0 checks each
@@ -182,7 +182,7 @@ TEST_P(UnitDifferential, MatchesKindWalkUnderMutation)
         const AuthResult unit =
             dut.authorize(kDev, req.addr, req.len, req.perm);
         const CheckResult windows = matchWindows(entries, mdcfg, req);
-        const CheckResult walk = dut.checker().check(req);
+        const CheckResult walk = firstMatch(entries, mdcfg, req);
         ASSERT_EQ(unit.entry, walk.entry)
             << "iter " << i << " addr=" << std::hex << req.addr
             << " len=" << req.len << " bitmap=" << req.md_bitmap;
@@ -296,8 +296,8 @@ probe(SIopmp &dut)
 }
 
 /** The battery decided from @p dut's live state without authorize():
- * resolve the SID, test its block bit, then run the configured kind's
- * walk over the SID's domains. */
+ * resolve the SID, test its block bit, then run the reference walk
+ * over the SID's domains. */
 std::vector<AuthResult>
 reference(SIopmp &dut)
 {
@@ -313,7 +313,8 @@ reference(SIopmp &dut)
         req.len = 8;
         req.perm = perm;
         req.md_bitmap = dut.src2md().bitmap(*sid);
-        const CheckResult walk = dut.checker().check(req);
+        const CheckResult walk =
+            firstMatch(dut.entryTable(), dut.mdcfg(), req);
         return {walk.allowed ? AuthStatus::Allow : AuthStatus::Deny, *sid,
                 walk.entry};
     });
@@ -470,34 +471,6 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<Mutation> &info) {
         return info.param.name;
     });
-
-// ---- the factory --------------------------------------------------------
-
-/** makeChecker builds the kind's bare walk: check() is the walk
- * itself. */
-TEST(CheckerFactory, BuildsBareWalkForEveryKind)
-{
-    constexpr unsigned kEntries = 8;
-    EntryTable entries(kEntries);
-    MdCfgTable mdcfg(2, kEntries);
-    ASSERT_TRUE(mdcfg.setTop(0, kEntries));
-    ASSERT_TRUE(entries.set(
-        3, Entry::range(0x1000, 0x1000, Perm::ReadWrite), true));
-    CheckRequest req;
-    req.addr = 0x1000;
-    req.len = 8;
-    req.perm = Perm::Read;
-    req.md_bitmap = 0x1;
-
-    for (const KindParam kind : kKinds) {
-        auto checker = makeChecker(kind.kind, kind.stages, entries, mdcfg);
-        EXPECT_EQ(checker->kind(), kind.kind);
-        EXPECT_EQ(checker->stages(), kind.stages);
-        const CheckResult result = checker->check(req);
-        EXPECT_TRUE(result.allowed) << checkerKindName(kind.kind);
-        EXPECT_EQ(result.entry, 3) << checkerKindName(kind.kind);
-    }
-}
 
 } // namespace
 } // namespace iopmp

@@ -11,15 +11,36 @@ namespace siopmp {
 namespace timing {
 namespace {
 
+using iopmp::CheckerGeometry;
 using iopmp::CheckerKind;
+
+unsigned
+widest(CheckerGeometry geometry)
+{
+    return geometry.widestStageWindow();
+}
 
 TEST(GateModel, WidestStagePartition)
 {
-    EXPECT_EQ(widestStageEntries({CheckerKind::Linear, 64, 1, 2}), 64u);
-    EXPECT_EQ(widestStageEntries({CheckerKind::Linear, 64, 2, 2}), 32u);
-    EXPECT_EQ(widestStageEntries({CheckerKind::Linear, 65, 2, 2}), 33u);
-    EXPECT_EQ(widestStageEntries({CheckerKind::PipelineTree, 1024, 3, 2}),
-              342u);
+    EXPECT_EQ(widest({CheckerKind::Linear, 64, 1, 2}), 64u);
+    EXPECT_EQ(widest({CheckerKind::PipelineLinear, 64, 2, 2}), 32u);
+    EXPECT_EQ(widest({CheckerKind::PipelineLinear, 65, 2, 2}), 33u);
+    EXPECT_EQ(widest({CheckerKind::PipelineTree, 1024, 3, 2}), 342u);
+}
+
+TEST(GateModel, ArityCappedAtStageWindow)
+{
+    // A node never has more inputs than its stage's window has
+    // entries: past 342 (1024 entries over 3 stages) a wider arity
+    // builds the same one-node tree.
+    const double at_window =
+        criticalPathLevels({CheckerKind::PipelineTree, 1024, 3, 342});
+    EXPECT_DOUBLE_EQ(
+        criticalPathLevels({CheckerKind::PipelineTree, 1024, 3, 2048}),
+        at_window);
+    EXPECT_DOUBLE_EQ(criticalPathLevels({CheckerKind::PipelineTree, 1024,
+                                         3, 4'000'000'000u}),
+                     at_window);
 }
 
 TEST(GateModel, LinearLevelsGrowLinearly)

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "timing/resource.hh"
 
 namespace siopmp {
@@ -91,6 +93,31 @@ TEST(Resource, WiderArityTradesAreaForTiming)
         estimateResources({CheckerKind::Tree, 512, 1, 2});
     const auto octal = estimateResources({CheckerKind::Tree, 512, 1, 8});
     EXPECT_LT(octal.luts, binary.luts);
+}
+
+TEST(Resource, ArityCappedAtStageWindow)
+{
+    // A node never has more inputs than its stage's window has
+    // entries (342 at 1024 entries over 3 stages), so a wider arity
+    // costs what the window-wide node does.
+    const auto at_window =
+        estimateResources({CheckerKind::PipelineTree, 1024, 3, 342});
+    for (unsigned arity : {2048u, 4'000'000'000u}) {
+        const auto wider =
+            estimateResources({CheckerKind::PipelineTree, 1024, 3, arity});
+        EXPECT_DOUBLE_EQ(wider.luts, at_window.luts) << arity;
+        EXPECT_DOUBLE_EQ(wider.ffs, at_window.ffs) << arity;
+    }
+}
+
+TEST(Resource, OneEntryWindowKeepsBinaryNodes)
+{
+    // A one-entry window has no merge; the node count must not divide
+    // by an arity of 1.
+    const auto u = estimateResources({CheckerKind::PipelineTree, 2, 2, 8});
+    EXPECT_TRUE(std::isfinite(u.luts));
+    EXPECT_DOUBLE_EQ(
+        u.luts, estimateResources({CheckerKind::PipelineTree, 2, 2, 2}).luts);
 }
 
 TEST(Resource, PercentagesConsistentWithAbsolute)

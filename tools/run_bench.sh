@@ -31,14 +31,15 @@
 #
 # --sanitize configures a separate ASan+UBSan-instrumented tree
 # (default build-asan/, matching the asan-ubsan CMake preset), then
-# runs the unit-versus-walk differential, invalidation-completeness
-# and checker-factory tests and four bounded differential-fuzz
-# campaigns — the default and the mutation-heavy churn profile, each
-# at seeds 1 and 2 — under the sanitizers. Every campaign checks the
-# unit against the oracle and each kind's walk against the unit. It
-# runs the tenant-churn tests and, whole, the simulator, bus and
-# fast-forward suites (test_sim, test_bus, test_fastforward: the
-# active-set bitmap, the fifo rings and the parking differentials) and
+# runs the whole checker suite (test_iopmp_checkers: the two walks and
+# the geometry, the property sweep, the unit-versus-reference-walk
+# differential and invalidation completeness) and four bounded
+# differential-fuzz campaigns — the default and the mutation-heavy
+# churn profile, each at seeds 1 and 2 — under the sanitizers. Every
+# campaign checks the unit against the oracle. It runs the
+# tenant-churn tests and, whole, the simulator, bus and fast-forward
+# suites (test_sim, test_bus, test_fastforward: the active-set
+# bitmap, the fifo rings and the parking differentials) and
 # the table and differential-check suites (test_iopmp_tables,
 # test_check: the MD windows, the change hooks, the oracle and the
 # bounded fuzz campaigns) in the same tree. It then configures a second,
@@ -64,9 +65,8 @@ if [ "${1:-}" = "--sanitize" ]; then
     # Only the targets this mode runs — an instrumented build of the
     # whole tree is slow and buys nothing here.
     cmake --build "$ASAN_DIR" -j --target test_iopmp_checkers siopmp_fuzz
-    echo "== unit-versus-walk differential + invalidation tests (sanitized) =="
-    "$ASAN_DIR/tests/test_iopmp_checkers" \
-        --gtest_filter='*UnitDifferential*:*Invalidation*:*CheckerFactory*'
+    echo "== checker, property and unit-check tests (sanitized) =="
+    "$ASAN_DIR/tests/test_iopmp_checkers"
     echo "== bounded fuzz campaign (sanitized) =="
     "$ASAN_DIR/tools/siopmp_fuzz" --cases 300 --seed 1
     "$ASAN_DIR/tools/siopmp_fuzz" --cases 300 --seed 2

@@ -189,7 +189,7 @@ cmdChurn(const Args &args)
 int
 cmdFreq(const Args &args)
 {
-    timing::CheckerGeometry geometry;
+    iopmp::CheckerGeometry geometry;
     geometry.entries = static_cast<unsigned>(args.count("--entries", 1024));
     geometry.stages = static_cast<unsigned>(args.count("--stages", 3));
     // A tree reduces by log(arity) per level: arity 1 never reduces.

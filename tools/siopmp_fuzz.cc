@@ -14,9 +14,19 @@
  * Default campaign: for every checker kind and stage count (linear,
  * tree, pipe-linear x{2,4}, pipe-tree x{2,4}) run --cases seeded
  * cases on a small dense configuration and --wide-cases on a 128-SID
- * configuration (which exercises multi-word SID blocking). Any
+ * configuration (which exercises multi-word SID blocking). Each leg
+ * draws its own seed from (--seed, its combo's index): the first combo
+ * of each sizing keeps the sizing's seed (--seed, and --seed ^ 0x57ede
+ * for the wide one), the others run op streams of their own. Any
  * divergence is minimized to the shortest op trace that still
- * reproduces, printed with its replay coordinates, and exits 1.
+ * reproduces, printed with its replay coordinates (the leg's seed
+ * among them), and exits 1.
+ *
+ * --stages sets the stage count of the one kind --checker names
+ * (default 1, or 2 for a pipelined kind). It is refused with
+ * --checker all, whose legs set their own, and for a pair the
+ * hardware could not build (iopmp::CheckerGeometry::validate: no
+ * stages, or more than one on linear or tree).
  *
  * --jobs N shards the campaign legs over N worker threads. Every leg
  * is a pure function of (seed, config), so the sharding changes
@@ -26,10 +36,9 @@
  * workers join. Tracing (--trace-out) forces --jobs 1: the trace sink
  * serializes one event stream.
  *
- * The DUT decides by its window walk (docs/PERFORMANCE.md); every
- * Allow or Deny it agrees with the oracle on is re-decided by the
- * configured checker kind's own walk, so each leg covers its kind's
- * microarchitecture model too.
+ * Every kind decides by the unit's window walk (docs/PERFORMANCE.md);
+ * the kind and stage count set only the DUT's checker geometry, so
+ * what tells the legs apart is their op streams.
  *
  * --profile churn switches the op mix to continuous high-rate table
  * mutation interleaved with checks, so every check runs against
@@ -62,6 +71,7 @@
 #include "args.hh"
 #include "check/fuzzer.hh"
 #include "sim/logging.hh"
+#include "sim/random.hh"
 #include "sim/stats.hh"
 #include "sim/trace.hh"
 
@@ -94,27 +104,62 @@ struct Combo {
     unsigned stages;
 };
 
-/** @p checker is one of the --checker choices. */
+/**
+ * The campaign's (kind, stages) pairs: the six of the default campaign
+ * for --checker all, whose legs set their own stages, or the one kind
+ * named, at --stages (default 1, or 2 for a pipelined kind). --stages
+ * with --checker all, or a pair the hardware could not build
+ * (iopmp::CheckerGeometry::validate), is refused.
+ */
 std::vector<Combo>
-campaignCombos(const std::string &checker, unsigned stages)
+campaignCombos(const Args &args)
 {
     using iopmp::CheckerKind;
-    if (checker == "linear")
-        return {{CheckerKind::Linear, 1}};
-    if (checker == "tree")
-        return {{CheckerKind::Tree, 1}};
-    if (checker == "pipe-linear")
-        return {{CheckerKind::PipelineLinear, stages ? stages : 2}};
-    if (checker == "pipe-tree")
-        return {{CheckerKind::PipelineTree, stages ? stages : 2}};
-    return {
-        {CheckerKind::Linear, 1},
-        {CheckerKind::Tree, 1},
-        {CheckerKind::PipelineLinear, 2},
-        {CheckerKind::PipelineLinear, 4},
-        {CheckerKind::PipelineTree, 2},
-        {CheckerKind::PipelineTree, 4},
-    };
+    const std::string checker =
+        args.choice("--checker", "all",
+                    {"linear", "tree", "pipe-linear", "pipe-tree", "all"});
+    if (checker == "all") {
+        if (args.flag("--stages")) {
+            args.reject("--stages", args.value("--stages", ""),
+                        "accepted with --checker all, whose legs set "
+                        "their own stages");
+        }
+        return {
+            {CheckerKind::Linear, 1},
+            {CheckerKind::Tree, 1},
+            {CheckerKind::PipelineLinear, 2},
+            {CheckerKind::PipelineLinear, 4},
+            {CheckerKind::PipelineTree, 2},
+            {CheckerKind::PipelineTree, 4},
+        };
+    }
+    iopmp::CheckerGeometry geometry;
+    geometry.kind = checker == "linear"        ? CheckerKind::Linear
+                    : checker == "tree"        ? CheckerKind::Tree
+                    : checker == "pipe-linear" ? CheckerKind::PipelineLinear
+                                               : CheckerKind::PipelineTree;
+    const bool pipelined = checker.rfind("pipe-", 0) == 0;
+    geometry.stages =
+        static_cast<unsigned>(args.number("--stages", pipelined ? 2 : 1));
+    if (const char *error = geometry.validate()) {
+        args.reject("--stages", args.value("--stages", ""),
+                    "a stage count --checker " + checker +
+                        " can build: " + error);
+    }
+    return {{geometry.kind, geometry.stages}};
+}
+
+/**
+ * The seed of the leg that runs combo @p index in a sizing whose
+ * campaign seed is @p seed. Combo 0 keeps @p seed; every other combo
+ * draws its own from (seed, index), so no two legs replay one op
+ * stream under different labels. A divergence's replay line prints
+ * its leg's seed.
+ */
+std::uint64_t
+legSeed(std::uint64_t seed, std::size_t index)
+{
+    return index == 0 ? seed : Rng(seed + index).next();
 }
 
 /** @p inject is empty or one of the --inject choices. */
@@ -260,10 +305,7 @@ main(int argc, char **argv)
     const auto cases = static_cast<unsigned>(args.number("--cases", 10000));
     const auto wide_cases = static_cast<unsigned>(
         args.number("--wide-cases", cases / 5));
-    const std::string checker =
-        args.choice("--checker", "all",
-                    {"linear", "tree", "pipe-linear", "pipe-tree", "all"});
-    const auto stages = static_cast<unsigned>(args.number("--stages", 0));
+    const std::vector<Combo> combos = campaignCombos(args);
     const std::string inject =
         args.flag("--inject")
             ? args.choice("--inject", "",
@@ -301,8 +343,6 @@ main(int argc, char **argv)
     int rc = 0;
     if (args.flag("--replay")) {
         check::FuzzCaseConfig cfg = base;
-        const std::vector<Combo> combos = campaignCombos(
-            checker == "all" ? "linear" : checker, stages);
         cfg.kind = combos[0].kind;
         cfg.stages = combos[0].stages;
         rc = cmdReplay(args, cfg, seed, inject);
@@ -313,15 +353,16 @@ main(int argc, char **argv)
         wide.num_entries = base.num_entries * 2;
 
         std::vector<Leg> legs;
-        for (const Combo &combo : campaignCombos(checker, stages)) {
+        for (std::size_t i = 0; i < combos.size(); ++i) {
             check::FuzzCaseConfig cfg = base;
-            cfg.kind = combo.kind;
-            cfg.stages = combo.stages;
-            legs.push_back({cfg, seed, cases});
+            cfg.kind = combos[i].kind;
+            cfg.stages = combos[i].stages;
+            legs.push_back({cfg, legSeed(seed, i), cases});
             if (wide_cases > 0) {
-                wide.kind = combo.kind;
-                wide.stages = combo.stages;
-                legs.push_back({wide, seed ^ 0x57ede, wide_cases});
+                wide.kind = combos[i].kind;
+                wide.stages = combos[i].stages;
+                legs.push_back(
+                    {wide, legSeed(seed ^ 0x57ede, i), wide_cases});
             }
         }
 

@@ -40,11 +40,5 @@ ErrorNode::evaluate(Cycle)
     up_->a.pop();
 }
 
-void
-ErrorNode::advance(Cycle)
-{
-    up_->a.clock();
-}
-
 } // namespace bus
 } // namespace siopmp

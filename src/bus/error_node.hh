@@ -25,7 +25,6 @@ class ErrorNode : public Tickable
     ErrorNode(std::string name, Link *up);
 
     void evaluate(Cycle now) override;
-    void advance(Cycle now) override;
     bool quiescent(Cycle now) const override;
 
     std::uint64_t errorsGenerated() const { return errors_; }

@@ -4,9 +4,9 @@
  * a slave-side component: the A channel (requests, master -> slave) and
  * the D channel (responses, slave -> master).
  *
- * Clocking convention: the consumer of a channel clocks it. The slave
- * side consumes (and clocks) 'a'; the master side consumes (and clocks)
- * 'd'.
+ * Clocking: a link is built with the Simulator that clocks it. Both
+ * channels are clocked at the edge that ends every cycle in which they
+ * were pushed or popped (bus/fifo.hh); neither side clocks anything.
  */
 
 #ifndef BUS_LINK_HH
@@ -19,8 +19,12 @@ namespace siopmp {
 namespace bus {
 
 struct Link {
-    /** @param depth per-channel fifo capacity. */
-    explicit Link(std::size_t depth = 2) : a(depth), d(depth) {}
+    /** @param sim   the simulator whose clock edge clocks the channels
+     *  @param depth per-channel fifo capacity */
+    explicit Link(Simulator &sim, std::size_t depth = 2)
+        : a(sim, depth), d(sim, depth)
+    {
+    }
 
     Fifo<Beat> a; //!< requests: master -> slave
     Fifo<Beat> d; //!< responses: slave -> master

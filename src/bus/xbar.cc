@@ -5,7 +5,6 @@
 
 #include "bus/xbar.hh"
 
-#include <bit>
 #include <utility>
 
 #include "sim/logging.hh"
@@ -30,16 +29,11 @@ Xbar::Xbar(std::string name, std::vector<Link *> uplinks, Link *downlink)
     : Tickable(std::move(name)),
       up_(std::move(uplinks)),
       down_(downlink),
-      up_marks_((up_.size() + 63) / 64),
       stats_(this->name())
 {
     SIOPMP_ASSERT(!up_.empty() && down_ != nullptr, "xbar needs ports");
-    for (std::size_t i = 0; i < up_.size(); ++i) {
-        const std::uint64_t bit = std::uint64_t{1} << (i % 64);
-        up_[i]->a.bindWake(this);
-        up_[i]->a.bindClockMark(&up_marks_[i / 64], bit);
-        up_marks_[i / 64] |= bit; // whatever it holds gets one clock
-    }
+    for (auto *link : up_)
+        link->a.bindWake(this);
     down_->d.bindWake(this);
 }
 
@@ -157,20 +151,6 @@ Xbar::evaluate(Cycle now)
     now_ = now;
     forwardRequest();
     forwardResponse();
-}
-
-void
-Xbar::advance(Cycle)
-{
-    // Consumer-clocks convention: the xbar consumes every uplink's A
-    // channel and the downlink's D channel. An uplink nobody pushed or
-    // popped since its last clock would clock to the same state.
-    for (std::size_t w = 0; w < up_marks_.size(); ++w) {
-        for (std::uint64_t bits = std::exchange(up_marks_[w], 0); bits != 0;
-             bits &= bits - 1)
-            up_[w * 64 + std::countr_zero(bits)]->a.clock();
-    }
-    down_->d.clock();
 }
 
 } // namespace bus

@@ -30,7 +30,6 @@ class Xbar : public Tickable
     Xbar(std::string name, std::vector<Link *> uplinks, Link *downlink);
 
     void evaluate(Cycle now) override;
-    void advance(Cycle now) override;
     bool quiescent(Cycle now) const override;
 
     stats::Group &statsGroup() { return stats_; }
@@ -48,9 +47,6 @@ class Xbar : public Tickable
 
     std::vector<Link *> up_;
     Link *down_;
-    //! Uplink A fifos pushed or popped since their last clock: bit i of
-    //! word i / 64 marks up_[i] (Fifo::bindClockMark).
-    std::vector<std::uint64_t> up_marks_;
     // A-channel arbitration state: which port holds the bus, and
     // whether a burst is mid-flight (beats must stay contiguous).
     std::size_t grant_ = 0;

@@ -167,11 +167,5 @@ Accelerator::evaluate(Cycle now)
     collect(now);
 }
 
-void
-Accelerator::advance(Cycle now)
-{
-    DmaMaster::advance(now);
-}
-
 } // namespace dev
 } // namespace siopmp

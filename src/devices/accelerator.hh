@@ -42,7 +42,6 @@ class Accelerator : public DmaMaster
     std::uint64_t tilesCompleted() const { return tiles_done_; }
 
     void evaluate(Cycle now) override;
-    void advance(Cycle now) override;
     bool quiescent(Cycle now) const override;
 
   private:

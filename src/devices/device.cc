@@ -62,11 +62,5 @@ DmaMaster::accountResponse(const bus::Beat &beat)
     }
 }
 
-void
-DmaMaster::advance(Cycle)
-{
-    link_->d.clock();
-}
-
 } // namespace dev
 } // namespace siopmp

@@ -49,8 +49,6 @@ class DmaMaster : public Tickable
     /** Called by subclasses when a data/ack beat arrives. */
     void accountResponse(const bus::Beat &beat);
 
-    void advance(Cycle now) override;
-
     DeviceId device_;
     bus::Link *link_;
     std::uint64_t next_txn_ = 1;

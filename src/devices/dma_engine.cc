@@ -104,11 +104,11 @@ DmaEngine::quiescent(Cycle) const
              ? !write_queue_.empty()
              : job_.kind == DmaKind::Write && issued_bytes_ < job_.bytes))
         return false;
-    // All other issuing is a push. Behind a full uplink it waits for the
-    // pop that frees a slot, which wakes the engine (its uplink's bound
-    // producer); once everything issued merely awaits responses, the
-    // D-channel wake re-arms it.
-    if (!link_->a.canPush())
+    // All other issuing is a push. Behind an uplink the edge leaves full
+    // it waits for the pop that frees a slot, which wakes the engine (its
+    // uplink's bound producer); once everything issued merely awaits
+    // responses, the D-channel wake re-arms it.
+    if (!link_->a.canPushNext())
         return true;
     return !writing_ && !(job_.kind != DmaKind::Write && room &&
                           issued_bytes_ < job_.bytes);
@@ -282,12 +282,6 @@ DmaEngine::evaluate(Cycle now)
         issueWrites(now);
     }
     collectResponses(now);
-}
-
-void
-DmaEngine::advance(Cycle now)
-{
-    DmaMaster::advance(now);
 }
 
 } // namespace dev

@@ -99,7 +99,6 @@ class DmaEngine : public DmaMaster
     std::uint64_t burstsCompleted() const { return bursts_completed_; }
 
     void evaluate(Cycle now) override;
-    void advance(Cycle now) override;
     bool quiescent(Cycle now) const override;
 
   private:

@@ -117,11 +117,5 @@ MaliciousDevice::evaluate(Cycle)
     }
 }
 
-void
-MaliciousDevice::advance(Cycle now)
-{
-    DmaMaster::advance(now);
-}
-
 } // namespace dev
 } // namespace siopmp

@@ -56,7 +56,6 @@ class MaliciousDevice : public DmaMaster
     std::uint64_t deniedAttacks() const { return denied_attacks_; }
 
     void evaluate(Cycle now) override;
-    void advance(Cycle now) override;
     bool quiescent(Cycle now) const override;
 
   private:

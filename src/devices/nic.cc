@@ -299,11 +299,5 @@ Nic::evaluate(Cycle now)
     collect(now);
 }
 
-void
-Nic::advance(Cycle now)
-{
-    DmaMaster::advance(now);
-}
-
 } // namespace dev
 } // namespace siopmp

@@ -77,7 +77,6 @@ class Nic : public DmaMaster
     bool idle() const;
 
     void evaluate(Cycle now) override;
-    void advance(Cycle now) override;
     bool quiescent(Cycle now) const override;
 
   private:

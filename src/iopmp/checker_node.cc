@@ -66,18 +66,18 @@ CheckerNode::quiescent(Cycle) const
     // wait for a wake) keeps the node polling.
     if (stall_ == Stall::None && !req_pipe_.empty())
         return false;
-    // A held beat parks only behind a downlink still full at its last
-    // clock, whose next pop wakes the node; a pop this cycle already
-    // made room.
-    if (stall_ == Stall::Held && down_->a.canPush())
+    // A held beat parks only behind a downlink that stays full after
+    // this cycle's clock edge, whose next pop wakes the node; a pop
+    // this cycle already made room.
+    if (stall_ == Stall::Held && down_->a.canPushNext())
         return false;
     if (!resp_pipe_.empty() || !down_->d.settled() ||
         (err_ != nullptr && !err_->d.settled()))
         return false;
     // Empty, or the head is parked: SIopmp wakes the node on any
     // change that can decide its stall. Either way the uplink must
-    // not be able to feed the pipe, or accept/clock would do work.
-    return up_->a.settled() || (!req_pipe_.canPush() && !up_->a.inTransit());
+    // not be able to feed the pipe, or accept would do work.
+    return up_->a.settled() || !req_pipe_.canPush();
 }
 
 Cycle
@@ -472,15 +472,6 @@ CheckerNode::evaluate(Cycle now)
     acceptRequests(now);
     dispatchRequests(now);
     forwardResponses(now);
-}
-
-void
-CheckerNode::advance(Cycle)
-{
-    up_->a.clock();
-    down_->d.clock();
-    if (err_)
-        err_->d.clock();
 }
 
 } // namespace iopmp

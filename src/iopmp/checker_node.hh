@@ -92,7 +92,6 @@ class CheckerNode : public Tickable
     ~CheckerNode() override;
 
     void evaluate(Cycle now) override;
-    void advance(Cycle now) override;
     bool quiescent(Cycle now) const override;
 
     ViolationPolicy policy() const { return policy_; }

@@ -274,11 +274,5 @@ MemoryNode::evaluate(Cycle now)
     armWake(now);
 }
 
-void
-MemoryNode::advance(Cycle)
-{
-    up_->a.clock();
-}
-
 } // namespace mem
 } // namespace siopmp

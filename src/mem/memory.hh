@@ -76,7 +76,6 @@ class MemoryNode : public Tickable
                MemoryTiming timing = {});
 
     void evaluate(Cycle now) override;
-    void advance(Cycle now) override;
     bool quiescent(Cycle now) const override;
 
     stats::Group &statsGroup() { return stats_; }

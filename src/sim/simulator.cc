@@ -9,6 +9,7 @@
 #include <bit>
 #include <cstdlib>
 
+#include "bus/fifo.hh"
 #include "sim/logging.hh"
 
 namespace siopmp {
@@ -89,23 +90,37 @@ Simulator::wake(Tickable *component)
 }
 
 void
+Simulator::unlist(bus::FifoBase *fifo)
+{
+    bus::FifoBase **link = &edge_;
+    while (*link != fifo)
+        link = &(*link)->next_on_edge_;
+    *link = fifo->next_on_edge_;
+}
+
+void
+Simulator::clockEdge()
+{
+    for (bus::FifoBase *fifo = edge_; fifo != nullptr;) {
+        bus::FifoBase *next = fifo->next_on_edge_;
+        fifo->clockEdge();
+        fifo = next;
+    }
+    edge_ = nullptr;
+}
+
+void
 Simulator::tickOnce()
 {
     events_.runUntil(now_);
     if (!fast_forward_) {
-        // Naive reference loop: tick everything, never retire.
+        // Naive reference loop: evaluate everything, never park.
         for (auto *c : components_)
             c->evaluate(now_);
-        for (auto *c : components_)
-            c->advance(now_);
     } else if (num_active_ > 0) {
-        forEachActive([this](Tickable *c) { c->evaluate(now_); });
-        forEachActive([this](Tickable *c) { c->advance(now_); });
-        // Retire components with no pending work. Anything woken this
-        // cycle stays hot one more cycle: the cause of a late wake
-        // (e.g. a fifo push staged during the advance phase) is not
-        // yet visible to quiescent().
         forEachActive([this](Tickable *c) {
+            c->evaluate(now_);
+            // Park at once, unless woken this cycle (wake_cycle_).
             if (c->wake_cycle_ != now_ && c->quiescent(now_)) {
                 c->active_ = false;
                 clearActiveBit(c->index_);
@@ -113,13 +128,14 @@ Simulator::tickOnce()
             }
         });
     }
+    clockEdge();
     ++now_;
 }
 
 void
 Simulator::step()
 {
-    if (fast_forward_ && num_active_ == 0) {
+    if (fast_forward_ && idle()) {
         const Cycle next = events_.nextEventCycle();
         if (next != kNever && next > now_) {
             idle_cycles_skipped_ += next - now_;
@@ -134,7 +150,7 @@ Simulator::run(Cycle n)
 {
     const Cycle target = now_ + n;
     while (now_ < target) {
-        if (fast_forward_ && num_active_ == 0) {
+        if (fast_forward_ && idle()) {
             const Cycle next = events_.nextEventCycle();
             const Cycle stop =
                 next == kNever ? target : std::min(next, target);
@@ -166,7 +182,7 @@ Simulator::runUntil(const std::function<bool()> &done, Cycle max_cycles)
         // Idle jump: only to a pending event, never past one. With an
         // empty queue we single-step so a time-dependent predicate
         // still sees every cycle (nothing else can change state).
-        if (fast_forward_ && num_active_ == 0 && !events_.empty()) {
+        if (fast_forward_ && idle() && !events_.empty()) {
             const Cycle limit = start + max_cycles;
             const Cycle stop = std::min(events_.nextEventCycle(), limit);
             if (stop > now_) {

@@ -1,24 +1,26 @@
 /**
  * @file
- * Top-level simulation driver: owns the cycle loop, ticks registered
- * components in two phases and services the event queue in between.
+ * Top-level simulation driver: owns the cycle loop and the event queue.
+ * A cycle services the events due, makes one pass in which every awake
+ * component evaluates, in registration order, then runs one clock edge
+ * that clocks every bus::Fifo pushed or popped in the cycle, once.
  *
- * Fast-forward scheduling: components that opt into the quiescence
- * protocol (Tickable::quiescent()) are retired from the hot active set
- * while they have no work; when the active set is empty the simulator
- * jumps time straight to the next pending event instead of burning
- * host cycles on no-op ticks. The optimization is semantics-preserving
- * — cycle counts, statistics and check verdicts are bit-identical to
- * the naive tick-everything loop (tests/sim/fastforward_differential_
- * test.cc proves it on a mixed workload) — and can be disabled with
- * setFastForward(false) or the SIOPMP_NO_FAST_FORWARD=1 environment
- * variable as an escape hatch.
+ * Fast-forward scheduling: in the pass, a component not woken this
+ * cycle is asked Tickable::quiescent() right after its evaluate() and
+ * leaves the active set if the answer is yes. When the active set is
+ * empty and no fifo waits for the edge, time jumps straight to the
+ * next pending event. The optimization is semantics-preserving: cycle
+ * counts, statistics and check verdicts are bit-identical to the naive
+ * loop, which evaluates every component and then runs the same edge
+ * (tests/sim/fastforward_differential_test.cc proves it on a mixed
+ * workload). setFastForward(false) or SIOPMP_NO_FAST_FORWARD=1 selects
+ * the naive loop.
  *
  * The active set is a bitmap with one bit per component, in
- * registration order. The evaluate, advance and retire passes walk its
- * set bits (count trailing zeros) and re-read the current word after
- * each call, so a cycle costs the awake components, not the registered
- * ones. A component woken mid-pass runs in that pass exactly when it
+ * registration order. The pass walks its set bits (count trailing
+ * zeros) and re-reads the current word after each component, so a
+ * cycle costs the awake components, not the registered ones, and a
+ * component woken mid-pass runs in that pass exactly when it
  * registered after the component running, as a scan of the component
  * list in registration order would have it.
  */
@@ -36,10 +38,14 @@
 
 namespace siopmp {
 
+namespace bus {
+class FifoBase;
+} // namespace bus
+
 /**
  * Cycle-driven simulator. Components are ticked in registration order;
  * determinism is guaranteed because each component's evaluate() only
- * reads previous-cycle state.
+ * reads fifo state registered at the previous clock edge.
  */
 class Simulator
 {
@@ -57,10 +63,10 @@ class Simulator
     void add(Tickable *component);
 
     /**
-     * Run a single cycle: events, evaluate-all, advance-all. Under
-     * fast-forward, when the active set is empty the cycle executed is
-     * the next one with a pending event (intervening quiescent cycles
-     * are skipped); with no events pending exactly one cycle runs.
+     * Run a single cycle: events, the pass, the clock edge. Under
+     * fast-forward, when nothing is active the cycle executed is the
+     * next one with a pending event (intervening quiescent cycles are
+     * skipped); with no events pending exactly one cycle runs.
      */
     void step();
 
@@ -103,8 +109,20 @@ class Simulator
     static bool defaultFastForward();
 
   private:
+    friend class bus::FifoBase;
+
     /** Execute exactly one cycle at now_ (no idle jump). */
     void tickOnce();
+
+    /** Nothing can happen before the next event: no component is
+     * awake and no fifo waits for the edge. */
+    bool idle() const { return num_active_ == 0 && edge_ == nullptr; }
+
+    /** The clock edge: clock every fifo on the edge list, once. */
+    void clockEdge();
+
+    /** Take @p fifo, which is on the edge list, off it. */
+    void unlist(bus::FifoBase *fifo);
 
     /** Call @p fn on every component whose active bit is set, in
      * registration order, re-reading the bitmap after each call. */
@@ -116,6 +134,9 @@ class Simulator
     std::vector<Tickable *> components_;
     //! Active set: bit i of word i / 64 is components_[i]->active_.
     std::vector<std::uint64_t> active_bits_;
+    //! Fifos pushed or popped since the last edge, each listed once: a
+    //! list threaded through the fifos, so listing one never allocates.
+    bus::FifoBase *edge_ = nullptr;
     EventQueue events_;
     Cycle now_ = 0;
     bool fast_forward_;

@@ -1,24 +1,28 @@
 /**
  * @file
- * Two-phase cycle-driven component interface. Each cycle every component
- * first evaluates combinational outputs (evaluate), then commits state
- * (advance). This mirrors how synchronous RTL behaves and lets ready/
+ * Cycle-driven component interface. Each cycle every awake component
+ * evaluates once: it reads the fifo state registered at the last clock
+ * edge, pushes and pops, and updates its own state. The simulator then
+ * runs one clock edge that latches every fifo the cycle touched (see
+ * Simulator). This mirrors how synchronous RTL behaves and lets ready/
  * valid handshakes resolve within a cycle regardless of tick order.
  *
  * Quiescence protocol (fast-forward scheduling): a component may opt in
- * by overriding quiescent(). Returning true is a promise that both
- * evaluate() and advance() are exact no-ops at the given cycle AND will
- * stay no-ops until the component is woken. The simulator then drops
- * the component from the hot active set (one bit per component, indexed
- * by registration order) and stops ticking it; when all components are
- * quiescent it fast-forwards time to the next pending event. A
+ * by overriding quiescent(), which the simulator asks right after the
+ * component's evaluate(), before later components act and before the
+ * edge, unless the component was woken this cycle. Returning true is a
+ * promise that evaluate() is an exact no-op from the next cycle on AND
+ * will stay one until the component is woken; the simulator then stops
+ * ticking it. So quiescent() reads its fifos as the edge will leave
+ * them: settled() for a consumer, canPushNext() for a producer. A
  * quiescent component is re-armed by:
  *
  *  - a push into any bus::Fifo bound to it via Fifo::bindWake()
- *    (the consumer-side channels it clocks in advance());
+ *    (the channels it consumes);
  *  - a pop from a full bus::Fifo bound to it via Fifo::bindProducer()
  *    (the channels it pushes into), so a producer may park behind a
- *    full fifo: that pop is the first event that can give it room;
+ *    fifo that stays full after the edge: that pop, in the same cycle
+ *    or a later one, is the first event that can give it room;
  *  - a timed EventQueue::scheduleWake() the component armed itself
  *    (e.g. a memory controller waiting out an access latency, a CPU
  *    waiting out its interrupt handler);
@@ -29,10 +33,10 @@
  *
  * Missing a wake deadlocks or — worse — silently diverges from the
  * naive tick-everything loop, so every path that can turn a no-op
- * evaluate()/advance() into real work must wake the component. Spurious
- * wakes are harmless: the simulator re-checks quiescent() after every
- * ticked cycle. A wake issued while a phase is running reaches the
- * woken component in that phase exactly when it registered after the
+ * evaluate() into real work must wake the component. Spurious wakes
+ * are harmless: the simulator re-checks quiescent() after every
+ * evaluate(). A wake issued during the pass reaches the woken
+ * component in that pass exactly when it registered after the
  * component running (see Simulator).
  */
 
@@ -61,22 +65,19 @@ class Tickable
     Tickable &operator=(const Tickable &) = delete;
 
     /**
-     * Phase 1: produce this cycle's outputs from last cycle's state.
-     * Components may enqueue into channels here.
+     * Produce this cycle's outputs from the state registered at the
+     * last clock edge and commit this component's own state. Pushes
+     * and pops land at the edge that ends the cycle.
      */
     virtual void evaluate(Cycle now) = 0;
 
     /**
-     * Phase 2: consume channel inputs and commit state for the next
-     * cycle.
-     */
-    virtual void advance(Cycle now) = 0;
-
-    /**
-     * True iff evaluate()/advance() are no-ops at cycle @p now and will
-     * remain no-ops until wake() is called (see file header for the
-     * full contract). The default never quiesces, which is always
-     * safe: components that do not opt in are ticked every cycle.
+     * True iff evaluate() is a no-op from cycle @p now + 1 on and will
+     * remain one until wake() is called. Asked right after this
+     * component's evaluate() at @p now, before the edge (see file
+     * header for the full contract). The default never quiesces,
+     * which is always safe: components that do not opt in are ticked
+     * every cycle.
      */
     virtual bool
     quiescent(Cycle now) const
@@ -116,9 +117,9 @@ class Tickable
     //! active set, and its place in tick order.
     std::size_t index_ = 0;
     bool active_ = false;
-    //! Cycle of the last wake; guards retirement in the same cycle so
-    //! a wake during the advance phase (whose cause is still invisible
-    //! to quiescent(), e.g. a staged fifo push) is never lost.
+    //! Cycle of the last wake: a component is not asked quiescent() in
+    //! the cycle it was woken, so a wake's cause need not be visible to
+    //! quiescent() until the component has evaluated after it.
     Cycle wake_cycle_ = 0;
 };
 

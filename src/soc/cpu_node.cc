@@ -52,10 +52,5 @@ CpuNode::evaluate(Cycle now)
     }
 }
 
-void
-CpuNode::advance(Cycle)
-{
-}
-
 } // namespace soc
 } // namespace siopmp

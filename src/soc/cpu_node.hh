@@ -25,7 +25,6 @@ class CpuNode : public Tickable
             iopmp::SIopmp *unit, Simulator *sim);
 
     void evaluate(Cycle now) override;
-    void advance(Cycle now) override;
     bool quiescent(Cycle now) const override;
 
     Cycle busyUntil() const { return busy_until_; }

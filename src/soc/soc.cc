@@ -22,14 +22,14 @@ Soc::Soc(const SocConfig &cfg)
     mmio_.map("siopmp", {kIopmpMmioBase, iopmp::regmap::kWindowSize},
               iopmp_.get());
 
-    mem_link_ = std::make_unique<bus::Link>();
+    mem_link_ = std::make_unique<bus::Link>(sim_);
     for (unsigned i = 0; i < cfg.num_masters; ++i)
-        master_links_.push_back(std::make_unique<bus::Link>());
+        master_links_.push_back(std::make_unique<bus::Link>(sim_));
 
     if (cfg.centralized_checker) {
         // master -> xbar -> checker -> memory
-        checked_links_.push_back(std::make_unique<bus::Link>());
-        error_links_.push_back(std::make_unique<bus::Link>());
+        checked_links_.push_back(std::make_unique<bus::Link>(sim_));
+        error_links_.push_back(std::make_unique<bus::Link>(sim_));
 
         std::vector<bus::Link *> uplinks;
         for (auto &link : master_links_)
@@ -45,8 +45,8 @@ Soc::Soc(const SocConfig &cfg)
         // master -> checker -> xbar -> memory
         std::vector<bus::Link *> uplinks;
         for (unsigned i = 0; i < cfg.num_masters; ++i) {
-            checked_links_.push_back(std::make_unique<bus::Link>());
-            error_links_.push_back(std::make_unique<bus::Link>());
+            checked_links_.push_back(std::make_unique<bus::Link>(sim_));
+            error_links_.push_back(std::make_unique<bus::Link>(sim_));
             checkers_.push_back(std::make_unique<iopmp::CheckerNode>(
                 "checker" + std::to_string(i), master_links_[i].get(),
                 checked_links_[i].get(), error_links_[i].get(),
@@ -63,8 +63,9 @@ Soc::Soc(const SocConfig &cfg)
         "memory", mem_link_.get(), &backing_);
 
     // Tick order: checkers, xbar, memory, error nodes. Devices are
-    // added by the caller. Order does not affect results (two-phase
-    // fifo discipline) but keeping it fixed aids debugging.
+    // added by the caller. Order does not affect results (every fifo
+    // is clocked at the one edge after all components evaluate) but
+    // keeping it fixed aids debugging.
     for (auto &checker : checkers_)
         sim_.add(checker.get());
     sim_.add(xbar_.get());

@@ -12,18 +12,15 @@ namespace siopmp {
 namespace bus {
 namespace {
 
+/** Test code is the master side; the simulator's edge clocks both
+ * channels. */
 struct Harness {
     Harness() : node("err0", &link) { sim.add(&node); }
 
-    void
-    step()
-    {
-        sim.step();
-        link.d.clock(); // test code is the master side
-    }
+    void step() { sim.step(); }
 
     Simulator sim;
-    Link link;
+    Link link{sim};
     ErrorNode node;
 };
 
@@ -90,7 +87,7 @@ TEST(ErrorNode, RetriesWhenResponseChannelFull)
     Harness h;
     // Never drain d: the node must hold the request until space opens.
     h.link.a.push(makeGet(0x1000, 8, 1, 1));
-    h.sim.step(); // d not clocked by us yet -> capacity builds
+    h.sim.step(); // d never popped -> occupancy builds
     h.link.a.push(makeGet(0x2000, 8, 1, 2));
     for (int i = 0; i < 6; ++i)
         h.sim.step();
@@ -101,7 +98,6 @@ TEST(ErrorNode, RetriesWhenResponseChannelFull)
     EXPECT_LE(h.link.d.occupancy(), h.link.d.capacity());
     EXPECT_EQ(h.node.errorsGenerated(), 2u); // third still pending
     // Drain and let it finish.
-    h.link.d.clock();
     while (!h.link.d.empty())
         h.link.d.pop();
     for (int i = 0; i < 6; ++i)

@@ -13,12 +13,13 @@ namespace siopmp {
 namespace bus {
 namespace {
 
-/** Drives the xbar and clocks master-side D channels like a master. */
+/** Drives the xbar from test code on both sides; the simulator's
+ * edge clocks every link, the ones test code pushes and pops too. */
 struct Harness {
     Harness(unsigned nports)
     {
         for (unsigned i = 0; i < nports; ++i)
-            ups.push_back(std::make_unique<Link>());
+            ups.push_back(std::make_unique<Link>(sim));
         std::vector<Link *> raw;
         for (auto &u : ups)
             raw.push_back(u.get());
@@ -26,19 +27,12 @@ struct Harness {
         sim.add(xbar.get());
     }
 
-    /** Step one cycle, clocking the channels owned by test code. */
-    void
-    step()
-    {
-        sim.step();
-        for (auto &u : ups)
-            u->d.clock(); // master consumes d
-        down.a.clock();   // slave consumes a
-    }
+    /** Step one cycle. */
+    void step() { sim.step(); }
 
     Simulator sim;
     std::vector<std::unique_ptr<Link>> ups;
-    Link down;
+    Link down{sim};
     std::unique_ptr<Xbar> xbar;
 };
 
@@ -127,20 +121,17 @@ TEST(Xbar, RoundRobinAlternatesBetweenSingleBeatRequests)
 TEST(Xbar, BackpressureFromDownstreamStallsForwarding)
 {
     Harness h(1);
-    // Fill down.a (capacity 2) and never drain it.
+    // Fill down.a (capacity 2) and never drain it: no slave pops.
     h.ups[0]->a.push(makeGet(0, 1, 1, 1));
-    h.sim.step();
-    h.ups[0]->d.clock(); // don't clock down.a: consumer never runs
+    h.step();
     h.ups[0]->a.push(makeGet(0, 1, 1, 2));
-    h.sim.step();
-    h.ups[0]->d.clock();
+    h.step();
     h.ups[0]->a.push(makeGet(0, 1, 1, 3));
-    for (int i = 0; i < 5; ++i) {
-        h.sim.step();
-        h.ups[0]->d.clock();
-    }
-    // down.a holds at most its capacity; the rest stays queued.
-    EXPECT_LE(h.down.a.occupancy(), h.down.a.capacity());
+    for (int i = 0; i < 5; ++i)
+        h.step();
+    // down.a holds its capacity; the third beat stays queued upstream.
+    EXPECT_EQ(h.down.a.occupancy(), h.down.a.capacity());
+    EXPECT_EQ(h.ups[0]->a.occupancy(), 1u);
 }
 
 } // namespace

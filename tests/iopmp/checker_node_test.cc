@@ -225,7 +225,6 @@ struct LateMutator : Tickable {
         if (now == at && fn)
             fn();
     }
-    void advance(Cycle) override {}
 
     Cycle at = kNever;
     std::function<void()> fn;

@@ -49,7 +49,6 @@ struct LateMutator : Tickable {
                 fn();
         }
     }
-    void advance(Cycle) override {}
 
     std::vector<std::pair<Cycle, std::function<void()>>> actions;
 };

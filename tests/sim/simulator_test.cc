@@ -12,12 +12,14 @@
 #include <utility>
 #include <vector>
 
+#include "bus/fifo.hh"
 #include "sim/simulator.hh"
 
 namespace siopmp {
 namespace {
 
-/** Records the phase sequence it observes. */
+/** Records each evaluate() it runs; pushes its cycle into @c out when
+ * there is room, and records whether @c in has a readable item. */
 class Probe : public Tickable
 {
   public:
@@ -29,12 +31,14 @@ class Probe : public Tickable
     void evaluate(Cycle now) override
     {
         log_->push_back("eval@" + std::to_string(now));
+        if (out != nullptr && out->canPush())
+            out->push(static_cast<int>(now));
+        if (in != nullptr)
+            log_->push_back(in->empty() ? "empty" : "readable");
     }
 
-    void advance(Cycle now) override
-    {
-        log_->push_back("adv@" + std::to_string(now));
-    }
+    bus::Fifo<int> *out = nullptr;
+    bus::Fifo<int> *in = nullptr;
 
   private:
     std::vector<std::string> *log_;
@@ -42,17 +46,30 @@ class Probe : public Tickable
 
 TEST(Simulator, TwoPhaseOrderWithinCycle)
 {
-    Simulator sim;
-    std::vector<std::string> log;
-    Probe p1(&log), p2(&log);
-    sim.add(&p1);
-    sim.add(&p2);
-    sim.step();
-    ASSERT_EQ(log.size(), 4u);
-    EXPECT_EQ(log[0], "eval@0");
-    EXPECT_EQ(log[1], "eval@0");
-    EXPECT_EQ(log[2], "adv@0");
-    EXPECT_EQ(log[3], "adv@0");
+    // Phase one evaluates every component in registration order; phase
+    // two is the clock edge. What the producer pushes at cycle 0 is
+    // invisible to the consumer in that cycle and readable at cycle 1,
+    // whichever of the two registered first.
+    for (bool producer_first : {true, false}) {
+        SCOPED_TRACE(producer_first ? "producer first" : "consumer first");
+        Simulator sim;
+        std::vector<std::string> log;
+        bus::Fifo<int> fifo(sim, 2);
+        Probe producer(&log), consumer(&log);
+        producer.out = &fifo;
+        consumer.in = &fifo;
+        sim.add(producer_first ? &producer : &consumer);
+        sim.add(producer_first ? &consumer : &producer);
+        sim.step();
+        sim.step();
+        const std::vector<std::string> expected =
+            producer_first
+                ? std::vector<std::string>{"eval@0", "eval@0", "empty",
+                                           "eval@1", "eval@1", "readable"}
+                : std::vector<std::string>{"eval@0", "empty", "eval@0",
+                                           "eval@1", "readable", "eval@1"};
+        EXPECT_EQ(log, expected);
+    }
 }
 
 TEST(Simulator, RunAdvancesTime)
@@ -101,12 +118,10 @@ class Sleeper : public Tickable
         last_eval = now;
     }
 
-    void advance(Cycle) override { ++advs; }
     bool quiescent(Cycle) const override { return sleepy; }
 
     bool sleepy = true;
     unsigned evals = 0;
-    unsigned advs = 0;
     Cycle last_eval = 0;
 };
 
@@ -125,7 +140,6 @@ class MutatorNode : public Tickable
         if (now == when_)
             action_();
     }
-    void advance(Cycle) override {}
 
   private:
     Cycle when_;
@@ -135,9 +149,9 @@ class MutatorNode : public Tickable
 TEST(FastForward, WakeOfALaterComponentEvaluatesInTheSameCycle)
 {
     // A sleeper registered after its waker is woken from the waker's
-    // evaluate(), and the evaluate pass reaches it in that same cycle.
-    // (A wake of an earlier component waits for the advance pass; the
-    // scripted scan-order test below covers both directions.)
+    // evaluate(), and the pass reaches it in that same cycle. (A wake
+    // of an earlier component waits for the next cycle; the scripted
+    // scan-order test below covers both directions.)
     Simulator sim;
     sim.setFastForward(true);
     Sleeper sleeper;
@@ -148,7 +162,6 @@ TEST(FastForward, WakeOfALaterComponentEvaluatesInTheSameCycle)
 
     // Cycles 0-1, then 10 (the wake) and 11 (its grace cycle).
     EXPECT_EQ(sleeper.evals, 4u);
-    EXPECT_EQ(sleeper.advs, 4u);
     EXPECT_EQ(sleeper.last_eval, 11u);
 }
 
@@ -161,9 +174,9 @@ TEST(FastForward, StepJumpsIdleGapToNextEvent)
     bool fired = false;
     sim.events().schedule(100, [&] { fired = true; });
 
-    // A freshly added component runs two cycles before retiring: the
-    // registration wake keeps it hot through cycle 0, and retirement
-    // happens at the end of cycle 1.
+    // A freshly added component runs two cycles before parking: the
+    // registration wake keeps it awake through cycle 0, and it parks
+    // right after its evaluate() at cycle 1.
     sim.step();
     sim.step();
     EXPECT_EQ(sim.activeComponents(), 0u);
@@ -256,39 +269,24 @@ TEST(FastForward, StepWithoutEventsRunsExactlyOneCycle)
     EXPECT_EQ(sim.now(), 3u); // no pending event: no jump
 }
 
-TEST(FastForward, AdvancePhaseMatchesEvaluatePhase)
-{
-    // The retirement guard must keep evaluate/advance counts paired:
-    // a component never gets an advance() without its evaluate().
-    Simulator sim;
-    sim.setFastForward(true);
-    Sleeper s;
-    sim.add(&s);
-    sim.events().scheduleWake(40, &s);
-    sim.run(200);
-    EXPECT_EQ(s.evals, s.advs);
-}
-
 /**
  * A scripted schedule of wakes for ScriptedNode, with the reference it
  * is checked against: a scan of the component list in registration
- * order, which is the order the active set must keep.
+ * order, each awake node evaluating and then, unless woken this cycle,
+ * parking when its script says it is quiescent. That is the order the
+ * active set must keep.
  */
 struct Script {
-    enum Phase { Eval, Adv };
-
-    /** At cycle @p when, during @p actor's @p phase, @p target is
+    /** At cycle @p when, during @p actor's evaluate(), @p target is
      * woken. */
     struct Action {
         Cycle when;
-        Phase phase;
         std::size_t actor;
         std::size_t target;
     };
 
     struct Tick {
         Cycle when;
-        Phase phase;
         std::size_t node;
         bool operator==(const Tick &) const = default;
     };
@@ -306,30 +304,24 @@ struct Script {
         std::vector<Cycle> wake_cycle(nodes, 0);
         std::vector<Tick> log;
         for (Cycle t = 0; t < cycles; ++t) {
-            auto act = [&](Phase phase, std::size_t actor) {
-                log.push_back({t, phase, actor});
-                for (const Action &a : actions) {
-                    if (a.when != t || a.phase != phase || a.actor != actor)
-                        continue;
-                    ++*fired;
-                    wake_cycle[a.target] = t;
-                    active[a.target] = true;
-                }
-            };
             for (const auto &[when, target] : event_wakes) {
                 if (when == t) {
                     wake_cycle[target] = t;
                     active[target] = true;
                 }
             }
-            for (Phase phase : {Eval, Adv}) {
-                for (std::size_t i = 0; i < nodes; ++i) {
-                    if (active[i])
-                        act(phase, i);
-                }
-            }
             for (std::size_t i = 0; i < nodes; ++i) {
-                if (active[i] && wake_cycle[i] != t && t >= busy_until[i])
+                if (!active[i])
+                    continue;
+                log.push_back({t, i});
+                for (const Action &a : actions) {
+                    if (a.when != t || a.actor != i)
+                        continue;
+                    ++*fired;
+                    wake_cycle[a.target] = t;
+                    active[a.target] = true;
+                }
+                if (wake_cycle[i] != t && t >= busy_until[i])
                     active[i] = false;
             }
         }
@@ -337,7 +329,7 @@ struct Script {
     }
 };
 
-/** Logs every phase it runs and performs its scripted actions. */
+/** Logs every evaluate() it runs and performs its scripted actions. */
 class ScriptedNode : public Tickable
 {
   public:
@@ -349,8 +341,17 @@ class ScriptedNode : public Tickable
     {
     }
 
-    void evaluate(Cycle now) override { act(Script::Eval, now); }
-    void advance(Cycle now) override { act(Script::Adv, now); }
+    void
+    evaluate(Cycle now) override
+    {
+        log_.push_back({now, id_});
+        for (const Script::Action &a : script_.actions) {
+            if (a.when != now || a.actor != id_)
+                continue;
+            ++fired_;
+            all_[a.target]->wake();
+        }
+    }
 
     bool
     quiescent(Cycle now) const override
@@ -359,18 +360,6 @@ class ScriptedNode : public Tickable
     }
 
   private:
-    void
-    act(Script::Phase phase, Cycle now)
-    {
-        log_.push_back({now, phase, id_});
-        for (const Script::Action &a : script_.actions) {
-            if (a.when != now || a.phase != phase || a.actor != id_)
-                continue;
-            ++fired_;
-            all_[a.target]->wake();
-        }
-    }
-
     std::size_t id_;
     const Script &script_;
     std::vector<ScriptedNode *> &all_;
@@ -415,15 +404,13 @@ expectScanOrder(const Script &script, Cycle cycles)
     for (std::size_t i = 0; i < log.size(); ++i) {
         ASSERT_EQ(log[i], ref[i])
             << "tick " << i << ": node " << log[i].node << " at cycle "
-            << log[i].when << " phase " << log[i].phase << ", expected node "
-            << ref[i].node << " at cycle " << ref[i].when << " phase "
-            << ref[i].phase;
+            << log[i].when << ", expected node " << ref[i].node
+            << " at cycle " << ref[i].when;
     }
     // Registration order within each pass; per-node counts follow from
     // the logs being equal.
     for (std::size_t i = 1; i < log.size(); ++i) {
-        if (log[i].when == log[i - 1].when &&
-            log[i].phase == log[i - 1].phase) {
+        if (log[i].when == log[i - 1].when) {
             EXPECT_LT(log[i - 1].node, log[i].node);
         }
     }
@@ -432,32 +419,34 @@ expectScanOrder(const Script &script, Cycle cycles)
 TEST(FastForward, ActiveSetSpanningThreeWordsTicksInRegistrationOrder)
 {
     // 130 components span three 64-bit words of the active set. Wakes
-    // cross bits 63/64 and 127/128 in both directions, from evaluate,
-    // from advance and from events, and chain through all three words
-    // in one pass.
+    // cross bits 63/64 and 127/128 in both directions, from evaluate
+    // and from events, reach nodes that parked earlier in the same
+    // pass, and chain through all three words in one pass.
     Script s;
     s.nodes = 130;
     s.busy_until.assign(s.nodes, 0);
     s.busy_until[65] = 35; // two nodes stay awake through the wakes
     s.busy_until[100] = 35;
-    using P = Script::Phase;
     s.event_wakes = {{5, 63},  {9, 127},  {13, 129}, {20, 63}, {22, 128},
                      {24, 0},  {30, 63},  {30, 64},  {30, 127},
                      {30, 128}, {31, 0},  {31, 129}, {40, 62}};
     s.actions = {
-        // Evaluate: forward across a word edge runs in the same pass,
-        // backward waits for the advance pass and the next cycle.
-        {5, P::Eval, 63, 64},   {5, P::Eval, 64, 62},
-        {9, P::Eval, 127, 128}, {9, P::Eval, 128, 126},
-        {13, P::Eval, 129, 0},  {14, P::Eval, 0, 1},
-        // Advance: the same two directions.
-        {20, P::Adv, 63, 64},   {22, P::Adv, 128, 127},
-        {24, P::Adv, 0, 129},   {24, P::Adv, 0, 64},
-        // A chain through all three words within one evaluate pass,
-        // ending in a backward wake.
-        {40, P::Eval, 62, 63},  {40, P::Eval, 63, 64},
-        {40, P::Eval, 64, 127}, {40, P::Eval, 127, 128},
-        {40, P::Eval, 128, 129}, {40, P::Eval, 129, 1},
+        // Forward across a word edge runs in the same pass, backward
+        // re-arms a node that already ran and waits for the next cycle.
+        {5, 63, 64},   {5, 64, 62},
+        {9, 127, 128}, {9, 128, 126},
+        {13, 129, 0},  {14, 0, 1},
+        // The same two directions from nodes an event woke.
+        {20, 63, 64},  {22, 128, 127},
+        {24, 0, 129},  {24, 0, 64},
+        // Node 65 parks right after its evaluate() at cycle 35, then a
+        // later node of the same pass re-arms it for cycle 36.
+        {35, 100, 65},
+        // A chain through all three words within one pass, ending in a
+        // backward wake.
+        {40, 62, 63},  {40, 63, 64},
+        {40, 64, 127}, {40, 127, 128},
+        {40, 128, 129}, {40, 129, 1},
     };
     expectScanOrder(s, 60);
 }

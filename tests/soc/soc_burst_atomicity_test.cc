@@ -146,8 +146,6 @@ struct BeatSource : Tickable {
         }
     }
 
-    void advance(Cycle) override { link->d.clock(); }
-
     bus::Link *link;
     std::vector<bus::Beat> beats;
     std::size_t next = 0;

@@ -39,7 +39,11 @@
 # campaign checks the unit against the oracle. It runs the
 # tenant-churn tests and, whole, the simulator, bus and fast-forward
 # suites (test_sim, test_bus, test_fastforward: the active-set
-# bitmap, the fifo rings and the parking differentials) and
+# bitmap, the clock edge, the fifo rings and the parking and
+# registration-order differentials), the suites whose rigs build links
+# on a simulator (test_checker_node, test_soc, test_devices, test_mem:
+# a fifo left on the edge list after its link is gone is a
+# use-after-free only the sanitizer shows) and
 # the table and differential-check suites (test_iopmp_tables,
 # test_check: the MD windows, the change hooks, the oracle and the
 # bounded fuzz campaigns) in the same tree. It then configures a second,
@@ -83,6 +87,17 @@ if [ "${1:-}" = "--sanitize" ]; then
     "$ASAN_DIR/tests/test_sim"
     "$ASAN_DIR/tests/test_bus"
     "$ASAN_DIR/tests/test_fastforward"
+
+    # Every rig that builds links on a simulator: a fifo left on the
+    # simulator's edge list after its link is destroyed is a
+    # use-after-free only the sanitizer shows.
+    echo "== checker node, SoC, device and memory suites (ASan+UBSan) =="
+    cmake --build "$ASAN_DIR" -j --target test_checker_node test_soc \
+        test_devices test_mem
+    "$ASAN_DIR/tests/test_checker_node"
+    "$ASAN_DIR/tests/test_soc"
+    "$ASAN_DIR/tests/test_devices"
+    "$ASAN_DIR/tests/test_mem"
 
     echo "== tables, change hooks and differential-check suites (ASan+UBSan) =="
     cmake --build "$ASAN_DIR" -j --target test_iopmp_tables test_check
